@@ -1,14 +1,9 @@
-//! The AST engine tier of `leca-audit`.
-//!
-//! The lexical scanner in the crate root is fast and has served as the
-//! only gate for several releases, but line-oriented token matching has
-//! structural false-negative classes: it cannot tell a test module from
-//! library code below the first `#[cfg(test)]`, cannot scope a rule to a
-//! function body that spans re-used lines, and cannot classify tokens
-//! (is this `[` an index or an array type?). This module re-implements
-//! every lexical rule on a real token tree (the offline `syn` shim:
-//! full-fidelity lexer + item-level parser) and adds three rules that
-//! are only expressible structurally:
+//! The audit engine: every rule of `leca-audit`, checked on a real token
+//! tree (the offline `syn` shim: full-fidelity lexer + item-level
+//! parser). Working on tokens rather than lines is what lets a rule tell
+//! a test module from library code wherever it sits in the file, scope
+//! itself to one function body, and classify tokens (is this `[` an
+//! index or an array type?). Three rules are only expressible that way:
 //!
 //! | Rule | Invariant |
 //! |---|---|
@@ -37,18 +32,17 @@
 //! drown the signal. Panic *exits* (`unwrap`, `expect`, `panic!`) are
 //! flagged in kernels too.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::{
     allowlisted, has_marker_comment, is_library_code, rules, strip_source, Diagnostic, Line,
-    ISA_ALLOWED_PREFIX, NONDET_ALLOWLIST_PREFIXES, REQUIRED_HEADERS, SHARED_RULES, SPAWN_ALLOWLIST,
+    ISA_ALLOWED_PREFIX, NONDET_ALLOWLIST_PREFIXES, REQUIRED_HEADERS, SPAWN_ALLOWLIST,
     UNSAFE_ALLOWLIST,
 };
 use syn::{Attribute, Delimiter, Group, Item, TokenTree};
 
 // ---------------------------------------------------------------------
-// New-rule scopes and allowlists
+// Structural-rule scopes and allowlists
 // ---------------------------------------------------------------------
 
 /// Files forming the serving tier's steady-state request path: once a
@@ -88,7 +82,7 @@ pub const FLOAT_SANCTIONED_FILES: &[(&str, &str)] = &[
 
 /// Library files allowed to *read* process environment directly. All
 /// other library code takes parsed values from `runtime_env` so
-/// trimming, validation and deprecation warnings stay uniform.
+/// trimming and validation stay uniform.
 pub const ENV_READ_ALLOWLIST: &[(&str, &str)] = &[(
     "crates/tensor/src/runtime_env.rs",
     "the single env parsing layer — every LECA_* knob is read and validated here",
@@ -660,10 +654,10 @@ impl<'a> Engine<'a> {
 // Public entry points
 // ---------------------------------------------------------------------
 
-/// Audits one file with the AST engine. A file that fails to lex yields
-/// a single [`rules::PARSE_ERROR`] diagnostic (the engine audited
-/// nothing, which is itself a finding — `rustc` will reject the file
-/// anyway, but the audit must not silently skip it).
+/// Audits one file. A file that fails to lex yields a single
+/// [`rules::PARSE_ERROR`] diagnostic (the engine audited nothing, which is
+/// itself a finding — `rustc` will reject the file anyway, but the audit
+/// must not silently skip it).
 pub fn audit_file_ast(rel: &str, src: &str) -> Vec<Diagnostic> {
     let forest = match syn::tokenize(src) {
         Ok(f) => f,
@@ -693,7 +687,7 @@ pub fn audit_file_ast(rel: &str, src: &str) -> Vec<Diagnostic> {
     engine.finish()
 }
 
-/// Cheap over-approximating prefilter: may the AST engine find anything
+/// Cheap over-approximating prefilter: may the engine find anything
 /// in this file? Files inside a scoped-rule region always qualify; for
 /// the rest, a raw substring sweep for rule triggers decides. This may
 /// only ever over-approximate — skipping is sound solely because every
@@ -721,7 +715,7 @@ pub fn lexical_prefilter(rel: &str, src: &str) -> bool {
     NEEDLES.iter().any(|n| src.contains(n))
 }
 
-/// AST-engine scan counters.
+/// Workspace scan counters.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AstStats {
     /// `.rs` files considered.
@@ -732,7 +726,9 @@ pub struct AstStats {
     pub skipped: usize,
 }
 
-/// Runs the AST engine over the workspace rooted at `root`.
+/// Runs every rule over the workspace rooted at `root`. Returns the
+/// diagnostics, sorted and with at most one per `(file, line, rule)`,
+/// plus scan statistics.
 pub fn audit_workspace_ast(root: &Path) -> std::io::Result<(Vec<Diagnostic>, AstStats)> {
     let mut diags = Vec::new();
     let mut stats = AstStats::default();
@@ -755,13 +751,14 @@ pub fn audit_workspace_ast(root: &Path) -> std::io::Result<(Vec<Diagnostic>, Ast
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-    diags.dedup();
+    diags.dedup_by(|a, b| (&a.file, a.line, a.rule) == (&b.file, b.line, b.rule));
     Ok((diags, stats))
 }
 
-/// AST version of the lint-header rule: parses each required file and
-/// checks its leading inner attributes (`#![forbid(unsafe_code)]` et
-/// al.) structurally instead of by substring.
+/// The lint-header rule: parses each required file and checks its
+/// leading inner attributes (`#![forbid(unsafe_code)]` et al.)
+/// structurally. Missing files are flagged when their crate directory
+/// exists (so the check ports to partial fixture trees).
 pub fn check_required_headers_ast(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (rel, header) in REQUIRED_HEADERS {
@@ -825,29 +822,6 @@ fn attr_tokens_contain(tts: &[TokenTree], name: &str) -> bool {
     })
 }
 
-/// Compares the two engines on the rules both implement. Returns one
-/// human-readable drift line per `(file, line, rule)` finding present in
-/// exactly one engine's output — empty means the engines agree.
-pub fn diff_engines(lexical: &[Diagnostic], ast: &[Diagnostic]) -> Vec<String> {
-    let key_set = |diags: &[Diagnostic]| -> BTreeSet<(String, usize, &'static str)> {
-        diags
-            .iter()
-            .filter(|d| SHARED_RULES.contains(&d.rule))
-            .map(|d| (d.file.clone(), d.line, d.rule))
-            .collect()
-    };
-    let lex = key_set(lexical);
-    let ast = key_set(ast);
-    let mut out = Vec::new();
-    for (file, line, rule) in lex.difference(&ast) {
-        out.push(format!("lexical-only: {file}:{line}: [{rule}]"));
-    }
-    for (file, line, rule) in ast.difference(&lex) {
-        out.push(format!("ast-only: {file}:{line}: [{rule}]"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,25 +835,38 @@ mod tests {
     }
 
     #[test]
-    fn mirrored_unsafe_rule_matches_lexical_semantics() {
+    fn undocumented_unsafe_is_flagged_with_line() {
         let src = "fn f() {\n    let p = unsafe { *q };\n}\n";
         let d = audit_file_ast("crates/tensor/src/parallel.rs", src);
         assert_eq!(rules_at(&d, rules::UNSAFE_COMMENT), vec![2]);
         let commented = "fn f() {\n    // SAFETY: q is valid\n    let p = unsafe { *q };\n}\n";
         assert!(audit_file_ast("crates/tensor/src/parallel.rs", commented).is_empty());
+        // Documented but outside the allowlist: only the allowlist rule.
+        let misplaced = "// SAFETY: documented but misplaced\nfn f() { unsafe { q() }; }\n";
+        let d = audit_file_ast("crates/nn/src/layer.rs", misplaced);
+        assert_eq!(rules_at(&d, rules::UNSAFE_ALLOWLIST), vec![2]);
+        assert!(rules_at(&d, rules::UNSAFE_COMMENT).is_empty(), "{d:?}");
+        // Mentions in comments and strings are not `unsafe` tokens.
+        let mentions = "// this fn would be unsafe if...\nconst S: &str = \"unsafe\";\n";
+        assert!(audit_file_ast("crates/nn/src/layer.rs", mentions).is_empty());
+        // A `\` line continuation inside a string spans two source lines;
+        // the `unsafe` below it is still reported on its own line.
+        let continued = "const S: &str = \"head \\\n  tail\";\nconst T: char = 'x';\n\
+                         fn f() { unsafe { q() }; }\n";
+        let d = audit_file_ast("crates/nn/src/layer.rs", continued);
+        assert_eq!(rules_at(&d, rules::UNSAFE_ALLOWLIST), vec![4], "{d:?}");
     }
 
     #[test]
     fn unsafe_inside_macro_bodies_is_seen() {
-        // The lexical engine sees this too (it is line-oriented); the AST
-        // engine must not lose it to item parsing.
+        // Item parsing must not hide tokens inside `macro_rules!` bodies.
         let src = "macro_rules! gen {\n    () => { unsafe { x() } };\n}\n";
         let d = audit_file_ast("crates/nn/src/layer.rs", src);
         assert_eq!(rules_at(&d, rules::UNSAFE_ALLOWLIST), vec![2]);
     }
 
     #[test]
-    fn spawn_in_cfg_test_module_is_exempt_but_library_code_is_not() {
+    fn spawn_rules_bind_library_code_outside_cfg_test() {
         let src = "pub fn lib_code() { std::thread::spawn(|| {}); }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
@@ -887,17 +874,42 @@ mod tests {
                    }\n";
         let d = audit_file_ast("crates/serve/src/config.rs", src);
         assert_eq!(rules_at(&d, rules::THREAD_SPAWN), vec![1]);
+        // Integration tests may spawn freely: the rule binds library code.
+        assert!(audit_file_ast("tests/pool_stress.rs", src).is_empty());
+        // Allowlisted spawners must keep their `JoinHandle`s...
+        let detached = "pub fn go() { std::thread::Builder::new().spawn(f).unwrap(); }\n";
+        let d = audit_file_ast("crates/serve/src/supervisor.rs", detached);
+        assert_eq!(rules_at(&d, rules::JOINED_SPAWN), vec![0], "{d:?}");
+        assert!(rules_at(&d, rules::THREAD_SPAWN).is_empty(), "{d:?}");
+        let joined = "pub fn go() -> std::thread::JoinHandle<()> {\n\
+                          std::thread::Builder::new().spawn(f).unwrap()\n\
+                      }\n";
+        assert!(audit_file_ast("crates/serve/src/supervisor.rs", joined).is_empty());
+        // ...and a handle named only in the test module does not count.
+        let test_only = "pub fn go() { std::thread::spawn(f); }\n\
+                         #[cfg(test)]\n\
+                         mod tests { fn t(h: std::thread::JoinHandle<()>) {} }\n";
+        let d = audit_file_ast("crates/tensor/src/parallel.rs", test_only);
+        assert_eq!(rules_at(&d, rules::JOINED_SPAWN), vec![0], "{d:?}");
     }
 
     #[test]
     fn spawn_after_the_test_module_is_still_flagged() {
-        // The structural advantage over the lexical engine: code *after*
-        // a test module is library code again.
+        // Code *after* a test module is library code again.
         let src = "#[cfg(test)]\n\
                    mod tests { fn t() {} }\n\
                    pub fn lib_code() { std::thread::spawn(|| {}); }\n";
         let d = audit_file_ast("crates/serve/src/config.rs", src);
         assert_eq!(rules_at(&d, rules::THREAD_SPAWN), vec![3]);
+        // `#[cfg(test)]` on a method exempts that method only.
+        let src = "pub struct Q;\n\
+                   impl Q {\n\
+                       #[cfg(test)]\n\
+                       pub fn len(&self) -> usize { std::thread::spawn(|| {}); 0 }\n\
+                   }\n\
+                   pub fn later() { std::thread::spawn(|| {}); }\n";
+        let d = audit_file_ast("crates/serve/src/queue.rs", src);
+        assert_eq!(rules_at(&d, rules::THREAD_SPAWN), vec![6], "{d:?}");
     }
 
     #[test]
@@ -906,15 +918,28 @@ mod tests {
                        if bad {\n\
                            return Err(E::Shape { l: a.to_vec(), r: vec![m] });\n\
                        }\n\
+                       debug_assert!(ok, \"{}\", msg.to_string());\n\
                        let t = Vec::new();\n\
                        Ok(())\n\
-                   }\n";
+                   }\n\
+                   fn add(out: &mut [f32]) {\n    let t = Vec::new();\n}\n";
         let d = audit_file_ast("crates/tensor/src/ops/matmul.rs", src);
+        assert_eq!(rules_at(&d, rules::HOT_PATH_ALLOC), vec![6], "{d:?}");
+        // Braces in char literals and raw strings neither end the kernel
+        // body early nor extend it past its closing brace.
+        let src = "fn pack_into(out: &mut [u8]) {\n\
+                       let open = '{';\n\
+                       let esc = '\\u{7F}';\n\
+                       let tpl = r#\"{ \"k\": } } }\"#;\n\
+                       let v = Vec::new();\n\
+                   }\n\
+                   fn after() { let w = Vec::new(); }\n";
+        let d = audit_file_ast("crates/tensor/src/tensor.rs", src);
         assert_eq!(rules_at(&d, rules::HOT_PATH_ALLOC), vec![5], "{d:?}");
     }
 
     #[test]
-    fn isa_attribute_and_intrinsics_flagged_with_lines() {
+    fn isa_and_nondeterminism_tokens_flagged_outside_their_home() {
         let src = "use core::arch::x86_64::_mm256_add_ps;\n\
                    #[target_feature(enable = \"avx2\")]\n\
                    fn f() { if std::is_x86_feature_detected!(\"avx2\") {} }\n";
@@ -923,6 +948,18 @@ mod tests {
         assert!(audit_file_ast("crates/tensor/src/backend/avx2.rs", src)
             .iter()
             .all(|d| d.rule != rules::ISA_CONFINEMENT));
+        // Mentions in comments and strings, and identifiers merely
+        // containing a token, are not flagged.
+        let mentions = "// talk about core::arch and target_feature here\n\
+                        const S: &str = \"std::arch\";\n\
+                        const MY_TARGET_FEATURES: usize = 3;\n";
+        assert!(audit_file_ast("crates/nn/src/layer.rs", mentions).is_empty());
+        // Wall clock and OS entropy: flagged outside the bench harness.
+        let nondet = "fn f() {\n    let t = std::time::SystemTime::now();\n\
+                      let mut rng = thread_rng();\n}\n";
+        let d = audit_file_ast("crates/core/src/trainer.rs", nondet);
+        assert_eq!(rules_at(&d, rules::NONDETERMINISM), vec![2, 3], "{d:?}");
+        assert!(audit_file_ast("crates/bench/src/lib.rs", nondet).is_empty());
     }
 
     #[test]
@@ -1067,27 +1104,5 @@ mod tests {
             "crates/data/src/loader.rs",
             "pub fn pure(a: usize) -> usize { a + 1 }"
         ));
-    }
-
-    #[test]
-    fn diff_engines_reports_asymmetric_findings_only() {
-        let mk = |file: &str, line: usize, rule: &'static str| Diagnostic {
-            file: file.into(),
-            line,
-            rule,
-            message: String::new(),
-        };
-        let lex = vec![
-            mk("a.rs", 1, rules::THREAD_SPAWN),
-            mk("a.rs", 2, rules::NONDETERMINISM),
-        ];
-        let ast = vec![
-            mk("a.rs", 1, rules::THREAD_SPAWN),
-            mk("a.rs", 9, rules::PANIC_FREEDOM), // AST-only rule: not compared
-        ];
-        let drift = diff_engines(&lex, &ast);
-        assert_eq!(drift.len(), 1, "{drift:?}");
-        assert!(drift[0].contains("lexical-only"));
-        assert!(drift[0].contains("a.rs:2"));
     }
 }

@@ -5,7 +5,7 @@
 //! *conventions* (zero-allocation `_into` kernels, seeded randomness,
 //! pool-only parallelism). `rustc` and clippy enforce none of those
 //! conventions, so this crate parses every `.rs` file in the workspace
-//! with a comment/string-aware scanner and checks repo-specific
+//! into a token tree (the offline `syn` shim) and checks repo-specific
 //! invariants:
 //!
 //! | Rule | Invariant |
@@ -18,16 +18,20 @@
 //! | [`rules::NONDETERMINISM`] | no wall-clock / OS-entropy randomness outside the bench harness |
 //! | [`rules::LINT_HEADER`] | `#![forbid(unsafe_code)]` / `#![deny(unsafe_op_in_unsafe_fn)]` headers present |
 //! | [`rules::ISA_CONFINEMENT`] | ISA intrinsics / feature detection only inside `crates/tensor/src/backend/` |
+//! | [`rules::FLOAT_REDUCTION_ORDER`] | no iterator float reductions outside the sanctioned reduction ops |
+//! | [`rules::PANIC_FREEDOM`] | no panic exits in the serve steady-state path or `_into` kernels |
+//! | [`rules::ENV_READ_CONFINEMENT`] | all `std::env` access goes through `runtime_env` |
+//!
+//! The rules live in [`engine`]. This root module holds what they share:
+//! the rule identifiers, the allowlists, the [`Diagnostic`] type, the
+//! workspace walk, and [`strip_source`], a comment/string-aware line
+//! scanner whose comment channel is how the engine finds the `// SAFETY:`
+//! and `// PANIC-OK:` comments next to a flagged site.
 //!
 //! The binary (`cargo run -p leca-audit`) walks the workspace, prints
 //! `file:line: [rule] message` diagnostics and exits non-zero on any
 //! violation — it runs as a required CI job, so a future kernel PR cannot
-//! silently regress the soundness story. The scanner is deliberately
-//! lexical (no `syn`, no dependencies): it strips comments, string/char
-//! literals and raw strings with a small state machine, then runs
-//! line-oriented token checks. That is exact for every construct this
-//! workspace uses, and a false positive can always be fixed by making the
-//! code more explicit — which is the point of the gate.
+//! silently regress the soundness story.
 
 // The audit gate must hold itself to the strictest standard.
 #![forbid(unsafe_code)]
@@ -62,31 +66,17 @@ pub mod rules {
     /// ISA intrinsics or CPU-feature detection outside the backend layer.
     pub const ISA_CONFINEMENT: &str = "isa-confinement";
     /// Iterator float reduction (`.sum::<f32>()`, float-seeded `.fold`)
-    /// outside the sanctioned reduction modules (AST engine only).
+    /// outside the sanctioned reduction modules.
     pub const FLOAT_REDUCTION_ORDER: &str = "float-reduction-order";
     /// `unwrap`/`expect`/panic-macro/slice-index in the serve steady-state
-    /// path or a `_into` kernel body (AST engine only).
+    /// path or a `_into` kernel body.
     pub const PANIC_FREEDOM: &str = "panic-freedom";
-    /// `std::env` access outside `runtime_env` and the sanctioned writers
-    /// (AST engine only).
+    /// `std::env` access outside `runtime_env` and the sanctioned writers.
     pub const ENV_READ_CONFINEMENT: &str = "env-read-confinement";
-    /// A file the AST engine could not lex/parse — nothing was audited,
-    /// which is itself a violation (AST engine only).
+    /// A file the engine could not lex/parse — nothing was audited, which
+    /// is itself a violation.
     pub const PARSE_ERROR: &str = "parse-error";
 }
-
-/// The rules implemented by **both** engines; `--diff-engines` compares
-/// exactly these (the AST-only rules have no lexical counterpart).
-pub const SHARED_RULES: &[&str] = &[
-    rules::UNSAFE_COMMENT,
-    rules::UNSAFE_ALLOWLIST,
-    rules::THREAD_SPAWN,
-    rules::JOINED_SPAWN,
-    rules::HOT_PATH_ALLOC,
-    rules::NONDETERMINISM,
-    rules::LINT_HEADER,
-    rules::ISA_CONFINEMENT,
-];
 
 /// Files allowed to contain `unsafe` (workspace-relative paths), with the
 /// reason they are trusted. Everything else must be safe Rust — the safe
@@ -212,7 +202,7 @@ impl fmt::Display for Diagnostic {
 }
 
 // ---------------------------------------------------------------------
-// Lexical scanner
+// Comment-channel scanner
 // ---------------------------------------------------------------------
 
 /// One source line after lexical stripping: `code` has comments and the
@@ -278,7 +268,9 @@ pub fn strip_source(src: &str) -> Vec<Line> {
                     cur.code.push('"');
                     st = St::Str;
                     i += 1;
-                } else if (c == 'r' || c == 'b') && !prev_is_ident(&chars, i) {
+                } else if (c == 'r' || c == 'b')
+                    && !(i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_'))
+                {
                     // Possible raw / byte / raw-byte string: b" r" r#" br#"
                     let mut j = i + 1;
                     if c == 'b' && chars.get(j) == Some(&'r') {
@@ -394,46 +386,6 @@ pub fn strip_source(src: &str) -> Vec<Line> {
     out
 }
 
-fn prev_is_ident(chars: &[char], i: usize) -> bool {
-    i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_')
-}
-
-/// Byte offsets of word-boundary occurrences of `word` in `code`.
-fn word_occurrences(code: &str, word: &str) -> Vec<usize> {
-    let bytes = code.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut found = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(word) {
-        let at = from + pos;
-        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            found.push(at);
-        }
-        from = at + word.len().max(1);
-    }
-    found
-}
-
-// ---------------------------------------------------------------------
-// Rules
-// ---------------------------------------------------------------------
-
-/// Audits one already-read file. `rel` is its workspace-relative path with
-/// `/` separators (used for allowlist decisions and diagnostics).
-pub fn audit_file(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let lines = strip_source(src);
-    let mut diags = Vec::new();
-    check_unsafe(rel, &lines, &mut diags);
-    check_thread_spawn(rel, &lines, &mut diags);
-    check_hot_path_allocs(rel, &lines, &mut diags);
-    check_nondeterminism(rel, &lines, &mut diags);
-    check_isa_confinement(rel, &lines, &mut diags);
-    diags
-}
-
 /// True when `rel` is library code (compiled into a crate), as opposed to
 /// tests, benches or examples — the spawn rule only binds library code
 /// (tests may spawn threads *to test* the pool).
@@ -444,64 +396,6 @@ pub(crate) fn is_library_code(rel: &str) -> bool {
 
 pub(crate) fn allowlisted(list: &[(&str, &str)], rel: &str) -> bool {
     list.iter().any(|(p, _)| *p == rel)
-}
-
-fn check_unsafe(rel: &str, lines: &[Line], diags: &mut Vec<Diagnostic>) {
-    let allowed = allowlisted(UNSAFE_ALLOWLIST, rel);
-    for (idx, line) in lines.iter().enumerate() {
-        for at in word_occurrences(&line.code, "unsafe") {
-            let lineno = idx + 1;
-            if !allowed {
-                diags.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: lineno,
-                    rule: rules::UNSAFE_ALLOWLIST,
-                    message: format!(
-                        "`unsafe` outside the audited allowlist ({} trusted modules); \
-                         either keep this file safe or extend UNSAFE_ALLOWLIST with a rationale",
-                        UNSAFE_ALLOWLIST.len()
-                    ),
-                });
-            }
-            let kind = unsafe_kind(lines, idx, at);
-            if !has_safety_comment(lines, idx) {
-                diags.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: lineno,
-                    rule: rules::UNSAFE_COMMENT,
-                    message: format!(
-                        "`unsafe` {kind} without a `// SAFETY:` comment on the preceding lines"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Classifies the token following `unsafe` for the diagnostic message.
-fn unsafe_kind(lines: &[Line], idx: usize, at: usize) -> &'static str {
-    let mut rest: String = lines[idx].code[at + "unsafe".len()..].to_string();
-    let mut look = idx + 1;
-    while rest.trim().is_empty() && look < lines.len() && look <= idx + 2 {
-        rest = lines[look].code.clone();
-        look += 1;
-    }
-    let rest = rest.trim_start();
-    if rest.starts_with("fn") {
-        "fn"
-    } else if rest.starts_with("impl") {
-        "impl"
-    } else if rest.starts_with('{') {
-        "block"
-    } else {
-        "item"
-    }
-}
-
-/// Accepts a `SAFETY:` comment on the same line (trailing) or on the
-/// contiguous run of comment-only / attribute-only lines directly above.
-fn has_safety_comment(lines: &[Line], idx: usize) -> bool {
-    has_marker_comment(lines, idx, "SAFETY:")
 }
 
 /// Shared adjacency rule for escape-hatch comments (`SAFETY:`,
@@ -527,334 +421,6 @@ pub(crate) fn has_marker_comment(lines: &[Line], idx: usize, marker: &str) -> bo
     false
 }
 
-/// Tokens that start a thread, in either the free-function or builder
-/// form.
-const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder"];
-
-/// First line index of an embedded `#[cfg(test)] mod …` block, if any.
-/// Unit-test modules sit at the end of library files by convention, so
-/// everything from this line on is test code and exempt from the
-/// library-only rules (tests may spawn threads *to test* the pool).
-fn first_test_mod_line(lines: &[Line]) -> Option<usize> {
-    for (idx, line) in lines.iter().enumerate() {
-        if normalize_ws(&line.code) != "#[cfg(test)]" {
-            continue;
-        }
-        // The attribute must introduce a module (not a lone fn/use).
-        for follow in lines.iter().skip(idx + 1).take(2) {
-            let t = follow.code.trim();
-            if t.is_empty() || follow.is_attr_only() {
-                continue;
-            }
-            if t.starts_with("mod ") || t.starts_with("pub mod ") {
-                return Some(idx);
-            }
-            break;
-        }
-    }
-    None
-}
-
-fn check_thread_spawn(rel: &str, lines: &[Line], diags: &mut Vec<Diagnostic>) {
-    if !is_library_code(rel) {
-        return;
-    }
-    let test_mod_at = first_test_mod_line(lines).unwrap_or(lines.len());
-    if allowlisted(SPAWN_ALLOWLIST, rel) {
-        // Allowlisted spawners still must not detach: a spawn site with
-        // no `JoinHandle` anywhere in the library portion of the file is
-        // a thread the shutdown path cannot join.
-        let spawns = lines[..test_mod_at]
-            .iter()
-            .any(|l| SPAWN_TOKENS.iter().any(|t| l.code.contains(t)));
-        let joined = lines[..test_mod_at]
-            .iter()
-            .any(|l| l.code.contains("JoinHandle"));
-        if spawns && !joined {
-            diags.push(Diagnostic {
-                file: rel.to_string(),
-                line: 0,
-                rule: rules::JOINED_SPAWN,
-                message: "spawns threads but never names a `JoinHandle` — every spawned \
-                          thread must be joined on shutdown (no detached threads)"
-                    .to_string(),
-            });
-        }
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate().take(test_mod_at) {
-        for needle in SPAWN_TOKENS {
-            if line.code.contains(needle) {
-                diags.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: idx + 1,
-                    rule: rules::THREAD_SPAWN,
-                    message: format!(
-                        "`{needle}` in library code — route parallelism through \
-                         `leca_tensor::parallel` so LECA_THREADS and the determinism \
-                         contract stay in force"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Allocation tokens banned inside `_into` kernel bodies. `.clone()` is
-/// matched with parens so `Arc::clone(&x)` call-sites written in the
-/// idiomatic form are still caught via `clone()` while field names like
-/// `cloned` are not.
-const ALLOC_TOKENS: &[&str] = &[
-    "Vec::new",
-    "vec!",
-    "to_vec",
-    "Box::new",
-    "with_capacity",
-    ".clone()",
-    ".collect",
-    "String::new",
-    "to_string",
-    "format!",
-];
-
-/// Calls whose argument lists are cold paths (diagnostics for the error /
-/// panic arm); allocations inside them are exempt.
-const COLD_CALLS: &[&str] = &[
-    "Err(",
-    "panic!(",
-    "assert!(",
-    "assert_eq!(",
-    "assert_ne!(",
-    "debug_assert!(",
-    "debug_assert_eq!(",
-    "debug_assert_ne!(",
-    "unreachable!(",
-];
-
-fn check_hot_path_allocs(rel: &str, lines: &[Line], diags: &mut Vec<Diagnostic>) {
-    // Flatten code into one string, remembering line starts.
-    let mut code = String::new();
-    let mut starts = Vec::with_capacity(lines.len());
-    for l in lines {
-        starts.push(code.len());
-        code.push_str(&l.code);
-        code.push('\n');
-    }
-    let line_of = |off: usize| match starts.binary_search(&off) {
-        Ok(i) => i + 1,
-        Err(i) => i, // i >= 1 since starts[0] == 0
-    };
-
-    for fn_at in word_occurrences(&code, "fn") {
-        let after = &code[fn_at + 2..];
-        let name: String = after
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !name.ends_with("_into") {
-            continue;
-        }
-        // Body = first brace-balanced region after the signature.
-        let Some(open_rel) = after.find('{') else {
-            continue;
-        };
-        let open = fn_at + 2 + open_rel;
-        let Some(close) = matching_brace(&code, open) else {
-            continue;
-        };
-        let body = &code[open..close];
-        let cold = cold_spans(body);
-        for tok in ALLOC_TOKENS {
-            let mut from = 0;
-            while let Some(pos) = body[from..].find(tok) {
-                let at = from + pos;
-                from = at + tok.len();
-                if cold.iter().any(|&(s, e)| at >= s && at < e) {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: line_of(open + at),
-                    rule: rules::HOT_PATH_ALLOC,
-                    message: format!(
-                        "`{tok}` inside zero-alloc kernel `{name}` — `_into` bodies must \
-                         reuse caller buffers (allocations in Err(..)/panic! arms are exempt)"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Index of the `}` matching the `{` at `open`.
-fn matching_brace(code: &str, open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, c) in code[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Spans (byte ranges into `body`) covering the argument lists of
-/// [`COLD_CALLS`] — paren-balanced from each call's `(`.
-fn cold_spans(body: &str) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    for call in COLD_CALLS {
-        let mut from = 0;
-        while let Some(pos) = body[from..].find(call) {
-            let at = from + pos;
-            let open = at + call.len() - 1; // the '(' ending the needle
-            let mut depth = 0i64;
-            let mut end = body.len();
-            for (i, c) in body[open..].char_indices() {
-                match c {
-                    '(' => depth += 1,
-                    ')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = open + i + 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            spans.push((at, end));
-            from = open + 1;
-        }
-    }
-    spans
-}
-
-/// Nondeterminism sources banned outside [`NONDET_ALLOWLIST_PREFIXES`]:
-/// results must be reproducible from a seed, never from the wall clock or
-/// OS entropy.
-const NONDET_TOKENS: &[&str] = &[
-    "SystemTime::now",
-    "thread_rng",
-    "from_entropy",
-    "rand::random",
-];
-
-fn check_nondeterminism(rel: &str, lines: &[Line], diags: &mut Vec<Diagnostic>) {
-    if NONDET_ALLOWLIST_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        for tok in NONDET_TOKENS {
-            if line.code.contains(tok) {
-                diags.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: idx + 1,
-                    rule: rules::NONDETERMINISM,
-                    message: format!(
-                        "`{tok}` outside the bench harness — take a seeded `Rng` (or an \
-                         explicit timestamp) so results stay reproducible"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// ISA tokens matched as path substrings (module paths compose, so a bare
-/// `contains` is right: `use core::arch::x86_64::*` and
-/// `::core::arch::...` both hit).
-const ISA_PATH_TOKENS: &[&str] = &["core::arch", "std::arch"];
-
-/// ISA tokens matched at word boundaries (attribute / macro names).
-const ISA_WORD_TOKENS: &[&str] = &["target_feature", "is_x86_feature_detected"];
-
-fn check_isa_confinement(rel: &str, lines: &[Line], diags: &mut Vec<Diagnostic>) {
-    if rel.starts_with(ISA_ALLOWED_PREFIX) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        let hit = ISA_PATH_TOKENS
-            .iter()
-            .find(|t| line.code.contains(*t))
-            .or_else(|| {
-                ISA_WORD_TOKENS
-                    .iter()
-                    .find(|t| !word_occurrences(&line.code, t).is_empty())
-            });
-        if let Some(tok) = hit {
-            diags.push(Diagnostic {
-                file: rel.to_string(),
-                line: idx + 1,
-                rule: rules::ISA_CONFINEMENT,
-                message: format!(
-                    "`{tok}` outside `{ISA_ALLOWED_PREFIX}` — ISA-specific code lives \
-                     behind the `KernelBackend` trait; dispatch through \
-                     `leca_tensor::backend` instead of naming an ISA here"
-                ),
-            });
-        }
-    }
-}
-
-/// Checks the crate-level lint headers listed in [`REQUIRED_HEADERS`]
-/// against files under `root`. Missing files are flagged when their crate
-/// directory exists (so the check ports to partial fixture trees).
-pub fn check_required_headers(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (rel, header) in REQUIRED_HEADERS {
-        let path = root.join(rel);
-        if !path.exists() {
-            if let Some(crate_dir) = path.parent().and_then(Path::parent) {
-                if crate_dir.exists() && crate_dir != root {
-                    diags.push(Diagnostic {
-                        file: (*rel).to_string(),
-                        line: 0,
-                        rule: rules::LINT_HEADER,
-                        message: format!("required file missing (must declare `{header}`)"),
-                    });
-                }
-            }
-            continue;
-        }
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                diags.push(Diagnostic {
-                    file: (*rel).to_string(),
-                    line: 0,
-                    rule: rules::LINT_HEADER,
-                    message: format!("unreadable: {e}"),
-                });
-                continue;
-            }
-        };
-        let lines = strip_source(&src);
-        let has = lines
-            .iter()
-            .any(|l| normalize_ws(&l.code).contains(&normalize_ws(header)));
-        if !has {
-            diags.push(Diagnostic {
-                file: (*rel).to_string(),
-                line: 1,
-                rule: rules::LINT_HEADER,
-                message: format!("missing crate header `{header}`"),
-            });
-        }
-    }
-    diags
-}
-
-fn normalize_ws(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}
-
 // ---------------------------------------------------------------------
 // Workspace walking
 // ---------------------------------------------------------------------
@@ -862,9 +428,15 @@ fn normalize_ws(s: &str) -> String {
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &[".git", "target", "fixtures", ".leca-cache"];
 
+/// True when `dir/Cargo.toml` declares a `[workspace]` table.
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|s| s.contains("[workspace]"))
+}
+
 /// Collects every `.rs` file under `root` (sorted, workspace-relative),
-/// skipping build output, VCS metadata and the audit's own violation
-/// fixtures.
+/// skipping build output, VCS metadata, the audit's own violation
+/// fixtures, and any subdirectory that is a cargo workspace of its own
+/// (it is audited, if at all, from its own root).
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -875,7 +447,7 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+                if !SKIP_DIRS.contains(&name.as_ref()) && !declares_workspace(&path) {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -887,71 +459,13 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Point-in-time audit summary counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AuditStats {
-    /// `.rs` files scanned.
-    pub files: usize,
-    /// `unsafe` occurrences audited.
-    pub unsafe_sites: usize,
-    /// `_into` kernels whose bodies were checked.
-    pub into_kernels: usize,
-}
-
-/// Runs every rule over the workspace rooted at `root`. Returns all
-/// diagnostics plus scan statistics.
-pub fn audit_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, AuditStats)> {
-    let mut diags = Vec::new();
-    let mut stats = AuditStats::default();
-    for path in collect_rs_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(&path)?;
-        let lines = strip_source(&src);
-        stats.files += 1;
-        stats.unsafe_sites += lines
-            .iter()
-            .map(|l| word_occurrences(&l.code, "unsafe").len())
-            .sum::<usize>();
-        stats.into_kernels += lines
-            .iter()
-            .flat_map(|l| {
-                word_occurrences(&l.code, "fn").into_iter().map(|at| {
-                    l.code[at + 2..]
-                        .trim_start()
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect::<String>()
-                })
-            })
-            .filter(|n| n.ends_with("_into"))
-            .count();
-        diags.extend(audit_file(&rel, &src));
-    }
-    diags.extend(check_required_headers(root));
-    diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok((diags, stats))
-}
-
 /// Locates the workspace root: walks up from `start` until a `Cargo.toml`
 /// containing a `[workspace]` table is found.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(s) = std::fs::read_to_string(&manifest) {
-                if s.contains("[workspace]") {
-                    return Some(d);
-                }
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
+    start
+        .ancestors()
+        .find(|d| declares_workspace(d))
+        .map(Path::to_path_buf)
 }
 
 #[cfg(test)]
@@ -986,6 +500,11 @@ mod tests {
         let c = codes(src);
         assert!(!c[0].contains("unsafe"));
         assert!(c[0].contains("'static"));
+        // Braces inside char literals and raw strings are blanked, so the
+        // code channel stays brace-balanced.
+        let c = codes("{ let a = '{'; let b = r\"}}}\"; done() }");
+        assert_eq!(c[0].matches('{').count(), 1, "{c:?}");
+        assert_eq!(c[0].matches('}').count(), 1, "{c:?}");
     }
 
     #[test]
@@ -993,232 +512,32 @@ mod tests {
         let c = codes(r#"let s = "a\"unsafe\""; tail();"#);
         assert!(!c[0].contains("unsafe"));
         assert!(c[0].contains("tail()"));
+        // A `\` line continuation inside a string (or, on torn input, a
+        // char) literal still ends a source line: the line channel must
+        // advance, or every comment below the literal drifts up by one.
+        let four = strip_source("a\nb\nc\nd\n").len();
+        assert_eq!(
+            strip_source("let s = \"head \\\n  tail\";\nlet t = 'x';\nunsafe { q() };\n").len(),
+            four
+        );
+        assert_eq!(
+            strip_source("let c = '\\\n';\n// SAFETY: x\nunsafe { q() };\n").len(),
+            four
+        );
     }
 
     #[test]
     fn safety_comment_walks_past_attributes() {
         let src = "// SAFETY: fine\n#[inline]\nunsafe { x() };\n";
         let lines = strip_source(src);
-        assert!(has_safety_comment(&lines, 2));
+        assert!(has_marker_comment(&lines, 2, "SAFETY:"));
     }
 
     #[test]
     fn safety_comment_blocked_by_code_line() {
         let src = "// SAFETY: stale\nlet y = 1;\nunsafe { x() };\n";
         let lines = strip_source(src);
-        assert!(!has_safety_comment(&lines, 2));
-    }
-
-    #[test]
-    fn undocumented_unsafe_is_flagged_with_line() {
-        let src = "fn f() {\n    let p = unsafe { *q };\n}\n";
-        let d = audit_file("crates/tensor/src/parallel.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, rules::UNSAFE_COMMENT);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn unsafe_outside_allowlist_is_flagged() {
-        let src = "// SAFETY: documented but misplaced\nunsafe { q() };\n";
-        let d = audit_file("crates/nn/src/layer.rs", src);
-        assert!(d.iter().any(|d| d.rule == rules::UNSAFE_ALLOWLIST));
-        assert!(!d.iter().any(|d| d.rule == rules::UNSAFE_COMMENT));
-    }
-
-    #[test]
-    fn unsafe_in_comment_or_string_is_not_flagged() {
-        let src = "// this fn would be unsafe if...\nlet s = \"unsafe\";\n";
-        assert!(audit_file("crates/nn/src/layer.rs", src).is_empty());
-    }
-
-    #[test]
-    fn spawn_flagged_in_library_code_only() {
-        let src = "std::thread::spawn(|| {});\n";
-        assert!(audit_file("crates/nn/src/layer.rs", src)
-            .iter()
-            .any(|d| d.rule == rules::THREAD_SPAWN));
-        // Tests may spawn freely; allowlisted spawners must keep handles.
-        assert!(audit_file("tests/pool_stress.rs", src).is_empty());
-        let joined = "let h: std::thread::JoinHandle<()> = std::thread::spawn(|| {});\n";
-        assert!(audit_file("crates/tensor/src/parallel.rs", joined).is_empty());
-    }
-
-    #[test]
-    fn allowlisted_spawner_must_keep_join_handles() {
-        let src = "pub fn go() { std::thread::Builder::new().spawn(f).unwrap(); }\n";
-        let d = audit_file("crates/serve/src/supervisor.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, rules::JOINED_SPAWN);
-        // Naming the handle (so shutdown can join it) clears the rule.
-        let joined = "pub fn go() -> std::thread::JoinHandle<()> {\n\
-                          std::thread::Builder::new().spawn(f).unwrap()\n\
-                      }\n";
-        assert!(audit_file("crates/serve/src/supervisor.rs", joined).is_empty());
-    }
-
-    #[test]
-    fn unit_test_module_spawns_are_exempt() {
-        let src = "pub fn lib_code() {}\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { std::thread::spawn(|| {}).join().unwrap(); }\n\
-                   }\n";
-        assert!(audit_file("crates/serve/src/queue.rs", src).is_empty());
-        // The same spawn above the test module is still flagged.
-        let src = "pub fn lib_code() { std::thread::spawn(|| {}); }\n\
-                   #[cfg(test)]\n\
-                   mod tests {}\n";
-        assert!(audit_file("crates/serve/src/queue.rs", src)
-            .iter()
-            .any(|d| d.rule == rules::THREAD_SPAWN));
-    }
-
-    #[test]
-    fn cfg_test_on_a_method_does_not_start_the_test_region() {
-        let src = "pub struct Q;\n\
-                   impl Q {\n\
-                       #[cfg(test)]\n\
-                       pub fn len(&self) -> usize { 0 }\n\
-                   }\n\
-                   pub fn later() { std::thread::spawn(|| {}); }\n";
-        assert!(audit_file("crates/serve/src/queue.rs", src)
-            .iter()
-            .any(|d| d.rule == rules::THREAD_SPAWN));
-    }
-
-    #[test]
-    fn hot_path_alloc_flagged_inside_into_kernel() {
-        let src = "fn add_into(out: &mut [f32]) {\n    let t = Vec::new();\n}\n\
-                   fn add(out: &mut [f32]) {\n    let t = Vec::new();\n}\n";
-        let d = audit_file("crates/tensor/src/tensor.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, rules::HOT_PATH_ALLOC);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn hot_path_alloc_exempts_error_arms() {
-        let src = "fn add_into(out: &mut [f32]) -> Result<(), E> {\n\
-                       if bad {\n\
-                           return Err(E::Shape { lhs: a.shape().to_vec(), rhs: vec![m, n] });\n\
-                       }\n\
-                       debug_assert!(ok, \"{}\", msg.to_string());\n\
-                       Ok(())\n\
-                   }\n";
-        let d = audit_file("crates/tensor/src/ops/matmul.rs", src);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn nondeterminism_flagged_outside_bench() {
-        let src = "let t = std::time::SystemTime::now();\nlet mut rng = thread_rng();\n";
-        let d = audit_file("crates/core/src/trainer.rs", src);
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|d| d.rule == rules::NONDETERMINISM));
-        assert!(audit_file("crates/bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn isa_tokens_flagged_outside_backend_layer() {
-        let src = "use core::arch::x86_64::_mm256_add_ps;\n\
-                   #[target_feature(enable = \"avx2\")]\n\
-                   fn f() { if std::is_x86_feature_detected!(\"avx2\") {} }\n";
-        let d = audit_file("crates/nn/src/layers/linear.rs", src);
-        assert_eq!(d.len(), 3, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == rules::ISA_CONFINEMENT));
-        assert_eq!(d[0].line, 1);
-        // The same source inside the backend layer is the sanctioned home.
-        assert!(audit_file("crates/tensor/src/backend/avx2.rs", src)
-            .iter()
-            .all(|d| d.rule != rules::ISA_CONFINEMENT));
-
-        // The fast-math tier's FMA spellings are confined identically:
-        // fused-multiply intrinsics, the two-feature attribute and the
-        // fma CPUID probe.
-        let fma = "use core::arch::x86_64::_mm256_fmadd_ps;\n\
-                   #[target_feature(enable = \"avx2\", enable = \"fma\")]\n\
-                   fn f() { if std::is_x86_feature_detected!(\"fma\") {} }\n";
-        let d = audit_file("crates/core/src/session.rs", fma);
-        assert_eq!(d.len(), 3, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == rules::ISA_CONFINEMENT));
-        assert!(audit_file("crates/tensor/src/backend/fastmath.rs", fma)
-            .iter()
-            .all(|d| d.rule != rules::ISA_CONFINEMENT));
-    }
-
-    #[test]
-    fn isa_tokens_in_comments_strings_and_idents_are_not_flagged() {
-        // Comment and string mentions are stripped; identifiers merely
-        // *containing* a word token don't match at a word boundary.
-        let src = "// talk about core::arch and target_feature here\n\
-                   let s = \"std::arch\";\n\
-                   let my_target_features = 3;\n";
-        assert!(audit_file("crates/nn/src/layer.rs", src).is_empty());
-    }
-
-    #[test]
-    fn escaped_newline_in_string_keeps_line_numbers() {
-        // `\` at end of line inside a string literal is a line
-        // continuation: the literal spans two source lines and the line
-        // channel must account for both, or every diagnostic below the
-        // string drifts up by one.
-        let src = "let s = \"head \\\n  tail\";\nlet t = 'x';\nunsafe { q() };\n";
-        let lines = strip_source(src);
-        assert_eq!(lines.len(), strip_source("a\nb\nc\nd\n").len());
-        let d = audit_file("crates/nn/src/layer.rs", src);
-        assert!(
-            d.iter()
-                .any(|d| d.rule == rules::UNSAFE_ALLOWLIST && d.line == 4),
-            "unsafe must be reported on line 4, got {d:?}"
-        );
-    }
-
-    #[test]
-    fn escaped_newline_in_char_position_keeps_line_numbers() {
-        // Not valid Rust, but the scanner must stay line-accurate even on
-        // torn input rather than silently drifting.
-        let src = "let c = '\\\n';\nunsafe { q() };\n";
-        let d = audit_file("crates/nn/src/layer.rs", src);
-        assert!(d.iter().any(|d| d.line == 3), "{d:?}");
-    }
-
-    #[test]
-    fn braces_in_char_literals_do_not_unbalance_kernel_bodies() {
-        // A `'{'` char literal (or `'\u{7F}'` escape) inside an `_into`
-        // body must not shift the body's closing brace: the allocation on
-        // the line after the literal is still inside the kernel.
-        let src = "fn pack_into(out: &mut [u8]) {\n\
-                       let open = '{';\n\
-                       let esc = '\\u{7F}';\n\
-                       let v = Vec::new();\n\
-                   }\n";
-        let d = audit_file("crates/tensor/src/tensor.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, rules::HOT_PATH_ALLOC);
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn braces_in_raw_strings_do_not_unbalance_kernel_bodies() {
-        let src = "fn pack_into(out: &mut [u8]) {\n\
-                       let tpl = r#\"{ \"k\": } } }\"#;\n\
-                       let v = Vec::new();\n\
-                   }\n\
-                   fn after() { let w = Vec::new(); }\n";
-        let d = audit_file("crates/tensor/src/tensor.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 3);
-    }
-
-    #[test]
-    fn matching_brace_spans_char_and_raw_string_braces() {
-        let stripped = strip_source("{ let a = '{'; let b = r\"}}}\"; done() }");
-        let code = &stripped[0].code;
-        let open = code.find('{').expect("open brace");
-        let close = matching_brace(code, open).expect("must match");
-        assert_eq!(close, code.rfind('}').expect("close brace"));
+        assert!(!has_marker_comment(&lines, 2, "SAFETY:"));
     }
 
     #[test]

@@ -1,34 +1,17 @@
-//! CI gate entry point:
-//! `cargo run -p leca-audit [-- --root <dir>] [--engine <which>] [--diff-engines]`.
+//! CI gate entry point: `cargo run -p leca-audit [-- --root <dir>]`.
 //!
 //! Prints one `file:line: [rule] message` diagnostic per violation and
 //! exits non-zero when any rule fires, so it can run as a required job.
-//! By default both engines run: the lexical scanner's findings plus
-//! anything additional the AST engine sees (its three structural rules,
-//! and any shared-rule site the lexical tier missed). `--diff-engines`
-//! additionally cross-checks the two engines on the rules they share and
-//! fails on any drift — the parity gate that keeps a rule edit in one
-//! engine from silently diverging from the other.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use leca_audit::engine::{audit_workspace_ast, diff_engines};
-use leca_audit::{audit_workspace, find_workspace_root, Diagnostic};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Lexical,
-    Ast,
-    Both,
-}
+use leca_audit::engine::audit_workspace_ast;
+use leca_audit::find_workspace_root;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut engine = Engine::Both;
-    let mut diff = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => {
@@ -38,33 +21,15 @@ fn main() -> ExitCode {
                 };
                 root = Some(PathBuf::from(dir));
             }
-            "--engine" => {
-                engine = match args.next().as_deref() {
-                    Some("lexical") => Engine::Lexical,
-                    Some("ast") => Engine::Ast,
-                    Some("both") => Engine::Both,
-                    other => {
-                        eprintln!(
-                            "error: --engine takes lexical|ast|both (got {})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--diff-engines" => diff = true,
             "--help" | "-h" => {
                 println!(
                     "leca-audit: workspace static-analysis gate\n\n\
-                     USAGE: leca-audit [--root <dir>] [--engine lexical|ast|both] [--diff-engines]\n\n\
+                     USAGE: leca-audit [--root <dir>]\n\n\
                      Walks every .rs file under the workspace root (default: the\n\
                      enclosing cargo workspace) and enforces the unsafe-hygiene,\n\
                      allocation, threading, determinism, float-reduction, panic-\n\
                      freedom and env-confinement invariants documented in DESIGN.md.\n\
-                     --engine selects the lexical scanner, the syn-based AST engine,\n\
-                     or both (default). --diff-engines cross-checks the engines on\n\
-                     their shared rules and fails on drift. Exits non-zero on any\n\
-                     violation."
+                     Exits non-zero on any violation."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -89,106 +54,31 @@ fn main() -> ExitCode {
         }
     };
 
-    // Lexical tier (also the source of the scan statistics).
-    let lexical = if engine != Engine::Ast || diff {
-        match audit_workspace(&root) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!(
-                    "error: audit failed to read workspace at {}: {e}",
-                    root.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
-    // AST tier.
-    let ast = if engine != Engine::Lexical || diff {
-        match audit_workspace_ast(&root) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!(
-                    "error: AST audit failed to read workspace at {}: {e}",
-                    root.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
-    let mut printed: BTreeSet<(String, usize, &'static str)> = BTreeSet::new();
-    let mut violations = 0usize;
-    let mut emit = |diags: &[Diagnostic]| {
-        for d in diags {
-            if printed.insert((d.file.clone(), d.line, d.rule)) {
-                println!("{d}");
-                violations += 1;
-            }
+    let (diags, stats) = match audit_workspace_ast(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!(
+                "error: audit failed to read workspace at {}: {e}",
+                root.display()
+            );
+            return ExitCode::FAILURE;
         }
     };
-    if engine != Engine::Ast {
-        if let Some((diags, _)) = &lexical {
-            emit(diags);
+    for d in &diags {
+        println!("{d}");
+    }
+    eprintln!(
+        "leca-audit: parsed {} of {} files ({} prefiltered out) — {}",
+        stats.parsed,
+        stats.files,
+        stats.skipped,
+        if diags.is_empty() {
+            "clean".to_string()
+        } else {
+            format!("{} violation(s)", diags.len())
         }
-    }
-    if engine != Engine::Lexical {
-        if let Some((diags, _)) = &ast {
-            emit(diags);
-        }
-    }
-
-    let mut drifted = false;
-    if diff {
-        let (lex_diags, _) = lexical.as_ref().expect("diff forces the lexical run");
-        let (ast_diags, _) = ast.as_ref().expect("diff forces the AST run");
-        let drift = diff_engines(lex_diags, ast_diags);
-        for line in &drift {
-            eprintln!("engine drift: {line}");
-        }
-        drifted = !drift.is_empty();
-        eprintln!(
-            "leca-audit: engine diff over shared rules — {}",
-            if drifted {
-                format!("{} drift line(s)", drift.len())
-            } else {
-                "engines agree".to_string()
-            }
-        );
-    }
-
-    if let Some((_, stats)) = &lexical {
-        eprintln!(
-            "leca-audit: {} files, {} unsafe sites, {} `_into` kernels checked — {}",
-            stats.files,
-            stats.unsafe_sites,
-            stats.into_kernels,
-            if violations == 0 {
-                "clean".to_string()
-            } else {
-                format!("{violations} violation(s)")
-            }
-        );
-    }
-    if let Some((_, stats)) = &ast {
-        eprintln!(
-            "leca-audit: AST engine parsed {} of {} files ({} prefiltered out) — {}",
-            stats.parsed,
-            stats.files,
-            stats.skipped,
-            if violations == 0 {
-                "clean".to_string()
-            } else {
-                format!("{violations} violation(s)")
-            }
-        );
-    }
-
-    if violations == 0 && !drifted {
+    );
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -61,7 +61,7 @@ impl Harness {
 
     /// Times one workload under every backend in the plan. Leaves the
     /// backend selection unpinned on return.
-    pub fn run(&self, wl: &mut Workload) -> Vec<KernelRun> {
+    pub fn run(&self, wl: &mut Workload<'_>) -> Vec<KernelRun> {
         let runs = self
             .backends
             .iter()
@@ -84,7 +84,7 @@ impl Harness {
     }
 
     /// Times every workload; rows are grouped by workload in plan order.
-    pub fn run_all(&self, workloads: &mut [Workload]) -> Vec<KernelRun> {
+    pub fn run_all(&self, workloads: &mut [Workload<'_>]) -> Vec<KernelRun> {
         workloads.iter_mut().flat_map(|wl| self.run(wl)).collect()
     }
 }

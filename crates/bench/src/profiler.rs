@@ -4,7 +4,7 @@
 //! measured the same way: warm up (fault in buffers, thread pools and
 //! branch predictors), then take `samples` wall-clock samples of `iters`
 //! calls each and report the median — robust against scheduler noise
-//! without the variance bookkeeping a full criterion run pays for.
+//! without heavier variance bookkeeping.
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! Named benchmark workloads: construction separated from measurement.
 //!
-//! A [`Workload`] owns its inputs (captured in the closure) and knows its
-//! nominal iteration count; the [`crate::profiler`] decides how to time
+//! A [`Workload`] captures its inputs in a closure (owned, or borrowed
+//! for `'a`) and knows its nominal iteration count; the [`crate::profiler`] decides how to time
 //! it and the [`crate::harness`] decides which backends to run it under.
 //! `standard_kernels` builds the canonical kernel set whose names are the
 //! stable keys in `BENCH_kernels.json` — EXPERIMENTS.md quotes them, so
@@ -13,17 +13,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One named, self-contained benchmark body.
-pub struct Workload {
+pub struct Workload<'a> {
     /// Stable identifier (JSON key and console label).
     pub name: &'static str,
     /// Nominal iterations per timing sample (the profiler may scale it).
     pub iters: u32,
-    body: Box<dyn FnMut()>,
+    body: Box<dyn FnMut() + 'a>,
 }
 
-impl Workload {
+impl<'a> Workload<'a> {
     /// Wraps a closure as a named workload.
-    pub fn new(name: &'static str, iters: u32, body: impl FnMut() + 'static) -> Workload {
+    pub fn new(name: &'static str, iters: u32, body: impl FnMut() + 'a) -> Workload<'a> {
         Workload {
             name,
             iters,
@@ -37,7 +37,7 @@ impl Workload {
     }
 }
 
-impl std::fmt::Debug for Workload {
+impl std::fmt::Debug for Workload<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Workload")
             .field("name", &self.name)
@@ -48,7 +48,7 @@ impl std::fmt::Debug for Workload {
 
 /// The canonical single-threaded kernel set: raw microkernel, GEMM, conv,
 /// int8 GEMM and row softmax, at the geometries the published tables use.
-pub fn standard_kernels(seed: u64) -> Vec<Workload> {
+pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();
 

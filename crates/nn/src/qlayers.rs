@@ -16,7 +16,7 @@
 //! Numerical contract: everything here inherits the tensor tier's
 //! bit-determinism — integer accumulation has no rounding and every
 //! f32→i32 conversion rounds to nearest-even on both dispatch paths, so
-//! int8 inference is bit-identical across `LECA_SIMD` and `LECA_THREADS`.
+//! int8 inference is bit-identical across `LECA_BACKEND` and `LECA_THREADS`.
 
 use crate::layers::{BatchNorm2d, Conv2d, ConvTranspose2d, Linear};
 use crate::{Layer, Mode, NnError, Result};

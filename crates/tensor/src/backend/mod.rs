@@ -4,14 +4,12 @@
 //! [`KernelBackend`] trait: [`ScalarBackend`] carries the portable
 //! reference bodies in [`scalar`] (the *semantic definitions* — every
 //! bit-exact backend must reproduce them bit for bit), [`Avx2Backend`] the
-//! runtime-detected AVX2 bodies, [`FastMathBackend`] the opt-in
-//! relaxed-precision FMA tier, and the feature-gated `WgpuBackend` stub
-//! locks the trait shape down for a future GPU tier. The process-wide
-//! selection is made **once** and cached, mirroring `LECA_THREADS` /
+//! runtime-detected AVX2 bodies, and [`FastMathBackend`] the opt-in
+//! relaxed-precision FMA tier. The process-wide selection is made
+//! **once** and cached, mirroring `LECA_THREADS` /
 //! [`crate::parallel::num_threads`]: the `LECA_BACKEND` environment
-//! variable (`scalar` | `avx2` | `fastmath` | `auto`; `LECA_SIMD` remains
-//! as a deprecated alias) pins a backend for CI and debugging, and
-//! [`refresh_backend`] is the in-process test hook.
+//! variable (`scalar` | `avx2` | `fastmath` | `auto`) pins a backend for
+//! CI and debugging, and [`refresh_backend`] is the in-process test hook.
 //!
 //! # Registry semantics
 //!
@@ -21,7 +19,7 @@
 //! unset) picks the most-preferred dispatchable **bit-exact** backend, and
 //! requesting an unavailable backend by name degrades to auto rather than
 //! erroring — bit-exact backends are bit-identical, so this is a perf
-//! choice, not an error. Incomplete backends (the wgpu stub) return typed
+//! choice, not an error. Incomplete backends return typed
 //! [`BackendError::Unsupported`] from every kernel they do not implement
 //! and are therefore never auto-selected.
 //!
@@ -87,9 +85,6 @@ mod qavx2;
 // as `avx2`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod fastmath;
-
-#[cfg(feature = "wgpu")]
-pub mod wgpu;
 
 use crate::runtime_env;
 use std::fmt;
@@ -390,8 +385,6 @@ static SCALAR_BACKEND: ScalarBackend = ScalarBackend;
 static AVX2_BACKEND: Avx2Backend = Avx2Backend;
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 static FASTMATH_BACKEND: FastMathBackend = FastMathBackend;
-#[cfg(feature = "wgpu")]
-static WGPU_BACKEND: wgpu::WgpuBackend = wgpu::WgpuBackend;
 
 /// Every compiled-in backend, in **ascending preference order**: `auto`
 /// selection picks the highest-indexed dispatchable *bit-exact* entry.
@@ -399,11 +392,6 @@ static WGPU_BACKEND: wgpu::WgpuBackend = wgpu::WgpuBackend;
 pub fn registered() -> &'static [&'static dyn KernelBackend] {
     static ALL: &[&dyn KernelBackend] = &[
         &SCALAR_BACKEND,
-        // The wgpu stub registers *below* the CPU tiers: it exists to lock
-        // the trait shape down, never to win auto-selection (and its probe
-        // fails anyway until it grows real kernels).
-        #[cfg(feature = "wgpu")]
-        &WGPU_BACKEND,
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         &AVX2_BACKEND,
         // Listed above avx2 but screened out of auto-selection by its
@@ -434,12 +422,10 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// backend, `LECA_BACKEND=avx2` (any registered name, including
 /// `fastmath`) to request one, and `auto`/unset to auto-detect; a request
 /// for an unavailable backend degrades to auto-detection rather than
-/// erroring, so the same invocation works on any host. `LECA_SIMD` is
-/// honored as a deprecated alias (warning once per process) when
-/// `LECA_BACKEND` is unset. When `LECA_BACKEND` is unset or `auto`,
-/// `LECA_FASTMATH=fma` opts into the relaxed-precision tier if the host
-/// supports it — an explicit backend name always wins over the fastmath
-/// knob.
+/// erroring, so the same invocation works on any host. When
+/// `LECA_BACKEND` is unset or `auto`, `LECA_FASTMATH=fma` opts into the
+/// relaxed-precision tier if the host supports it — an explicit backend
+/// name always wins over the fastmath knob.
 ///
 /// # Semantics
 ///
@@ -463,10 +449,10 @@ pub fn reset_backend_cache() {
     ACTIVE.store(usize::MAX, Ordering::Relaxed);
 }
 
-/// Re-reads `LECA_BACKEND` (and the `LECA_SIMD` alias), replaces the
-/// cached selection and returns the new backend — the test hook for the
-/// once-per-process caching of [`active`] (the parity and determinism
-/// suites flip `scalar`/`avx2` inside one process).
+/// Re-reads `LECA_BACKEND`, replaces the cached selection and returns
+/// the new backend — the test hook for the once-per-process caching of
+/// [`active`] (the parity and determinism suites flip `scalar`/`avx2`
+/// inside one process).
 pub fn refresh_backend() -> &'static dyn KernelBackend {
     let idx = select_index();
     ACTIVE.store(idx, Ordering::Relaxed);
@@ -512,7 +498,7 @@ fn default_index() -> usize {
 }
 
 fn select_index() -> usize {
-    let request = runtime_env::raw_with_alias("LECA_BACKEND", "LECA_SIMD")
+    let request = runtime_env::raw("LECA_BACKEND")
         .ok()
         .map(|v| v.to_ascii_lowercase());
     match request.as_deref() {
@@ -902,44 +888,36 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// `LECA_BACKEND`/`LECA_SIMD`/`LECA_FASTMATH` are process-global
+    /// `LECA_BACKEND`/`LECA_FASTMATH` are process-global
     /// state; serialize the tests that flip them.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     fn with_selection_env<T>(
         backend: Option<&str>,
-        simd_alias: Option<&str>,
         fastmath: Option<&str>,
         body: impl FnOnce() -> T,
     ) -> T {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let old_backend = std::env::var("LECA_BACKEND").ok();
-        let old_simd = std::env::var("LECA_SIMD").ok();
         let old_fastmath = std::env::var("LECA_FASTMATH").ok();
         let set = |key: &str, v: Option<&str>| match v {
             Some(v) => std::env::set_var(key, v),
             None => std::env::remove_var(key),
         };
         set("LECA_BACKEND", backend);
-        set("LECA_SIMD", simd_alias);
         set("LECA_FASTMATH", fastmath);
         refresh_backend();
         let out = body();
         set("LECA_BACKEND", old_backend.as_deref());
-        set("LECA_SIMD", old_simd.as_deref());
         set("LECA_FASTMATH", old_fastmath.as_deref());
         refresh_backend();
         out
     }
 
-    fn with_backend_env<T>(
-        backend: Option<&str>,
-        simd_alias: Option<&str>,
-        body: impl FnOnce() -> T,
-    ) -> T {
+    fn with_backend_env<T>(backend: Option<&str>, body: impl FnOnce() -> T) -> T {
         // Ambient `LECA_FASTMATH` (the fastmath CI legs) must not leak
         // into selection tests that reason about the bit-exact tiers.
-        with_selection_env(backend, simd_alias, None, body)
+        with_selection_env(backend, None, body)
     }
 
     fn auto_name() -> &'static str {
@@ -953,7 +931,7 @@ mod tests {
     #[test]
     fn scalar_spellings_force_scalar() {
         for v in ["scalar", "off", "0"] {
-            with_backend_env(Some(v), None, || {
+            with_backend_env(Some(v), || {
                 assert_eq!(active().name(), "scalar");
             });
         }
@@ -961,32 +939,20 @@ mod tests {
 
     #[test]
     fn avx2_honored_only_when_available() {
-        with_backend_env(Some("avx2"), None, || {
+        with_backend_env(Some("avx2"), || {
             assert_eq!(active().name(), auto_name());
         });
     }
 
     #[test]
     fn unset_and_auto_detect() {
-        with_backend_env(None, None, || {
+        with_backend_env(None, || {
             assert_eq!(active().name(), auto_name());
         });
-        with_backend_env(Some("auto"), None, || {
+        with_backend_env(Some("auto"), || {
             assert_eq!(active().name(), auto_name());
         });
-        with_backend_env(Some("no-such-backend"), None, || {
-            assert_eq!(active().name(), auto_name());
-        });
-    }
-
-    #[test]
-    fn leca_simd_alias_still_honored() {
-        // The deprecated alias works when LECA_BACKEND is unset...
-        with_backend_env(None, Some("off"), || {
-            assert_eq!(active().name(), "scalar");
-        });
-        // ...and LECA_BACKEND wins when both are set.
-        with_backend_env(Some("auto"), Some("off"), || {
+        with_backend_env(Some("no-such-backend"), || {
             assert_eq!(active().name(), auto_name());
         });
     }
@@ -1004,22 +970,22 @@ mod tests {
     fn fastmath_knob_opts_in_only_without_explicit_backend() {
         // LECA_FASTMATH=fma with LECA_BACKEND unset or `auto` selects the
         // relaxed tier (when the host can dispatch it)...
-        with_selection_env(None, None, Some("fma"), || {
+        with_selection_env(None, Some("fma"), || {
             assert_eq!(active().name(), fastmath_name_when_available());
         });
-        with_selection_env(Some("auto"), None, Some("fma"), || {
+        with_selection_env(Some("auto"), Some("fma"), || {
             assert_eq!(active().name(), fastmath_name_when_available());
         });
         // ...but an explicit backend name always wins — this is what lets
         // backend-pinning suites stay meaningful on fastmath CI legs.
         for pinned in ["scalar", "avx2"] {
-            with_selection_env(Some(pinned), None, Some("fma"), || {
+            with_selection_env(Some(pinned), Some("fma"), || {
                 assert!(active().bit_exact(), "explicit {pinned} must win");
             });
         }
         // Off spellings and garbage decline the opt-in.
         for v in ["off", "0", "definitely-not-a-mode"] {
-            with_selection_env(None, None, Some(v), || {
+            with_selection_env(None, Some(v), || {
                 assert_eq!(active().name(), auto_name());
             });
         }
@@ -1028,12 +994,12 @@ mod tests {
     #[test]
     fn fastmath_by_name_and_never_by_auto() {
         // Requestable via LECA_BACKEND like any registered backend.
-        with_selection_env(Some("fastmath"), None, None, || {
+        with_selection_env(Some("fastmath"), None, || {
             assert_eq!(active().name(), fastmath_name_when_available());
         });
         // Auto-selection never picks a non-bit-exact backend, no matter
         // how capable the host is.
-        with_selection_env(None, None, None, || {
+        with_selection_env(None, None, || {
             assert!(active().bit_exact());
         });
         let reg = registered();
@@ -1042,7 +1008,7 @@ mod tests {
 
     #[test]
     fn cached_until_refreshed() {
-        with_backend_env(Some("scalar"), None, || {
+        with_backend_env(Some("scalar"), || {
             assert_eq!(active().name(), "scalar");
             // A bare env change must NOT be visible...
             std::env::set_var("LECA_BACKEND", "avx2");
@@ -1065,7 +1031,7 @@ mod tests {
     #[test]
     fn unsupported_error_is_typed_and_printable() {
         // A bare trait impl with no kernels overridden: every kernel must
-        // report `Unsupported` (this is exactly the wgpu stub contract).
+        // report `Unsupported`, so it is never dispatchable.
         struct Hollow;
         impl KernelBackend for Hollow {
             fn name(&self) -> &'static str {

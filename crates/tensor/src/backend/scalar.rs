@@ -1,8 +1,8 @@
 //! Scalar reference bodies for every SIMD kernel.
 //!
 //! These are the *semantic definitions*: the AVX2 bodies in the sibling
-//! module must reproduce them bit for bit (the parity proptests in
-//! `crates/tensor/tests/simd_parity.rs` enforce it), and non-x86 targets
+//! module must reproduce them bit for bit (the conformance suite in
+//! `crates/tensor/tests/backend_conformance.rs` enforces it), and non-x86 targets
 //! run them exclusively. They also serve as the tail handlers for the
 //! vector bodies' sub-lane remainders, so keep them branch-for-branch
 //! identical to the documented semantics in the parent module.

@@ -2,7 +2,7 @@
 //!
 //! These are the textbook triple-loop implementations the optimized
 //! kernels are validated against. They exist **only** for the parity test
-//! suite and the before/after criterion benchmarks — nothing on the
+//! suite — nothing on the
 //! training path may call them. They are deliberately unblocked and
 //! unthreaded so they stay an independent oracle.
 

@@ -15,7 +15,6 @@
 //! each caches a different derived decision, not the raw string.
 
 use std::fmt;
-use std::sync::Mutex;
 
 /// Why an environment variable could not be interpreted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,49 +128,10 @@ pub fn flag(key: &'static str) -> Result<bool, EnvError> {
     }
 }
 
-/// The raw string value of `key`, falling back to the deprecated `alias`
-/// when `key` is unset — warning about the alias **once per process**
-/// (via [`warn_deprecated_alias`]). This is THE way to consult a renamed
-/// variable: hand-rolling the read-primary / read-alias / warn dance at
-/// each consumer is exactly how the per-call-site warning drift crept in.
-///
-/// # Errors
-///
-/// [`EnvError::NotSet`] when neither `key` nor `alias` is set.
-pub fn raw_with_alias(key: &'static str, alias: &'static str) -> Result<String, EnvError> {
-    match raw(key) {
-        Ok(v) => Ok(v),
-        Err(_) => {
-            let v = raw(alias)?;
-            warn_deprecated_alias(alias, key);
-            Ok(v)
-        }
-    }
-}
-
-/// Emit a deprecation warning for `old` (pointing at `new`) **once per
-/// process**, no matter how many call sites consult the deprecated
-/// variable. Returns `true` iff this call actually warned, so tests can
-/// assert the once-only contract without capturing stderr.
-///
-/// The historical behavior warned (or worse, stayed silent) per call
-/// site; routing every consumer through this single registry is what
-/// makes "exactly once" a process-level guarantee rather than a
-/// per-module accident.
-pub fn warn_deprecated_alias(old: &'static str, new: &'static str) -> bool {
-    static WARNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut warned = WARNED.lock().unwrap_or_else(|e| e.into_inner());
-    if warned.contains(&old) {
-        return false;
-    }
-    warned.push(old);
-    eprintln!("leca: warning: {old} is deprecated; set {new} instead");
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Process-global env mutation; serialize.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -248,44 +208,6 @@ mod tests {
         with_var("LECA_RT_ENV_TEST_R", Some("  avx2 "), || {
             assert_eq!(raw("LECA_RT_ENV_TEST_R").as_deref(), Ok("avx2"));
         });
-    }
-
-    #[test]
-    fn deprecation_warning_fires_exactly_once_per_process() {
-        // First consult warns, every later one (any call site) is silent.
-        assert!(warn_deprecated_alias(
-            "LECA_RT_ENV_TEST_OLD",
-            "LECA_RT_ENV_TEST_NEW"
-        ));
-        for _ in 0..3 {
-            assert!(!warn_deprecated_alias(
-                "LECA_RT_ENV_TEST_OLD",
-                "LECA_RT_ENV_TEST_NEW"
-            ));
-        }
-        // A different deprecated key still gets its own (single) warning.
-        assert!(warn_deprecated_alias(
-            "LECA_RT_ENV_TEST_OLD2",
-            "LECA_RT_ENV_TEST_NEW"
-        ));
-    }
-
-    #[test]
-    fn raw_with_alias_prefers_primary_and_falls_back() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("LECA_RT_ENV_TEST_P", "primary");
-        std::env::set_var("LECA_RT_ENV_TEST_A", "aliased");
-        assert_eq!(
-            raw_with_alias("LECA_RT_ENV_TEST_P", "LECA_RT_ENV_TEST_A").as_deref(),
-            Ok("primary")
-        );
-        std::env::remove_var("LECA_RT_ENV_TEST_P");
-        assert_eq!(
-            raw_with_alias("LECA_RT_ENV_TEST_P", "LECA_RT_ENV_TEST_A").as_deref(),
-            Ok("aliased")
-        );
-        std::env::remove_var("LECA_RT_ENV_TEST_A");
-        assert!(raw_with_alias("LECA_RT_ENV_TEST_P", "LECA_RT_ENV_TEST_A").is_err());
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Registry-driven backend conformance suite.
 //!
-//! Where `simd_parity.rs` pins the *dispatched* path against the scalar
-//! bodies under `LECA_BACKEND=avx2`, this suite closes the remaining gap:
-//! it walks [`backend::registered`] and exercises **every dispatchable
-//! backend's trait surface directly** (no env pinning needed — trait
-//! method calls bypass the process-wide selection). Backends that promise
+//! The suite walks [`backend::registered`] and exercises **every
+//! dispatchable backend's trait surface directly** (no env pinning needed
+//! — trait method calls bypass the process-wide selection). Backends that promise
 //! `bit_exact()` are held to bitwise equality against the [`scalar`]
 //! reference definitions on NaN-poisoned inputs whose lengths straddle
 //! the vector width; relaxed-precision tiers (fastmath) run the same
@@ -15,7 +13,9 @@
 //! The suite also locks down the two registry-adjacent contracts:
 //!
 //! * `_into` twins produce bit-identical results to their allocating
-//!   counterparts under every selectable backend (env-pinned, serialized).
+//!   counterparts under every selectable backend (env-pinned, serialized),
+//!   and the dispatched GEMM, softmax and pools of every bit-exact backend
+//!   match the scalar backend's end to end.
 //! * The autotuner honors a planted on-disk profile, survives exotic
 //!   (grid-impossible) blockings without perturbing a single output bit,
 //!   and discards a CRC-corrupted profile instead of trusting it.
@@ -234,6 +234,28 @@ fn elementwise_kernels_conform_on_every_backend() {
                 gm.to_bits() == wm.to_bits(),
                 "{name}/row_max/len={len}: {gm} vs {wm}"
             );
+        }
+
+        // NaN semantics at the exact lane boundary: the forward ReLU
+        // passes NaN through (never launders it to zero)...
+        for len in [7usize, 8, 9] {
+            let mut src: Vec<f32> = (0..len).map(|i| (i as f32 - 3.5) * 0.5).collect();
+            src[len / 2] = f32::NAN;
+            let mut out = vec![0.0f32; len];
+            be.relu(&src, &mut out).unwrap();
+            assert!(out[len / 2].is_nan(), "{name}/relu/len={len} dropped NaN");
+        }
+        // ...and the backward is a select, not `g * mask`: a NaN gradient
+        // at a masked-off position becomes exactly +0.0.
+        let mask = [0.0f32, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
+        let mut out = [7.0f32; 9];
+        be.relu_backward(&mask, &[f32::NAN; 9], &mut out).unwrap();
+        for (m, v) in mask.iter().zip(&out) {
+            if *m == 0.0 {
+                assert_eq!(v.to_bits(), 0.0f32.to_bits(), "{name}/relu_backward");
+            } else {
+                assert!(v.is_nan(), "{name}/relu_backward dropped NaN");
+            }
         }
     }
 }
@@ -657,13 +679,19 @@ fn pin_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
 
 /// The workspace `_into` twins must be bit-identical to their allocating
 /// counterparts under every dispatchable backend — reusing a caller buffer
-/// may never change numerics, whichever backend serves the kernels.
+/// may never change numerics, whichever backend serves the kernels. The
+/// allocating outputs of every bit-exact backend must in turn equal the
+/// scalar backend's bit for bit: the blocked GEMM (over edge shapes that
+/// straddle the 8x8 tile), softmax and both pools, end to end through the
+/// dispatch wrappers.
 #[test]
 fn into_twins_match_allocating_ops_on_every_backend() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let names: Vec<&'static str> = dispatchable_backends().iter().map(|be| be.name()).collect();
-    for name in names {
-        pin_backend(name, || {
+    let mut scalar_outputs: Option<Vec<(String, Tensor)>> = None;
+    for be in dispatchable_backends() {
+        let name = be.name();
+        let outputs = pin_backend(name, || {
+            let mut outputs = Vec::new();
             let mut rng = StdRng::seed_from_u64(2024);
             let a = Tensor::rand_uniform(&[13, 37], -2.0, 2.0, &mut rng);
             let b = Tensor::rand_uniform(&[37, 21], -2.0, 2.0, &mut rng);
@@ -675,8 +703,9 @@ fn into_twins_match_allocating_ops_on_every_backend() {
                 got.as_slice(),
                 want.as_slice(),
             );
+            outputs.push(("matmul".to_string(), want));
 
-            let x = Tensor::rand_uniform(&[2, 3, 8, 8], -3.0, 3.0, &mut rng);
+            let x = Tensor::rand_uniform(&[2, 3, 8, 10], -3.0, 3.0, &mut rng);
             let want = avg_pool2d(&x, 2).unwrap();
             let mut got = Tensor::zeros(want.shape());
             avg_pool2d_into(&x, 2, &mut got).unwrap();
@@ -685,6 +714,7 @@ fn into_twins_match_allocating_ops_on_every_backend() {
                 got.as_slice(),
                 want.as_slice(),
             );
+            outputs.push(("avg_pool2d".to_string(), want));
 
             let (want, _idx) = max_pool2d(&x, 2).unwrap();
             let mut got = Tensor::zeros(want.shape());
@@ -694,6 +724,7 @@ fn into_twins_match_allocating_ops_on_every_backend() {
                 got.as_slice(),
                 want.as_slice(),
             );
+            outputs.push(("max_pool2d".to_string(), want));
 
             let logits = Tensor::rand_uniform(&[9, 33], -6.0, 6.0, &mut rng);
             let want = softmax_rows(&logits).unwrap();
@@ -704,41 +735,41 @@ fn into_twins_match_allocating_ops_on_every_backend() {
                 got.as_slice(),
                 want.as_slice(),
             );
+            outputs.push(("softmax_rows".to_string(), want));
+
+            for &(m, n, k) in &[(1, 1, 1), (7, 9, 8), (8, 17, 65), (33, 16, 9), (65, 31, 15)] {
+                let a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
+                let b = Tensor::rand_uniform(&[k, n], -2.0, 2.0, &mut rng);
+                outputs.push((format!("matmul/{m}x{n}x{k}"), matmul(&a, &b).unwrap()));
+            }
+            for cols in [1, 8, 9, 65] {
+                let logits = Tensor::rand_uniform(&[3, cols], -6.0, 6.0, &mut rng);
+                outputs.push((
+                    format!("softmax_rows/cols={cols}"),
+                    softmax_rows(&logits).unwrap(),
+                ));
+            }
+            outputs
         });
-    }
-}
-
-// ---------------------------------------------------------------------
-// wgpu stub contract (compiled only under `--features wgpu`)
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "wgpu")]
-#[test]
-fn wgpu_stub_registers_but_never_dispatches() {
-    let reg = backend::registered();
-    let wgpu = reg
-        .iter()
-        .copied()
-        .find(|be| be.name() == "wgpu")
-        .expect("wgpu backend must be registered under the feature");
-    assert!(
-        !backend::dispatchable(wgpu),
-        "the stub must not be dispatchable until it grows real kernels"
-    );
-    let mut acc = [[0.0f32; NR]; MR];
-    let err = wgpu.microkernel(0, &[], &[], &mut acc).unwrap_err();
-    assert_eq!(
-        err,
-        backend::BackendError::Unsupported {
-            backend: "wgpu",
-            kernel: "microkernel",
+        if !be.bit_exact() {
+            continue;
         }
-    );
-    // And auto-selection must therefore never land on it.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pin_backend("auto", || assert_ne!(backend::active().name(), "wgpu"));
-    // Requesting it by name degrades to auto rather than erroring.
-    pin_backend("wgpu", || assert_ne!(backend::active().name(), "wgpu"));
+        match &scalar_outputs {
+            None => {
+                assert_eq!(name, "scalar", "the registry lists scalar first");
+                scalar_outputs = Some(outputs);
+            }
+            Some(reference) => {
+                for ((op, got), (_, want)) in outputs.iter().zip(reference) {
+                    assert_bits(
+                        &format!("{name}-vs-scalar/{op}"),
+                        got.as_slice(),
+                        want.as_slice(),
+                    );
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

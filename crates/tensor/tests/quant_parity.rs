@@ -1,5 +1,4 @@
-//! Bit-exactness parity suite for the int8 tier — same discipline as
-//! `simd_parity.rs`.
+//! Bit-exactness parity suite for the int8 tier.
 //!
 //! Each case computes the scalar reference via `backend::scalar::*`
 //! directly, then the dispatched wrapper under `LECA_BACKEND=avx2`, and

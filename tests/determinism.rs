@@ -37,7 +37,7 @@ const GOLDEN_FAULTY_LOGITS_CHECKSUM: u64 = 0x9e2abb0697a247cc;
 const GOLDEN_FAULTY_LOSS: u32 = 0x3fb3698f;
 
 /// Int8 golden, captured when the quantized engine landed (scalar qgemm,
-/// `LECA_SIMD=off` — today `LECA_BACKEND=scalar` — and `LECA_THREADS=1`).
+/// `LECA_BACKEND=scalar` and `LECA_THREADS=1`).
 /// The int8 path quantizes with round-to-nearest-even and requantizes
 /// through exact i32 accumulators, so every backend/thread leg must
 /// reproduce this bit pattern — and the f32 goldens above must stay
