@@ -133,10 +133,6 @@ pub const SPAWN_ALLOWLIST: &[(&str, &str)] = &[
         "the worker pool itself — the one sanctioned spawn site",
     ),
     (
-        "shims/crossbeam/src/lib.rs",
-        "vendored offline shim; not linked into any workspace crate since PR 2",
-    ),
-    (
         "crates/serve/src/supervisor.rs",
         "supervised serving shards: long-lived named threads, every handle joined on shutdown",
     ),

@@ -110,16 +110,6 @@ impl LecaDecoder {
 }
 
 impl Layer for LecaDecoder {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let up = self.upsample.forward(x, mode)?;
-        let residual = self.dncnn.forward(&up, mode)?;
-        let pre = up.add(&residual)?;
-        if mode.is_train() {
-            self.cache = Some(pre.clone());
-        }
-        Ok(pre.clamp(0.0, 1.0))
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
         let pre = self
             .cache
@@ -145,15 +135,15 @@ impl Layer for LecaDecoder {
         mode: Mode,
         ws: &Workspace,
     ) -> leca_nn::Result<PooledTensor> {
-        if mode.is_train() {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
         let up = self.upsample.forward_ws(x, mode, ws)?;
         let residual = self.dncnn.forward_ws(&up, mode, ws)?;
         let mut pre = ws.take(up.shape());
         up.add_into(&residual, &mut pre)?;
         drop(up);
         drop(residual);
+        if mode.is_train() {
+            self.cache = Some(Tensor::clone(&pre));
+        }
         pre.map_inplace(|v| v.clamp(0.0, 1.0));
         Ok(pre)
     }

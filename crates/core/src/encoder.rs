@@ -351,17 +351,6 @@ impl LecaEncoder {
         }
     }
 
-    fn forward_soft(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let y = ops::conv2d(x, &self.weight.value, None, self.k, 0)?;
-        let vfs = self.v_fs();
-        let u = y.scale(1.0 / vfs);
-        let out = u.map(|v| self.quant_norm(v));
-        if mode.is_train() {
-            self.cache = Some(Cache::Soft(SoftCache { x: x.clone(), u }));
-        }
-        Ok(out)
-    }
-
     fn backward_soft(&mut self, grad_out: &Tensor, cache: SoftCache) -> leca_nn::Result<Tensor> {
         let vfs = self.v_fs();
         // STE through the quantizer, clipped to the boundary.
@@ -661,13 +650,6 @@ impl LecaEncoder {
 }
 
 impl Layer for LecaEncoder {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        match self.modality {
-            Modality::Soft => self.forward_soft(x, mode),
-            Modality::Hard | Modality::Noisy | Modality::Faulty => self.forward_hw(x, mode),
-        }
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
         match self.cache.take() {
             Some(Cache::Soft(c)) => self.backward_soft(grad_out, c),
@@ -682,27 +664,20 @@ impl Layer for LecaEncoder {
         mode: Mode,
         ws: &Workspace,
     ) -> leca_nn::Result<PooledTensor> {
-        // Only the soft modality has an allocation-free eval path; the
-        // hardware modalities build per-step voltage traces and keep the
-        // allocating forward. Training also stays allocating (its caches
-        // outlive this call).
-        if self.modality != Modality::Soft || mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
+        // The hardware modalities simulate the analog pipeline step by step
+        // and return the output together with their voltage traces.
+        if self.modality != Modality::Soft {
+            return Ok(ws.adopt(self.forward_hw(x, mode)?));
         }
-        let (oh, ow) = ops::Conv2dGeometry {
-            in_h: x.shape()[2],
-            in_w: x.shape()[3],
-            kh: self.k,
-            kw: self.k,
-            stride: self.k,
-            pad: 0,
-        }
-        .out_dims()
-        .map_err(NnError::Tensor)?;
-        let mut out = ws.take(&[x.shape()[0], self.n_ch, oh, ow]);
+        let shape = ops::conv2d_out_shape(x, &self.weight.value, self.k, 0)?;
+        let mut out = ws.take(&shape);
         ops::conv2d_into(x, &self.weight.value, None, self.k, 0, &mut out)?;
         let inv = 1.0 / self.v_fs();
-        // Same float sequence as `forward_soft`: scale by 1/v_fs, quantize.
+        if mode.is_train() {
+            // The pre-quantization codes `u` drive the clipped STE.
+            let u = out.scale(inv);
+            self.cache = Some(Cache::Soft(SoftCache { x: x.clone(), u }));
+        }
         out.map_inplace(|v| self.quant_norm(v * inv));
         Ok(out)
     }

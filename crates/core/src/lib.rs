@@ -22,7 +22,7 @@
 //!   against the same frozen backbone.
 //! * [`session`] — the workspace-backed inference driver: one buffer pool
 //!   per pipeline, zero steady-state heap allocations, bit-identical to
-//!   the allocating forward path.
+//!   the owned-tensor `forward`.
 //! * [`deploy`] — kernel flattening (RGB → Bayer, Fig. 5(a)), programming
 //!   the trained codes into the [`leca_sensor::LecaSensor`], and an
 //!   end-to-end hardware-in-the-loop check.

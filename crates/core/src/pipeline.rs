@@ -128,9 +128,7 @@ impl LecaPipeline {
     ///
     /// Propagates layer errors.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> LecaResult<Tensor> {
-        let ofmap = self.encoder.forward(x, mode)?;
-        let decoded = self.decoder.forward(&ofmap, mode)?;
-        Ok(self.backbone.forward(&decoded, mode)?)
+        Ok(Layer::forward(self, x, mode)?)
     }
 
     /// One training step's forward + backward: returns the batch loss.
@@ -161,12 +159,6 @@ impl LecaPipeline {
 }
 
 impl Layer for LecaPipeline {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let ofmap = self.encoder.forward(x, mode)?;
-        let decoded = self.decoder.forward(&ofmap, mode)?;
-        self.backbone.forward(&decoded, mode)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
         let g = self.backbone.backward(grad_out)?;
         let g = self.decoder.backward(&g)?;

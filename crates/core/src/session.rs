@@ -1,12 +1,12 @@
 //! Zero-steady-state-allocation inference driver.
 //!
 //! [`InferenceSession`] owns one [`Workspace`] for a pipeline (or bare
-//! backbone) and drives every eval-mode forward through the buffer-reusing
-//! `forward_ws` layer path. After [`InferenceSession::warm_up`] (or the
+//! backbone) and drives every eval-mode forward through the layers'
+//! `forward_ws` with that one pool. After [`InferenceSession::warm_up`] (or the
 //! first batch of a fixed shape), every activation a `classify_batch` call
 //! needs is served from the pool and returned to it when the call ends —
 //! steady-state inference performs **no heap allocations** and produces
-//! outputs bit-identical to the allocating `forward` path.
+//! outputs bit-identical to `forward` on a fresh pool.
 //!
 //! The session is the single entry point used by the evaluation protocol
 //! ([`crate::eval`]), the hardware-in-the-loop check ([`crate::deploy`])
@@ -45,8 +45,8 @@ enum ModelRef<'a> {
 
 /// A reusable inference context: one model, one workspace.
 ///
-/// All forwards run in [`Mode::Eval`]; training keeps the allocating path
-/// (its caches outlive individual calls).
+/// All forwards run in [`Mode::Eval`]; training goes through
+/// [`leca_nn::Layer::forward`], whose backward caches outlive the call.
 pub struct InferenceSession<'a> {
     model: ModelRef<'a>,
     ws: Workspace,
@@ -509,8 +509,8 @@ mod tests {
 
     #[test]
     fn hard_modality_still_works_through_the_session() {
-        // The hardware encoder falls back to its allocating forward but the
-        // decoder/backbone still run through the pool.
+        // The hardware encoder builds an owned output (with its voltage
+        // traces) and adopts it; the decoder/backbone run through the pool.
         let mut p = pipeline(Modality::Hard);
         let mut rng = StdRng::seed_from_u64(6);
         let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.1, 0.9, &mut rng);

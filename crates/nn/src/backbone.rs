@@ -47,10 +47,6 @@ impl Backbone {
 }
 
 impl Layer for Backbone {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.net.forward(x, mode)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.net.backward(grad_out)
     }

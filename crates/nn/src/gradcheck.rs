@@ -15,26 +15,12 @@ fn close(analytic: f32, numeric: f32, tol: f32) -> bool {
 }
 
 /// Verifies a layer's input and parameter gradients against central finite
-/// differences of `L = sum(forward(x))`, forwarding in `Train` mode.
-///
-/// # Errors
-///
-/// See [`check_layer_in_mode`].
-pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Result<()> {
-    check_layer_in_mode(layer, x, tol, Mode::Train)
-}
-
-/// Verifies a layer's input and parameter gradients against central finite
 /// differences of `L = sum(forward(x))`, with every forward pass run in
-/// `mode`.
+/// `Train` mode.
 ///
-/// The mode parameter matters for layers whose forward function differs
-/// between training and inference (batch norm normalizes with batch
-/// statistics in `Train` but with constant running statistics in `Eval`);
-/// both functions are differentiable and both backward paths need
-/// checking. Stateful side effects that would break the finite-difference
-/// probes (running-statistics updates in `Train` mode) must be disabled by
-/// the caller, e.g. via [`Layer::set_stats_locked`].
+/// Stateful side effects that would break the finite-difference probes
+/// (batch-norm running-statistics updates) must be disabled by the
+/// caller, e.g. via [`Layer::set_stats_locked`].
 ///
 /// Checks up to 24 evenly-spaced coordinates of the input and of every
 /// parameter to keep the cost bounded for larger layers.
@@ -44,18 +30,13 @@ pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Re
 /// Returns [`NnError::InvalidConfig`] describing the first coordinate whose
 /// analytic and numeric gradients disagree beyond `tol`, or propagates any
 /// layer error.
-pub fn check_layer_in_mode<L: Layer + ?Sized>(
-    layer: &mut L,
-    x: &Tensor,
-    tol: f32,
-    mode: Mode,
-) -> Result<()> {
+pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Result<()> {
     const EPS: f32 = 1e-3;
     const MAX_COORDS: usize = 24;
 
     // Analytic pass.
     layer.zero_grad();
-    let out = layer.forward(x, mode)?;
+    let out = layer.forward(x, Mode::Train)?;
     let gx = layer.backward(&Tensor::ones(out.shape()))?;
     if gx.shape() != x.shape() {
         return Err(NnError::InvalidConfig(format!(
@@ -73,8 +54,8 @@ pub fn check_layer_in_mode<L: Layer + ?Sized>(
         xp.as_mut_slice()[i] += EPS;
         let mut xm = x.clone();
         xm.as_mut_slice()[i] -= EPS;
-        let fp = layer.forward(&xp, mode)?.sum();
-        let fm = layer.forward(&xm, mode)?.sum();
+        let fp = layer.forward(&xp, Mode::Train)?.sum();
+        let fm = layer.forward(&xm, Mode::Train)?.sum();
         let numeric = (fp - fm) / (2.0 * EPS);
         let analytic = gx.as_slice()[i];
         if !close(analytic, numeric, tol) {
@@ -93,9 +74,9 @@ pub fn check_layer_in_mode<L: Layer + ?Sized>(
         for &i in &sample_coords(pg.len(), MAX_COORDS) {
             let numeric = {
                 perturb_param(layer, pi, i, EPS);
-                let fp = layer.forward(x, mode)?.sum();
+                let fp = layer.forward(x, Mode::Train)?.sum();
                 perturb_param(layer, pi, i, -2.0 * EPS);
-                let fm = layer.forward(x, mode)?.sum();
+                let fm = layer.forward(x, Mode::Train)?.sum();
                 perturb_param(layer, pi, i, EPS);
                 (fp - fm) / (2.0 * EPS)
             };
@@ -133,6 +114,7 @@ fn sample_coords(len: usize, max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::Param;
+    use leca_tensor::{PooledTensor, Workspace};
 
     /// y = w * x elementwise — trivially correct gradients.
     struct Elementwise {
@@ -141,11 +123,11 @@ mod tests {
     }
 
     impl Layer for Elementwise {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.mul(&self.w.value)?)
+            Ok(ws.adopt(x.mul(&self.w.value)?))
         }
         fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
             let x = self.cache.take().ok_or(NnError::NoForwardCache("ew"))?;
@@ -166,11 +148,11 @@ mod tests {
     }
 
     impl Layer for Buggy {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.scale(3.0))
+            Ok(ws.adopt(x.scale(3.0)))
         }
         fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
             self.cache.take().ok_or(NnError::NoForwardCache("buggy"))?;

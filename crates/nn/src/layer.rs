@@ -30,12 +30,28 @@ impl Mode {
 /// `backward` must be preceded by a `Train`-mode forward on the same layer;
 /// implementations return [`crate::NnError::NoForwardCache`] otherwise.
 pub trait Layer {
-    /// Computes the layer output for `x`.
+    /// Computes the layer output for `x`, drawing the output and any
+    /// intermediates from the [`Workspace`] buffer pool `ws`.
+    ///
+    /// This is the one forward every layer implements. [`Mode::Eval`]
+    /// and [`Mode::Train`] run the same body; training additionally
+    /// records the backward cache.
     ///
     /// # Errors
     ///
     /// Returns an error when `x` has an incompatible shape.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor>;
+
+    /// [`Layer::forward_ws`] on a fresh [`Workspace`], returning an owned
+    /// tensor. Bit-identical to `forward_ws`; only the allocation strategy
+    /// differs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward_ws`].
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        Ok(self.forward_ws(x, mode, &Workspace::new())?.detach())
+    }
 
     /// Back-propagates `grad_out`, returning the gradient wrt the input.
     ///
@@ -45,33 +61,6 @@ pub trait Layer {
     /// preceded this call, or a shape error when `grad_out` does not match
     /// the cached output shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
-
-    /// [`Layer::forward`] drawing the output (and any intermediates) from a
-    /// [`Workspace`] buffer pool. Results are **bit-identical** to
-    /// `forward`; only the allocation strategy differs.
-    ///
-    /// The default delegates to the allocating `forward` and adopts the
-    /// result into the pool, so external layers keep compiling unchanged.
-    /// Buffer-reusing overrides typically serve only [`Mode::Eval`] and
-    /// fall back to this path for [`Mode::Train`], where the backward cache
-    /// must own its tensors anyway.
-    ///
-    /// # Errors
-    ///
-    /// As [`Layer::forward`].
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        Ok(ws.adopt(self.forward(x, mode)?))
-    }
-
-    /// [`Layer::backward`] drawing the returned gradient from a
-    /// [`Workspace`] buffer pool, bit-identical to `backward`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Layer::backward`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
-        Ok(ws.adopt(self.backward(grad_out)?))
-    }
 
     /// Visits every parameter in a deterministic order.
     ///
@@ -141,11 +130,11 @@ mod tests {
     }
 
     impl Layer for Scale {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.scale(self.factor.value.as_slice()[0]))
+            Ok(ws.adopt(x.scale(self.factor.value.as_slice()[0])))
         }
 
         fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -221,19 +210,12 @@ mod tests {
     fn default_ws_paths_match_allocating() {
         let ws = Workspace::new();
         let x = Tensor::from_slice(&[1.0, -2.0, 3.0]);
-        let mut a = make();
-        let mut b = make();
-        let ya = a.forward(&x, Mode::Train).unwrap();
-        let yb = b.forward_ws(&x, Mode::Train, &ws).unwrap();
+        let ya = make().forward(&x, Mode::Train).unwrap();
+        let yb = make().forward_ws(&x, Mode::Train, &ws).unwrap();
         assert_eq!(&ya, &*yb);
-        let g = Tensor::ones(&[3]);
-        let ga = a.backward(&g).unwrap();
-        let gb = b.backward_ws(&g, &ws).unwrap();
-        assert_eq!(&ga, &*gb);
-        // Adopted buffers joined the pool on drop.
+        // The adopted buffer joined the pool on drop.
         drop(yb);
-        drop(gb);
         assert_eq!(ws.stats().live, 0);
-        assert_eq!(ws.stats().free, 2);
+        assert_eq!(ws.stats().free, 1);
     }
 }

@@ -18,15 +18,11 @@ fn checked_grad_buf(what: &'static str, mask: &Tensor, grad_out: &Tensor) -> Res
 /// Rectified linear unit: `y = max(x, 0)`.
 ///
 /// The forward mask is a pooled `1.0 / 0.0` tensor rather than a
-/// `Vec<bool>`: checked out of the caller's [`Workspace`] on the `_ws`
-/// path (or this layer's private fallback pool otherwise) and returned on
+/// `Vec<bool>`: checked out of the caller's [`Workspace`] and returned on
 /// [`Layer::backward`], so steady-state training allocates nothing here.
 #[derive(Debug, Default)]
 pub struct Relu {
     mask: Option<PooledTensor>,
-    /// Mask pool for the allocating [`Layer::forward`] entry point, so
-    /// both entry points cache the same [`PooledTensor`] mask type.
-    pool: Workspace,
 }
 
 impl Relu {
@@ -43,17 +39,16 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
-            let pool = self.pool.clone();
-            self.cache_mask(x, &pool);
+            self.cache_mask(x, ws);
         }
         // Not `v.max(0.0)`: f32::max drops NaN operands, which would
         // silently launder a poisoned activation into a healthy zero and
         // hide divergence from the trainer's non-finite-loss detector.
-        // `backend::relu` keeps the NaN-passing branch on both paths.
-        let mut out = Tensor::zeros(x.shape());
-        backend::relu(x.as_slice(), out.as_mut_slice());
+        // `backend::relu_inplace` keeps the NaN-passing branch.
+        let mut out = ws.take_from(x);
+        backend::relu_inplace(out.as_mut_slice());
         Ok(out)
     }
 
@@ -61,15 +56,6 @@ impl Layer for Relu {
         let mask = self.mask.take().ok_or(NnError::NoForwardCache("relu"))?;
         let mut out = checked_grad_buf("relu backward", &mask, grad_out)?;
         backend::relu_backward(mask.as_slice(), grad_out.as_slice(), out.as_mut_slice());
-        Ok(out)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.cache_mask(x, ws);
-        }
-        let mut out = ws.take_from(x);
-        backend::relu_inplace(out.as_mut_slice());
         Ok(out)
     }
 
@@ -87,18 +73,12 @@ impl Layer for Relu {
 pub struct LeakyRelu {
     alpha: f32,
     mask: Option<PooledTensor>,
-    /// See [`Relu::pool`].
-    pool: Workspace,
 }
 
 impl LeakyRelu {
     /// Creates a leaky ReLU with negative-slope `alpha`.
     pub fn new(alpha: f32) -> Self {
-        LeakyRelu {
-            alpha,
-            mask: None,
-            pool: Workspace::new(),
-        }
+        LeakyRelu { alpha, mask: None }
     }
 
     fn cache_mask(&mut self, x: &Tensor, ws: &Workspace) {
@@ -109,13 +89,12 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
-            let pool = self.pool.clone();
-            self.cache_mask(x, &pool);
+            self.cache_mask(x, ws);
         }
-        let mut out = Tensor::zeros(x.shape());
-        backend::leaky_relu(x.as_slice(), self.alpha, out.as_mut_slice());
+        let mut out = ws.take_from(x);
+        backend::leaky_relu_inplace(out.as_mut_slice(), self.alpha);
         Ok(out)
     }
 
@@ -131,15 +110,6 @@ impl Layer for LeakyRelu {
             self.alpha,
             out.as_mut_slice(),
         );
-        Ok(out)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.cache_mask(x, ws);
-        }
-        let mut out = ws.take_from(x);
-        backend::leaky_relu_inplace(out.as_mut_slice(), self.alpha);
         Ok(out)
     }
 

@@ -19,15 +19,12 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
+/// What a training forward leaves for backward: the normalized input and
+/// the per-channel inverse batch standard deviations.
 #[derive(Debug)]
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    /// Whether the cached forward normalized with batch statistics
-    /// (`Train`) or constant running statistics (`Eval`). The backward
-    /// formulas differ: batch statistics depend on `x`, running statistics
-    /// do not.
-    train: bool,
 }
 
 impl BatchNorm2d {
@@ -93,15 +90,12 @@ impl BatchNorm2d {
         }
         Ok((d[0], d[1], d[2], d[3]))
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (n, c, h, w) = self.check_input(x)?;
-        let m = (n * h * w) as f32;
-        let hw = h * w;
-        let mut out = x.clone();
-
+    /// Training forward of the `(n, c, hw)`-shaped `x` into `out`:
+    /// normalizes with batch statistics, updates the running statistics
+    /// (unless locked) and caches x̂ and `1/σ` for backward.
+    fn normalize_batch(&mut self, x: &Tensor, (n, c, hw): (usize, usize, usize), out: &mut Tensor) {
+        let m = (n * hw) as f32;
         // Two freezing notions exist (PyTorch convention): parameter
         // freezing (optimizer skips updates — Param::frozen) and statistics
         // locking (eval-like running stats — `stats_locked`). A "frozen"
@@ -109,85 +103,91 @@ impl Layer for BatchNorm2d {
         // BN statistics may still track the incoming distribution unless
         // explicitly locked via [`Layer::set_stats_locked`].
         let update_stats = !self.stats_locked;
+        let mut x_hat = Tensor::zeros(x.shape());
+        let mut inv_stds = Vec::with_capacity(c);
+        for ci in 0..c {
+            // Batch statistics for this channel.
+            let mut mean = 0.0f64;
+            for ni in 0..n {
+                for p in 0..hw {
+                    mean += x.as_slice()[(ni * c + ci) * hw + p] as f64;
+                }
+            }
+            let mean = (mean / m as f64) as f32;
+            let mut var = 0.0f64;
+            for ni in 0..n {
+                for p in 0..hw {
+                    let d = x.as_slice()[(ni * c + ci) * hw + p] - mean;
+                    var += (d * d) as f64;
+                }
+            }
+            let var = (var / m as f64) as f32;
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            inv_stds.push(inv_std);
+
+            let (g, b) = (
+                self.gamma.value.as_slice()[ci],
+                self.beta.value.as_slice()[ci],
+            );
+            for ni in 0..n {
+                for p in 0..hw {
+                    let idx = (ni * c + ci) * hw + p;
+                    let xh = (x.as_slice()[idx] - mean) * inv_std;
+                    x_hat.as_mut_slice()[idx] = xh;
+                    out.as_mut_slice()[idx] = g * xh + b;
+                }
+            }
+
+            // Exponential running statistics (unbiased variance, as in
+            // PyTorch), skipped entirely for frozen layers.
+            if update_stats {
+                let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+                let rm = &mut self.running_mean.as_mut_slice()[ci];
+                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+                let rv = &mut self.running_var.as_mut_slice()[ci];
+                *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
+            }
+        }
+        self.cache = Some(BnCache {
+            x_hat,
+            inv_std: inv_stds,
+        });
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let (n, c, h, w) = self.check_input(x)?;
+        let hw = h * w;
+        let mut out = ws.take(x.shape());
         if mode.is_train() {
-            let mut x_hat = Tensor::zeros(x.shape());
-            let mut inv_stds = Vec::with_capacity(c);
-            for ci in 0..c {
-                // Batch statistics for this channel.
-                let mut mean = 0.0f64;
-                for ni in 0..n {
-                    for p in 0..hw {
-                        mean += x.as_slice()[(ni * c + ci) * hw + p] as f64;
-                    }
-                }
-                let mean = (mean / m as f64) as f32;
-                let mut var = 0.0f64;
-                for ni in 0..n {
-                    for p in 0..hw {
-                        let d = x.as_slice()[(ni * c + ci) * hw + p] - mean;
-                        var += (d * d) as f64;
-                    }
-                }
-                let var = (var / m as f64) as f32;
-                let inv_std = 1.0 / (var + self.eps).sqrt();
-                inv_stds.push(inv_std);
-
-                let (g, b) = (
-                    self.gamma.value.as_slice()[ci],
-                    self.beta.value.as_slice()[ci],
+            self.normalize_batch(x, (n, c, hw), &mut out);
+            return Ok(out);
+        }
+        // Pure inference: normalize with running statistics without
+        // building the x̂ backward cache. Any stale cache is dropped so a
+        // later backward fails loudly instead of using old activations.
+        self.cache = None;
+        let src = x.as_slice();
+        let dst = out.as_mut_slice();
+        for ci in 0..c {
+            let mean = self.running_mean.as_slice()[ci];
+            let inv_std = 1.0 / (self.running_var.as_slice()[ci] + self.eps).sqrt();
+            let (g, b) = (
+                self.gamma.value.as_slice()[ci],
+                self.beta.value.as_slice()[ci],
+            );
+            for ni in 0..n {
+                let plane = (ni * c + ci) * hw..(ni * c + ci + 1) * hw;
+                leca_tensor::backend::bn_affine(
+                    &src[plane.clone()],
+                    &mut dst[plane],
+                    mean,
+                    inv_std,
+                    g,
+                    b,
                 );
-                for ni in 0..n {
-                    for p in 0..hw {
-                        let idx = (ni * c + ci) * hw + p;
-                        let xh = (x.as_slice()[idx] - mean) * inv_std;
-                        x_hat.as_mut_slice()[idx] = xh;
-                        out.as_mut_slice()[idx] = g * xh + b;
-                    }
-                }
-
-                // Exponential running statistics (unbiased variance, as in
-                // PyTorch), skipped entirely for frozen layers.
-                if update_stats {
-                    let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                    let rm = &mut self.running_mean.as_mut_slice()[ci];
-                    *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                    let rv = &mut self.running_var.as_mut_slice()[ci];
-                    *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
-                }
             }
-            self.cache = Some(BnCache {
-                x_hat,
-                inv_std: inv_stds,
-                train: true,
-            });
-        } else {
-            // Eval-mode forward is also differentiable (the decoder is
-            // gradient-checked in both modes), so cache the normalized
-            // activations exactly as in training.
-            let mut x_hat = Tensor::zeros(x.shape());
-            let mut inv_stds = Vec::with_capacity(c);
-            for ci in 0..c {
-                let mean = self.running_mean.as_slice()[ci];
-                let inv_std = 1.0 / (self.running_var.as_slice()[ci] + self.eps).sqrt();
-                inv_stds.push(inv_std);
-                let (g, b) = (
-                    self.gamma.value.as_slice()[ci],
-                    self.beta.value.as_slice()[ci],
-                );
-                for ni in 0..n {
-                    for p in 0..hw {
-                        let idx = (ni * c + ci) * hw + p;
-                        let xh = (x.as_slice()[idx] - mean) * inv_std;
-                        x_hat.as_mut_slice()[idx] = xh;
-                        out.as_mut_slice()[idx] = g * xh + b;
-                    }
-                }
-            }
-            self.cache = Some(BnCache {
-                x_hat,
-                inv_std: inv_stds,
-                train: false,
-            });
         }
         Ok(out)
     }
@@ -217,67 +217,21 @@ impl Layer for BatchNorm2d {
             self.gamma.grad.as_mut_slice()[ci] += dgamma as f32;
             self.beta.grad.as_mut_slice()[ci] += dbeta as f32;
 
-            let g = self.gamma.value.as_slice()[ci];
-            let scale = g * cache.inv_std[ci];
-            if cache.train {
-                // Batch statistics depend on x:
-                // dx = γ/σ · (dy - mean(dy) - x̂ · mean(dy·x̂))
-                let mean_dy = dbeta as f32 / m;
-                let mean_dyxh = dgamma as f32 / m;
-                for ni in 0..n {
-                    for p in 0..hw {
-                        let idx = (ni * c + ci) * hw + p;
-                        let dy = grad_out.as_slice()[idx];
-                        let xh = cache.x_hat.as_slice()[idx];
-                        gx.as_mut_slice()[idx] = scale * (dy - mean_dy - xh * mean_dyxh);
-                    }
-                }
-            } else {
-                // Running statistics are constants: dx = γ/σ · dy.
-                for ni in 0..n {
-                    for p in 0..hw {
-                        let idx = (ni * c + ci) * hw + p;
-                        gx.as_mut_slice()[idx] = scale * grad_out.as_slice()[idx];
-                    }
+            // Batch statistics depend on x:
+            // dx = γ/σ · (dy - mean(dy) - x̂ · mean(dy·x̂))
+            let scale = self.gamma.value.as_slice()[ci] * cache.inv_std[ci];
+            let mean_dy = dbeta as f32 / m;
+            let mean_dyxh = dgamma as f32 / m;
+            for ni in 0..n {
+                for p in 0..hw {
+                    let idx = (ni * c + ci) * hw + p;
+                    let dy = grad_out.as_slice()[idx];
+                    let xh = cache.x_hat.as_slice()[idx];
+                    gx.as_mut_slice()[idx] = scale * (dy - mean_dy - xh * mean_dyxh);
                 }
             }
         }
         Ok(gx)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (n, c, h, w) = self.check_input(x)?;
-        let hw = h * w;
-        // Pure inference: normalize with running statistics without
-        // building the x̂ backward cache. Any stale cache is dropped so a
-        // later backward fails loudly instead of using old activations.
-        self.cache = None;
-        let mut out = ws.take(x.shape());
-        let src = x.as_slice();
-        let dst = out.as_mut_slice();
-        for ci in 0..c {
-            let mean = self.running_mean.as_slice()[ci];
-            let inv_std = 1.0 / (self.running_var.as_slice()[ci] + self.eps).sqrt();
-            let (g, b) = (
-                self.gamma.value.as_slice()[ci],
-                self.beta.value.as_slice()[ci],
-            );
-            for ni in 0..n {
-                let plane = (ni * c + ci) * hw..(ni * c + ci + 1) * hw;
-                leca_tensor::backend::bn_affine(
-                    &src[plane.clone()],
-                    &mut dst[plane],
-                    mean,
-                    inv_std,
-                    g,
-                    b,
-                );
-            }
-        }
-        Ok(out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,5 +1,4 @@
 use crate::{Layer, Mode, NnError, Param, Result};
-use leca_tensor::ops::Conv2dGeometry;
 use leca_tensor::{kaiming_uniform, ops, PooledTensor, Tensor, Workspace};
 use rand::Rng;
 
@@ -111,17 +110,21 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cache = Some(x.clone());
-        }
-        Ok(ops::conv2d(
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let shape = ops::conv2d_out_shape(x, &self.weight.value, self.stride, self.pad)?;
+        let mut out = ws.take(&shape);
+        ops::conv2d_into(
             x,
             &self.weight.value,
             self.bias.as_ref().map(|p| &p.value),
             self.stride,
             self.pad,
-        )?)
+            &mut out,
+        )?;
+        if mode.is_train() {
+            self.cache = Some(x.clone());
+        }
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -146,33 +149,6 @@ impl Layer for Conv2d {
             self.stride,
             self.pad,
         )?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        // Training still owns its activations (the backward cache outlives
-        // this call); invalid ranks fall back so the error path is shared.
-        if mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (oh, ow) = Conv2dGeometry {
-            in_h: x.shape()[2],
-            in_w: x.shape()[3],
-            kh: self.kernel,
-            kw: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        }
-        .out_dims()?;
-        let mut out = ws.take(&[x.shape()[0], self.weight.value.shape()[0], oh, ow]);
-        ops::conv2d_into(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
-            self.stride,
-            self.pad,
-            &mut out,
-        )?;
-        Ok(out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -73,17 +73,21 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cache = Some(x.clone());
-        }
-        Ok(ops::conv_transpose2d(
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let shape = ops::conv_transpose2d_out_shape(x, &self.weight.value, self.stride, self.pad)?;
+        let mut out = ws.take(&shape);
+        ops::conv_transpose2d_into(
             x,
             &self.weight.value,
             self.bias.as_ref().map(|p| &p.value),
             self.stride,
             self.pad,
-        )?)
+            &mut out,
+        )?;
+        if mode.is_train() {
+            self.cache = Some(x.clone());
+        }
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -109,29 +113,6 @@ impl Layer for ConvTranspose2d {
             self.stride,
             self.pad,
         )?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 4 || self.stride == 0 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        let (Some(oh), Some(ow)) = (
-            ((h - 1) * self.stride + self.kernel).checked_sub(2 * self.pad),
-            ((w - 1) * self.stride + self.kernel).checked_sub(2 * self.pad),
-        ) else {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        };
-        let mut out = ws.take(&[x.shape()[0], self.weight.value.shape()[1], oh, ow]);
-        ops::conv_transpose2d_into(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
-            self.stride,
-            self.pad,
-            &mut out,
-        )?;
-        Ok(out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

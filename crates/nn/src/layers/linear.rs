@@ -1,5 +1,5 @@
 use crate::{Layer, Mode, NnError, Param, Result};
-use leca_tensor::{ops, xavier_uniform, PooledTensor, Tensor, Workspace};
+use leca_tensor::{ops, xavier_uniform, PooledTensor, Tensor, TensorError, Workspace};
 use rand::Rng;
 
 /// Fully-connected layer: `y = x · Wᵀ + b` for `x: (N, in)`, `W: (out, in)`.
@@ -47,16 +47,24 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cache = Some(x.clone());
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        if x.rank() != 2 {
+            return Err(NnError::Tensor(TensorError::RankMismatch {
+                op: "matmul_bt",
+                expected: 2,
+                actual: x.rank(),
+            }));
         }
-        let mut y = ops::matmul_bt(x, &self.weight.value)?;
-        let (n, o) = (y.shape()[0], y.shape()[1]);
+        let (n, o) = (x.shape()[0], self.out_features());
+        let mut y = ws.take(&[n, o]);
+        ops::matmul_bt_into(x, &self.weight.value, &mut y)?;
         let data = y.as_mut_slice();
         let bias = &self.bias.value.as_slice()[..o];
         for r in 0..n {
             leca_tensor::backend::add_assign(&mut data[r * o..(r + 1) * o], bias);
+        }
+        if mode.is_train() {
+            self.cache = Some(x.clone());
         }
         Ok(y)
     }
@@ -68,21 +76,6 @@ impl Layer for Linear {
         self.weight.accumulate(&gw);
         self.bias.accumulate(&ops::sum_axis0(grad_out)?);
         Ok(ops::matmul(grad_out, &self.weight.value)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 2 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (n, o) = (x.shape()[0], self.out_features());
-        let mut y = ws.take(&[n, o]);
-        ops::matmul_bt_into(x, &self.weight.value, &mut y)?;
-        let data = y.as_mut_slice();
-        let bias = &self.bias.value.as_slice()[..o];
-        for r in 0..n {
-            leca_tensor::backend::add_assign(&mut data[r * o..(r + 1) * o], bias);
-        }
-        Ok(y)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -20,11 +20,13 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let mut out = ws.take(&ops::pool2d_out_shape("avg_pool2d", x, self.k)?);
+        ops::avg_pool2d_into(x, self.k, &mut out)?;
         if mode.is_train() {
             self.did_forward = true;
         }
-        Ok(ops::avg_pool2d(x, self.k)?)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -35,16 +37,6 @@ impl Layer for AvgPool2d {
         Ok(ops::avg_pool2d_backward(grad_out, self.k)?)
     }
 
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || !pool_geometry_ok(x, self.k) {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let mut out = ws.take(&[d[0], d[1], d[2] / self.k, d[3] / self.k]);
-        ops::avg_pool2d_into(x, self.k, &mut out)?;
-        Ok(out)
-    }
-
     fn name(&self) -> &'static str {
         "avg_pool2d"
     }
@@ -52,13 +44,6 @@ impl Layer for AvgPool2d {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-}
-
-/// True when `x` is rank 4 with spatial dims divisible by window `k` — the
-/// only geometry the `_into` pooling kernels accept. Anything else falls
-/// back to the allocating path so error reporting stays shared.
-fn pool_geometry_ok(x: &Tensor, k: usize) -> bool {
-    x.rank() == 4 && k != 0 && x.shape()[2].is_multiple_of(k) && x.shape()[3].is_multiple_of(k)
 }
 
 /// Non-overlapping max pooling (`k x k` window, stride `k`).
@@ -76,11 +61,18 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (out, idx) = ops::max_pool2d(x, self.k)?;
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
+            // Training needs the argmax indices, which only the allocating
+            // kernel records.
+            let (out, idx) = ops::max_pool2d(x, self.k)?;
             self.indices = Some(idx);
+            return Ok(ws.adopt(out));
         }
+        let mut out = ws.take(&ops::pool2d_out_shape("max_pool2d", x, self.k)?);
+        // Inference never runs backward: the index-free kernel avoids the
+        // argmax vector allocation entirely.
+        ops::max_pool2d_into(x, self.k, &mut out)?;
         Ok(out)
     }
 
@@ -90,18 +82,6 @@ impl Layer for MaxPool2d {
             .take()
             .ok_or(NnError::NoForwardCache("max_pool2d"))?;
         Ok(ops::max_pool2d_backward(grad_out, &idx)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || !pool_geometry_ok(x, self.k) {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let mut out = ws.take(&[d[0], d[1], d[2] / self.k, d[3] / self.k]);
-        // Inference never runs backward: the index-free kernel avoids the
-        // argmax vector allocation entirely.
-        ops::max_pool2d_into(x, self.k, &mut out)?;
-        Ok(out)
     }
 
     fn name(&self) -> &'static str {

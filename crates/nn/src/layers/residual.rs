@@ -12,7 +12,8 @@ pub struct ResidualBlock {
     main: Sequential,
     shortcut: Option<Sequential>,
     final_relu: Relu,
-    cache: Option<Tensor>,
+    /// Set by a training forward; backward consumes it.
+    did_forward: bool,
 }
 
 impl std::fmt::Debug for ResidualBlock {
@@ -45,7 +46,7 @@ impl ResidualBlock {
             main,
             shortcut,
             final_relu: Relu::new(),
-            cache: None,
+            did_forward: false,
         }
     }
 
@@ -56,23 +57,10 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let main_out = self.main.forward(x, mode)?;
-        let skip_out = match &mut self.shortcut {
-            Some(s) => s.forward(x, mode)?,
-            None => x.clone(),
-        };
-        let sum = main_out.add(&skip_out)?;
-        if mode.is_train() {
-            self.cache = Some(sum.clone());
-        }
-        self.final_relu.forward(&sum, mode)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.cache
-            .take()
-            .ok_or(NnError::NoForwardCache("residual_block"))?;
+        if !std::mem::take(&mut self.did_forward) {
+            return Err(NnError::NoForwardCache("residual_block"));
+        }
         let g_sum = self.final_relu.backward(grad_out)?;
         let g_main = self.main.backward(&g_sum)?;
         let g_skip = match &mut self.shortcut {
@@ -83,9 +71,6 @@ impl Layer for ResidualBlock {
     }
 
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
         let main_out = self.main.forward_ws(x, mode, ws)?;
         let mut sum = ws.take(main_out.shape());
         match &mut self.shortcut {
@@ -97,6 +82,9 @@ impl Layer for ResidualBlock {
             None => main_out.add_into(x, &mut sum)?,
         }
         drop(main_out);
+        if mode.is_train() {
+            self.did_forward = true;
+        }
         self.final_relu.forward_ws(&sum, mode, ws)
     }
 

@@ -58,20 +58,6 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        // The first layer consumes `x` by reference — no head-of-chain
-        // copy. Only the empty chain (identity) clones.
-        let mut layers = self.layers.iter_mut();
-        let Some(first) = layers.next() else {
-            return Ok(x.clone());
-        };
-        let mut cur = first.forward(x, mode)?;
-        for layer in layers {
-            cur = layer.forward(&cur, mode)?;
-        }
-        Ok(cur)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mut layers = self.layers.iter_mut().rev();
         let Some(last) = layers.next() else {
@@ -86,6 +72,8 @@ impl Layer for Sequential {
 
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         let mut layers = self.layers.iter_mut();
+        // The first layer consumes `x` by reference — no head-of-chain
+        // copy. Only the empty chain (identity) copies.
         let Some(first) = layers.next() else {
             return Ok(ws.take_from(x));
         };
@@ -96,18 +84,6 @@ impl Layer for Sequential {
             cur = layer.forward_ws(&cur, mode, ws)?;
         }
         Ok(cur)
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return Ok(ws.take_from(grad_out));
-        };
-        let mut g = last.backward_ws(grad_out, ws)?;
-        for layer in layers {
-            g = layer.backward_ws(&g, ws)?;
-        }
-        Ok(g)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -228,10 +204,6 @@ mod tests {
         let x = Tensor::from_slice(&[1.0, 2.0]);
         let y = net.forward_ws(&x, Mode::Eval, &ws).unwrap();
         assert_eq!(&*y, &x);
-        let g = net
-            .backward_ws(&Tensor::from_slice(&[3.0, 4.0]), &ws)
-            .unwrap();
-        assert_eq!(g.as_slice(), &[3.0, 4.0]);
     }
 
     #[test]

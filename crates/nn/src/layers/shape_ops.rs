@@ -16,16 +16,18 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if x.rank() < 1 {
             return Err(NnError::InvalidConfig("flatten requires rank >= 1".into()));
         }
+        let n = x.shape()[0];
+        let rest = x.len() / n.max(1);
+        let mut out = ws.take_from(x);
+        out.reshape_in_place(&[n, rest])?;
         if mode.is_train() {
             self.in_shape = Some(x.shape().to_vec());
         }
-        let n = x.shape()[0];
-        let rest = x.len() / n.max(1);
-        Ok(x.reshape(&[n, rest])?)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -34,17 +36,6 @@ impl Layer for Flatten {
             .take()
             .ok_or(NnError::NoForwardCache("flatten"))?;
         Ok(grad_out.reshape(&shape)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() < 1 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let n = x.shape()[0];
-        let rest = x.len() / n.max(1);
-        let mut out = ws.take_from(x);
-        out.reshape_in_place(&[n, rest])?;
-        Ok(out)
     }
 
     fn name(&self) -> &'static str {
@@ -72,7 +63,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if x.rank() != 4 {
             return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
                 op: "global_avg_pool",
@@ -85,7 +76,7 @@ impl Layer for GlobalAvgPool {
         if mode.is_train() {
             self.in_shape = Some([d[0], d[1], d[2], d[3]]);
         }
-        let mut out = Tensor::zeros(&[n, c]);
+        let mut out = ws.take(&[n, c]);
         let inv = 1.0 / hw.max(1) as f32;
         for ni in 0..n {
             for ci in 0..c {
@@ -120,23 +111,6 @@ impl Layer for GlobalAvgPool {
             }
         }
         Ok(gx)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut out = ws.take(&[n, c]);
-        let inv = 1.0 / hw.max(1) as f32;
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = &x.as_slice()[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-                out.as_mut_slice()[ni * c + ci] = reduce::sum_slice_f32(plane) * inv;
-            }
-        }
-        Ok(out)
     }
 
     fn name(&self) -> &'static str {

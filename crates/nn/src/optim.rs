@@ -220,7 +220,7 @@ mod tests {
     use crate::layers::Linear;
     use crate::loss::SoftmaxCrossEntropy;
     use crate::{Mode, Param};
-    use leca_tensor::Tensor;
+    use leca_tensor::{PooledTensor, Tensor, Workspace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -229,8 +229,13 @@ mod tests {
     }
 
     impl Layer for OneParam {
-        fn forward(&mut self, x: &Tensor, _mode: Mode) -> crate::Result<Tensor> {
-            Ok(x.clone())
+        fn forward_ws(
+            &mut self,
+            x: &Tensor,
+            _mode: Mode,
+            ws: &Workspace,
+        ) -> crate::Result<PooledTensor> {
+            Ok(ws.take_from(x))
         }
         fn backward(&mut self, g: &Tensor) -> crate::Result<Tensor> {
             Ok(g.clone())

@@ -22,7 +22,7 @@ use crate::layers::{BatchNorm2d, Conv2d, ConvTranspose2d, Linear};
 use crate::{Layer, Mode, NnError, Result};
 use leca_tensor::backend;
 use leca_tensor::ops::{qgemm, Conv2dGeometry, PackedQMat, QIm2col, QOperand};
-use leca_tensor::{QTensor, QuantParams, Tensor};
+use leca_tensor::{PooledTensor, QTensor, QuantParams, Tensor, Workspace};
 
 /// Tracks the running min/max of every tensor shown to it — the standard
 /// post-training calibration observer.
@@ -158,8 +158,8 @@ impl QuantCalibration {
 }
 
 impl Layer for QuantCalibration {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
-        Ok(x.clone())
+    fn forward_ws(&mut self, x: &Tensor, _mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        Ok(ws.take_from(x))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

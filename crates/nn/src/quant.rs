@@ -8,7 +8,7 @@
 //! in `leca-core`.
 
 use crate::{Layer, Mode, NnError, Result};
-use leca_tensor::Tensor;
+use leca_tensor::{PooledTensor, Tensor, Workspace};
 
 /// A quantization bit depth, including the paper's 1.5-bit (ternary) mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,7 +132,7 @@ impl UniformQuantSte {
 }
 
 impl Layer for UniformQuantSte {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
             self.mask = Some(
                 x.as_slice()
@@ -142,7 +142,7 @@ impl Layer for UniformQuantSte {
             );
         }
         let (lo, hi, levels) = (self.lo, self.hi, self.depth.levels());
-        Ok(x.map(|v| quantize_uniform(v, lo, hi, levels)))
+        Ok(ws.adopt(x.map(|v| quantize_uniform(v, lo, hi, levels))))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

@@ -2,42 +2,38 @@
 //! `leca_nn::layers`.
 //!
 //! One entry per layer configuration worth distinguishing: conv with and
-//! without stride/bias, transposed conv, batch norm in train *and* eval
-//! mode (the two modes have different backward formulas), residual blocks
-//! with identity and projection shortcuts, both pools, both activations,
-//! the shape ops, and a conv-bn-relu `Sequential` sandwich. A layer added
-//! to `layers/` without a row here is a review failure.
+//! without stride/bias, transposed conv, batch norm, residual blocks with
+//! identity and projection shortcuts, both pools, both activations, the
+//! shape ops, and a conv-bn-relu `Sequential` sandwich. A layer added to
+//! `layers/` without a row here is a review failure.
 
-use leca_nn::gradcheck::{check_layer, check_layer_in_mode};
+use leca_nn::gradcheck::check_layer;
 use leca_nn::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Flatten, GlobalAvgPool, LeakyRelu, Linear,
     MaxPool2d, Relu, ResidualBlock, Sequential,
 };
-use leca_nn::{Layer, Mode};
+use leca_nn::{Layer, Mode, NnError};
 use leca_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One gradcheck case: a fresh layer, an input, a tolerance, and the mode
-/// to forward in.
+/// One gradcheck case: a fresh layer, an input and a tolerance.
 struct Case {
     name: &'static str,
     layer: Box<dyn Layer>,
     x: Tensor,
     tol: f32,
-    mode: Mode,
 }
 
 fn cases() -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     let mut cases = Vec::new();
-    let mut push = |name: &'static str, layer: Box<dyn Layer>, x: Tensor, tol: f32, mode: Mode| {
+    let mut push = |name: &'static str, layer: Box<dyn Layer>, x: Tensor, tol: f32| {
         cases.push(Case {
             name,
             layer,
             x,
             tol,
-            mode,
         });
     };
 
@@ -46,28 +42,24 @@ fn cases() -> Vec<Case> {
         Box::new(Conv2d::new(2, 3, 3, 1, 1, true, &mut rng)),
         Tensor::rand_uniform(&[2, 2, 5, 5], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "conv2d_2x2_stride2_nobias",
         Box::new(Conv2d::new(3, 4, 2, 2, 0, false, &mut rng)),
         Tensor::rand_uniform(&[1, 3, 6, 6], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "conv_transpose2d_2x2_stride2_bias",
         Box::new(ConvTranspose2d::new(2, 3, 2, 2, 0, true, &mut rng)),
         Tensor::rand_uniform(&[1, 2, 3, 3], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "linear",
         Box::new(Linear::new(6, 4, &mut rng)),
         Tensor::rand_uniform(&[3, 6], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
 
     // Batch norm, train mode: normalizes with batch statistics. Statistics
@@ -86,31 +78,6 @@ fn cases() -> Vec<Case> {
         Box::new(bn_train),
         Tensor::rand_uniform(&[2, 2, 3, 3], -1.0, 1.0, &mut rng),
         2e-2,
-        Mode::Train,
-    );
-
-    // Batch norm, eval mode: normalizes with (constant) running
-    // statistics, so dx reduces to gamma * inv_std * dy. Seed non-default
-    // running stats to make the check non-vacuous.
-    let mut bn_eval = BatchNorm2d::new(2);
-    let mut params = [
-        Tensor::from_slice(&[0.8, 1.3]),
-        Tensor::from_slice(&[-0.1, 0.4]),
-    ]
-    .into_iter();
-    bn_eval.visit_params(&mut |p| p.value = params.next().unwrap());
-    let mut buffers = [
-        Tensor::from_slice(&[0.3, -0.2]),
-        Tensor::from_slice(&[1.5, 0.7]),
-    ]
-    .into_iter();
-    bn_eval.visit_buffers(&mut |b| *b = buffers.next().unwrap());
-    push(
-        "batchnorm_eval",
-        Box::new(bn_eval),
-        Tensor::rand_uniform(&[2, 2, 3, 3], -1.0, 1.0, &mut rng),
-        1e-2,
-        Mode::Eval,
     );
 
     // Residual blocks contain BatchNorm + ReLU pairs; batch norm centers
@@ -136,7 +103,6 @@ fn cases() -> Vec<Case> {
         Box::new(res_id),
         Tensor::rand_uniform(&[2, 4, 4, 4], 0.1, 1.0, &mut rng),
         2e-2,
-        Mode::Train,
     );
     let mut res_proj = ResidualBlock::new(2, 4, 2, &mut rng);
     res_proj.set_stats_locked(true);
@@ -146,7 +112,6 @@ fn cases() -> Vec<Case> {
         Box::new(res_proj),
         Tensor::rand_uniform(&[2, 2, 4, 4], 0.1, 1.0, &mut rng),
         2e-2,
-        Mode::Train,
     );
 
     push(
@@ -154,42 +119,36 @@ fn cases() -> Vec<Case> {
         Box::new(AvgPool2d::new(2)),
         Tensor::rand_uniform(&[1, 3, 4, 4], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "max_pool2d",
         Box::new(MaxPool2d::new(2)),
         Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "relu",
         Box::new(Relu::new()),
         Tensor::rand_uniform(&[3, 7], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "leaky_relu",
         Box::new(LeakyRelu::new(0.1)),
         Tensor::rand_uniform(&[3, 7], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "flatten",
         Box::new(Flatten::new()),
         Tensor::rand_uniform(&[2, 3, 2, 2], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
     push(
         "global_avg_pool",
         Box::new(GlobalAvgPool::new()),
         Tensor::rand_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng),
         1e-2,
-        Mode::Train,
     );
 
     // Composite: the decoder's CONV + BatchNorm + ReLU block. Same
@@ -215,7 +174,6 @@ fn cases() -> Vec<Case> {
         Box::new(seq),
         Tensor::rand_uniform(&[2, 2, 5, 5], -1.0, 1.0, &mut rng),
         2e-2,
-        Mode::Train,
     );
 
     cases
@@ -224,15 +182,14 @@ fn cases() -> Vec<Case> {
 #[test]
 fn every_layer_gradchecks() {
     let mut failures = Vec::new();
-    for case in cases() {
-        let Case {
-            name,
-            mut layer,
-            x,
-            tol,
-            mode,
-        } = case;
-        if let Err(e) = check_layer_in_mode(&mut *layer, &x, tol, mode) {
+    for Case {
+        name,
+        mut layer,
+        x,
+        tol,
+    } in cases()
+    {
+        if let Err(e) = check_layer(&mut *layer, &x, tol) {
             failures.push(format!("{name}: {e}"));
         }
     }
@@ -244,25 +201,18 @@ fn every_layer_gradchecks() {
 }
 
 #[test]
-fn batchnorm_eval_backward_requires_eval_forward_cache() {
-    // Regression guard for the eval-mode backward path: a backward right
-    // after an eval forward must succeed (it used to error with
-    // NoForwardCache before eval-mode caching existed).
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut bn = BatchNorm2d::new(3);
-    let x = Tensor::rand_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng);
-    let y = bn.forward(&x, Mode::Eval).unwrap();
-    let gx = bn.backward(&Tensor::ones(y.shape())).unwrap();
-    assert_eq!(gx.shape(), x.shape());
-}
-
-#[test]
-fn train_mode_default_wrapper_matches_explicit_mode() {
-    // check_layer is check_layer_in_mode(Train); both must accept the
-    // same correct layer.
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut l = Linear::new(5, 2, &mut rng);
-    let x = Tensor::rand_uniform(&[2, 5], -1.0, 1.0, &mut rng);
-    check_layer(&mut l, &x, 1e-2).unwrap();
-    check_layer_in_mode(&mut l, &x, 1e-2, Mode::Train).unwrap();
+fn backward_after_an_eval_forward_has_no_cache() {
+    // `backward` needs a Train-mode forward on every layer: an Eval
+    // forward leaves nothing to differentiate.
+    for Case {
+        name, mut layer, x, ..
+    } in cases()
+    {
+        let y = layer.forward(&x, Mode::Eval).unwrap();
+        let err = layer.backward(&Tensor::ones(y.shape())).unwrap_err();
+        assert!(
+            matches!(err, NnError::NoForwardCache(_)),
+            "{name}: expected NoForwardCache, got {err}"
+        );
+    }
 }

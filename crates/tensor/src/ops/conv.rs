@@ -332,12 +332,35 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
-    let [n, _, _, _] = expect_rank4("conv2d", x)?;
-    let [o, _, kh, kw] = expect_rank4("conv2d", weight)?;
-    let (_, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
+    let mut out = Tensor::zeros(&conv2d_out_shape(x, weight, stride, pad)?);
     conv2d_into(x, weight, bias, stride, pad, &mut out)?;
     Ok(out)
+}
+
+/// Output shape `(N, O, oh, ow)` of [`conv2d`] for these operands.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a non-rank-4 `x` or `weight`
+/// and [`TensorError::InvalidGeometry`] as [`Conv2dGeometry::out_dims`].
+pub fn conv2d_out_shape(
+    x: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Result<[usize; 4]> {
+    let [n, _, in_h, in_w] = expect_rank4("conv2d", x)?;
+    let [o, _, kh, kw] = expect_rank4("conv2d", weight)?;
+    let (oh, ow) = Conv2dGeometry {
+        in_h,
+        in_w,
+        kh,
+        kw,
+        stride,
+        pad,
+    }
+    .out_dims()?;
+    Ok([n, o, oh, ow])
 }
 
 /// [`conv2d`] writing into the caller-provided `(N, O, oh, ow)` tensor
@@ -500,12 +523,29 @@ pub fn conv_transpose2d(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
+    let mut out = Tensor::zeros(&conv_transpose2d_out_shape(x, weight, stride, pad)?);
+    conv_transpose2d_into(x, weight, bias, stride, pad, &mut out)?;
+    Ok(out)
+}
+
+/// Output shape `(N, O, oh, ow)` of [`conv_transpose2d`] for these
+/// operands.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a non-rank-4 `x` or `weight`
+/// and [`TensorError::InvalidGeometry`] for a zero stride or a padding
+/// larger than the output.
+pub fn conv_transpose2d_out_shape(
+    x: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Result<[usize; 4]> {
     let [n, _, h, w] = expect_rank4("conv_transpose2d", x)?;
     let [_, o, kh, kw] = expect_rank4("conv_transpose2d", weight)?;
     let (oh, ow) = conv_transpose_out_dims(h, w, kh, kw, stride, pad)?;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    conv_transpose2d_into(x, weight, bias, stride, pad, &mut out)?;
-    Ok(out)
+    Ok([n, o, oh, ow])
 }
 
 /// Output spatial dims of a transposed convolution: `(H-1)*s + k - 2*pad`.

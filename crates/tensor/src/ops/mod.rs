@@ -16,14 +16,14 @@ pub(crate) use gemm::{gemm_im2col_with_blocking, gemm_strided_with_blocking};
 pub(crate) use qgemm::{qgemm_with_mc_tiles, QMC_TILES};
 
 pub use conv::{
-    col2im, conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv_transpose2d,
-    conv_transpose2d_grad_input, conv_transpose2d_grad_weight, conv_transpose2d_into, im2col,
-    Conv2dGeometry,
+    col2im, conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv2d_out_shape,
+    conv_transpose2d, conv_transpose2d_grad_input, conv_transpose2d_grad_weight,
+    conv_transpose2d_into, conv_transpose2d_out_shape, im2col, Conv2dGeometry,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
-    max_pool2d_into, MaxPoolIndices,
+    max_pool2d_into, pool2d_out_shape, MaxPoolIndices,
 };
 pub use qgemm::{qgemm, PackedQMat, QIm2col, QOperand};
 pub use reduce::{

@@ -27,15 +27,27 @@ fn expect_rank4(op: &'static str, t: &Tensor) -> Result<[usize; 4]> {
 /// Returns [`TensorError::InvalidGeometry`] when `k == 0` or the spatial
 /// dimensions are not divisible by `k`.
 pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor> {
-    let [n, c, h, w] = expect_rank4("avg_pool2d", x)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "avg_pool2d: {h}x{w} not divisible by window {k}"
-        )));
-    }
-    let mut out = Tensor::zeros(&[n, c, h / k, w / k]);
+    let mut out = Tensor::zeros(&pool2d_out_shape("avg_pool2d", x, k)?);
     avg_pool2d_into(x, k, &mut out)?;
     Ok(out)
+}
+
+/// Output shape `(N, C, H/k, W/k)` of the `k x k`, stride-`k` pool `op`
+/// (`"avg_pool2d"` or `"max_pool2d"`, which names it in errors) over `x`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a non-rank-4 `x` and
+/// [`TensorError::InvalidGeometry`] when `k == 0` or the spatial
+/// dimensions are not divisible by `k`.
+pub fn pool2d_out_shape(op: &'static str, x: &Tensor, k: usize) -> Result<[usize; 4]> {
+    let [n, c, h, w] = expect_rank4(op, x)?;
+    if k == 0 || h % k != 0 || w % k != 0 {
+        return Err(TensorError::InvalidGeometry(format!(
+            "{op}: {h}x{w} not divisible by window {k}"
+        )));
+    }
+    Ok([n, c, h / k, w / k])
 }
 
 /// [`avg_pool2d`] writing into the caller-provided `(N, C, H/k, W/k)`
@@ -46,13 +58,8 @@ pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor> {
 /// As [`avg_pool2d`], plus [`TensorError::ShapeMismatch`] when `out` has
 /// the wrong shape.
 pub fn avg_pool2d_into(x: &Tensor, k: usize, out: &mut Tensor) -> Result<()> {
-    let [n, c, h, w] = expect_rank4("avg_pool2d", x)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "avg_pool2d: {h}x{w} not divisible by window {k}"
-        )));
-    }
-    let (oh, ow) = (h / k, w / k);
+    let [n, c, oh, ow] = pool2d_out_shape("avg_pool2d", x, k)?;
+    let (h, w) = (oh * k, ow * k);
     if out.shape() != [n, c, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             op: "avg_pool2d_into",
@@ -151,13 +158,8 @@ impl MaxPoolIndices {
 /// Returns [`TensorError::InvalidGeometry`] when `k == 0` or the spatial
 /// dimensions are not divisible by `k`.
 pub fn max_pool2d(x: &Tensor, k: usize) -> Result<(Tensor, MaxPoolIndices)> {
-    let [n, c, h, w] = expect_rank4("max_pool2d", x)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "max_pool2d: {h}x{w} not divisible by window {k}"
-        )));
-    }
-    let (oh, ow) = (h / k, w / k);
+    let [n, c, oh, ow] = pool2d_out_shape("max_pool2d", x, k)?;
+    let (h, w) = (oh * k, ow * k);
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
     let mut indices = Vec::with_capacity(n * c * oh * ow);
     for ni in 0..n {
@@ -201,13 +203,8 @@ pub fn max_pool2d(x: &Tensor, k: usize) -> Result<(Tensor, MaxPoolIndices)> {
 /// As [`max_pool2d`], plus [`TensorError::ShapeMismatch`] when `out` has
 /// the wrong shape.
 pub fn max_pool2d_into(x: &Tensor, k: usize, out: &mut Tensor) -> Result<()> {
-    let [n, c, h, w] = expect_rank4("max_pool2d", x)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "max_pool2d: {h}x{w} not divisible by window {k}"
-        )));
-    }
-    let (oh, ow) = (h / k, w / k);
+    let [n, c, oh, ow] = pool2d_out_shape("max_pool2d", x, k)?;
+    let (h, w) = (oh * k, ow * k);
     if out.shape() != [n, c, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             op: "max_pool2d_into",

@@ -124,6 +124,12 @@ impl Tensor {
         (self.data, self.shape)
     }
 
+    /// Capacity of the element buffer, which the workspace pool accounts
+    /// in (it may exceed [`Tensor::len`]).
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------

@@ -205,13 +205,14 @@ impl Workspace {
     }
 
     /// Wraps an already-allocated tensor so its buffer joins the pool when
-    /// dropped. Used by the default `forward_ws` path of layers that have
-    /// no buffer-reusing implementation.
+    /// dropped. Used by layers whose training path builds its output
+    /// together with an owned backward cache (max-pool indices, batch-norm
+    /// batch statistics, the hardware encoder traces).
     pub fn adopt(&self, t: Tensor) -> PooledTensor {
         {
             let mut p = self.lock();
             p.live += 1;
-            p.live_bytes += t.len() * std::mem::size_of::<f32>();
+            p.live_bytes += t.capacity() * std::mem::size_of::<f32>();
         }
         PooledTensor {
             t: Some(t),
@@ -264,7 +265,7 @@ impl PooledTensor {
             .pool
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        p.release(t.len());
+        p.release(t.capacity());
         t
     }
 }
@@ -363,17 +364,34 @@ mod tests {
         let t = ws.take(&[16]);
         assert!(t.as_slice().iter().all(|&v| v == 0.0));
         assert_eq!(ws.stats().hits, 1);
+
+        // Length 3, capacity 8: the pool charges (and later files) the
+        // whole 32-byte buffer, exactly as it charges a checkout of
+        // capacity 8.
+        let ws = Workspace::new();
+        let _five = ws.take(&[5]);
+        let mut buf = Vec::with_capacity(8);
+        buf.extend_from_slice(&[1.0, 2.0, 3.0]);
+        let adopted = ws.adopt(Tensor::from_vec(buf, &[3]).unwrap());
+        assert_eq!(ws.stats().bytes_resident, 64);
+        drop(adopted);
+        let s = ws.stats();
+        assert_eq!((s.live, s.free, s.bytes_resident), (1, 1, 64));
     }
 
     #[test]
     fn detach_leaves_pool_accounting_clean() {
-        let ws = Workspace::new();
-        let t = ws.take(&[4]).detach();
-        assert_eq!(t.len(), 4);
-        let s = ws.stats();
-        assert_eq!(s.live, 0);
-        assert_eq!(s.free, 0);
-        assert_eq!(s.bytes_resident, 0);
+        // A power-of-two length hides a length/capacity mix-up; 3 is
+        // served from a capacity-4 buffer.
+        for dims in [&[4][..], &[3]] {
+            let ws = Workspace::new();
+            let t = ws.take(dims).detach();
+            assert_eq!(t.shape(), dims);
+            let s = ws.stats();
+            assert_eq!(s.live, 0);
+            assert_eq!(s.free, 0);
+            assert_eq!(s.bytes_resident, 0);
+        }
     }
 
     #[test]
