@@ -9,8 +9,7 @@
 //! columns are purely a latency comparison; the fastmath column trades
 //! bounded rounding differences (tolerance-tested) for throughput. Also
 //! times the end-to-end `InferenceSession::classify_batch` (f32 and
-//! int8) and the autotuner's three schedule families (strided GEMM, conv
-//! GEMM, int8 qgemm chunking) against the static defaults.
+//! int8).
 //!
 //! `--smoke` runs every workload end to end with a cut-down timing
 //! policy and **does not** rewrite `BENCH_kernels.json` — it is the CI
@@ -24,32 +23,13 @@ use leca_core::encoder::Modality;
 use leca_core::pipeline::LecaPipeline;
 use leca_core::session::{InferenceSession, Precision};
 use leca_nn::backbone::tiny_cnn;
-use leca_tensor::backend::{self, autotune, MR};
-use leca_tensor::{ops, parallel, Tensor};
+use leca_tensor::backend;
+use leca_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The backend columns of the published table, in emission order.
 const COLUMNS: [&str; 3] = ["scalar", "avx2", "fastmath"];
-
-/// `usize::MAX` blocking parameters mean "unbounded"; render them as a
-/// JSON string so the numbers stay readable.
-fn json_dim(v: usize) -> String {
-    if v == usize::MAX {
-        "\"max\"".to_string()
-    } else {
-        v.to_string()
-    }
-}
-
-fn json_blocking(b: autotune::GemmBlocking) -> String {
-    format!(
-        "{{\"mc\": {}, \"kc\": {}, \"nc\": {}}}",
-        json_dim(b.mc),
-        json_dim(b.kc),
-        json_dim(b.nc)
-    )
-}
 
 /// Median ns for one (workload, backend) cell out of the harness rows.
 fn cell(runs: &[KernelRun], workload: &str, backend: &str) -> Option<f64> {
@@ -132,123 +112,12 @@ fn main() {
         ));
     }
 
-    // ----- autotune families vs static, on the preferred bit-exact
-    // backend -----
-    let tune_backend = if avx2_available { "avx2" } else { "scalar" };
-    pin_backend(tune_backend);
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = Tensor::rand_uniform(&[64, 144], -1.0, 1.0, &mut rng);
-    let b = Tensor::rand_uniform(&[144, 4096], -1.0, 1.0, &mut rng);
-    let cx = Tensor::rand_uniform(&[8, 16, 32, 32], -1.0, 1.0, &mut rng);
-    let cw = Tensor::rand_uniform(&[16, 16, 3, 3], -1.0, 1.0, &mut rng);
-    let (qm, qk, qn) = (64usize, 144usize, 4096usize);
-    let qw: Vec<i8> = (0..qm * qk)
-        .map(|i| ((i % 251) as i32 - 125) as i8)
-        .collect();
-    let qscales = vec![0.01f32; qm];
-    let qa = ops::PackedQMat::pack(&qw, qm, qk, &qscales);
-    let qb: Vec<i8> = (0..qk * qn)
-        .map(|i| ((i % 239) as i32 - 119) as i8)
-        .collect();
-    let mut qacc = vec![0i32; qa.tiles() * MR * qn];
-
-    let static_gemm_ns = profiler
-        .time(20, || {
-            std::hint::black_box(a.matmul(&b).expect("matmul"));
-        })
-        .median_ns;
-    let static_conv_ns = profiler
-        .time(20, || {
-            std::hint::black_box(ops::conv2d(&cx, &cw, None, 1, 1).expect("conv"));
-        })
-        .median_ns;
-    let static_qgemm_ns = profiler
-        .time(20, || {
-            let op = ops::QOperand::Strided {
-                data: &qb,
-                rs: qn,
-                cs: 1,
-                zp: 3,
-            };
-            ops::qgemm(&qa, &op, qn, &mut qacc);
-            std::hint::black_box(&mut qacc);
-        })
-        .median_ns;
-    let static_blocking = autotune::blocking();
-
-    let profile = std::env::temp_dir().join(format!(
-        "leca-bench-autotune-{}.profile",
-        std::process::id()
-    ));
-    std::env::set_var("LECA_AUTOTUNE_PROFILE", &profile);
-    std::env::set_var("LECA_AUTOTUNE", "1");
-    autotune::refresh_blocking();
-    let tuned_gemm = autotune::blocking();
-    let tuned_conv = autotune::conv_blocking();
-    let tuned_qgemm_tiles = autotune::qgemm_mc_tiles();
-    let tuned_gemm_ns = profiler
-        .time(20, || {
-            std::hint::black_box(a.matmul(&b).expect("matmul"));
-        })
-        .median_ns;
-    let tuned_conv_ns = profiler
-        .time(20, || {
-            std::hint::black_box(ops::conv2d(&cx, &cw, None, 1, 1).expect("conv"));
-        })
-        .median_ns;
-    let tuned_qgemm_ns = profiler
-        .time(20, || {
-            let op = ops::QOperand::Strided {
-                data: &qb,
-                rs: qn,
-                cs: 1,
-                zp: 3,
-            };
-            ops::qgemm(&qa, &op, qn, &mut qacc);
-            std::hint::black_box(&mut qacc);
-        })
-        .median_ns;
-    std::env::remove_var("LECA_AUTOTUNE");
-    std::env::remove_var("LECA_AUTOTUNE_PROFILE");
-    autotune::refresh_blocking();
-    let _ = std::fs::remove_file(&profile);
-
-    println!(
-        "autotune[{tune_backend}] gemm:  static {static_gemm_ns:>12.1} ns  tuned {tuned_gemm_ns:>12.1} ns  x{:.3}  {}",
-        static_gemm_ns / tuned_gemm_ns,
-        json_blocking(tuned_gemm),
-    );
-    println!(
-        "autotune[{tune_backend}] conv:  static {static_conv_ns:>12.1} ns  tuned {tuned_conv_ns:>12.1} ns  x{:.3}  {}",
-        static_conv_ns / tuned_conv_ns,
-        json_blocking(tuned_conv),
-    );
-    println!(
-        "autotune[{tune_backend}] qgemm: static {static_qgemm_ns:>12.1} ns  tuned {tuned_qgemm_ns:>12.1} ns  x{:.3}  mc_tiles={tuned_qgemm_tiles}",
-        static_qgemm_ns / tuned_qgemm_ns,
-    );
-    let autotune_json = format!(
-        "{{\"backend\": \"{tune_backend}\", \"static_blocking\": {}, \"families\": {{\n      \
-         \"gemm\": {{\"static_ns\": {static_gemm_ns:.1}, \"autotuned_ns\": {tuned_gemm_ns:.1}, \
-         \"speedup\": {:.3}, \"autotuned_blocking\": {}}},\n      \
-         \"conv\": {{\"static_ns\": {static_conv_ns:.1}, \"autotuned_ns\": {tuned_conv_ns:.1}, \
-         \"speedup\": {:.3}, \"autotuned_blocking\": {}}},\n      \
-         \"qgemm\": {{\"static_ns\": {static_qgemm_ns:.1}, \"autotuned_ns\": {tuned_qgemm_ns:.1}, \
-         \"speedup\": {:.3}, \"autotuned_mc_tiles\": {tuned_qgemm_tiles}}}\n    }}}}",
-        json_blocking(static_blocking),
-        static_gemm_ns / tuned_gemm_ns,
-        json_blocking(tuned_gemm),
-        static_conv_ns / tuned_conv_ns,
-        json_blocking(tuned_conv),
-        static_qgemm_ns / tuned_qgemm_ns,
-    );
-
     // ----- end-to-end pooled inference: images/sec per backend -----
     let cfg = LecaConfig::new(2, 4, 3.0).expect("config");
     let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(0));
     let mut p = LecaPipeline::new(&cfg, Modality::Soft, bb, 7).expect("pipeline");
     let mut session = InferenceSession::for_pipeline(&mut p);
-    let batch = Tensor::rand_uniform(&[8, 3, 16, 16], 0.1, 0.9, &mut rng);
+    let batch = Tensor::rand_uniform(&[8, 3, 16, 16], 0.1, 0.9, &mut StdRng::seed_from_u64(7));
     let n_imgs = batch.shape()[0] as f64;
     let mut preds = Vec::new();
     session.warm_up(&[8, 3, 16, 16]).expect("warm-up");
@@ -313,7 +182,7 @@ fn main() {
     let json = format!(
         "{{\n  \"avx2_available\": {avx2_available},\n  \"fastmath_available\": {fastmath_available},\n  \
          \"threads\": 1,\n  \"backends\": [\n{}\n  ],\n  \
-         \"autotune\": {autotune_json},\n  \"kernels\": [\n{}\n  ],\n  \
+         \"kernels\": [\n{}\n  ],\n  \
          \"classify_batch\": {{\"shape\": [8, 3, 16, 16], \"scalar_imgs_per_sec\": {}, \
          \"avx2_imgs_per_sec\": {}, \"fastmath_imgs_per_sec\": {}, \"speedup\": {}, \
          \"fastmath_vs_avx2\": {}}},\n  \

@@ -6,10 +6,13 @@
 //! are no-ops, which is what makes "every request answered exactly once"
 //! easy to reason about.
 //!
-//! Slots are pooled: consuming a ticket returns its slot to a bounded
-//! free list once the service side has dropped its handle, so the warm
-//! request path performs no allocation (the alloc-regression test
-//! `tests/serve_alloc.rs` pins this down end to end).
+//! Slots are pooled: the pool starts full, consuming a ticket returns its
+//! slot to the bounded free list at once, and [`SlotPool::get`] hands out
+//! only slots the pool holds alone. A service-side handle that outlives
+//! the reply therefore delays reuse of its slot but never loses it, and
+//! the warm request path performs no allocation however the threads are
+//! scheduled (the alloc-regression test `tests/serve_alloc.rs` pins this
+//! down end to end).
 
 use crate::error::Reply;
 use std::time::Duration;
@@ -19,12 +22,8 @@ use std::time::Duration;
 // interleaving. Normal builds compile against std directly.
 #[cfg(loom)]
 use loom::sync::{Arc, Condvar, Mutex};
-#[cfg(loom)]
-use loom::thread::yield_now;
 #[cfg(not(loom))]
 use std::sync::{Arc, Condvar, Mutex};
-#[cfg(not(loom))]
-use std::thread::yield_now;
 
 /// A one-shot reply cell. First [`ReplySlot::set`] wins.
 #[derive(Debug, Default)]
@@ -94,26 +93,34 @@ pub struct SlotPool {
 }
 
 impl SlotPool {
-    /// A pool that retains at most `cap` idle slots.
+    /// A pool of `cap` idle slots, allocated up front so the warm path
+    /// finds a free one however the threads are scheduled. It never
+    /// retains more than `cap`.
     pub fn new(cap: usize) -> Self {
         SlotPool {
-            free: Mutex::new(Vec::with_capacity(cap)),
+            free: Mutex::new((0..cap).map(|_| Arc::default()).collect()),
             cap,
         }
     }
 
-    /// Pops a recycled slot or allocates a fresh one (cold path).
+    /// Takes a pooled slot that no one else holds, emptied of any reply a
+    /// late writer left in it, or allocates a fresh one when every pooled
+    /// slot is still shared (cold path).
     pub fn get(&self) -> Arc<ReplySlot> {
-        let popped = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        popped.unwrap_or_default()
+        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(i) = free.iter_mut().position(|s| Arc::get_mut(s).is_some()) else {
+            return Arc::default();
+        };
+        let slot = free.swap_remove(i);
+        drop(free);
+        slot.state.lock().unwrap_or_else(|e| e.into_inner()).take();
+        slot
     }
 
-    /// Returns `slot` to the free list when it is exclusively held and
-    /// the list has room; otherwise the slot is simply dropped.
+    /// Returns `slot` to the free list when the list has room; otherwise
+    /// the slot is simply dropped. The service side may still hold a
+    /// clone: [`SlotPool::get`] skips the slot until that clone is gone.
     pub fn recycle(&self, slot: Arc<ReplySlot>) {
-        if Arc::strong_count(&slot) != 1 {
-            return;
-        }
         let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
         if free.len() < self.cap {
             free.push(slot);
@@ -175,21 +182,9 @@ impl Ticket {
         }
     }
 
-    /// Recycles the slot once the service side has dropped its clone. The
-    /// service sets the reply *before* releasing its `Pending` (and with
-    /// it the slot Arc), so a bounded yield loop is enough to observe
-    /// exclusivity on the warm path; if the race is lost the slot is
-    /// dropped and a later `get` allocates a replacement.
+    /// Hands the slot back to the pool, whether or not the service side
+    /// has dropped its clone yet.
     fn finish(self) {
-        // Loom explores every interleaving, so a handful of yields covers
-        // the protocol; the larger bound is a real-scheduler grace period.
-        const SPINS: usize = if cfg!(loom) { 4 } else { 64 };
-        for _ in 0..SPINS {
-            if Arc::strong_count(&self.slot) == 1 {
-                break;
-            }
-            yield_now();
-        }
         let Ticket { slot, pool, .. } = self;
         pool.recycle(slot);
     }
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn ticket_waits_and_recycles() {
-        let pool = Arc::new(SlotPool::new(4));
+        let pool = Arc::new(SlotPool::new(1));
         let slot = pool.get();
         let t = Ticket::new(Arc::clone(&slot), Arc::clone(&pool), 7);
         slot.set(ok(3));
@@ -229,6 +224,28 @@ mod tests {
         assert_eq!(pool.idle(), 1);
         // The recycled slot is reusable for a fresh request.
         let again = pool.get();
+        assert!(!again.is_set());
+        assert_eq!(pool.idle(), 0);
+    }
+
+    #[test]
+    fn slot_outliving_the_reply_is_recycled_once_released() {
+        let pool = Arc::new(SlotPool::new(1));
+        let slot = pool.get();
+        let t = Ticket::new(Arc::clone(&slot), Arc::clone(&pool), 5);
+        slot.set(ok(2));
+        // The service side still holds its clone when the client consumes.
+        assert_eq!(t.wait(), ok(2));
+        assert!(slot.set(ok(8)), "a late write lands in the consumed slot");
+        let held = Arc::as_ptr(&slot);
+        // While the clone lives, the pooled slot is not handed out.
+        let other = pool.get();
+        assert!(!std::ptr::eq(Arc::as_ptr(&other), held));
+        drop(slot);
+        assert_eq!(pool.idle(), 1);
+        // Released, it comes back emptied of the late write.
+        let again = pool.get();
+        assert!(std::ptr::eq(Arc::as_ptr(&again), held));
         assert!(!again.is_set());
         assert_eq!(pool.idle(), 0);
     }
@@ -247,6 +264,7 @@ mod tests {
     #[test]
     fn pool_bounds_its_free_list() {
         let pool = SlotPool::new(1);
+        let _taken = pool.get(); // empty the prefilled list first
         let a = Arc::new(ReplySlot::default());
         let b = Arc::new(ReplySlot::default());
         pool.recycle(a);

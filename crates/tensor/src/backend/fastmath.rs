@@ -2,7 +2,7 @@
 //! `exp`, **not** bit-exact with the scalar oracle.
 //!
 //! This module backs [`super::FastMathBackend`], the opt-in relaxed
-//! tier (`LECA_FASTMATH=fma`). Three kinds of function live here:
+//! tier (`LECA_BACKEND=fastmath`). Three kinds of function live here:
 //!
 //! 1. **FMA specializations** — the GEMM [`microkernel`] and the
 //!    mul-add-shaped epilogues ([`axpy`], [`bn_affine`], [`dequant_i32`])

@@ -27,12 +27,8 @@
 //!
 //! [`FastMathBackend`] ([`KernelBackend::bit_exact`] = `false`) trades the
 //! bit-exactness contract for FMA contraction and a vectorized polynomial
-//! `exp`. It never wins auto-selection: it runs only when explicitly
-//! requested, either by name (`LECA_BACKEND=fastmath`) or via the
-//! dedicated opt-in knob (`LECA_FASTMATH=fma`, consulted only when
-//! `LECA_BACKEND` is unset or `auto` — an explicit backend request always
-//! wins, which is what keeps backend-pinning test suites meaningful on CI
-//! legs that export `LECA_FASTMATH`). Its outputs are held to
+//! `exp`. It never wins auto-selection: it runs only when requested by
+//! name (`LECA_BACKEND=fastmath`). Its outputs are held to
 //! relative-error bounds against the scalar oracle by tolerance-based
 //! parity tests instead of the bit-exact conformance battery, and the
 //! determinism goldens exclude it.
@@ -64,7 +60,6 @@
 //! (`crates/tensor/tests/backend_conformance.rs`) automatically exercises
 //! every registered backend against the scalar oracle.
 
-pub mod autotune;
 pub mod scalar;
 
 // Miri interprets portable Rust only — the AVX2 bodies are compiled out
@@ -160,10 +155,9 @@ fn fastmath_available() -> bool {
 }
 
 /// The host CPU feature set relevant to backend selection, as a stable
-/// string (`"avx2+fma"` / `"avx2"` / `"portable"`). Keyed into the
-/// autotune profile so a blocking tuned on one ISA level is never applied
-/// on another (and so copying a profile between machines invalidates it
-/// rather than silently mis-tuning).
+/// string (`"avx2+fma"` / `"avx2"` / `"portable"`). Run provenance: bench
+/// and benchmark reports record it next to the backend name, so a number
+/// can be traced to the ISA level it was measured on.
 pub fn cpu_features() -> &'static str {
     if fastmath_available() {
         "avx2+fma"
@@ -422,10 +416,9 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// backend, `LECA_BACKEND=avx2` (any registered name, including
 /// `fastmath`) to request one, and `auto`/unset to auto-detect; a request
 /// for an unavailable backend degrades to auto-detection rather than
-/// erroring, so the same invocation works on any host. When
-/// `LECA_BACKEND` is unset or `auto`, `LECA_FASTMATH=fma` opts into the
-/// relaxed-precision tier if the host supports it — an explicit backend
-/// name always wins over the fastmath knob.
+/// erroring, so the same invocation works on any host. The
+/// relaxed-precision tier runs only when requested as
+/// `LECA_BACKEND=fastmath`; auto-detection never picks it.
 ///
 /// # Semantics
 ///
@@ -471,46 +464,20 @@ fn auto_index() -> usize {
         .unwrap_or(0)
 }
 
-/// True when `LECA_FASTMATH=fma` opts into the relaxed-precision tier.
-/// `off`/`0` (and unset) decline; anything else is treated as off (the
-/// usual garbage-degrades-to-default contract).
-fn fastmath_requested() -> bool {
-    matches!(
-        runtime_env::choice("LECA_FASTMATH", &["fma", "off", "0"]),
-        Ok("fma")
-    )
-}
-
-/// Selection when no explicit backend name decides: `LECA_FASTMATH=fma`
-/// picks the fastmath tier if the host can dispatch it, otherwise plain
-/// bit-exact auto-detection.
-fn default_index() -> usize {
-    if fastmath_requested() {
-        let reg = registered();
-        if let Some(i) = reg
-            .iter()
-            .position(|be| be.name() == "fastmath" && dispatchable(*be))
-        {
-            return i;
-        }
-    }
-    auto_index()
-}
-
 fn select_index() -> usize {
     let request = runtime_env::raw("LECA_BACKEND")
         .ok()
         .map(|v| v.to_ascii_lowercase());
     match request.as_deref() {
         Some("scalar") | Some("off") | Some("0") => 0,
-        Some("auto") | None => default_index(),
+        Some("auto") | None => auto_index(),
         Some(name) => registered()
             .iter()
             .position(|be| be.name() == name && dispatchable(*be))
             // Requesting a backend the host lacks (or an unknown name)
             // degrades to auto-detection: bit-exact backends are
             // bit-identical, so this is a perf choice, not an error.
-            .unwrap_or_else(default_index),
+            .unwrap_or_else(auto_index),
     }
 }
 
@@ -888,36 +855,23 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// `LECA_BACKEND`/`LECA_FASTMATH` are process-global
-    /// state; serialize the tests that flip them.
+    /// `LECA_BACKEND` is process-global state; serialize the tests that
+    /// flip it.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-    fn with_selection_env<T>(
-        backend: Option<&str>,
-        fastmath: Option<&str>,
-        body: impl FnOnce() -> T,
-    ) -> T {
+    fn with_backend_env<T>(backend: Option<&str>, body: impl FnOnce() -> T) -> T {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old_backend = std::env::var("LECA_BACKEND").ok();
-        let old_fastmath = std::env::var("LECA_FASTMATH").ok();
-        let set = |key: &str, v: Option<&str>| match v {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
+        let old = std::env::var("LECA_BACKEND").ok();
+        let set = |v: Option<&str>| match v {
+            Some(v) => std::env::set_var("LECA_BACKEND", v),
+            None => std::env::remove_var("LECA_BACKEND"),
         };
-        set("LECA_BACKEND", backend);
-        set("LECA_FASTMATH", fastmath);
+        set(backend);
         refresh_backend();
         let out = body();
-        set("LECA_BACKEND", old_backend.as_deref());
-        set("LECA_FASTMATH", old_fastmath.as_deref());
+        set(old.as_deref());
         refresh_backend();
         out
-    }
-
-    fn with_backend_env<T>(backend: Option<&str>, body: impl FnOnce() -> T) -> T {
-        // Ambient `LECA_FASTMATH` (the fastmath CI legs) must not leak
-        // into selection tests that reason about the bit-exact tiers.
-        with_selection_env(backend, None, body)
     }
 
     fn auto_name() -> &'static str {
@@ -967,39 +921,14 @@ mod tests {
     }
 
     #[test]
-    fn fastmath_knob_opts_in_only_without_explicit_backend() {
-        // LECA_FASTMATH=fma with LECA_BACKEND unset or `auto` selects the
-        // relaxed tier (when the host can dispatch it)...
-        with_selection_env(None, Some("fma"), || {
-            assert_eq!(active().name(), fastmath_name_when_available());
-        });
-        with_selection_env(Some("auto"), Some("fma"), || {
-            assert_eq!(active().name(), fastmath_name_when_available());
-        });
-        // ...but an explicit backend name always wins — this is what lets
-        // backend-pinning suites stay meaningful on fastmath CI legs.
-        for pinned in ["scalar", "avx2"] {
-            with_selection_env(Some(pinned), Some("fma"), || {
-                assert!(active().bit_exact(), "explicit {pinned} must win");
-            });
-        }
-        // Off spellings and garbage decline the opt-in.
-        for v in ["off", "0", "definitely-not-a-mode"] {
-            with_selection_env(None, Some(v), || {
-                assert_eq!(active().name(), auto_name());
-            });
-        }
-    }
-
-    #[test]
     fn fastmath_by_name_and_never_by_auto() {
         // Requestable via LECA_BACKEND like any registered backend.
-        with_selection_env(Some("fastmath"), None, || {
+        with_backend_env(Some("fastmath"), || {
             assert_eq!(active().name(), fastmath_name_when_available());
         });
         // Auto-selection never picks a non-bit-exact backend, no matter
         // how capable the host is.
-        with_selection_env(None, None, || {
+        with_backend_env(None, || {
             assert!(active().bit_exact());
         });
         let reg = registered();

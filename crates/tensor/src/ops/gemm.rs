@@ -15,26 +15,18 @@
 //! * The microkernel keeps an `MR x NR` accumulator block in registers and
 //!   performs one rank-1 update per k step.
 //!
-//! The loop partitioning — rows per worker (`mc`), reduction steps per
-//! packed slab (`kc`), columns per packed pass (`nc`) — comes from
-//! [`GemmBlocking`]: the static default packs all of B once and walks the
-//! full reduction per tile (the historical behavior), while the opt-in
-//! autotuner ([`crate::backend::autotune`]) may select cache-fitting
-//! chunks per machine.
+//! The schedule is fixed: all of B is packed once, every tile walks the
+//! full reduction, and workers take [`MC`]-row chunks of the output.
 //!
 //! # Reduction order is load-bearing
 //!
 //! Each output element is accumulated in a **single chain over strictly
 //! increasing `k`** — there is no split-k reassociation and no `mul_add`
-//! (FMA rounds differently). When `kc` blocks the reduction, the partial
-//! accumulator tile is parked in `out` between chunks and reloaded (the
-//! microkernel loads and stores `acc`), so the per-element operation chain
-//! is *identical* to the unblocked walk. Threads only ever divide the
-//! output into disjoint row ranges. Consequently results are bit-exact
-//! across `LECA_THREADS` settings and across blocking-parameter changes,
-//! which is what the determinism test suite pins down.
+//! (FMA rounds differently). Threads only ever divide the output into
+//! disjoint row ranges. Consequently results are bit-exact across
+//! `LECA_THREADS` settings, which is what the determinism test suite pins
+//! down.
 
-use crate::backend::autotune::{self, GemmBlocking};
 use crate::backend::{self, MR, NR};
 use crate::parallel::par_rows_mut;
 use std::cell::RefCell;
@@ -108,14 +100,13 @@ pub(crate) enum Operand<'a> {
     Im2colT(Im2colView<'a>),
 }
 
-/// Packs columns `j0 .. j0+jn` and reduction rows `p0 .. p0+kk` of operand
-/// `b` (logical shape `k x n`) into `dst[p * NR + jj]`. Columns beyond
-/// `jn` stay zero (caller pre-zeroes).
-fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &mut [f32]) {
+/// Packs columns `j0 .. j0+jn` of operand `b` (logical shape `k x n`) into
+/// `dst[p * NR + jj]`. Columns beyond `jn` stay zero (caller pre-zeroes).
+fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
     match b {
         Operand::Strided { data, rs, cs } => {
-            for p in 0..kk {
-                let row = (p0 + p) * rs + j0 * cs;
+            for p in 0..k {
+                let row = p * rs + j0 * cs;
                 let d = &mut dst[p * NR..p * NR + jn];
                 if *cs == 1 {
                     d.copy_from_slice(&data[row..row + jn]);
@@ -127,9 +118,8 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
             }
         }
         Operand::Im2col(v) => {
-            // Rows iterate (ci, ky, kx) starting from reduction offset
-            // `p0`; the panel's columns are fixed output positions
-            // (img, oy, ox), precomputed once.
+            // Rows iterate (ci, ky, kx); the panel's columns are fixed
+            // output positions (img, oy, ox), precomputed once.
             let mut cols = [(0usize, 0usize, 0usize); NR];
             for (jj, slot) in cols.iter_mut().take(jn).enumerate() {
                 let col = j0 + jj;
@@ -137,10 +127,8 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
                 let rem = col % (v.oh * v.ow);
                 *slot = (img, (rem / v.ow) * v.stride, (rem % v.ow) * v.stride);
             }
-            let mut ci = p0 / (v.kh * v.kw);
-            let rem = p0 % (v.kh * v.kw);
-            let (mut ky, mut kx) = (rem / v.kw, rem % v.kw);
-            for p in 0..kk {
+            let (mut ci, mut ky, mut kx) = (0, 0, 0);
+            for p in 0..k {
                 let d = &mut dst[p * NR..p * NR + jn];
                 if v.pad == 0 {
                     // Padding branch hoisted: zero-pad geometry can never
@@ -167,18 +155,15 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
             }
         }
         Operand::Im2colT(v) => {
-            // Rows iterate output positions (img, oy, ox) starting from
-            // reduction offset `p0`; columns are fixed kernel taps
-            // (ci, ky, kx), precomputed once.
+            // Rows iterate output positions (img, oy, ox); columns are
+            // fixed kernel taps (ci, ky, kx), precomputed once.
             let mut taps = [(0usize, 0usize, 0usize); NR];
             for (jj, slot) in taps.iter_mut().take(jn).enumerate() {
                 let r = j0 + jj;
                 *slot = (r / (v.kh * v.kw), (r / v.kw) % v.kh, r % v.kw);
             }
-            let mut img = p0 / (v.oh * v.ow);
-            let rem = p0 % (v.oh * v.ow);
-            let (mut oy, mut ox) = (rem / v.ow, rem % v.ow);
-            for p in 0..kk {
+            let (mut img, mut oy, mut ox) = (0, 0, 0);
+            for p in 0..k {
                 let (ybase, xbase) = (oy * v.stride, ox * v.stride);
                 let d = &mut dst[p * NR..p * NR + jn];
                 if v.pad == 0 {
@@ -206,36 +191,26 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
     }
 }
 
-/// Packs rows `i0 .. i0+im`, reduction columns `p0 .. p0+kk`, of the
-/// strided A operand into `ap[p * MR + i]`, zero-filling the `im..MR`
+/// Packs rows `i0 .. i0+im`, all `k` reduction columns, of the strided A
+/// operand into `ap[p * MR + i]`, zero-filling the `im..MR`
 /// padding rows.
 ///
 /// The edge-tile padding branch is hoisted out of the per-element loop:
 /// each column is a `0..im` copy body plus an explicit `im..MR` zero-fill
 /// tail. With `rs == 1` (a transposed-A view, where rows are contiguous)
 /// the body collapses to a `copy_from_slice`.
-#[allow(clippy::too_many_arguments)] // flat (strides, tile bounds) signature keeps the driver loop allocation-free
-fn pack_a_tile(
-    data: &[f32],
-    rs: usize,
-    cs: usize,
-    i0: usize,
-    im: usize,
-    p0: usize,
-    kk: usize,
-    ap: &mut [f32],
-) {
+fn pack_a_tile(data: &[f32], rs: usize, cs: usize, i0: usize, im: usize, k: usize, ap: &mut [f32]) {
     if rs == 1 {
-        for p in 0..kk {
-            let src = i0 + (p0 + p) * cs;
+        for p in 0..k {
+            let src = i0 + p * cs;
             let d = &mut ap[p * MR..(p + 1) * MR];
             let (body, tail) = d.split_at_mut(im);
             body.copy_from_slice(&data[src..src + im]);
             tail.fill(0.0);
         }
     } else {
-        for p in 0..kk {
-            let col = (p0 + p) * cs;
+        for p in 0..k {
+            let col = p * cs;
             let d = &mut ap[p * MR..(p + 1) * MR];
             let (body, tail) = d.split_at_mut(im);
             for (i, v) in body.iter_mut().enumerate() {
@@ -246,10 +221,13 @@ fn pack_a_tile(
     }
 }
 
+/// Minimum rows of A (and of the output) per parallel worker chunk.
+const MC: usize = 32;
+
 /// `out = A · B` where `A` is the strided `(m, k)` view
 /// `a_data[i * a_rs + p * a_cs]` and `B` is any [`Operand`] of shape
 /// `(k, n)`. `out` must be an `m * n` row-major buffer (every element is
-/// overwritten).
+/// overwritten, with zeros when `k == 0`).
 #[allow(clippy::too_many_arguments)] // flat (dims, strides) signature keeps call sites allocation-free
 pub(crate) fn gemm(
     m: usize,
@@ -261,114 +239,11 @@ pub(crate) fn gemm(
     b: &Operand,
     out: &mut [f32],
 ) {
-    // The autotuner tunes the plain strided family and the fused-im2col
-    // (conv) family separately: their traversal cost models differ (the
-    // im2col packer re-gathers B per `kc` slab, so a conv-optimal `kc`
-    // can be pessimal for a plain matmul and vice versa).
-    let blk = match b {
-        Operand::Strided { .. } => autotune::blocking(),
-        Operand::Im2col(_) | Operand::Im2colT(_) => autotune::conv_blocking(),
-    };
-    gemm_with_blocking(m, n, k, a_data, a_rs, a_cs, b, out, blk);
-}
-
-/// Conv-shaped timing entry for the autotuner: one `(o, c·kh·kw) x
-/// (c·kh·kw, n·oh·ow)` multiply against a fused-im2col operand — the exact
-/// shape family `conv2d_into` runs — under an explicit blocking.
-#[allow(clippy::too_many_arguments)] // flat conv geometry mirrors conv2d_into
-pub(crate) fn gemm_im2col_with_blocking(
-    o: usize,
-    weight: &[f32],
-    x: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
-    let view = Im2colView {
-        data: x,
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    let kdim = c * kh * kw;
-    let cols = n * oh * ow;
-    gemm_with_blocking(
-        o,
-        cols,
-        kdim,
-        weight,
-        kdim,
-        1,
-        &Operand::Im2col(view),
-        out,
-        blk,
-    );
-}
-
-/// Row-major convenience wrapper over [`gemm_with_blocking`] for a plain
-/// `(m, k) x (k, n)` multiply — the autotuner's timing entry point.
-pub(crate) fn gemm_strided_with_blocking(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
-    let bop = Operand::Strided {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
-    gemm_with_blocking(m, n, k, a, k, 1, &bop, out, blk);
-}
-
-/// [`gemm`] under an explicit [`GemmBlocking`]. Blocking never changes
-/// numerics (see module docs), only the packing/traversal schedule.
-#[allow(clippy::too_many_arguments)] // flat (dims, strides) signature keeps call sites allocation-free
-fn gemm_with_blocking(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_data: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &Operand,
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
     assert_eq!(out.len(), m * n, "gemm output buffer mismatch");
     if m == 0 || n == 0 {
         return;
     }
-    // Normalize the blocking: `nc` to a whole number of NR panels, `kc`
-    // nonzero, `mc` nonzero. `usize::MAX` means unbounded (single chunk).
-    let nc = if blk.nc == usize::MAX {
-        usize::MAX
-    } else {
-        (blk.nc.max(NR) / NR) * NR
-    };
-    let kc = blk.kc.max(1);
-    let mc = blk.mc.max(1);
-    // At least one reduction chunk even when k == 0, so a degenerate GEMM
-    // still writes (zeros) every output element.
-    let kchunks = k.div_ceil(kc).max(1);
+    let npanels = n.div_ceil(NR);
 
     // The backend handle is hoisted here, once per gemm call, and threaded
     // into the microkernel loop (all registered backends are bit-identical
@@ -377,89 +252,64 @@ fn gemm_with_blocking(
 
     B_SCRATCH.with(|cell| {
         let mut packed_b = cell.borrow_mut();
-        let mut jc = 0usize;
-        while jc < n {
-            let ncb = nc.min(n - jc);
-            let npanels = ncb.div_ceil(NR);
-            for ci in 0..kchunks {
-                let pc = ci * kc;
-                let kcb = kc.min(k - pc);
-                // First reduction chunk overwrites `out`; later chunks
-                // reload the parked partials and continue the chain.
-                let first = ci == 0;
-
-                // Pack this (jc, pc) slab of B into the thread-local
-                // scratch: clear + resize-zero reproduces a fresh
-                // `vec![0.0; ..]` bit for bit (pack_b_panel relies on
-                // zeroed padding beyond edge panels) without reallocating
-                // once warm.
-                packed_b.clear();
-                packed_b.resize(npanels * kcb * NR, 0.0);
-                if kcb > 0 {
-                    par_rows_mut(&mut packed_b, npanels, kcb * NR, 1, |range, chunk| {
-                        for (local, jp) in range.enumerate() {
-                            let j0 = jc + jp * NR;
-                            pack_b_panel(
-                                b,
-                                j0,
-                                NR.min(jc + ncb - j0),
-                                pc,
-                                kcb,
-                                &mut chunk[local * kcb * NR..(local + 1) * kcb * NR],
-                            );
-                        }
-                    });
+        // Pack all of B into the thread-local scratch: clear + resize-zero
+        // reproduces a fresh `vec![0.0; ..]` bit for bit (pack_b_panel
+        // relies on zeroed padding beyond edge panels) without reallocating
+        // once warm.
+        packed_b.clear();
+        packed_b.resize(npanels * k * NR, 0.0);
+        if k > 0 {
+            par_rows_mut(&mut packed_b, npanels, k * NR, 1, |range, chunk| {
+                for (local, jp) in range.enumerate() {
+                    let j0 = jp * NR;
+                    pack_b_panel(
+                        b,
+                        j0,
+                        NR.min(n - j0),
+                        k,
+                        &mut chunk[local * k * NR..(local + 1) * k * NR],
+                    );
                 }
-
-                // Compute over disjoint output row ranges; each worker
-                // packs its own A tiles (per-thread scratch; pack_a_tile
-                // overwrites every element including the zero padding, so
-                // no re-zeroing is needed). Tile edges only change *which*
-                // worker computes an element, never its reduction order,
-                // so any split is bit-identical.
-                let packed_b = &*packed_b;
-                par_rows_mut(out, m, n, mc, |rows, chunk| {
-                    A_SCRATCH.with(|apc| {
-                        let mut ap = apc.borrow_mut();
-                        if ap.len() < kcb * MR {
-                            ap.resize(kcb * MR, 0.0);
-                        }
-                        let (r0, r1) = (rows.start, rows.end);
-                        let mut i0 = r0;
-                        while i0 < r1 {
-                            let im = MR.min(r1 - i0);
-                            pack_a_tile(a_data, a_rs, a_cs, i0, im, pc, kcb, &mut ap);
-                            for jp in 0..npanels {
-                                let j0 = jc + jp * NR;
-                                let jn = NR.min(jc + ncb - j0);
-                                let mut acc = [[0.0f32; NR]; MR];
-                                if !first {
-                                    // Resume the per-element accumulation
-                                    // chains parked in `out` by the
-                                    // previous reduction chunk.
-                                    for (i, arow) in acc.iter_mut().enumerate().take(im) {
-                                        let row = (i0 - r0 + i) * n + j0;
-                                        arow[..jn].copy_from_slice(&chunk[row..row + jn]);
-                                    }
-                                }
-                                backend::microkernel_with(
-                                    be,
-                                    kcb,
-                                    &ap,
-                                    &packed_b[jp * kcb * NR..(jp + 1) * kcb * NR],
-                                    &mut acc,
-                                );
-                                for (i, arow) in acc.iter().enumerate().take(im) {
-                                    let row = (i0 - r0 + i) * n + j0;
-                                    chunk[row..row + jn].copy_from_slice(&arow[..jn]);
-                                }
-                            }
-                            i0 += im;
-                        }
-                    });
-                });
-            }
-            jc = jc.saturating_add(ncb.max(1));
+            });
         }
+
+        // Compute over disjoint output row ranges; each worker packs its
+        // own A tiles (per-thread scratch; pack_a_tile overwrites every
+        // element including the zero padding, so no re-zeroing is needed).
+        // Tile edges only change *which* worker computes an element, never
+        // its reduction order, so any split is bit-identical. With `k == 0`
+        // the microkernel runs no steps and the zeroed `acc` is stored.
+        let packed_b = &*packed_b;
+        par_rows_mut(out, m, n, MC, |rows, chunk| {
+            A_SCRATCH.with(|apc| {
+                let mut ap = apc.borrow_mut();
+                if ap.len() < k * MR {
+                    ap.resize(k * MR, 0.0);
+                }
+                let (r0, r1) = (rows.start, rows.end);
+                let mut i0 = r0;
+                while i0 < r1 {
+                    let im = MR.min(r1 - i0);
+                    pack_a_tile(a_data, a_rs, a_cs, i0, im, k, &mut ap);
+                    for jp in 0..npanels {
+                        let j0 = jp * NR;
+                        let jn = NR.min(n - j0);
+                        let mut acc = [[0.0f32; NR]; MR];
+                        backend::microkernel_with(
+                            be,
+                            k,
+                            &ap,
+                            &packed_b[jp * k * NR..(jp + 1) * k * NR],
+                            &mut acc,
+                        );
+                        for (i, arow) in acc.iter().enumerate().take(im) {
+                            let row = (i0 - r0 + i) * n + j0;
+                            chunk[row..row + jn].copy_from_slice(&arow[..jn]);
+                        }
+                    }
+                    i0 += im;
+                }
+            });
+        });
     });
 }

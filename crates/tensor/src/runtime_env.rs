@@ -1,7 +1,7 @@
 //! Unified parsing for the `LECA_*` runtime environment variables.
 //!
 //! Every knob the workspace reads from the environment (`LECA_BACKEND`,
-//! `LECA_THREADS`, `LECA_AUTOTUNE`, the `LECA_SERVE_*` family) used to
+//! `LECA_THREADS`, `LECA_FAST`, the `LECA_SERVE_*` family) used to
 //! hand-roll its own `std::env::var` + parse + filter chain, each with
 //! subtly different error behavior. This module is the single parsing
 //! layer: typed errors say *which* variable was bad and what was expected,
@@ -103,7 +103,7 @@ pub fn choice(
         })
 }
 
-/// `key` parsed as an on/off flag (`LECA_AUTOTUNE=1`).
+/// `key` parsed as an on/off flag (`LECA_FAST=1`).
 ///
 /// `1`/`true`/`on`/`yes` are true; `0`/`false`/`off`/`no` are false
 /// (case-insensitive).

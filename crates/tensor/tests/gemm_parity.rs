@@ -8,7 +8,7 @@
 //! 1e-4 relative error.
 
 use leca_tensor::ops::reference::matmul_naive;
-use leca_tensor::ops::{matmul, matmul_at, matmul_bt};
+use leca_tensor::ops::{matmul, matmul_at, matmul_bt, matmul_into};
 use leca_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -122,13 +122,21 @@ proptest! {
 }
 
 /// Exhaustive sweep over every combination of the edge dimensions for the
-/// plain variant — cheap (dims <= 29) and deterministic.
+/// plain variant — cheap (dims <= 29) and deterministic. Each `(m, n)`
+/// pair also runs the empty reduction `(m, 0) · (0, n)`, which must
+/// overwrite a NaN-poisoned output with `+0.0` everywhere.
 #[test]
 fn edge_dim_cross_product() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     for &m in EDGE_DIMS {
         for &n in EDGE_DIMS {
+            let mut out = Tensor::full(&[m, n], f32::NAN);
+            matmul_into(&Tensor::zeros(&[m, 0]), &Tensor::zeros(&[0, n]), &mut out).unwrap();
+            assert!(
+                out.as_slice().iter().all(|v| v.to_bits() == 0),
+                "m={m} n={n} k=0: output not all +0.0"
+            );
             for &k in EDGE_DIMS {
                 let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
                 let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);

@@ -2,18 +2,21 @@
 //!
 //! Two guarantees are pinned here:
 //!
-//! 1. **Thread-count invariance** — the blocked GEMM accumulates every
-//!    output element in a single in-order chain over `k` and threads only
-//!    split output tiles, so pipeline losses are bit-identical under
-//!    `LECA_THREADS=1` and `LECA_THREADS=8`.
+//! 1. **Thread-count invariance** — the blocked GEMM runs one fixed
+//!    schedule: it accumulates every output element in a single in-order
+//!    chain over `k` and threads only split output tiles, so pipeline
+//!    losses are bit-identical under `LECA_THREADS=1` and
+//!    `LECA_THREADS=8`.
 //! 2. **Golden values** — the Noisy-modality training losses and the
 //!    fault-plan (Faulty) results below were captured on the *pre-rewrite*
 //!    naive kernels. The rewrite must keep reproducing them bit-for-bit;
-//!    any change to reduction order (split-k, `mul_add`, reordered
-//!    blocking) trips these constants.
+//!    any change to reduction order (split-k, `mul_add`, a reduction
+//!    split across packed slabs) trips these constants.
 //!
-//! The tests mutate the process-global `LECA_THREADS` via the
-//! `parallel::refresh_num_threads` hook, so they serialize on a mutex.
+//! The golden tests pin `LECA_BACKEND` to each bit-exact backend in
+//! turn, so an ambient `LECA_BACKEND=fastmath` never reaches the goldens.
+//! The tests mutate the process-global `LECA_THREADS` and `LECA_BACKEND` via
+//! the `refresh_*` hooks, so they serialize on a mutex.
 
 use leca::circuit::fault::FaultPlan;
 use leca::core::config::LecaConfig;
