@@ -346,8 +346,8 @@ impl<'a> Engine<'a> {
             rules::ISA_CONFINEMENT,
             format!(
                 "`{tok}` outside `{ISA_ALLOWED_PREFIX}` — ISA-specific code lives \
-                 behind the `KernelBackend` trait; dispatch through \
-                 `leca_tensor::backend` instead of naming an ISA here"
+                 in `leca_tensor::backend`; call its kernels instead of \
+                 naming an ISA here"
             ),
         );
     }
@@ -549,7 +549,7 @@ impl<'a> Engine<'a> {
             format!(
                 "iterator float reduction `{pat}` outside the sanctioned reduction \
                  ops — accumulation order defines the numeric contract; call \
-                 `ops::reduce` (or move the kernel behind the backend trait)"
+                 `ops::reduce` (or move the kernel into `leca_tensor::backend`)"
             ),
         );
     }

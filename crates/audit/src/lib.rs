@@ -149,9 +149,8 @@ pub const NONDET_ALLOWLIST_PREFIXES: &[&str] = &["crates/bench/", "shims/"];
 /// The one directory allowed to name an ISA: intrinsics
 /// (`core::arch`/`std::arch`), `#[target_feature]` attributes and CPUID
 /// probes (`is_x86_feature_detected!`) live exclusively under the backend
-/// layer. Everything above it dispatches through the `KernelBackend`
-/// trait, so porting to a new ISA (or GPU tier) touches exactly one
-/// directory.
+/// layer. Everything above it calls the kernels of `leca_tensor::backend`,
+/// so porting to a new ISA touches exactly one directory.
 pub const ISA_ALLOWED_PREFIX: &str = "crates/tensor/src/backend/";
 
 /// Crate-level lint headers the workspace promises. The audit fails when a

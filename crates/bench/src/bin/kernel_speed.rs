@@ -1,4 +1,4 @@
-//! Kernel speed table across registered backends, emitted as
+//! Kernel speed table across every backend, emitted as
 //! `BENCH_kernels.json` at the repo root.
 //!
 //! Built on the structured harness (`leca_bench::{workload, profiler,
@@ -23,13 +23,10 @@ use leca_core::encoder::Modality;
 use leca_core::pipeline::LecaPipeline;
 use leca_core::session::{InferenceSession, Precision};
 use leca_nn::backbone::tiny_cnn;
-use leca_tensor::backend;
+use leca_tensor::backend::Backend;
 use leca_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The backend columns of the published table, in emission order.
-const COLUMNS: [&str; 3] = ["scalar", "avx2", "fastmath"];
 
 /// Median ns for one (workload, backend) cell out of the harness rows.
 fn cell(runs: &[KernelRun], workload: &str, backend: &str) -> Option<f64> {
@@ -56,11 +53,11 @@ fn main() {
 
     std::env::set_var("LECA_THREADS", "1");
     parallel::refresh_num_threads();
-    let avx2_available = leca_bench::harness::backend_dispatchable("avx2");
-    let fastmath_available = leca_bench::harness::backend_dispatchable("fastmath");
+    let avx2_available = Backend::Avx2.available();
+    let fastmath_available = Backend::FastMath.available();
 
     // ----- named kernel workloads across all backend columns -----
-    let harness = Harness::new(profiler, &COLUMNS);
+    let harness = Harness::new(profiler, &Backend::ALL.map(Backend::name));
     let mut workloads = standard_kernels(7);
     let runs = harness.run_all(&mut workloads);
 
@@ -94,16 +91,16 @@ fn main() {
 
     // ----- per-backend availability section -----
     let mut backend_rows = Vec::new();
-    for be in backend::registered() {
+    for be in Backend::ALL {
         let name = be.name();
-        let dispatchable = backend::dispatchable(*be);
-        let matmul_ns = if dispatchable {
+        let available = be.available();
+        let matmul_ns = if available {
             cell(&runs, "matmul_64x144x4096", name)
         } else {
             None
         };
         backend_rows.push(format!(
-            "    {{\"backend\": \"{name}\", \"dispatchable\": {dispatchable}, \
+            "    {{\"backend\": \"{name}\", \"dispatchable\": {available}, \
              \"bit_exact\": {}, \"matmul_ns\": {}}}",
             be.bit_exact(),
             matmul_ns
@@ -122,11 +119,11 @@ fn main() {
     let mut preds = Vec::new();
     session.warm_up(&[8, 3, 16, 16]).expect("warm-up");
 
-    let classify_on = |session: &mut InferenceSession, name: &str, precision: Precision| {
-        if !leca_bench::harness::backend_dispatchable(name) {
+    let classify_on = |session: &mut InferenceSession, be: Backend, precision: Precision| {
+        if !be.available() {
             return None;
         }
-        pin_backend(name);
+        pin_backend(be.name());
         let mut preds = Vec::new();
         let stats = profiler.time(30, || {
             session
@@ -137,14 +134,15 @@ fn main() {
     };
 
     let mut f32_ips = Vec::new();
-    for name in COLUMNS {
-        let stats = classify_on(&mut session, name, Precision::F32);
+    for be in Backend::ALL {
+        let name = be.name();
+        let stats = classify_on(&mut session, be, Precision::F32);
         let ips = stats.map(|s| n_imgs * 1e9 / s.median_ns);
         f32_ips.push(ips);
         if let Some(ips) = ips {
             println!("classify_batch 8x3x16x16 [{name:<8}] {ips:>9.0} imgs/s");
         } else {
-            println!("classify_batch 8x3x16x16 [{name:<8}] not dispatchable");
+            println!("classify_batch 8x3x16x16 [{name:<8}] not available");
         }
     }
 
@@ -159,14 +157,15 @@ fn main() {
             .expect("int8 warm");
     }
     let mut int8_ips = Vec::new();
-    for name in COLUMNS {
-        let stats = classify_on(&mut session, name, Precision::Int8);
+    for be in Backend::ALL {
+        let name = be.name();
+        let stats = classify_on(&mut session, be, Precision::Int8);
         let ips = stats.map(|s| n_imgs * 1e9 / s.median_ns);
         int8_ips.push(ips);
         if let Some(ips) = ips {
             println!("classify_batch_int8 8x3x16x16 [{name:<8}] {ips:>9.0} imgs/s");
         } else {
-            println!("classify_batch_int8 8x3x16x16 [{name:<8}] not dispatchable");
+            println!("classify_batch_int8 8x3x16x16 [{name:<8}] not available");
         }
     }
     unpin_backend();

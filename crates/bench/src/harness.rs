@@ -3,13 +3,13 @@
 //! Runs each [`Workload`] under every requested backend by pinning
 //! `LECA_BACKEND` and refreshing the cached dispatch between runs (the
 //! same in-process hook the parity suites use). A backend that is not
-//! dispatchable on this machine yields a row with no stats rather than
+//! available on this machine yields a row with no stats rather than
 //! being silently skipped, so the emitted JSON says *why* a column is
 //! empty.
 
 use crate::profiler::{Profiler, Stats};
 use crate::workload::Workload;
-use leca_tensor::backend;
+use leca_tensor::backend::{self, Backend};
 
 /// One (workload, backend) measurement.
 #[derive(Debug, Clone, Copy)]
@@ -18,7 +18,7 @@ pub struct KernelRun {
     pub workload: &'static str,
     /// Backend the row ran under.
     pub backend: &'static str,
-    /// `None` when the backend is not dispatchable on this machine.
+    /// `None` when the backend is not available on this machine.
     pub stats: Option<Stats>,
 }
 
@@ -32,13 +32,6 @@ pub fn pin_backend(name: &str) {
 pub fn unpin_backend() {
     std::env::remove_var("LECA_BACKEND");
     backend::refresh_backend();
-}
-
-/// True when the named backend is registered and dispatchable here.
-pub fn backend_dispatchable(name: &str) -> bool {
-    backend::registered()
-        .iter()
-        .any(|be| be.name() == name && backend::dispatchable(*be))
 }
 
 /// A measurement plan: one timing policy, one ordered backend list.
@@ -66,7 +59,10 @@ impl Harness {
             .backends
             .iter()
             .map(|&name| {
-                let stats = if backend_dispatchable(name) {
+                let available = Backend::ALL
+                    .iter()
+                    .any(|be| be.name() == name && be.available());
+                let stats = if available {
                     pin_backend(name);
                     Some(self.profiler.time(wl.iters, || wl.step()))
                 } else {
@@ -104,7 +100,7 @@ mod tests {
     use crate::profiler::Profiler;
 
     #[test]
-    fn scalar_is_always_dispatchable_and_rows_are_complete() {
+    fn scalar_is_always_available_and_rows_are_complete() {
         // Scalar-only plan: no env mutation races with other tests in
         // this crate (pin/unpin of a backend that always exists).
         let h = Harness::new(

@@ -13,12 +13,14 @@
 //!
 //! All functions are safe `#[target_feature(enable = "avx2")]` functions:
 //! calling one from a context that does not enable AVX2 is `unsafe`, and
-//! the dispatcher in the parent module is the sole such caller — it checks
-//! `is_x86_feature_detected!("avx2")` once per process. Within the bodies,
-//! `unsafe` is confined to the raw-pointer load/store intrinsics; each
-//! site carries a `// SAFETY:` bound argument (main loops stop at
-//! `len - len % LANES` and tails re-enter safe scalar code), backed by
-//! `debug_assert!` contracts at function entry.
+//! the `Backend` methods in the parent module are the sole such callers —
+//! each checks `is_x86_feature_detected!("avx2")` on every call (std
+//! caches the CPUID result) and asserts the kernel's slice-length
+//! preconditions first. Within the bodies, `unsafe` is confined to the
+//! raw-pointer load/store intrinsics; each site carries a `// SAFETY:`
+//! bound argument (main loops stop at `len - len % LANES` and tails
+//! re-enter safe scalar code), backed by `debug_assert!` contracts at
+//! function entry that restate the caller's release-mode asserts.
 
 use super::scalar;
 use super::{MR, NR};
@@ -78,7 +80,7 @@ pub fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) 
         // (in bounds: `bp.len() >= k * NR`) and the A reads cover
         // `ap[p*MR .. p*MR + MR]` (in bounds: `ap.len() >= k * MR`), both
         // checked by the `debug_assert!`s above and asserted again by the
-        // `microkernel_with` wrapper in release builds.
+        // `Backend::microkernel` method in release builds.
         unsafe {
             let bv = _mm256_loadu_ps(b.add(p * NR));
             let ac = a.add(p * MR);

@@ -1,7 +1,7 @@
 //! Fast-math bodies: FMA-contracted kernels and a vectorized polynomial
 //! `exp`, **not** bit-exact with the scalar oracle.
 //!
-//! This module backs [`super::FastMathBackend`], the opt-in relaxed
+//! This module backs [`super::Backend::FastMath`], the opt-in relaxed
 //! tier (`LECA_BACKEND=fastmath`). Three kinds of function live here:
 //!
 //! 1. **FMA specializations** — the GEMM [`microkernel`] and the
@@ -29,8 +29,9 @@
 //! # Safety
 //!
 //! All functions are safe `#[target_feature(enable = "avx2,fma")]`
-//! functions; the dispatcher in the parent module is the sole unsafe
-//! caller and checks `fastmath_available()` (AVX2 **and** FMA) first.
+//! functions; the `Backend` methods in the parent module are the sole
+//! unsafe callers and check `fastmath_available()` (AVX2 **and** FMA) on
+//! every call, after asserting the kernel's preconditions.
 //! Within the bodies, `unsafe` is confined to raw-pointer load/store
 //! intrinsics with the same bound discipline as the `avx2` module.
 
@@ -116,7 +117,7 @@ pub fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) 
         // (in bounds: `bp.len() >= k * NR`) and the A reads cover
         // `ap[p*MR .. p*MR + MR]` (in bounds: `ap.len() >= k * MR`), both
         // checked by the `debug_assert!`s above and asserted again by the
-        // `microkernel_with` wrapper in release builds.
+        // `Backend::microkernel` method in release builds.
         unsafe {
             let bv = _mm256_loadu_ps(b.add(p * NR));
             let ac = a.add(p * MR);

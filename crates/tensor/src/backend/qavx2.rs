@@ -23,7 +23,8 @@
 //!
 //! Same contract as `avx2.rs`: all functions are safe
 //! `#[target_feature(enable = "avx2")]` functions reached only through the
-//! parent module's dispatcher after `is_x86_feature_detected!("avx2")`;
+//! parent module's `Backend` methods, after the per-call
+//! `is_x86_feature_detected!("avx2")` guard and the precondition asserts;
 //! `unsafe` is confined to raw-pointer load/store intrinsics with per-site
 //! `// SAFETY:` bound arguments, backed by `debug_assert!` contracts at
 //! function entry.
@@ -67,7 +68,7 @@ pub fn qmicrokernel(kp2: usize, ap: &[i16], bp: &[i16], acc: &mut [[i32; NR]; MR
         // and each A pair read covers `ap[p2*MR*2 + i*2 ..+2]` for
         // `i < MR` (in bounds: `ap.len() >= kp2*MR*2`), both checked by
         // the `debug_assert!`s above and asserted again in release builds
-        // by the `qmicrokernel_with` wrapper. The pair reads go through
+        // by the `Backend::qmicrokernel` method. The pair reads go through
         // `read_unaligned` because packed i16 buffers carry no 4-byte
         // alignment guarantee.
         unsafe {

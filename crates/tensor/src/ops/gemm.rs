@@ -245,9 +245,9 @@ pub(crate) fn gemm(
     }
     let npanels = n.div_ceil(NR);
 
-    // The backend handle is hoisted here, once per gemm call, and threaded
-    // into the microkernel loop (all registered backends are bit-identical
-    // — see `crate::backend`).
+    // The backend is read here, once per gemm call, and its microkernel
+    // called in the tile loop (all bit-exact backends are bit-identical —
+    // see `crate::backend`).
     let be = backend::active();
 
     B_SCRATCH.with(|cell| {
@@ -295,13 +295,7 @@ pub(crate) fn gemm(
                         let j0 = jp * NR;
                         let jn = NR.min(n - j0);
                         let mut acc = [[0.0f32; NR]; MR];
-                        backend::microkernel_with(
-                            be,
-                            k,
-                            &ap,
-                            &packed_b[jp * k * NR..(jp + 1) * k * NR],
-                            &mut acc,
-                        );
+                        be.microkernel(k, &ap, &packed_b[jp * k * NR..(jp + 1) * k * NR], &mut acc);
                         for (i, arow) in acc.iter().enumerate().take(im) {
                             let row = (i0 - r0 + i) * n + j0;
                             chunk[row..row + jn].copy_from_slice(&arow[..jn]);

@@ -8,7 +8,7 @@
 //!   [`MR`]-row aligned, so the output accumulator is sized in whole tiles
 //!   (`tiles * MR * n`; rows past the logical `m` are scratch).
 //! * Operands are **zero-point-corrected i16 pairs** along the reduction
-//!   axis (layouts documented on [`backend::qmicrokernel_with`]); padding —
+//!   axis (layouts documented on [`backend::qmicrokernel`]); padding —
 //!   both the odd-`k` pair tail and conv's spatial padding — packs as `0`,
 //!   which *is* the corrected representation of the real value zero, so no
 //!   correction terms are needed anywhere.
@@ -452,8 +452,7 @@ pub fn qgemm(a: &PackedQMat, b: &QOperand, n: usize, acc: &mut [i32]) {
                     let j0 = jp * NR;
                     let jn = NR.min(n - j0);
                     let mut tile_acc = [[0i32; NR]; MR];
-                    backend::qmicrokernel_with(
-                        be,
+                    be.qmicrokernel(
                         kp2,
                         ap,
                         &packed_b[jp * kp2 * NR * 2..(jp + 1) * kp2 * NR * 2],

@@ -1,22 +1,21 @@
-//! Registry-driven backend conformance suite.
+//! Backend conformance suite.
 //!
-//! The suite walks [`backend::registered`] and exercises **every
-//! dispatchable backend's trait surface directly** (no env pinning needed
-//! — trait method calls bypass the process-wide selection). Backends that promise
+//! The suite walks [`Backend::ALL`] and exercises **every available
+//! backend's kernel methods directly** (no env pinning needed — method
+//! calls bypass the process-wide selection). Backends that promise
 //! `bit_exact()` are held to bitwise equality against the [`scalar`]
 //! reference definitions on NaN-poisoned inputs whose lengths straddle
 //! the vector width; relaxed-precision tiers (fastmath) run the same
 //! kernel surface under relative-error bounds plus NaN-position
-//! agreement. A backend added to the registry tomorrow is
-//! conformance-checked here with zero new test code.
+//! agreement.
 //!
-//! The suite also locks down a registry-adjacent contract: `_into` twins
+//! The suite also locks down a selection-adjacent contract: `_into` twins
 //! produce bit-identical results to their allocating counterparts under
 //! every selectable backend (env-pinned, serialized), and the dispatched
 //! GEMM, softmax and pools of every bit-exact backend match the scalar
 //! backend's end to end.
 
-use leca_tensor::backend::{self, scalar, KernelBackend, MR, NR};
+use leca_tensor::backend::{self, scalar, Backend, MR, NR};
 use leca_tensor::ops::{
     avg_pool2d, avg_pool2d_into, matmul, matmul_into, max_pool2d, max_pool2d_into, softmax_rows,
     softmax_rows_into,
@@ -31,35 +30,24 @@ use std::sync::Mutex;
 /// the cached backend selection).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Every registered backend that can serve the full CPU kernel surface on
-/// this host. Always contains at least scalar; contains avx2 (and
-/// fastmath) exactly when the host supports them.
-fn dispatchable_backends() -> Vec<&'static dyn KernelBackend> {
-    backend::registered()
-        .iter()
-        .copied()
-        .filter(|be| backend::dispatchable(*be))
-        .collect()
+/// Every backend that can run its own bodies on this host. Always
+/// contains scalar; contains avx2 (and fastmath) exactly when the host
+/// supports them.
+fn available_backends() -> impl Iterator<Item = Backend> {
+    Backend::ALL.into_iter().filter(|be| be.available())
 }
 
-/// The dispatchable backends bound by the **bit-exact** contract — the
+/// The available backends bound by the **bit-exact** contract — the
 /// population for the bitwise batteries below. Non-bit-exact tiers
 /// (fastmath) are excluded here and covered by the tolerance section.
-fn bit_exact_backends() -> Vec<&'static dyn KernelBackend> {
-    dispatchable_backends()
-        .into_iter()
-        .filter(|be| be.bit_exact())
-        .collect()
+fn bit_exact_backends() -> impl Iterator<Item = Backend> {
+    available_backends().filter(|be| be.bit_exact())
 }
 
-/// The dispatchable relaxed-precision backends (fastmath when the host
-/// has AVX2+FMA), held to relative-error bounds instead of bitwise
-/// equality.
-fn tolerance_backends() -> Vec<&'static dyn KernelBackend> {
-    dispatchable_backends()
-        .into_iter()
-        .filter(|be| !be.bit_exact())
-        .collect()
+/// The available relaxed-precision backends (fastmath when the host has
+/// AVX2+FMA), held to relative-error bounds instead of bitwise equality.
+fn tolerance_backends() -> impl Iterator<Item = Backend> {
+    available_backends().filter(|be| !be.bit_exact())
 }
 
 /// Lengths below, at and straddling the 8-lane AVX2 width, plus empty and
@@ -94,18 +82,18 @@ fn assert_bits(ctx: &str, got: &[f32], want: &[f32]) {
 }
 
 #[test]
-fn registry_always_offers_scalar_and_auto_choice_is_dispatchable() {
-    let backends = dispatchable_backends();
+fn scalar_is_always_available_and_the_active_choice_is_available() {
     assert!(
-        backends.iter().any(|be| be.name() == "scalar"),
-        "scalar must always be dispatchable"
+        available_backends().any(|be| be == Backend::Scalar),
+        "scalar must always be available"
     );
-    // The active selection (whatever the ambient env says) must be one of
-    // the dispatchable entries — auto-selection may never pick a stub.
-    let active = backend::active().name();
+    // The active selection (whatever the ambient env says) must be
+    // available — selection may never pick a backend the host lacks.
+    let active = backend::active();
     assert!(
-        backends.iter().any(|be| be.name() == active),
-        "active backend {active} is not dispatchable"
+        active.available(),
+        "active backend {} is not available",
+        active.name()
     );
 }
 
@@ -124,99 +112,99 @@ fn elementwise_kernels_conform_on_every_backend() {
 
             let ctx = |k: &str| format!("{name}/{k}/len={len}");
 
-            be.add(&a, &b, &mut got).unwrap();
+            be.add(&a, &b, &mut got);
             scalar::add(&a, &b, &mut want);
             assert_bits(&ctx("add"), &got, &want);
 
-            be.sub(&a, &b, &mut got).unwrap();
+            be.sub(&a, &b, &mut got);
             scalar::sub(&a, &b, &mut want);
             assert_bits(&ctx("sub"), &got, &want);
 
-            be.mul(&a, &b, &mut got).unwrap();
+            be.mul(&a, &b, &mut got);
             scalar::mul(&a, &b, &mut want);
             assert_bits(&ctx("mul"), &got, &want);
 
             got.copy_from_slice(&b);
             want.copy_from_slice(&b);
-            be.add_assign(&mut got, &a).unwrap();
+            be.add_assign(&mut got, &a);
             scalar::add_assign(&mut want, &a);
             assert_bits(&ctx("add_assign"), &got, &want);
 
             got.copy_from_slice(&b);
             want.copy_from_slice(&b);
-            be.axpy(&mut got, &a, 0.37).unwrap();
+            be.axpy(&mut got, &a, 0.37);
             scalar::axpy(&mut want, &a, 0.37);
             assert_bits(&ctx("axpy"), &got, &want);
 
-            be.scale(&a, -1.25, &mut got).unwrap();
+            be.scale(&a, -1.25, &mut got);
             scalar::scale(&a, -1.25, &mut want);
             assert_bits(&ctx("scale"), &got, &want);
 
             got.copy_from_slice(&a);
             want.copy_from_slice(&a);
-            be.scale_inplace(&mut got, 0.93).unwrap();
+            be.scale_inplace(&mut got, 0.93);
             scalar::scale_inplace(&mut want, 0.93);
             assert_bits(&ctx("scale_inplace"), &got, &want);
 
-            be.add_scalar(&a, -2.5, &mut got).unwrap();
+            be.add_scalar(&a, -2.5, &mut got);
             scalar::add_scalar(&a, -2.5, &mut want);
             assert_bits(&ctx("add_scalar"), &got, &want);
 
             got.copy_from_slice(&a);
             want.copy_from_slice(&a);
-            be.add_scalar_inplace(&mut got, 1.75).unwrap();
+            be.add_scalar_inplace(&mut got, 1.75);
             scalar::add_scalar_inplace(&mut want, 1.75);
             assert_bits(&ctx("add_scalar_inplace"), &got, &want);
 
-            be.clamp(&a, -1.0, 2.0, &mut got).unwrap();
+            be.clamp(&a, -1.0, 2.0, &mut got);
             scalar::clamp(&a, -1.0, 2.0, &mut want);
             assert_bits(&ctx("clamp"), &got, &want);
 
-            be.relu(&a, &mut got).unwrap();
+            be.relu(&a, &mut got);
             scalar::relu(&a, &mut want);
             assert_bits(&ctx("relu"), &got, &want);
 
             got.copy_from_slice(&a);
             want.copy_from_slice(&a);
-            be.relu_inplace(&mut got).unwrap();
+            be.relu_inplace(&mut got);
             scalar::relu_inplace(&mut want);
             assert_bits(&ctx("relu_inplace"), &got, &want);
 
-            be.leaky_relu(&a, 0.01, &mut got).unwrap();
+            be.leaky_relu(&a, 0.01, &mut got);
             scalar::leaky_relu(&a, 0.01, &mut want);
             assert_bits(&ctx("leaky_relu"), &got, &want);
 
             got.copy_from_slice(&a);
             want.copy_from_slice(&a);
-            be.leaky_relu_inplace(&mut got, 0.2).unwrap();
+            be.leaky_relu_inplace(&mut got, 0.2);
             scalar::leaky_relu_inplace(&mut want, 0.2);
             assert_bits(&ctx("leaky_relu_inplace"), &got, &want);
 
-            be.relu_mask(&a, &mut got).unwrap();
+            be.relu_mask(&a, &mut got);
             scalar::relu_mask(&a, &mut want);
             assert_bits(&ctx("relu_mask"), &got, &want);
 
             // Backward passes: `a` doubles as mask (NaN mask entries are
             // "on": NaN != 0.0), `b` as the (NaN-poisoned) gradient.
-            be.relu_backward(&a, &b, &mut got).unwrap();
+            be.relu_backward(&a, &b, &mut got);
             scalar::relu_backward(&a, &b, &mut want);
             assert_bits(&ctx("relu_backward"), &got, &want);
 
-            be.leaky_relu_backward(&a, &b, 0.1, &mut got).unwrap();
+            be.leaky_relu_backward(&a, &b, 0.1, &mut got);
             scalar::leaky_relu_backward(&a, &b, 0.1, &mut want);
             assert_bits(&ctx("leaky_relu_backward"), &got, &want);
 
-            be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3).unwrap();
+            be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3);
             scalar::bn_affine(&a, &mut want, 0.4, 1.9, 1.1, -0.3);
             assert_bits(&ctx("bn_affine"), &got, &want);
 
-            be.exp(&a, &mut got).unwrap();
+            be.exp(&a, &mut got);
             scalar::exp(&a, &mut want);
             assert_bits(&ctx("exp"), &got, &want);
 
             got.copy_from_slice(&a);
             want.copy_from_slice(&a);
-            let gz = be.exp_sum(&mut got).unwrap();
+            let gz = be.exp_sum(&mut got);
             let wz = scalar::exp_sum(&mut want);
             assert_bits(&ctx("exp_sum"), &got, &want);
             assert!(
@@ -224,7 +212,7 @@ fn elementwise_kernels_conform_on_every_backend() {
                 "{name}/exp_sum-sum/len={len}: {gz} vs {wz}"
             );
 
-            let gm = be.row_max(&a).unwrap();
+            let gm = be.row_max(&a);
             let wm = scalar::row_max(&a);
             assert!(
                 gm.to_bits() == wm.to_bits(),
@@ -238,14 +226,14 @@ fn elementwise_kernels_conform_on_every_backend() {
             let mut src: Vec<f32> = (0..len).map(|i| (i as f32 - 3.5) * 0.5).collect();
             src[len / 2] = f32::NAN;
             let mut out = vec![0.0f32; len];
-            be.relu(&src, &mut out).unwrap();
+            be.relu(&src, &mut out);
             assert!(out[len / 2].is_nan(), "{name}/relu/len={len} dropped NaN");
         }
         // ...and the backward is a select, not `g * mask`: a NaN gradient
         // at a masked-off position becomes exactly +0.0.
         let mask = [0.0f32, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
         let mut out = [7.0f32; 9];
-        be.relu_backward(&mask, &[f32::NAN; 9], &mut out).unwrap();
+        be.relu_backward(&mask, &[f32::NAN; 9], &mut out);
         for (m, v) in mask.iter().zip(&out) {
             if *m == 0.0 {
                 assert_eq!(v.to_bits(), 0.0f32.to_bits(), "{name}/relu_backward");
@@ -268,11 +256,11 @@ fn pool_row_kernels_conform_on_every_backend() {
             let mut got = vec![0.0f32; out_len];
             let mut want = vec![0.0f32; out_len];
 
-            be.avg_pool_k2(&r0, &r1, &mut got, 0.25).unwrap();
+            be.avg_pool_k2(&r0, &r1, &mut got, 0.25);
             scalar::avg_pool_k2(&r0, &r1, &mut want, 0.25);
             assert_bits(&format!("{name}/avg_pool_k2/out={out_len}"), &got, &want);
 
-            be.max_pool_k2(&r0, &r1, &mut got).unwrap();
+            be.max_pool_k2(&r0, &r1, &mut got);
             scalar::max_pool_k2(&r0, &r1, &mut want);
             assert_bits(&format!("{name}/max_pool_k2/out={out_len}"), &got, &want);
         }
@@ -292,7 +280,7 @@ fn microkernel_conforms_including_chunked_continuation() {
 
             let mut got = [[0.1f32; NR]; MR];
             let mut want = [[0.1f32; NR]; MR];
-            be.microkernel(k, &ap, &bp, &mut got).unwrap();
+            be.microkernel(k, &ap, &bp, &mut got);
             scalar::microkernel(k, &ap, &bp, &mut want);
             for i in 0..MR {
                 assert_bits(
@@ -308,10 +296,8 @@ fn microkernel_conforms_including_chunked_continuation() {
             // relies on).
             for split in 0..=k {
                 let mut acc = [[0.1f32; NR]; MR];
-                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc)
-                    .unwrap();
-                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc)
-                    .unwrap();
+                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc);
+                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc);
                 for i in 0..MR {
                     assert_bits(
                         &format!("{name}/microkernel-chunked/k={k}/split={split}/row={i}"),
@@ -341,7 +327,7 @@ fn quant_kernels_conform_on_every_backend() {
                 .collect();
             let mut got = [[3i32; NR]; MR];
             let mut want = [[3i32; NR]; MR];
-            be.qmicrokernel(kp2, &ap, &bp, &mut got).unwrap();
+            be.qmicrokernel(kp2, &ap, &bp, &mut got);
             scalar::qmicrokernel(kp2, &ap, &bp, &mut want);
             assert_eq!(got, want, "{name}/qmicrokernel/kp2={kp2}");
         }
@@ -353,21 +339,20 @@ fn quant_kernels_conform_on_every_backend() {
                 .to_vec();
             let mut got8 = vec![0i8; len];
             let mut want8 = vec![0i8; len];
-            be.quantize_q8(&src, 4.2, 3, &mut got8).unwrap();
+            be.quantize_q8(&src, 4.2, 3, &mut got8);
             scalar::quantize_q8(&src, 4.2, 3, &mut want8);
             assert_eq!(got8, want8, "{name}/quantize_q8/len={len}");
 
             let acc: Vec<i32> = (0..len as i32).map(|i| i * 1717 - 20_000).collect();
             for relu in [false, true] {
-                be.requant_i32(&acc, 0.004, 1.5, -2, relu, &mut got8)
-                    .unwrap();
+                be.requant_i32(&acc, 0.004, 1.5, -2, relu, &mut got8);
                 scalar::requant_i32(&acc, 0.004, 1.5, -2, relu, &mut want8);
                 assert_eq!(got8, want8, "{name}/requant_i32/len={len}/relu={relu}");
             }
 
             let mut gotf = vec![0.0f32; len];
             let mut wantf = vec![0.0f32; len];
-            be.dequant_i32(&acc, 0.031, -0.7, &mut gotf).unwrap();
+            be.dequant_i32(&acc, 0.031, -0.7, &mut gotf);
             scalar::dequant_i32(&acc, 0.031, -0.7, &mut wantf);
             assert_bits(&format!("{name}/dequant_i32/len={len}"), &gotf, &wantf);
         }
@@ -391,7 +376,7 @@ proptest! {
             let mut got = vec![0.0f32; len];
             let mut want = vec![0.0f32; len];
 
-            be.axpy(&mut got, &a, s).unwrap();
+            be.axpy(&mut got, &a, s);
             scalar::axpy(&mut want, &a, s);
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -399,7 +384,7 @@ proptest! {
                 "{}/axpy", be.name()
             );
 
-            be.leaky_relu(&a, s, &mut got).unwrap();
+            be.leaky_relu(&a, s, &mut got);
             scalar::leaky_relu(&a, s, &mut want);
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -407,7 +392,7 @@ proptest! {
                 "{}/leaky_relu", be.name()
             );
 
-            be.relu_backward(&a, &b, &mut got).unwrap();
+            be.relu_backward(&a, &b, &mut got);
             scalar::relu_backward(&a, &b, &mut want);
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -415,7 +400,7 @@ proptest! {
                 "{}/relu_backward", be.name()
             );
 
-            let gm = be.row_max(&a).unwrap();
+            let gm = be.row_max(&a);
             prop_assert_eq!(gm.to_bits(), scalar::row_max(&a).to_bits(), "{}/row_max", be.name());
         }
     }
@@ -459,7 +444,7 @@ fn assert_close(ctx: &str, got: &[f32], want: &[f32], rtol: f32, atol: f32) {
 /// the vectorized exponential, and the exact-forwarded remainder.
 ///
 /// On hosts without AVX2+FMA the backend list is empty and the test
-/// passes vacuously (the fastmath tier is simply not dispatchable).
+/// passes vacuously (the fastmath tier is simply not available).
 #[test]
 fn fastmath_kernels_within_tolerance_of_scalar() {
     const RTOL: f32 = 1e-5;
@@ -478,28 +463,28 @@ fn fastmath_kernels_within_tolerance_of_scalar() {
             // FMA-contracted elementwise epilogues.
             got.copy_from_slice(&b);
             want.copy_from_slice(&b);
-            be.axpy(&mut got, &a, 0.37).unwrap();
+            be.axpy(&mut got, &a, 0.37);
             scalar::axpy(&mut want, &a, 0.37);
             assert_close(&ctx("axpy"), &got, &want, RTOL, ATOL);
 
-            be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3).unwrap();
+            be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3);
             scalar::bn_affine(&a, &mut want, 0.4, 1.9, 1.1, -0.3);
             assert_close(&ctx("bn_affine"), &got, &want, RTOL, ATOL);
 
             let acc: Vec<i32> = (0..len as i32).map(|i| i * 1717 - 20_000).collect();
-            be.dequant_i32(&acc, 0.031, -0.7, &mut got).unwrap();
+            be.dequant_i32(&acc, 0.031, -0.7, &mut got);
             scalar::dequant_i32(&acc, 0.031, -0.7, &mut want);
             assert_close(&ctx("dequant_i32"), &got, &want, RTOL, ATOL);
 
             // The vectorized exponential and the fused softmax core.
-            be.exp(&a, &mut got).unwrap();
+            be.exp(&a, &mut got);
             scalar::exp(&a, &mut want);
             assert_close(&ctx("exp"), &got, &want, RTOL, ATOL);
 
             if !a.iter().any(|v| v.is_nan()) {
                 got.copy_from_slice(&a);
                 want.copy_from_slice(&a);
-                let gz = be.exp_sum(&mut got).unwrap();
+                let gz = be.exp_sum(&mut got);
                 let wz = scalar::exp_sum(&mut want);
                 assert_close(&ctx("exp_sum"), &got, &want, RTOL, ATOL);
                 let zbound = ATOL + 1e-4 * wz.abs();
@@ -511,15 +496,15 @@ fn fastmath_kernels_within_tolerance_of_scalar() {
 
             // Exact-forwarded kernels still satisfy the (weaker)
             // tolerance contract this tier advertises.
-            be.add(&a, &b, &mut got).unwrap();
+            be.add(&a, &b, &mut got);
             scalar::add(&a, &b, &mut want);
             assert_close(&ctx("add"), &got, &want, RTOL, ATOL);
 
-            be.relu(&a, &mut got).unwrap();
+            be.relu(&a, &mut got);
             scalar::relu(&a, &mut want);
             assert_close(&ctx("relu"), &got, &want, RTOL, ATOL);
 
-            be.leaky_relu(&a, 0.01, &mut got).unwrap();
+            be.leaky_relu(&a, 0.01, &mut got);
             scalar::leaky_relu(&a, 0.01, &mut want);
             assert_close(&ctx("leaky_relu"), &got, &want, RTOL, ATOL);
         }
@@ -541,7 +526,7 @@ fn fastmath_microkernel_tolerance_and_exact_chunking() {
 
             let mut got = [[0.1f32; NR]; MR];
             let mut want = [[0.1f32; NR]; MR];
-            be.microkernel(k, &ap, &bp, &mut got).unwrap();
+            be.microkernel(k, &ap, &bp, &mut got);
             scalar::microkernel(k, &ap, &bp, &mut want);
             // FMA contraction shifts rounding per term; scale the absolute
             // slack with the reduction depth (|terms| <= 16 each).
@@ -558,10 +543,8 @@ fn fastmath_microkernel_tolerance_and_exact_chunking() {
 
             for split in 0..=k {
                 let mut acc = [[0.1f32; NR]; MR];
-                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc)
-                    .unwrap();
-                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc)
-                    .unwrap();
+                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc);
+                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc);
                 for i in 0..MR {
                     assert_bits(
                         &format!("{name}/microkernel-chunked/k={k}/split={split}/row={i}"),
@@ -592,7 +575,7 @@ fn fastmath_integer_kernels_stay_exact() {
                 .collect();
             let mut got = [[3i32; NR]; MR];
             let mut want = [[3i32; NR]; MR];
-            be.qmicrokernel(kp2, &ap, &bp, &mut got).unwrap();
+            be.qmicrokernel(kp2, &ap, &bp, &mut got);
             scalar::qmicrokernel(kp2, &ap, &bp, &mut want);
             assert_eq!(got, want, "{name}/qmicrokernel/kp2={kp2}");
         }
@@ -603,14 +586,13 @@ fn fastmath_integer_kernels_stay_exact() {
                 .to_vec();
             let mut got8 = vec![0i8; len];
             let mut want8 = vec![0i8; len];
-            be.quantize_q8(&src, 4.2, 3, &mut got8).unwrap();
+            be.quantize_q8(&src, 4.2, 3, &mut got8);
             scalar::quantize_q8(&src, 4.2, 3, &mut want8);
             assert_eq!(got8, want8, "{name}/quantize_q8/len={len}");
 
             let acc: Vec<i32> = (0..len as i32).map(|i| i * 1717 - 20_000).collect();
             for relu in [false, true] {
-                be.requant_i32(&acc, 0.004, 1.5, -2, relu, &mut got8)
-                    .unwrap();
+                be.requant_i32(&acc, 0.004, 1.5, -2, relu, &mut got8);
                 scalar::requant_i32(&acc, 0.004, 1.5, -2, relu, &mut want8);
                 assert_eq!(got8, want8, "{name}/requant_i32/len={len}/relu={relu}");
             }
@@ -639,15 +621,15 @@ proptest! {
 
             got.copy_from_slice(&b);
             want.copy_from_slice(&b);
-            be.axpy(&mut got, &a, s).unwrap();
+            be.axpy(&mut got, &a, s);
             scalar::axpy(&mut want, &a, s);
             assert_close(&format!("{name}/axpy"), &got, &want, 1e-5, 1e-6);
 
-            be.bn_affine(&a, &mut got, s, 1.9, 1.1, -0.3).unwrap();
+            be.bn_affine(&a, &mut got, s, 1.9, 1.1, -0.3);
             scalar::bn_affine(&a, &mut want, s, 1.9, 1.1, -0.3);
             assert_close(&format!("{name}/bn_affine"), &got, &want, 1e-5, 1e-6);
 
-            be.exp(&a, &mut got).unwrap();
+            be.exp(&a, &mut got);
             scalar::exp(&a, &mut want);
             assert_close(&format!("{name}/exp"), &got, &want, 1e-5, 1e-6);
         }
@@ -674,17 +656,17 @@ fn pin_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
 }
 
 /// The workspace `_into` twins must be bit-identical to their allocating
-/// counterparts under every dispatchable backend — reusing a caller buffer
+/// counterparts under every available backend — reusing a caller buffer
 /// may never change numerics, whichever backend serves the kernels. The
 /// allocating outputs of every bit-exact backend must in turn equal the
 /// scalar backend's bit for bit: the blocked GEMM (over edge shapes that
 /// straddle the 8x8 tile), softmax and both pools, end to end through the
-/// dispatch wrappers.
+/// free kernel functions.
 #[test]
 fn into_twins_match_allocating_ops_on_every_backend() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut scalar_outputs: Option<Vec<(String, Tensor)>> = None;
-    for be in dispatchable_backends() {
+    for be in available_backends() {
         let name = be.name();
         let outputs = pin_backend(name, || {
             let mut outputs = Vec::new();
@@ -752,7 +734,7 @@ fn into_twins_match_allocating_ops_on_every_backend() {
         }
         match &scalar_outputs {
             None => {
-                assert_eq!(name, "scalar", "the registry lists scalar first");
+                assert_eq!(name, "scalar", "Backend::ALL lists scalar first");
                 scalar_outputs = Some(outputs);
             }
             Some(reference) => {

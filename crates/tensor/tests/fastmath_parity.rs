@@ -9,18 +9,15 @@
 //! is what DESIGN.md documents; this test is the proof.
 //!
 //! Every test skips (passes vacuously) on hosts where the fastmath tier
-//! is not dispatchable — there is nothing to characterize there.
+//! is not available — there is nothing to characterize there.
 
-use leca_tensor::backend::{self, KernelBackend};
+use leca_tensor::backend::Backend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The fastmath registry entry, if this host can dispatch it.
-fn fastmath_backend() -> Option<&'static dyn KernelBackend> {
-    backend::registered()
-        .iter()
-        .copied()
-        .find(|be| be.name() == "fastmath" && backend::dispatchable(*be))
+/// The fastmath backend, if this host can run its bodies.
+fn fastmath_backend() -> Option<Backend> {
+    Backend::FastMath.available().then_some(Backend::FastMath)
 }
 
 /// Sign-magnitude ordered key: adjacent floats map to adjacent integers,
@@ -46,7 +43,7 @@ fn ulp_diff(a: f32, b: f32) -> u64 {
 #[test]
 fn exp_ulp_characterization_across_full_f32_range() {
     let Some(be) = fastmath_backend() else {
-        eprintln!("fastmath not dispatchable on this host; skipping");
+        eprintln!("fastmath not available on this host; skipping");
         return;
     };
 
@@ -78,7 +75,7 @@ fn exp_ulp_characterization_across_full_f32_range() {
     }
 
     let mut out = vec![0.0f32; inputs.len()];
-    be.exp(&inputs, &mut out).unwrap();
+    be.exp(&inputs, &mut out);
 
     let mut worst = 0u64;
     for (&x, &got) in inputs.iter().zip(&out) {
@@ -114,7 +111,7 @@ fn exp_ulp_characterization_across_full_f32_range() {
 #[test]
 fn exp_specials_are_exact() {
     let Some(be) = fastmath_backend() else {
-        eprintln!("fastmath not dispatchable on this host; skipping");
+        eprintln!("fastmath not available on this host; skipping");
         return;
     };
     let inputs = [
@@ -133,7 +130,7 @@ fn exp_specials_are_exact() {
         -150.0, // underflow: exp(-150) < smallest denormal
     ];
     let mut out = [0.0f32; 13];
-    be.exp(&inputs, &mut out).unwrap();
+    be.exp(&inputs, &mut out);
 
     assert!(out[0].is_nan(), "exp(NaN) must be NaN");
     assert_eq!(out[1], f32::INFINITY, "exp(+inf)");
@@ -157,14 +154,14 @@ fn exp_specials_are_exact() {
 #[test]
 fn exp_sum_matches_f64_reference() {
     let Some(be) = fastmath_backend() else {
-        eprintln!("fastmath not dispatchable on this host; skipping");
+        eprintln!("fastmath not available on this host; skipping");
         return;
     };
     let mut rng = StdRng::seed_from_u64(0xe45);
     for len in [1usize, 7, 8, 9, 31, 64, 255, 1000, 1003] {
         let src = leca_tensor::Tensor::rand_uniform(&[len], -10.0, 10.0, &mut rng);
         let mut dst = src.as_slice().to_vec();
-        let z = be.exp_sum(&mut dst).unwrap();
+        let z = be.exp_sum(&mut dst);
 
         let mut want_sum = 0.0f64;
         for (i, (&x, &got)) in src.as_slice().iter().zip(&dst).enumerate() {
@@ -185,23 +182,15 @@ fn exp_sum_matches_f64_reference() {
     }
 }
 
-/// The registry's precision split: fastmath is the one relaxed tier,
-/// everything else promises bit-exactness.
+/// The precision split: fastmath is the one relaxed tier, everything else
+/// promises bit-exactness.
 #[test]
 fn fastmath_is_the_only_relaxed_precision_backend() {
-    let reg = backend::registered();
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        let fm = reg
-            .iter()
-            .find(|be| be.name() == "fastmath")
-            .expect("fastmath must be registered on x86_64 builds");
-        assert!(!fm.bit_exact(), "fastmath must advertise relaxed precision");
-    }
-    for be in reg.iter().filter(|be| be.name() != "fastmath") {
-        assert!(
+    for be in Backend::ALL {
+        assert_eq!(
             be.bit_exact(),
-            "{} must stay on the bit-exact contract",
+            be != Backend::FastMath,
+            "{}: wrong precision contract",
             be.name()
         );
     }

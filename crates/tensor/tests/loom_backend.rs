@@ -1,4 +1,4 @@
-//! Loom model checks for the backend registry's one-time initialization
+//! Loom model checks for the backend selection's one-time initialization
 //! and refresh (`crate::backend::{active, refresh_backend}`).
 //!
 //! Build with `RUSTFLAGS="--cfg loom" cargo test -p leca-tensor --test

@@ -152,7 +152,7 @@ fn losses_bit_identical_across_thread_counts() {
 
 #[test]
 fn noisy_training_matches_pre_rewrite_goldens() {
-    // Crossed with LECA_BACKEND: every registered kernel backend must
+    // Crossed with LECA_BACKEND: every bit-exact kernel backend must
     // reproduce the pre-rewrite scalar goldens bit for bit.
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for backend in ["scalar", "avx2"] {

@@ -9,14 +9,14 @@
 //! visible accuracy.
 //!
 //! Skips (passes vacuously) on hosts without AVX2+FMA, where the
-//! fastmath tier is not dispatchable.
+//! fastmath tier is not available.
 
 use leca::core::config::LecaConfig;
 use leca::core::encoder::Modality;
 use leca::core::pipeline::LecaPipeline;
 use leca::core::session::InferenceSession;
 use leca::nn::backbone::tiny_cnn;
-use leca::tensor::backend::{self, refresh_backend};
+use leca::tensor::backend::{refresh_backend, Backend};
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,11 +57,8 @@ fn predictions() -> Vec<usize> {
 
 #[test]
 fn fastmath_top1_within_a_tenth_of_a_point_of_scalar() {
-    let fastmath_ready = backend::registered()
-        .iter()
-        .any(|be| be.name() == "fastmath" && backend::dispatchable(*be));
-    if !fastmath_ready {
-        eprintln!("fastmath not dispatchable on this host; skipping");
+    if !Backend::FastMath.available() {
+        eprintln!("fastmath not available on this host; skipping");
         return;
     }
 
