@@ -100,7 +100,7 @@ fn main() {
             None
         };
         backend_rows.push(format!(
-            "    {{\"backend\": \"{name}\", \"dispatchable\": {available}, \
+            "    {{\"backend\": \"{name}\", \"available\": {available}, \
              \"bit_exact\": {}, \"matmul_ns\": {}}}",
             be.bit_exact(),
             matmul_ns

@@ -10,8 +10,8 @@
 //! * `leca_encoder` — the encoder's three modalities, plus one
 //!   forward/backward step;
 //! * `sensor` — full-frame capture and the energy / timing models;
-//! * `leca_inference` — the allocating pipeline forward against the
-//!   workspace-backed `InferenceSession` on the same batch.
+//! * `leca_inference` — the workspace-backed `InferenceSession`, logits
+//!   alone and the full classify path, on the same batch.
 //!
 //! Workload names are stable keys (EXPERIMENTS.md quotes them).
 //! `--smoke` runs every workload end to end with the cut-down timing
@@ -121,10 +121,8 @@ fn main() {
     let energy = EnergyModel::paper();
     let timing = TimingModel::paper();
 
-    // The session path must never be slower than the allocating one at
-    // steady state: same kernels, no activation malloc/free.
+    // Logits alone and the full classify path on the same batch.
     let batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.05, 0.95, &mut StdRng::seed_from_u64(1));
-    let mut allocating = pipeline();
     let mut for_logits = pipeline();
     let mut session = InferenceSession::for_pipeline(&mut for_logits);
     session.warm_up(batch.shape()).expect("warm-up");
@@ -237,12 +235,6 @@ fn main() {
                     timing.fps(&SensorGeometry::paper(4)),
                     timing.fps(&SensorGeometry::hd1080(4)),
                 ));
-            }),
-        ),
-        (
-            "leca_inference",
-            Workload::new("allocating_forward_8x3x32x32", 5, || {
-                black_box(Layer::forward(&mut allocating, &batch, Mode::Eval).expect("forward"));
             }),
         ),
         (

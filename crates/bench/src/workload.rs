@@ -70,8 +70,20 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
 
     let x = Tensor::rand_uniform(&[8, 16, 32, 32], -1.0, 1.0, &mut rng);
     let w = Tensor::rand_uniform(&[16, 16, 3, 3], -1.0, 1.0, &mut rng);
+    // The stride-2 (strided panel gather) and batch-1 (channel-tile
+    // split) paths of the same layer, on the same data.
+    let (xs2, ws2) = (x.clone(), w.clone());
+    let x1 = Tensor::from_vec(x.as_slice()[..16 * 32 * 32].to_vec(), &[1, 16, 32, 32])
+        .expect("batch-1 slice");
+    let w1 = w.clone();
     set.push(Workload::new("conv2d_8x16x32x32_3x3", 20, move || {
         std::hint::black_box(ops::conv2d(&x, &w, None, 1, 1).expect("conv"));
+    }));
+    set.push(Workload::new("conv2d_8x16x32x32_3x3_s2", 40, move || {
+        std::hint::black_box(ops::conv2d(&xs2, &ws2, None, 2, 1).expect("conv"));
+    }));
+    set.push(Workload::new("conv2d_1x16x32x32_3x3", 80, move || {
+        std::hint::black_box(ops::conv2d(&x1, &w1, None, 1, 1).expect("conv"));
     }));
 
     // Int8 GEMM at the same geometry as the f32 matmul row: prepacked
@@ -118,6 +130,8 @@ mod tests {
                 "microkernel_k256",
                 "matmul_64x144x4096",
                 "conv2d_8x16x32x32_3x3",
+                "conv2d_8x16x32x32_3x3_s2",
+                "conv2d_1x16x32x32_3x3",
                 "qgemm_64x144x4096",
                 "softmax_rows_256x1000",
             ]

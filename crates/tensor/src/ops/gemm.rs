@@ -1,15 +1,17 @@
 //! Cache-blocked, register-tiled GEMM core.
 //!
 //! Every matmul variant ([`super::matmul`], [`super::matmul_bt`],
-//! [`super::matmul_at`]) and the fused-im2col convolution kernels in
-//! [`super::conv`] lower onto [`gemm`] here. The structure is the classic
+//! [`super::matmul_at`]) and both convolution weight gradients in
+//! [`super::conv`] lower onto [`gemm`] here. (Forward convolution has its
+//! own loop order on the same microkernel and reuses [`pack_a_tile`] —
+//! see the [`super::conv`] module docs.) The structure is the classic
 //! packed-panel design:
 //!
 //! * B is packed into panel-major storage: panels of [`NR`] columns, each
 //!   laid out `bp[p * NR + j]` so the microkernel streams it sequentially.
 //!   Packing is where operand layout is absorbed — a panel source can be a
-//!   strided matrix, a strided transpose, or the *virtual* im2col matrix
-//!   of an NCHW image batch (never materialized).
+//!   strided matrix, a strided transpose, or the *virtual* transposed
+//!   im2col matrix of an NCHW image batch (never materialized).
 //! * A is packed per [`MR`]-row tile as `ap[p * MR + i]`, also sequential
 //!   in the k loop.
 //! * The microkernel keeps an `MR x NR` accumulator block in registers and
@@ -63,7 +65,7 @@ pub(crate) struct Im2colView<'a> {
 
 impl Im2colView<'_> {
     #[inline]
-    fn sample(&self, img: usize, ci: usize, iy: usize, ix: usize) -> f32 {
+    pub(crate) fn sample(&self, img: usize, ci: usize, iy: usize, ix: usize) -> f32 {
         // iy/ix arrive pre-offset by the kernel position but not yet by
         // padding; anything outside the image reads as zero.
         match (iy.checked_sub(self.pad), ix.checked_sub(self.pad)) {
@@ -79,7 +81,7 @@ impl Im2colView<'_> {
     /// in-bounds (`(oh-1)*stride + kh - 1 <= h - 1` and likewise for
     /// width), so the bounds check per element disappears.
     #[inline]
-    fn sample_unpadded(&self, img: usize, ci: usize, iy: usize, ix: usize) -> f32 {
+    pub(crate) fn sample_unpadded(&self, img: usize, ci: usize, iy: usize, ix: usize) -> f32 {
         debug_assert_eq!(self.pad, 0);
         debug_assert!(iy < self.h && ix < self.w);
         self.data[((img * self.c + ci) * self.h + iy) * self.w + ix]
@@ -94,9 +96,8 @@ pub(crate) enum Operand<'a> {
         rs: usize,
         cs: usize,
     },
-    /// The virtual im2col matrix of `view` (shape `C*kh*kw x N*oh*ow`).
-    Im2col(Im2colView<'a>),
-    /// The transpose of [`Operand::Im2col`] (shape `N*oh*ow x C*kh*kw`).
+    /// The transpose of the virtual im2col matrix of `view` (shape
+    /// `N*oh*ow x C*kh*kw`).
     Im2colT(Im2colView<'a>),
 }
 
@@ -113,43 +114,6 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
                 } else {
                     for (jj, v) in d.iter_mut().enumerate() {
                         *v = data[row + jj * cs];
-                    }
-                }
-            }
-        }
-        Operand::Im2col(v) => {
-            // Rows iterate (ci, ky, kx); the panel's columns are fixed
-            // output positions (img, oy, ox), precomputed once.
-            let mut cols = [(0usize, 0usize, 0usize); NR];
-            for (jj, slot) in cols.iter_mut().take(jn).enumerate() {
-                let col = j0 + jj;
-                let img = col / (v.oh * v.ow);
-                let rem = col % (v.oh * v.ow);
-                *slot = (img, (rem / v.ow) * v.stride, (rem % v.ow) * v.stride);
-            }
-            let (mut ci, mut ky, mut kx) = (0, 0, 0);
-            for p in 0..k {
-                let d = &mut dst[p * NR..p * NR + jn];
-                if v.pad == 0 {
-                    // Padding branch hoisted: zero-pad geometry can never
-                    // sample outside the image (see `sample_unpadded`).
-                    for (jj, v2) in d.iter_mut().enumerate() {
-                        let (img, ybase, xbase) = cols[jj];
-                        *v2 = v.sample_unpadded(img, ci, ybase + ky, xbase + kx);
-                    }
-                } else {
-                    for (jj, v2) in d.iter_mut().enumerate() {
-                        let (img, ybase, xbase) = cols[jj];
-                        *v2 = v.sample(img, ci, ybase + ky, xbase + kx);
-                    }
-                }
-                kx += 1;
-                if kx == v.kw {
-                    kx = 0;
-                    ky += 1;
-                    if ky == v.kh {
-                        ky = 0;
-                        ci += 1;
                     }
                 }
             }
@@ -199,7 +163,15 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
 /// each column is a `0..im` copy body plus an explicit `im..MR` zero-fill
 /// tail. With `rs == 1` (a transposed-A view, where rows are contiguous)
 /// the body collapses to a `copy_from_slice`.
-fn pack_a_tile(data: &[f32], rs: usize, cs: usize, i0: usize, im: usize, k: usize, ap: &mut [f32]) {
+pub(crate) fn pack_a_tile(
+    data: &[f32],
+    rs: usize,
+    cs: usize,
+    i0: usize,
+    im: usize,
+    k: usize,
+    ap: &mut [f32],
+) {
     if rs == 1 {
         for p in 0..k {
             let src = i0 + p * cs;
