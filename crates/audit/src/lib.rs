@@ -112,7 +112,7 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/tensor/src/backend/qavx2.rs",
-        "int8 AVX2 qgemm microkernel (bounds argued per load/store, Miri-exempt via cfg)",
+        "int8 AVX2 microkernel and quant passes (bounds argued per load/store, Miri-exempt via cfg)",
     ),
     (
         "crates/tensor/src/backend/fastmath.rs",

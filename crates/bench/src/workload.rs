@@ -7,8 +7,10 @@
 //! stable keys in `BENCH_kernels.json` — EXPERIMENTS.md quotes them, so
 //! renaming one is a breaking change to the published tables.
 
+use leca_nn::layers::Conv2d;
+use leca_nn::qlayers::{quantize_batch, QConv2d, QConvEpilogue};
 use leca_tensor::backend::{self, MR, NR};
-use leca_tensor::{ops, Tensor};
+use leca_tensor::{ops, QuantParams, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +49,7 @@ impl std::fmt::Debug for Workload<'_> {
 }
 
 /// The canonical single-threaded kernel set: raw microkernel, GEMM, conv,
-/// int8 GEMM and row softmax, at the geometries the published tables use.
+/// int8 conv and row softmax, at the geometries the published tables use.
 pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();
@@ -76,6 +78,7 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let x1 = Tensor::from_vec(x.as_slice()[..16 * 32 * 32].to_vec(), &[1, 16, 32, 32])
         .expect("batch-1 slice");
     let w1 = w.clone();
+    let (xq, wq) = (x.clone(), w.clone());
     set.push(Workload::new("conv2d_8x16x32x32_3x3", 20, move || {
         std::hint::black_box(ops::conv2d(&x, &w, None, 1, 1).expect("conv"));
     }));
@@ -86,27 +89,25 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
         std::hint::black_box(ops::conv2d(&x1, &w1, None, 1, 1).expect("conv"));
     }));
 
-    // Int8 GEMM at the same geometry as the f32 matmul row: prepacked
-    // weights, strided i8 activations, i32 accumulators.
-    let (qm, qk, qn) = (64usize, 144usize, 4096usize);
-    let qw: Vec<i8> = (0..qm * qk)
-        .map(|i| ((i % 251) as i32 - 125) as i8)
-        .collect();
-    let qscales = vec![0.01f32; qm];
-    let qa = ops::PackedQMat::pack(&qw, qm, qk, &qscales);
-    let qb: Vec<i8> = (0..qk * qn)
-        .map(|i| ((i % 239) as i32 - 119) as i8)
-        .collect();
-    let mut qacc = vec![0i32; qa.tiles() * MR * qn];
-    set.push(Workload::new("qgemm_64x144x4096", 20, move || {
-        let b = ops::QOperand::Strided {
-            data: &qb,
-            rs: qn,
-            cs: 1,
-            zp: 3,
-        };
-        ops::qgemm(&qa, &b, qn, &mut qacc);
-        std::hint::black_box(&mut qacc);
+    // The int8 conv of the same layer on the same data, quantized once
+    // at setup: per-channel weights, input on its [-1, 1] grid, output
+    // requantized with fused ReLU.
+    let grid = QuantParams::from_range(-1.0, 1.0);
+    let qc = QConv2d::from_conv(
+        &Conv2d::from_weights(wq, None, 1, 1),
+        grid,
+        QConvEpilogue::Requant {
+            out: QuantParams::from_range(0.0, 8.0),
+            relu: true,
+        },
+    )
+    .expect("finite weights");
+    let mut qx = vec![0i8; xq.len()];
+    quantize_batch(xq.as_slice(), grid, &mut qx);
+    let mut qout = vec![0i8; qx.len()];
+    set.push(Workload::new("qconv2d_8x16x32x32_3x3", 20, move || {
+        qc.run_q(&qx, 8, 32, 32, &mut qout).expect("qconv");
+        std::hint::black_box(&mut qout);
     }));
 
     let logits = Tensor::rand_uniform(&[256, 1000], -4.0, 4.0, &mut rng);
@@ -132,7 +133,7 @@ mod tests {
                 "conv2d_8x16x32x32_3x3",
                 "conv2d_8x16x32x32_3x3_s2",
                 "conv2d_1x16x32x32_3x3",
-                "qgemm_64x144x4096",
+                "qconv2d_8x16x32x32_3x3",
                 "softmax_rows_256x1000",
             ]
         );

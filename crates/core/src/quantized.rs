@@ -12,7 +12,7 @@
 //!    `zero_point = 0` represents the f32 ofmap with **zero additional
 //!    quantization error**.
 //! 2. The decoder's upsampling transposed convolution consumes those codes
-//!    through the integer GEMM and dequantizes to f32 (adding its bias).
+//!    through the int8 conv driver and dequantizes to f32 (adding its bias).
 //! 3. The DnCNN residual branch runs as a chain of int8 convolutions with
 //!    batch-norm folded into the weights; intermediate activations stay on
 //!    calibrated i8 grids with fused ReLU, and only the final projection
@@ -30,7 +30,7 @@
 //! Everything downstream of the f32 encoder conv is integer arithmetic
 //! with round-to-nearest-even epilogues that are bit-identical across the
 //! `LECA_BACKEND` kernel backends and `LECA_THREADS` counts (see
-//! `leca_tensor::ops::qgemm`), and the f32 stages use the same
+//! `leca_tensor::ops::qconv`), and the f32 stages use the same
 //! scalar-order kernels on every path — int8 logits are bit-deterministic
 //! across every runtime knob.
 //!

@@ -106,6 +106,20 @@ fn read_u32(data: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(v)
 }
 
+/// Reads a tensor count, bounded by the bytes left: every tensor costs at
+/// least its rank word, so a larger count is corrupt and is refused before
+/// it sizes an allocation.
+fn read_count(data: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = read_u32(data, pos)? as usize;
+    if n > (data.len() - *pos) / 4 {
+        return Err(NnError::CheckpointMismatch(format!(
+            "tensor count {n} exceeds the {} bytes left",
+            data.len() - *pos
+        )));
+    }
+    Ok(n)
+}
+
 fn read_tensor(data: &[u8], pos: &mut usize) -> Result<Tensor> {
     let rank = read_u32(data, pos)? as usize;
     if rank > 8 {
@@ -115,11 +129,17 @@ fn read_tensor(data: &[u8], pos: &mut usize) -> Result<Tensor> {
     for _ in 0..rank {
         dims.push(read_u32(data, pos)? as usize);
     }
-    let len: usize = dims.iter().product();
-    let end = *pos + 4 * len;
-    if end > data.len() {
-        return Err(NnError::CheckpointMismatch("truncated tensor data".into()));
-    }
+    // Every bound is checked before anything is allocated: a corrupt
+    // header may claim dims whose product (or byte size) overflows.
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| NnError::CheckpointMismatch(format!("tensor dims {dims:?} overflow")))?;
+    let end = len
+        .checked_mul(4)
+        .and_then(|bytes| pos.checked_add(bytes))
+        .filter(|&end| end <= data.len())
+        .ok_or_else(|| NnError::CheckpointMismatch("truncated tensor data".into()))?;
     let mut vals = Vec::with_capacity(len);
     for i in 0..len {
         let off = *pos + 4 * i;
@@ -163,12 +183,12 @@ pub fn from_bytes<L: Layer + ?Sized>(layer: &mut L, data: &[u8]) -> Result<()> {
         return Err(NnError::CheckpointMismatch("bad magic".into()));
     }
     let mut pos = 8usize;
-    let n_params = read_u32(data, &mut pos)? as usize;
+    let n_params = read_count(data, &mut pos)?;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
         params.push(read_tensor(data, &mut pos)?);
     }
-    let n_buffers = read_u32(data, &mut pos)? as usize;
+    let n_buffers = read_count(data, &mut pos)?;
     let mut buffers = Vec::with_capacity(n_buffers);
     for _ in 0..n_buffers {
         buffers.push(read_tensor(data, &mut pos)?);
@@ -353,6 +373,49 @@ mod tests {
         let bytes = to_bytes(&mut a);
         let mut b = small_net(12);
         assert!(from_bytes(&mut b, &bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn every_truncated_prefix_is_a_typed_error() {
+        let mut a = small_net(20);
+        let bytes = to_bytes(&mut a);
+        let mut b = small_net(21);
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    from_bytes(&mut b, &bytes[..cut]),
+                    Err(NnError::CheckpointMismatch(_))
+                ),
+                "prefix of {cut} bytes"
+            );
+        }
+        from_bytes(&mut b, &bytes).unwrap();
+    }
+
+    #[test]
+    fn huge_tensor_count_is_refused_before_allocating() {
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut n = small_net(22);
+        assert!(matches!(
+            from_bytes(&mut n, &data),
+            Err(NnError::CheckpointMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_dims_are_refused() {
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&1u32.to_le_bytes());
+        data.extend_from_slice(&4u32.to_le_bytes());
+        for _ in 0..4 {
+            data.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let mut n = small_net(23);
+        assert!(matches!(
+            from_bytes(&mut n, &data),
+            Err(NnError::CheckpointMismatch(_))
+        ));
     }
 
     #[test]

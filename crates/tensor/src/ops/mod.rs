@@ -8,7 +8,7 @@ mod conv;
 mod gemm;
 mod matmul;
 mod pool;
-mod qgemm;
+mod qconv;
 pub mod reduce;
 pub mod reference;
 
@@ -22,7 +22,7 @@ pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
     max_pool2d_into, pool2d_out_shape, MaxPoolIndices,
 };
-pub use qgemm::{qgemm, PackedQMat, QIm2col, QOperand};
+pub use qconv::{qconv, PackedQMat, QIm2col};
 pub use reduce::{
     max_abs_f32, mean_axes_keep_channel, softmax_rows, softmax_rows_into, sum_axis0, sum_slice_f32,
     sum_spatial_per_channel,

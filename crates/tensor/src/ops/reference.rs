@@ -122,7 +122,7 @@ pub fn conv2d_naive(x: &Tensor, weight: &Tensor, stride: usize, pad: usize) -> R
 
 /// Textbook quantized matmul oracle: `acc[i][j] = Σ_p w[i,p] · (b[p,j] -
 /// zp)`, computed directly in i32 with no packing, pairing, or SIMD — the
-/// independent reference the int8 GEMM parity suite checks both dispatch
+/// independent reference the int8 conv parity suite checks both dispatch
 /// paths against.
 pub fn qmatmul_naive(w: &[i8], m: usize, k: usize, b: &[i8], n: usize, zp: i32) -> Vec<i32> {
     assert_eq!(w.len(), m * k, "qmatmul_naive: weight buffer mismatch");

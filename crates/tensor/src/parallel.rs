@@ -447,8 +447,8 @@ where
 ///
 /// This is the mutable-output variant of [`par_ranges`]: each chunk owns
 /// an exclusive slice of the output buffer, so no locking is needed.
-/// Generic over the element type so the same fan-out serves the f32
-/// kernels and the int8 tier's `i32` accumulator / `i16` packing buffers.
+/// Generic over the element type, like the block variant the f32 and
+/// int8 convolutions split their outputs with.
 ///
 /// # Panics
 ///
@@ -472,8 +472,9 @@ where
 /// and the chunk `out[at..at + chunk.len()]`, so element `e` of `out` is
 /// `chunk[e - at]`.
 ///
-/// This is how the forward convolution splits `(N, O, oh, ow)` output over
-/// image × output-channel tile, so a batch-1 call still fans out.
+/// This is how the forward convolutions (f32 and int8) split
+/// `(N, O, oh, ow)` output over image × output-channel tile, so a batch-1
+/// call still fans out.
 ///
 /// # Panics
 ///

@@ -5,7 +5,7 @@
 //!
 //! - **Weights** are quantized *symmetrically per output channel* (axis 0):
 //!   `zero_point = 0`, `scale = max|w| / 127`. Symmetric weights keep the
-//!   GEMM epilogue a single multiply per channel and make the i16 packed
+//!   conv epilogue a single multiply per channel and make the i16 packed
 //!   operand `q - 0` trivially in range.
 //! - **Activations** are quantized *per tensor, affine*: the range
 //!   `[lo, hi]` observed over a calibration batch is widened to include

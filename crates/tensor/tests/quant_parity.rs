@@ -3,15 +3,16 @@
 //! Each case computes the scalar reference via `backend::scalar::*`
 //! directly, then the dispatched wrapper under `LECA_BACKEND=avx2`, and
 //! asserts **bitwise** equality: i32 accumulators and i8 codes compare
-//! with `==`, f32 dequant outputs with `to_bits`. The blocked `qgemm` is
-//! additionally checked against the unpacked, unpaired, unthreaded
-//! `reference::qmatmul_naive` oracle, so a packing bug cannot hide behind
-//! a matching bug in both kernel bodies. On hosts without AVX2 the forced
-//! path degrades to scalar and every assertion holds trivially.
+//! with `==`, f32 dequant outputs with `to_bits`. The int8 conv driver
+//! `qconv` is additionally checked against the unpacked, unpaired,
+//! unthreaded `reference::qmatmul_naive` oracle on a materialized im2col
+//! matrix, so a packing bug cannot hide behind a matching bug in both
+//! kernel bodies. On hosts without AVX2 the forced path degrades to
+//! scalar and every assertion holds trivially.
 
 use leca_tensor::backend::{self as backend, scalar, MR, NR};
 use leca_tensor::ops::reference::qmatmul_naive;
-use leca_tensor::ops::{qgemm, PackedQMat, QOperand};
+use leca_tensor::ops::{qconv, PackedQMat, QIm2col};
 use leca_tensor::quant::{QuantParams, QMAX, QMIN};
 use leca_tensor::{QTensor, Tensor, TensorError};
 use proptest::prelude::*;
@@ -38,6 +39,95 @@ fn with_backend<T>(value: &str, body: impl FnOnce() -> T) -> T {
     }
     backend::refresh_backend();
     out
+}
+
+/// The int8 conv driver on the scalar and AVX2 backends, bitwise against
+/// `qmatmul_naive` on the materialized `(ky, kx, ci)` im2col matrix
+/// (padding materialized as the code `zp`, i.e. the real value zero),
+/// scattered to NCHW. The output is sentinel-filled first and each
+/// element carries the output channel its epilogue was called with, so an
+/// unwritten or misrouted plane fails.
+#[test]
+fn qconv_is_bit_identical_to_im2col_oracle() {
+    // [n, c, h, w, kh, kw, stride, pad]: the even-channel panels inside
+    // one output row take the fast pack, the rest the per-element walk.
+    const SHAPES: &[[usize; 8]] = &[
+        [2, 4, 9, 16, 3, 3, 1, 1],
+        [1, 6, 16, 16, 3, 3, 2, 1],
+        [2, 3, 8, 8, 3, 3, 1, 1],
+        [1, 4, 7, 5, 2, 2, 1, 0],
+        [1, 2, 16, 16, 5, 5, 1, 2],
+        // 1x1 s1 p0 (the upsample), even and odd channels.
+        [2, 4, 5, 12, 1, 1, 1, 0],
+        [1, 3, 8, 8, 1, 1, 1, 0],
+        // Odd c with ow >= NR.
+        [1, 5, 6, 11, 3, 3, 1, 1],
+        // ow = NR - 1 with even c: panels straddle output rows by one.
+        [3, 2, 7, 7, 3, 3, 1, 1],
+        // pad > kw: panels wholly in the horizontal padding.
+        [1, 2, 1, 5, 5, 1, 1, 2],
+        [1, 2, 3, 3, 1, 1, 5, 2],
+    ];
+    for (case, &[n, c, h, w, kh, kw, stride, pad]) in SHAPES.iter().enumerate() {
+        let (oh, ow) = (
+            (h + 2 * pad - kh) / stride + 1,
+            (w + 2 * pad - kw) / stride + 1,
+        );
+        let (k, ohw) = (c * kh * kw, oh * ow);
+        let zp = [-5, QMAX, 0, QMIN][case % 4];
+        let x = gen_codes(n * c * h * w, case as u64 + 1);
+        // Materialize im2col: row p = (ky*kw + kx)*c + ci, column
+        // img*ohw + oy*ow + ox.
+        let cols = n * ohw;
+        let mut mat = vec![zp as i8; k * cols];
+        for (p, row) in mat.chunks_exact_mut(cols).enumerate() {
+            let (ci, kx, ky) = (p % c, (p / c) % kw, p / c / kw);
+            for (j, slot) in row.iter_mut().enumerate() {
+                let (img, oy, ox) = (j / ohw, (j % ohw) / ow, j % ow);
+                let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+                if (pad..h + pad).contains(&iy) && (pad..w + pad).contains(&ix) {
+                    *slot = x[((img * c + ci) * h + iy - pad) * w + ix - pad];
+                }
+            }
+        }
+        for m in [10, 16] {
+            let wts = gen_codes(m * k, case as u64 ^ 0x77);
+            let oracle = qmatmul_naive(&wts, m, k, &mat, cols, zp);
+            let packed = PackedQMat::pack(&wts, m, k, &vec![1.0; m]);
+            let view = QIm2col {
+                data: &x,
+                c,
+                h,
+                w,
+                kh,
+                kw,
+                stride,
+                pad,
+                oh,
+                ow,
+                zp,
+            };
+            for be in ["scalar", "avx2"] {
+                let mut out = vec![(usize::MAX, i32::MIN); n * m * ohw];
+                with_backend(be, || {
+                    qconv(&packed, &view, n, &mut out, |o, acc, dst| {
+                        for (d, &a) in dst.iter_mut().zip(acc) {
+                            *d = (o, a);
+                        }
+                    });
+                });
+                for (e, &got) in out.iter().enumerate() {
+                    let (img, o, pos) = (e / (m * ohw), (e / ohw) % m, e % ohw);
+                    assert_eq!(
+                        got,
+                        (o, oracle[o * cols + img * ohw + pos]),
+                        "{be}: shape {:?} m={m} at (img {img}, o {o}, pos {pos})",
+                        SHAPES[case]
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Lengths below, at and straddling the 8-lane width, plus empty and a
@@ -139,40 +229,6 @@ proptest! {
             backend::qmicrokernel(kp2, &ap, &bp, &mut got);
         });
         prop_assert_eq!(got, want);
-    }
-
-    /// The full blocked qgemm: identical i32 accumulators across
-    /// `LECA_BACKEND=scalar`/`avx2`, and both equal to the naive unpacked
-    /// oracle (`ops::reference::qmatmul_naive`).
-    #[test]
-    fn qgemm_bit_exact_across_paths_and_matches_oracle(
-        msel in 0usize..12,
-        nsel in 0usize..12,
-        ksel in 0usize..12,
-        zp in QMIN..(QMAX + 1),
-        seed in 0u64..u64::MAX,
-    ) {
-        let (m, n, k) = (pick_len(msel) + 1, pick_len(nsel) + 1, pick_len(ksel) + 1);
-        let w = gen_codes(m * k, seed);
-        let b = gen_codes(k * n, seed ^ 0x5eed);
-        let scales = vec![1.0f32; m];
-        let packed = PackedQMat::pack(&w, m, k, &scales);
-        let run = || {
-            let mut acc = vec![0i32; packed.tiles() * MR * n];
-            qgemm(&packed, &QOperand::Strided { data: &b, rs: n, cs: 1, zp }, n, &mut acc);
-            acc
-        };
-        let on_avx2 = with_avx2(run);
-        let on_scalar = with_backend("scalar", run);
-        prop_assert_eq!(&on_avx2, &on_scalar, "paths disagree");
-        let oracle = qmatmul_naive(&w, m, k, &b, n, zp);
-        for i in 0..m {
-            prop_assert_eq!(
-                &on_avx2[i * n..i * n + n],
-                &oracle[i * n..i * n + n],
-                "row {} of {}x{}x{} zp={}", i, m, n, k, zp
-            );
-        }
     }
 
     /// The elementwise quantization passes: i8 codes and f32 dequants
