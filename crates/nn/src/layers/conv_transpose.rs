@@ -95,9 +95,10 @@ impl Layer for ConvTranspose2d {
             .cache
             .take()
             .ok_or(NnError::NoForwardCache("conv_transpose2d"))?;
-        let gw = ops::conv_transpose2d_grad_weight(
-            &x,
+        // convT(x, w) = conv2d_grad_input(x, w): dx = conv2d(g, w), dw = conv2d_grad_weight(g, x).
+        let gw = ops::conv2d_grad_weight(
             grad_out,
+            &x,
             self.kernel,
             self.kernel,
             self.stride,
@@ -107,9 +108,10 @@ impl Layer for ConvTranspose2d {
         if let Some(b) = &mut self.bias {
             b.accumulate(&ops::sum_spatial_per_channel(grad_out)?);
         }
-        Ok(ops::conv_transpose2d_grad_input(
+        Ok(ops::conv2d(
             grad_out,
             &self.weight.value,
+            None,
             self.stride,
             self.pad,
         )?)

@@ -406,8 +406,8 @@ impl QConv2d {
 /// Runs as a 1×1, stride-1, unpadded [`qconv`] whose weight is the
 /// `(out_ch·k·k, in_ch)` reshaped kernel, dequantizing into one f32
 /// `(n, out_ch·k·k, h, w)` plane per tap; with `stride == kernel` every
-/// output pixel is written by exactly one `(ky, kx)` tap, so the col2im
-/// scatter of those planes is a disjoint copy.
+/// output pixel is written by exactly one `(ky, kx)` tap, so scattering
+/// those planes is a disjoint copy.
 #[derive(Debug)]
 pub struct QConvTranspose2d {
     weights: PackedQMat,

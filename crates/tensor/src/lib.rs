@@ -3,7 +3,8 @@
 //! This crate is the numerical substrate underneath `leca-nn`: a small,
 //! dependency-light n-dimensional array with exactly the operations a
 //! convolutional training stack needs — threaded matrix multiplication,
-//! im2col/col2im convolution kernels, pooling, reductions, and random
+//! convolution (forward, both gradients, and the transposed conv as its
+//! adjoint) on three im2col-style drivers, pooling, reductions, and random
 //! initialization.
 //!
 //! Tensors are always row-major and contiguous; shapes are plain

@@ -1,5 +1,5 @@
-//! im2col-based 2-D convolution kernels (forward + both gradients) and the
-//! matching transposed convolution.
+//! im2col-based 2-D convolution (forward + both gradients) and the
+//! transposed convolution, which is its adjoint.
 //!
 //! Layouts follow the PyTorch convention:
 //!
@@ -11,18 +11,27 @@
 //! `n*oh*ow + oy*ow + ox`, so one matrix multiplication covers the whole
 //! batch.
 //!
-//! No hot kernel materializes that matrix. Forward convolution (and the
-//! transposed-conv input gradient, which is the same convolution) has its
-//! own loop order on the shared microkernel: the weights are packed into
-//! `MR`-row tiles once per call; then, per image, each `NR`-column panel of
-//! output positions is packed as a `(ci, ky, kx) x NR` im2col block into a
-//! thread-local buffer that stays in L1, every weight tile's microkernel
-//! consumes it at once, and each accumulator row is stored straight into
-//! the `(N, O, oh, ow)` output with the bias fused as `acc + b`. Work is
-//! split over image × output-channel tile. Both weight gradients hand the
-//! blocked GEMM in [`super::gemm`] a *virtual* transposed im2col view
-//! instead. The standalone [`im2col`]/[`col2im`] entry points remain for
-//! the scatter-based paths and for tests.
+//! A conv weight `(O, C, kh, kw)` read as a transposed-conv weight has
+//! `C_in = O` and `O = C`, and under that role swap
+//! `conv_transpose2d(x, w)` *is* `conv2d_grad_input(x, w)`, its input
+//! gradient is `conv2d(g, w)` and its weight gradient is
+//! `conv2d_grad_weight(g, x)`. So every op here runs on three drivers:
+//!
+//! * [`conv_nchw`] (forward) never materializes the im2col matrix: the
+//!   weights are packed into `MR`-row tiles once per call; then, per
+//!   image, each `NR`-column panel of output positions is packed as a
+//!   `(ci, ky, kx) x NR` im2col block into a thread-local buffer that stays
+//!   in L1, every weight tile's microkernel consumes it at once, and each
+//!   accumulator row is stored straight into the `(N, O, oh, ow)` output
+//!   with the bias fused as `acc + b`. Work is split over image ×
+//!   output-channel tile.
+//! * [`scatter_nchw`] (input gradient, transposed forward) multiplies the
+//!   channel-major input by `Wᵀ` on the blocked GEMM in [`super::gemm`]
+//!   into a thread-local column matrix, then scatter-adds it into NCHW.
+//! * [`conv2d_grad_weight`] hands that GEMM a *virtual* transposed im2col
+//!   view.
+//!
+//! The standalone [`im2col`] remains as the tests' oracle.
 
 use super::gemm::{gemm, pack_a_tile, Im2colView, Operand};
 use crate::backend::{self, MR, NR};
@@ -31,13 +40,13 @@ use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Scratch for the `(Ci, N*H*W)` channel-major input matrix
-    /// [`conv_transpose2d_into`] stages its GEMM through, reused across
-    /// calls so the steady state allocates nothing.
+    /// Scratch for the `(C, N*H*W)` channel-major matrix of
+    /// [`with_channel_major`], reused across calls so the steady state
+    /// allocates nothing.
     static MAT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Scratch for the `(O*kh*kw, N*H*W)` column matrix of
-    /// [`conv_transpose2d_into`]; distinct from [`MAT_SCRATCH`] because
-    /// both are live at once.
+    /// [`scatter_nchw`]; distinct from [`MAT_SCRATCH`] because both are
+    /// live at once.
     static COLS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The calling thread's packed weight tiles for [`conv_nchw`], held
     /// across the parallel region while this thread also packs panels.
@@ -105,22 +114,23 @@ fn expect_rank4(op: &'static str, t: &Tensor) -> Result<[usize; 4]> {
     Ok([d[0], d[1], d[2], d[3]])
 }
 
-/// Copies NCHW data into a `(C, N*H*W)` channel-major matrix slice.
-fn nchw_to_c_nm_slice(src: &[f32], n: usize, c: usize, hw: usize, dst: &mut [f32]) {
-    for ci in 0..c {
-        for ni in 0..n {
-            let s = &src[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-            dst[ci * n * hw + ni * hw..ci * n * hw + (ni + 1) * hw].copy_from_slice(s);
+/// Runs `f` on the rank-4 `x: (N, C, H, W)` permuted into the `(C, N*H*W)`
+/// channel-major matrix, staged in [`MAT_SCRATCH`].
+fn with_channel_major<R>(x: &Tensor, f: impl FnOnce(&[f32]) -> R) -> R {
+    let (n, c, hw) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+    let src = x.as_slice();
+    MAT_SCRATCH.with(|cell| {
+        let mut dst = cell.borrow_mut();
+        dst.clear();
+        dst.resize(c * n * hw, 0.0);
+        for ci in 0..c {
+            for ni in 0..n {
+                let s = &src[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
+                dst[ci * n * hw + ni * hw..ci * n * hw + (ni + 1) * hw].copy_from_slice(s);
+            }
         }
-    }
-}
-
-/// Permutes `(N, C, H, W)` into a `(C, N*H*W)` matrix (channel-major).
-fn nchw_to_c_nm(x: &Tensor) -> Result<Tensor> {
-    let [n, c, h, w] = expect_rank4("nchw_to_c_nm", x)?;
-    let mut out = Tensor::zeros(&[c, n * h * w]);
-    nchw_to_c_nm_slice(x.as_slice(), n, c, h * w, out.as_mut_slice());
-    Ok(out)
+        f(&dst)
+    })
 }
 
 /// Builds the virtual im2col view of `x` for panel packing,
@@ -169,15 +179,7 @@ fn im2col_view(
 /// Returns an error for non-rank-4 input or invalid geometry.
 pub fn im2col(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Result<Tensor> {
     let [n, c, h, w] = expect_rank4("im2col", x)?;
-    let geom = Conv2dGeometry {
-        in_h: h,
-        in_w: w,
-        kh,
-        kw,
-        stride,
-        pad,
-    };
-    let (oh, ow) = geom.out_dims()?;
+    let (_, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
     let rows = c * kh * kw;
     let cols_per_sample = oh * ow;
     let row_len = n * cols_per_sample;
@@ -212,104 +214,6 @@ pub fn im2col(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Re
     Ok(cols)
 }
 
-/// Folds an im2col matrix back into an `(N, C, H, W)` tensor by scatter-add.
-///
-/// `grid_h`/`grid_w` are the im2col output-grid dimensions the matrix was
-/// produced with (i.e. `oh`/`ow` of the matching forward convolution).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the matrix dimensions do not
-/// match the requested geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    cols: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    grid_h: usize,
-    grid_w: usize,
-) -> Result<Tensor> {
-    let rows = c * kh * kw;
-    let row_len = n * grid_h * grid_w;
-    if cols.shape() != [rows, row_len] {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: cols.shape().to_vec(),
-            rhs: vec![rows, row_len],
-        });
-    }
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    col2im_scatter(
-        cols.as_slice(),
-        out.as_mut_slice(),
-        n,
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        grid_h,
-        grid_w,
-    );
-    Ok(out)
-}
-
-/// Scatter-add core of [`col2im`]; `dst` must be pre-zeroed NCHW storage.
-#[allow(clippy::too_many_arguments)]
-fn col2im_scatter(
-    src: &[f32],
-    dst: &mut [f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    grid_h: usize,
-    grid_w: usize,
-) {
-    let rows = c * kh * kw;
-    let row_len = n * grid_h * grid_w;
-    let chw = c * h * w;
-    // Parallel over samples: each worker owns a disjoint set of images.
-    par_rows_mut(dst, n, chw, 1, |range, chunk| {
-        for (local, ni) in range.enumerate() {
-            let img = &mut chunk[local * chw..(local + 1) * chw];
-            for r in 0..rows {
-                let ci = r / (kh * kw);
-                let ky = (r / kw) % kh;
-                let kx = r % kw;
-                let srow = &src[r * row_len + ni * grid_h * grid_w..];
-                for oy in 0..grid_h {
-                    let iy = oy * stride + ky;
-                    let iy = match iy.checked_sub(pad) {
-                        Some(v) if v < h => v,
-                        _ => continue,
-                    };
-                    for ox in 0..grid_w {
-                        let ix = ox * stride + kx;
-                        let ix = match ix.checked_sub(pad) {
-                            Some(v) if v < w => v,
-                            _ => continue,
-                        };
-                        img[(ci * h + iy) * w + ix] += srow[oy * grid_w + ox];
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// Forward 2-D convolution: `x (N,C,H,W) * w (O,C,kh,kw) [+ bias (O)]`.
 ///
 /// # Errors
@@ -339,17 +243,9 @@ pub fn conv2d_out_shape(
     stride: usize,
     pad: usize,
 ) -> Result<[usize; 4]> {
-    let [n, _, in_h, in_w] = expect_rank4("conv2d", x)?;
+    let [n, _, _, _] = expect_rank4("conv2d", x)?;
     let [o, _, kh, kw] = expect_rank4("conv2d", weight)?;
-    let (oh, ow) = Conv2dGeometry {
-        in_h,
-        in_w,
-        kh,
-        kw,
-        stride,
-        pad,
-    }
-    .out_dims()?;
+    let (_, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
     Ok([n, o, oh, ow])
 }
 
@@ -407,9 +303,8 @@ pub fn conv2d_into(
     Ok(())
 }
 
-/// Forward convolution core of [`conv2d_into`] and
-/// [`conv_transpose2d_grad_input`]: with `a` the row-major `(m, C*kh*kw)`
-/// weight matrix, writes
+/// Forward driver of [`conv2d_into`]: with `a` the row-major
+/// `(m, C*kh*kw)` weight matrix, writes
 /// `out[img, o, oy, ox] = Σ_p a[o, p] · im2col(v)[p, (img, oy, ox)]`, plus
 /// `bias[o]`, into the `(n, m, oh, ow)` buffer `out`.
 ///
@@ -590,11 +485,16 @@ fn gather<const S: usize>(src: &[f32], d: &mut [f32; NR]) {
 
 /// Gradient of [`conv2d`] with respect to its input.
 ///
-/// `x_shape` is the `(N, C, H, W)` shape of the original input.
+/// `x_shape` is the `(N, C, H, W)` shape of the original input. Input
+/// positions no window reaches (trailing rows or columns a strided
+/// convolution drops) get `+0.0`.
 ///
 /// # Errors
 ///
-/// Returns an error for rank/shape mismatches or invalid geometry.
+/// Returns an error for rank mismatches or invalid geometry, and
+/// [`TensorError::ShapeMismatch`] when `weight` does not fit `grad_out`,
+/// or when `x_shape` is not `(N, C, H, W)` with `grad_out`'s `N`,
+/// `weight`'s `C` and an `H x W` grid that convolves to `grad_out`'s.
 pub fn conv2d_grad_input(
     grad_out: &Tensor,
     weight: &Tensor,
@@ -604,22 +504,117 @@ pub fn conv2d_grad_input(
 ) -> Result<Tensor> {
     let [n, o, oh, ow] = expect_rank4("conv2d_grad_input", grad_out)?;
     let [wo, c, kh, kw] = expect_rank4("conv2d_grad_input", weight)?;
-    if wo != o || x_shape.len() != 4 {
+    if wo != o {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_grad_input",
             lhs: grad_out.shape().to_vec(),
             rhs: weight.shape().to_vec(),
         });
     }
-    let gmat = nchw_to_c_nm(grad_out)?;
-    let wmat = weight.reshape(&[o, c * kh * kw])?;
-    let grad_cols = crate::ops::matmul_at(&wmat, &gmat)?;
-    col2im(
-        &grad_cols, n, c, x_shape[2], x_shape[3], kh, kw, stride, pad, oh, ow,
-    )
+    let x_mismatch = || TensorError::ShapeMismatch {
+        op: "conv2d_grad_input x_shape",
+        lhs: x_shape.to_vec(),
+        rhs: grad_out.shape().to_vec(),
+    };
+    let &[xn, xc, in_h, in_w] = x_shape else {
+        return Err(x_mismatch());
+    };
+    let geom = Conv2dGeometry {
+        in_h,
+        in_w,
+        kh,
+        kw,
+        stride,
+        pad,
+    };
+    if (xn, xc) != (n, c) || geom.out_dims()? != (oh, ow) {
+        return Err(x_mismatch());
+    }
+    let mut gx = Tensor::zeros(x_shape);
+    scatter_nchw(grad_out, weight.as_slice(), c, &geom, gx.as_mut_slice());
+    Ok(gx)
 }
 
-/// Gradient of [`conv2d`] with respect to its weight.
+/// Scatter driver of [`conv2d_grad_input`] and [`conv_transpose2d_into`]:
+/// the adjoint of [`conv_nchw`]. With `a` the row-major `(Ci, O*kh*kw)`
+/// weight matrix and `x: (N, Ci, gh, gw)` on the output grid of `geom`,
+/// writes `col2im(aᵀ · x_mat)` into the `(N, O, geom.in_h, geom.in_w)`
+/// buffer `out`, `x_mat` being `x`'s `(Ci, N*gh*gw)` channel-major matrix.
+///
+/// Each column entry is one GEMM chain over increasing `ci`. The scatter
+/// then adds, per image, rows `(o, ky, kx)` in order, each over its grid in
+/// row-major order, onto `0.0`; only images are split across threads, so
+/// the result is bit-identical across `LECA_THREADS` and the bit-exact
+/// backends, and every element of `out` is overwritten.
+fn scatter_nchw(x: &Tensor, a: &[f32], o: usize, geom: &Conv2dGeometry, out: &mut [f32]) {
+    let (n, ci, gh, gw) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let Conv2dGeometry {
+        in_h: h,
+        in_w: w,
+        kh,
+        kw,
+        stride,
+        pad,
+    } = *geom;
+    debug_assert_eq!(geom.out_dims().ok(), Some((gh, gw)), "scatter grid");
+    let (okk, ngrid, chw) = (o * kh * kw, n * gh * gw, o * h * w);
+    with_channel_major(x, |xmat| {
+        COLS_SCRATCH.with(|cc| {
+            let mut cols = cc.borrow_mut();
+            cols.clear();
+            cols.resize(okk * ngrid, 0.0);
+            // cols = Wᵀ · xmat with W the (Ci, O*kh*kw) weight matrix,
+            // expressed as a strided view exactly like `matmul_at`.
+            gemm(
+                okk,
+                ngrid,
+                ci,
+                a,
+                1,
+                okk,
+                &Operand::Strided {
+                    data: xmat,
+                    rs: ngrid,
+                    cs: 1,
+                },
+                &mut cols,
+            );
+            out.fill(0.0);
+            let cols = &*cols;
+            // Parallel over samples: each worker owns a disjoint set of images.
+            par_rows_mut(out, n, chw, 1, |range, chunk| {
+                for (local, ni) in range.enumerate() {
+                    let img = &mut chunk[local * chw..(local + 1) * chw];
+                    for r in 0..okk {
+                        let oi = r / (kh * kw);
+                        let ky = (r / kw) % kh;
+                        let kx = r % kw;
+                        let srow = &cols[r * ngrid + ni * gh * gw..];
+                        for oy in 0..gh {
+                            let iy = oy * stride + ky;
+                            let iy = match iy.checked_sub(pad) {
+                                Some(v) if v < h => v,
+                                _ => continue,
+                            };
+                            for ox in 0..gw {
+                                let ix = ox * stride + kx;
+                                let ix = match ix.checked_sub(pad) {
+                                    Some(v) if v < w => v,
+                                    _ => continue,
+                                };
+                                img[(oi * h + iy) * w + ix] += srow[oy * gw + ox];
+                            }
+                        }
+                    }
+                }
+            });
+        });
+    });
+}
+
+/// Gradient of [`conv2d`] with respect to its weight: the weight-gradient
+/// driver, `dW = dY_mat · im2col(x)ᵀ` on the blocked GEMM with the
+/// transposed im2col consumed virtually by panel packing.
 ///
 /// # Errors
 ///
@@ -642,28 +637,32 @@ pub fn conv2d_grad_weight(
             rhs: vec![n, o, oh, ow],
         });
     }
-    let gmat = nchw_to_c_nm(grad_out)?;
-    // dW = dY · im2col(x)ᵀ, with the transposed im2col consumed virtually
-    // by panel packing.
-    let ckk = c * kh * kw;
-    let mut grad_wmat = Tensor::zeros(&[o, ckk]);
-    gemm(
-        o,
-        ckk,
-        n * oh * ow,
-        gmat.as_slice(),
-        n * oh * ow,
-        1,
-        &Operand::Im2colT(view),
-        grad_wmat.as_mut_slice(),
-    );
-    grad_wmat.reshape(&[o, c, kh, kw])
+    let (ckk, nohw) = (c * kh * kw, n * oh * ow);
+    let mut grad_w = Tensor::zeros(&[o, c, kh, kw]);
+    with_channel_major(grad_out, |gmat| {
+        gemm(
+            o,
+            ckk,
+            nohw,
+            gmat,
+            nohw,
+            1,
+            &Operand::Im2colT(view),
+            grad_w.as_mut_slice(),
+        );
+    });
+    Ok(grad_w)
 }
 
 /// Forward transposed convolution: `x (N,Ci,H,W) * w (Ci,O,kh,kw)`.
 ///
 /// Output spatial size is `(H-1)*stride + k - 2*pad`; with `stride == k` and
 /// `pad == 0` this is the exact K× upsampling used by the LeCA decoder.
+/// It is the adjoint of [`conv2d`]: reading `w` as a conv weight
+/// `(O', C', kh, kw)` with `O' = Ci` and `C' = O`, it equals
+/// [`conv2d_grad_input`] (plus the bias), so its input gradient is
+/// [`conv2d`]`(g, w)` and its weight gradient
+/// [`conv2d_grad_weight`]`(g, x)`.
 ///
 /// # Errors
 ///
@@ -686,8 +685,8 @@ pub fn conv_transpose2d(
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for a non-rank-4 `x` or `weight`
-/// and [`TensorError::InvalidGeometry`] for a zero stride or a padding
-/// larger than the output.
+/// and [`TensorError::InvalidGeometry`] for a zero stride, an empty input
+/// grid or kernel, or a padding larger than the output.
 pub fn conv_transpose2d_out_shape(
     x: &Tensor,
     weight: &Tensor,
@@ -696,38 +695,27 @@ pub fn conv_transpose2d_out_shape(
 ) -> Result<[usize; 4]> {
     let [n, _, h, w] = expect_rank4("conv_transpose2d", x)?;
     let [_, o, kh, kw] = expect_rank4("conv_transpose2d", weight)?;
-    let (oh, ow) = conv_transpose_out_dims(h, w, kh, kw, stride, pad)?;
+    if stride == 0 || h == 0 || w == 0 || kh == 0 || kw == 0 {
+        return Err(TensorError::InvalidGeometry(format!(
+            "transposed conv: stride {stride}, input {h}x{w} and kernel {kh}x{kw} must be non-zero"
+        )));
+    }
+    // (H-1)*s + k - 2*pad
+    let too_large = || TensorError::InvalidGeometry("padding too large".into());
+    let oh = ((h - 1) * stride + kh)
+        .checked_sub(2 * pad)
+        .ok_or_else(too_large)?;
+    let ow = ((w - 1) * stride + kw)
+        .checked_sub(2 * pad)
+        .ok_or_else(too_large)?;
     Ok([n, o, oh, ow])
 }
 
-/// Output spatial dims of a transposed convolution: `(H-1)*s + k - 2*pad`.
-fn conv_transpose_out_dims(
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> Result<(usize, usize)> {
-    if stride == 0 {
-        return Err(TensorError::InvalidGeometry(
-            "stride must be non-zero".into(),
-        ));
-    }
-    let oh = (h - 1) * stride + kh;
-    let ow = (w - 1) * stride + kw;
-    Ok((
-        oh.checked_sub(2 * pad)
-            .ok_or_else(|| TensorError::InvalidGeometry("padding too large".into()))?,
-        ow.checked_sub(2 * pad)
-            .ok_or_else(|| TensorError::InvalidGeometry("padding too large".into()))?,
-    ))
-}
-
 /// [`conv_transpose2d`] writing into the caller-provided `(N, O, oh, ow)`
-/// tensor `out`, bit-identical to the allocating variant. The channel-major
-/// input matrix and the scatter columns live in thread-local scratch, so a
-/// warm call allocates nothing.
+/// tensor `out`, bit-identical to the allocating variant. It runs the
+/// scatter driver, then adds the bias. The channel-major input matrix and
+/// the scatter columns live in thread-local scratch, so a warm call
+/// allocates nothing.
 ///
 /// # Errors
 ///
@@ -741,8 +729,8 @@ pub fn conv_transpose2d_into(
     pad: usize,
     out: &mut Tensor,
 ) -> Result<()> {
-    let [n, ci, h, w] = expect_rank4("conv_transpose2d", x)?;
-    let [wci, o, kh, kw] = expect_rank4("conv_transpose2d", weight)?;
+    let [_, ci, _, _] = expect_rank4("conv_transpose2d", x)?;
+    let [wci, _, kh, kw] = expect_rank4("conv_transpose2d", weight)?;
     if wci != ci {
         return Err(TensorError::ShapeMismatch {
             op: "conv_transpose2d",
@@ -750,7 +738,7 @@ pub fn conv_transpose2d_into(
             rhs: weight.shape().to_vec(),
         });
     }
-    let (oh, ow) = conv_transpose_out_dims(h, w, kh, kw, stride, pad)?;
+    let [n, o, oh, ow] = conv_transpose2d_out_shape(x, weight, stride, pad)?;
     if out.shape() != [n, o, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             op: "conv_transpose2d_into",
@@ -767,38 +755,15 @@ pub fn conv_transpose2d_into(
             });
         }
     }
-    let nhw = n * h * w;
-    let okk = o * kh * kw;
-    MAT_SCRATCH.with(|xc| {
-        let mut xmat = xc.borrow_mut();
-        xmat.clear();
-        xmat.resize(ci * nhw, 0.0);
-        nchw_to_c_nm_slice(x.as_slice(), n, ci, h * w, &mut xmat);
-        COLS_SCRATCH.with(|cc| {
-            let mut cols = cc.borrow_mut();
-            cols.clear();
-            cols.resize(okk * nhw, 0.0);
-            // cols = Wᵀ · xmat with W the (Ci, O*kh*kw) weight matrix,
-            // expressed as a strided view exactly like `matmul_at`.
-            gemm(
-                okk,
-                nhw,
-                ci,
-                weight.as_slice(),
-                1,
-                okk,
-                &Operand::Strided {
-                    data: &xmat,
-                    rs: nhw,
-                    cs: 1,
-                },
-                &mut cols,
-            );
-            let dst = out.as_mut_slice();
-            dst.fill(0.0);
-            col2im_scatter(&cols, dst, n, o, oh, ow, kh, kw, stride, pad, h, w);
-        });
-    });
+    let geom = Conv2dGeometry {
+        in_h: oh,
+        in_w: ow,
+        kh,
+        kw,
+        stride,
+        pad,
+    };
+    scatter_nchw(x, weight.as_slice(), o, &geom, out.as_mut_slice());
     if let Some(b) = bias {
         let hw = oh * ow;
         let data = out.as_mut_slice();
@@ -814,77 +779,6 @@ pub fn conv_transpose2d_into(
     Ok(())
 }
 
-/// Gradient of [`conv_transpose2d`] with respect to its input.
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or invalid geometry.
-pub fn conv_transpose2d_grad_input(
-    grad_out: &Tensor,
-    weight: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor> {
-    let [n, o, _, _] = expect_rank4("conv_transpose2d_grad_input", grad_out)?;
-    let [ci, wo, kh, kw] = expect_rank4("conv_transpose2d_grad_input", weight)?;
-    if wo != o {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv_transpose2d_grad_input",
-            lhs: grad_out.shape().to_vec(),
-            rhs: weight.shape().to_vec(),
-        });
-    }
-    // Differentiating the scatter: grad wrt x is an ordinary convolution of
-    // grad_out with the same kernel, the (Ci, O, kh, kw) weights read as the
-    // (Ci, O*kh*kw) matrix, so it runs on the forward driver. The
-    // forward-input grid (H, W) is exactly that convolution's output grid.
-    let (view, h, w) = im2col_view(grad_out, kh, kw, stride, pad)?;
-    let mut gx = Tensor::zeros(&[n, ci, h, w]);
-    conv_nchw(&view, n, weight.as_slice(), ci, None, gx.as_mut_slice());
-    Ok(gx)
-}
-
-/// Gradient of [`conv_transpose2d`] with respect to its weight.
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or invalid geometry.
-pub fn conv_transpose2d_grad_weight(
-    x: &Tensor,
-    grad_out: &Tensor,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor> {
-    let [n, ci, h, w] = expect_rank4("conv_transpose2d_grad_weight", x)?;
-    let [gn, o, _, _] = expect_rank4("conv_transpose2d_grad_weight", grad_out)?;
-    // dW = x_mat · im2col(grad_out)ᵀ; the im2col output grid must be the
-    // forward-input grid of x.
-    let (view, vh, vw) = im2col_view(grad_out, kh, kw, stride, pad)?;
-    if gn != n || (vh, vw) != (h, w) {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv_transpose2d_grad_weight",
-            lhs: grad_out.shape().to_vec(),
-            rhs: x.shape().to_vec(),
-        });
-    }
-    let xmat = nchw_to_c_nm(x)?;
-    let okk = o * kh * kw;
-    let mut grad_wmat = Tensor::zeros(&[ci, okk]);
-    gemm(
-        ci,
-        okk,
-        n * h * w,
-        xmat.as_slice(),
-        n * h * w,
-        1,
-        &Operand::Im2colT(view),
-        grad_wmat.as_mut_slice(),
-    );
-    grad_wmat.reshape(&[ci, o, kh, kw])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,38 +786,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn naive_conv2d(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
-        let (n, c, h, iw) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (o, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
-        let oh = (h + 2 * pad - kh) / stride + 1;
-        let ow = (iw + 2 * pad - kw) / stride + 1;
-        let mut out = Tensor::zeros(&[n, o, oh, ow]);
-        for ni in 0..n {
-            for oi in 0..o {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ci in 0..c {
-                            for ky in 0..kh {
-                                for kx in 0..kw {
-                                    let iy = oy * stride + ky;
-                                    let ix = ox * stride + kx;
-                                    if iy < pad || ix < pad {
-                                        continue;
-                                    }
-                                    let (iy, ix) = (iy - pad, ix - pad);
-                                    if iy >= h || ix >= iw {
-                                        continue;
-                                    }
-                                    acc += x.at4(ni, ci, iy, ix) * w.at4(oi, ci, ky, kx);
-                                }
-                            }
-                        }
-                        out.set4(ni, oi, oy, ox, acc);
-                    }
-                }
-            }
-        }
-        out
+        crate::ops::reference::conv2d_naive(x, w, stride, pad).unwrap()
     }
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
@@ -1022,19 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property.
-        let mut rng = StdRng::seed_from_u64(13);
-        let x = Tensor::rand_uniform(&[1, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let cols = im2col(&x, 3, 3, 2, 1).unwrap();
-        let y = Tensor::rand_uniform(cols.shape(), -1.0, 1.0, &mut rng);
-        let back = col2im(&y, 1, 2, 5, 5, 3, 3, 2, 1, 3, 3).unwrap();
-        let lhs: f32 = cols.mul(&y).unwrap().sum();
-        let rhs: f32 = x.mul(&back).unwrap().sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
-    }
-
-    #[test]
     fn grad_input_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(14);
         let x = Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
@@ -1115,7 +965,8 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 2, 3, 3], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform(&[2, 3, 2, 2], -1.0, 1.0, &mut rng);
         let gout = Tensor::ones(&[1, 3, 6, 6]);
-        let gx = conv_transpose2d_grad_input(&gout, &w, 2, 0).unwrap();
+        // The transposed conv's input gradient is the forward conv.
+        let gx = conv2d(&gout, &w, None, 2, 0).unwrap();
         assert_eq!(gx.shape(), x.shape());
         let eps = 1e-3;
         for idx in [0usize, 7, 12] {
@@ -1136,7 +987,8 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 2, 3, 3], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform(&[2, 3, 2, 2], -1.0, 1.0, &mut rng);
         let gout = Tensor::ones(&[1, 3, 6, 6]);
-        let gw = conv_transpose2d_grad_weight(&x, &gout, 2, 2, 2, 0).unwrap();
+        // Its weight gradient is conv2d's with input and gradient swapped.
+        let gw = conv2d_grad_weight(&gout, &x, 2, 2, 2, 0).unwrap();
         assert_eq!(gw.shape(), w.shape());
         let eps = 1e-3;
         for idx in [0usize, 5, 11, 23] {
@@ -1149,6 +1001,50 @@ mod tests {
             let num = (fp - fm) / (2.0 * eps);
             assert!((num - gw.as_slice()[idx]).abs() < 1e-2, "idx {idx}");
         }
+    }
+
+    #[test]
+    fn grad_input_rejects_x_shape_that_does_not_convolve_to_grad_out() {
+        let gout = Tensor::ones(&[1, 3, 2, 2]);
+        let w = Tensor::ones(&[3, 2, 2, 2]);
+        // 5x5 at k2 s2 also convolves to 2x2.
+        let gx = conv2d_grad_input(&gout, &w, &[1, 2, 5, 5], 2, 0).unwrap();
+        assert_eq!(gx.shape(), &[1, 2, 5, 5]);
+        for bad in [
+            &[2, 2, 4, 4][..],
+            &[1, 3, 4, 4],
+            &[1, 2, 6, 6],
+            &[1, 2, 4, 8],
+            &[1, 2, 4],
+        ] {
+            assert!(
+                matches!(
+                    conv2d_grad_input(&gout, &w, bad, 2, 0),
+                    Err(TensorError::ShapeMismatch { .. })
+                ),
+                "x_shape {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn conv_transpose_rejects_empty_input_grid() {
+        let w = Tensor::ones(&[2, 3, 2, 2]);
+        for shape in [[1, 2, 0, 3], [1, 2, 3, 0], [0, 2, 0, 0]] {
+            let x = Tensor::zeros(&shape);
+            for r in [
+                conv_transpose2d_out_shape(&x, &w, 2, 0).map(|_| ()),
+                conv_transpose2d(&x, &w, None, 2, 0).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(r, Err(TensorError::InvalidGeometry(_))),
+                    "{shape:?}"
+                );
+            }
+        }
+        // An empty batch over a non-empty grid is still a valid call.
+        let y = conv_transpose2d(&Tensor::zeros(&[0, 2, 3, 3]), &w, None, 2, 0).unwrap();
+        assert_eq!(y.shape(), &[0, 3, 6, 6]);
     }
 
     #[test]

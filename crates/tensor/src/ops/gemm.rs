@@ -1,10 +1,12 @@
 //! Cache-blocked, register-tiled GEMM core.
 //!
 //! Every matmul variant ([`super::matmul`], [`super::matmul_bt`],
-//! [`super::matmul_at`]) and both convolution weight gradients in
-//! [`super::conv`] lower onto [`gemm`] here. (Forward convolution has its
-//! own loop order on the same microkernel and reuses [`pack_a_tile`] —
-//! see the [`super::conv`] module docs.) The structure is the classic
+//! [`super::matmul_at`]) and two of the three convolution drivers in
+//! [`super::conv`] lower onto [`gemm`] here: the scatter driver (conv
+//! input gradient and transposed conv) with a strided B, and the weight
+//! gradient with the virtual transposed im2col. (Forward convolution has
+//! its own loop order on the same microkernel and reuses [`pack_a_tile`]
+//! — see the [`super::conv`] module docs.) The structure is the classic
 //! packed-panel design:
 //!
 //! * B is packed into panel-major storage: panels of [`NR`] columns, each

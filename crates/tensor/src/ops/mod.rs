@@ -13,8 +13,7 @@ pub mod reduce;
 pub mod reference;
 
 pub use conv::{
-    col2im, conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv2d_out_shape,
-    conv_transpose2d, conv_transpose2d_grad_input, conv_transpose2d_grad_weight,
+    conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv2d_out_shape, conv_transpose2d,
     conv_transpose2d_into, conv_transpose2d_out_shape, im2col, Conv2dGeometry,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};

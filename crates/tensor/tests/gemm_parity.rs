@@ -5,11 +5,13 @@
 //! shapes where that machinery can go wrong — dimensions of 1, tile-size
 //! +/-1 stragglers, odd primes — and random rectangles, asserting
 //! elementwise agreement with `ops::reference::matmul_naive` to within
-//! 1e-4 relative error.
+//! 1e-4 relative error. Every convolution op is held to its im2col +
+//! `matmul_naive` oracle bit for bit, on every bit-exact backend.
 
 use leca_tensor::ops::reference::matmul_naive;
 use leca_tensor::ops::{
-    conv2d_into, conv_transpose2d_grad_input, im2col, matmul, matmul_at, matmul_bt, matmul_into,
+    conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv_transpose2d_into, im2col, matmul,
+    matmul_at, matmul_bt, matmul_into,
 };
 use leca_tensor::Tensor;
 use proptest::prelude::*;
@@ -158,8 +160,7 @@ fn edge_dim_cross_product() {
 /// Bitwise oracle for forward convolution: `ops::im2col`, then
 /// `matmul_naive` (one in-order chain from `0.0` per element, the order
 /// the bit-exact microkernels keep), then `acc + b`, scattered to NCHW.
-/// `weight` is `(O, C, kh, kw)`; a transposed-conv weight `(Ci, O, kh, kw)`
-/// is the same matrix for its input gradient.
+/// `weight` is `(O, C, kh, kw)`.
 fn conv_oracle(
     x: &Tensor,
     weight: &Tensor,
@@ -192,6 +193,59 @@ fn conv_oracle(
     Tensor::from_vec(out, &[n, o, oh, ow]).unwrap()
 }
 
+/// The `(C, N*H*W)` channel-major matrix of an NCHW tensor.
+fn channel_major(x: &Tensor) -> Tensor {
+    let (n, c, hw) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+    let planes = x.as_slice().chunks(hw);
+    let m: Vec<f32> = (0..c)
+        .flat_map(|ci| planes.clone().skip(ci).step_by(c).flatten().copied())
+        .collect();
+    Tensor::from_vec(m, &[c, n * hw]).unwrap()
+}
+
+/// Bitwise oracle for the scatter-shaped ops (`conv2d_grad_input`, and
+/// `conv_transpose2d` before its bias): `cols = matmul_naive(Wᵀ, g_mat)`
+/// with `weight` read as the `(Ci, O*kh*kw)` matrix, then each column
+/// entry added onto a zeroed `(N, O, h, w)` output in `(o, ky, kx)`, then
+/// `(oy, ox)` order. Positions no window reaches stay `+0.0`.
+fn scatter_oracle(
+    g: &Tensor,
+    weight: &Tensor,
+    (h, w): (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let (n, gh, gw) = (g.shape()[0], g.shape()[2], g.shape()[3]);
+    let s = weight.shape();
+    let (ci, o, kh, kw) = (s[0], s[1], s[2], s[3]);
+    let wt = weight.reshape(&[ci, o * kh * kw]).unwrap();
+    let cols = matmul_naive(&wt.transpose().unwrap(), &channel_major(g)).unwrap();
+    let mut out = Tensor::zeros(&[n, o, h, w]);
+    for img in 0..n {
+        for r in 0..o * kh * kw {
+            let (oi, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+            for j in 0..gh * gw {
+                // Out-of-image (padding) positions wrap past h or w.
+                let y = (j / gw * stride + ky).wrapping_sub(pad);
+                let x = (j % gw * stride + kx).wrapping_sub(pad);
+                if y < h && x < w {
+                    let v = cols.at(&[r, img * gh * gw + j]);
+                    out.as_mut_slice()[((img * o + oi) * h + y) * w + x] += v;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Bitwise oracle for `conv2d_grad_weight` of a weight shaped `s`:
+/// `matmul_naive(g_mat, im2col(x)ᵀ)`, one in-order chain over `N*oh*ow`.
+fn grad_weight_oracle(x: &Tensor, g: &Tensor, s: &[usize], stride: usize, pad: usize) -> Tensor {
+    let cols = im2col(x, s[2], s[3], stride, pad).unwrap();
+    let gw = matmul_naive(&channel_major(g), &cols.transpose().unwrap()).unwrap();
+    gw.reshape(s).unwrap()
+}
+
 fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}");
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -199,15 +253,21 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// `conv2d_into` (with and without bias, into a NaN-filled output) and
-/// `conv_transpose2d_grad_input` are bit-identical to [`conv_oracle`] on
-/// every bit-exact backend. The shapes cover `ow % NR != 0` (panels that
-/// straddle output rows), `O % MR != 0`, strides 1/2/3, pads 0/1/2,
-/// `kh != kw`, 1x1 kernels, `C = 1`, `N = 1`/`3`, and pad > kw (a
-/// panel wholly in the left or right padding).
+/// Every conv op is bit-identical to its im2col + `matmul_naive` oracle on
+/// every bit-exact backend: `conv2d_into` (with and without bias) and
+/// `conv_transpose2d_into` (with bias) into NaN-filled outputs, plus
+/// `conv2d_grad_input` and `conv2d_grad_weight`. Each shape's transposed
+/// conv takes the forward conv's output grid as its input and the conv
+/// weight read as `(Ci, O, kh, kw)`. The shapes cover `ow % NR != 0`
+/// (panels that straddle output rows), `O % MR != 0`, strides 1/2/3/5,
+/// pads 0/1/2, `kh != kw`, 1x1 kernels, `C = 1`, `N = 1`/`3`, pad > kw (a
+/// panel wholly in the left or right padding), and forward convs that
+/// drop trailing input rows or columns, whose input gradient there is
+/// `+0.0`.
 #[test]
 fn conv_is_bit_identical_to_im2col_oracle() {
     use leca_tensor::backend::{refresh_backend, Backend};
+    use leca_tensor::ops::conv_transpose2d_out_shape;
     use rand::SeedableRng;
     // (n, c, h, w, o, kh, kw, stride, pad)
     const SHAPES: &[[usize; 9]] = &[
@@ -224,6 +284,10 @@ fn conv_is_bit_identical_to_im2col_oracle() {
         // pad > kw: a panel wholly inside the right or left padding.
         [1, 1, 1, 5, 1, 5, 1, 1, 2],
         [1, 1, 1, 1, 1, 3, 1, 5, 2],
+        // The forward conv drops the last input row and column.
+        [3, 3, 5, 5, 4, 2, 2, 2, 0],
+        // The upsample geometry (stride == kernel, no padding).
+        [2, 8, 8, 8, 3, 2, 2, 2, 0],
     ];
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0_11);
     let cases: Vec<_> = SHAPES
@@ -234,11 +298,32 @@ fn conv_is_bit_identical_to_im2col_oracle() {
             let b = Tensor::rand_uniform(&[o], -1.0, 1.0, &mut rng);
             let want = conv_oracle(&x, &wt, None, stride, pad);
             let want_b = conv_oracle(&x, &wt, Some(&b), stride, pad);
-            // The transposed conv's input gradient convolves its output
-            // gradient with a (Ci, O, kh, kw) weight: Ci = o, O = c here.
-            let tw = Tensor::rand_uniform(&[o, c, kh, kw], -1.0, 1.0, &mut rng);
-            let want_t = conv_oracle(&x, &tw, None, stride, pad);
-            (x, wt, b, tw, stride, pad, [want, want_b, want_t])
+            // A gradient on the forward output grid, which is also the
+            // transposed conv's input.
+            let g = Tensor::rand_uniform(want.shape(), -2.0, 2.0, &mut rng);
+            let want_gx = scatter_oracle(&g, &wt, (h, w), stride, pad);
+            let want_gw = grad_weight_oracle(&x, &g, wt.shape(), stride, pad);
+            // The transposed conv is only defined where its padding fits.
+            let tb = Tensor::rand_uniform(&[c], -1.0, 1.0, &mut rng);
+            let want_t = conv_transpose2d_out_shape(&g, &wt, stride, pad)
+                .ok()
+                .map(|s| {
+                    let mut t = scatter_oracle(&g, &wt, (s[2], s[3]), stride, pad);
+                    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+                        *v += tb.as_slice()[(i / (s[2] * s[3])) % c];
+                    }
+                    t
+                });
+            (
+                x,
+                wt,
+                b,
+                g,
+                tb,
+                [stride, pad],
+                [want, want_b, want_gx, want_gw],
+                want_t,
+            )
         })
         .collect();
 
@@ -249,21 +334,25 @@ fn conv_is_bit_identical_to_im2col_oracle() {
     {
         std::env::set_var("LECA_BACKEND", be.name());
         refresh_backend();
-        for (x, wt, b, tw, stride, pad, [want, want_b, want_t]) in &cases {
-            let what = format!(
-                "{} x{:?} w{:?} s{stride} p{pad}",
-                be.name(),
-                x.shape(),
-                wt.shape()
-            );
+        for (x, wt, b, g, tb, [stride, pad], [want, want_b, want_gx, want_gw], want_t) in &cases {
+            let (s, p) = (*stride, *pad);
+            let what = format!("{} x{:?} w{:?} s{s} p{p}", be.name(), x.shape(), wt.shape());
             let mut out = Tensor::full(want.shape(), f32::NAN);
-            conv2d_into(x, wt, None, *stride, *pad, &mut out).unwrap();
+            conv2d_into(x, wt, None, s, p, &mut out).unwrap();
             assert_bits_eq(&out, want, &format!("conv2d_into {what}"));
             let mut out = Tensor::full(want.shape(), f32::NAN);
-            conv2d_into(x, wt, Some(b), *stride, *pad, &mut out).unwrap();
+            conv2d_into(x, wt, Some(b), s, p, &mut out).unwrap();
             assert_bits_eq(&out, want_b, &format!("conv2d_into+bias {what}"));
-            let gx = conv_transpose2d_grad_input(x, tw, *stride, *pad).unwrap();
-            assert_bits_eq(&gx, want_t, &format!("conv_transpose2d_grad_input {what}"));
+            let gx = conv2d_grad_input(g, wt, x.shape(), s, p).unwrap();
+            assert_bits_eq(&gx, want_gx, &format!("conv2d_grad_input {what}"));
+            let (kh, kw) = (wt.shape()[2], wt.shape()[3]);
+            let gw = conv2d_grad_weight(x, g, kh, kw, s, p).unwrap();
+            assert_bits_eq(&gw, want_gw, &format!("conv2d_grad_weight {what}"));
+            if let Some(want_t) = want_t {
+                let mut out = Tensor::full(want_t.shape(), f32::NAN);
+                conv_transpose2d_into(g, wt, Some(tb), s, p, &mut out).unwrap();
+                assert_bits_eq(&out, want_t, &format!("conv_transpose2d_into+bias {what}"));
+            }
         }
     }
     match old {

@@ -63,16 +63,24 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(x in tensor_strategy(50), y in tensor_strategy(72)) {
-        // <im2col(x), y> == <x, col2im(y)> for arbitrary x, y.
+    fn conv2d_grad_input_is_adjoint_of_conv2d(
+        x in tensor_strategy(50),
+        w in tensor_strategy(32),
+        y in tensor_strategy(36),
+    ) {
+        // <conv2d(x, w), y> == <x, conv2d_grad_input(y, w)> for arbitrary
+        // x, w, y (k2, stride 2, pad 1 over 5x5: a 3x3 output grid).
         let x = Tensor::from_vec(x, &[1, 2, 5, 5]).unwrap();
-        let cols = ops::im2col(&x, 2, 2, 2, 1).unwrap();
-        prop_assume!(cols.len() == y.len());
-        let y = Tensor::from_vec(y, cols.shape()).unwrap();
-        let lhs = cols.mul(&y).unwrap().sum();
-        let back = ops::col2im(&y, 1, 2, 5, 5, 2, 2, 2, 1, 3, 3).unwrap();
+        let w = Tensor::from_vec(w, &[4, 2, 2, 2]).unwrap();
+        let y = Tensor::from_vec(y, &[1, 4, 3, 3]).unwrap();
+        let lhs = ops::conv2d(&x, &w, None, 2, 1).unwrap().mul(&y).unwrap().sum();
+        let back = ops::conv2d_grad_input(&y, &w, x.shape(), 2, 1).unwrap();
         let rhs = x.mul(&back).unwrap().sum();
-        prop_assert!((lhs - rhs).abs() < 1e-2);
+        // Both sides round the same Σ x·w·y terms; bound by their magnitude.
+        let abs = |t: &Tensor| t.map(f32::abs);
+        let mag = ops::conv2d_grad_input(&abs(&y), &abs(&w), x.shape(), 2, 1).unwrap();
+        let mag = abs(&x).mul(&mag).unwrap().sum();
+        prop_assert!((lhs - rhs).abs() <= 1e-4 * mag + 1e-6, "{} vs {}", lhs, rhs);
     }
 
     #[test]
