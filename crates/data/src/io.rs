@@ -137,6 +137,9 @@ fn parse_header(data: &[u8], magic: &str) -> Result<(usize, usize, usize), Image
             }
         }
     }
+    if seen < 4 {
+        return Err(ImageIoError::Format("no whitespace after maxval".into()));
+    }
     Ok((w, h, pos))
 }
 
@@ -150,8 +153,11 @@ pub fn read_ppm<P: AsRef<Path>>(path: P) -> Result<Tensor, ImageIoError> {
     let mut data = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut data)?;
     let (w, h, pos) = parse_header(&data, "P6")?;
-    let need = 3 * w * h;
-    if data.len() < pos + need {
+    let end = w
+        .checked_mul(h)
+        .and_then(|px| px.checked_mul(3))
+        .and_then(|need| need.checked_add(pos));
+    if end.is_none_or(|end| data.len() < end) {
         return Err(ImageIoError::Format("truncated pixel data".into()));
     }
     let mut t = Tensor::zeros(&[3, h, w]);
@@ -228,6 +234,20 @@ mod tests {
         let p = tmp("trunc.ppm");
         std::fs::write(&p, b"P6\n4 4\n255\nxx").unwrap();
         assert!(read_ppm(&p).is_err());
+    }
+
+    #[test]
+    fn read_rejects_overflowing_dims() {
+        let p = tmp("huge.ppm");
+        std::fs::write(&p, b"P6\n4294967296 4294967296\n255\n").unwrap();
+        assert!(matches!(read_ppm(&p), Err(ImageIoError::Format(_))));
+    }
+
+    #[test]
+    fn read_rejects_header_without_pixel_separator() {
+        let p = tmp("noseparator.ppm");
+        std::fs::write(&p, b"P6 1 1 255").unwrap();
+        assert!(matches!(read_ppm(&p), Err(ImageIoError::Format(_))));
     }
 
     #[test]

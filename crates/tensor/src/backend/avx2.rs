@@ -138,16 +138,6 @@ pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2")]
-pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-    zip2!(a, b, out, |va, vb| _mm256_sub_ps(va, vb), scalar::sub);
-}
-
-#[target_feature(enable = "avx2")]
-pub fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-    zip2!(a, b, out, |va, vb| _mm256_mul_ps(va, vb), scalar::mul);
-}
-
-#[target_feature(enable = "avx2")]
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     let n = dst.len();
@@ -230,14 +220,6 @@ macro_rules! map1_inplace {
 }
 
 #[target_feature(enable = "avx2")]
-pub fn scale(src: &[f32], s: f32, out: &mut [f32]) {
-    let vs = _mm256_set1_ps(s);
-    map1!(src, out, |v| _mm256_mul_ps(v, vs), |s_, o_: &mut [f32]| {
-        scalar::scale(s_, s, o_)
-    });
-}
-
-#[target_feature(enable = "avx2")]
 pub fn scale_inplace(dst: &mut [f32], s: f32) {
     let vs = _mm256_set1_ps(s);
     map1_inplace!(dst, |v| _mm256_mul_ps(v, vs), |d_: &mut [f32]| {
@@ -278,22 +260,11 @@ pub fn clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2")]
-pub fn relu(src: &[f32], out: &mut [f32]) {
+pub fn relu_inplace(dst: &mut [f32]) {
     let zero = _mm256_setzero_ps();
     // `v <= 0` with an ORDERED predicate is false for NaN, so andnot
     // zeroes exactly the non-positive ordered lanes and passes NaN through
     // — the `v > 0 || v.is_nan()` branch, vectorized.
-    map1!(
-        src,
-        out,
-        |v| _mm256_andnot_ps(_mm256_cmp_ps(v, zero, _CMP_LE_OQ), v),
-        scalar::relu
-    );
-}
-
-#[target_feature(enable = "avx2")]
-pub fn relu_inplace(dst: &mut [f32]) {
-    let zero = _mm256_setzero_ps();
     map1_inplace!(
         dst,
         |v| _mm256_andnot_ps(_mm256_cmp_ps(v, zero, _CMP_LE_OQ), v),
@@ -302,23 +273,11 @@ pub fn relu_inplace(dst: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2")]
-pub fn leaky_relu(src: &[f32], a: f32, out: &mut [f32]) {
+pub fn leaky_relu_inplace(dst: &mut [f32], a: f32) {
     let zero = _mm256_setzero_ps();
     let va = _mm256_set1_ps(a);
     // blendv picks `v` where `v > 0` (ordered, so NaN falls to the a*v
     // side: a * NaN = NaN, same as the scalar else-branch).
-    map1!(
-        src,
-        out,
-        |v| _mm256_blendv_ps(_mm256_mul_ps(va, v), v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ)),
-        |s_, o_: &mut [f32]| scalar::leaky_relu(s_, a, o_)
-    );
-}
-
-#[target_feature(enable = "avx2")]
-pub fn leaky_relu_inplace(dst: &mut [f32], a: f32) {
-    let zero = _mm256_setzero_ps();
-    let va = _mm256_set1_ps(a);
     map1_inplace!(
         dst,
         |v| _mm256_blendv_ps(_mm256_mul_ps(va, v), v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ)),
@@ -396,14 +355,6 @@ pub fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, 
         },
         |s_, o_: &mut [f32]| scalar::bn_affine(s_, o_, mean, inv_std, g, b)
     );
-}
-
-/// The exponential stays on the scalar libm path: there is no bitwise
-/// AVX2 twin of `f32::exp`, and the bit-exactness contract forbids a
-/// polynomial substitute here (that is the fastmath tier's trade).
-#[target_feature(enable = "avx2")]
-pub fn exp(src: &[f32], out: &mut [f32]) {
-    scalar::exp(src, out);
 }
 
 /// Sequential dependence chain (exp then running sum) — deliberately the

@@ -1,5 +1,5 @@
 //! Fast-math bodies: FMA-contracted kernels and a vectorized polynomial
-//! `exp`, **not** bit-exact with the scalar oracle.
+//! exponential, **not** bit-exact with the scalar oracle.
 //!
 //! This module backs [`super::Backend::FastMath`], the opt-in relaxed
 //! tier (`LECA_BACKEND=fastmath`). Three kinds of function live here:
@@ -10,13 +10,13 @@
 //!    intermediate rounding of the separate multiply, so results differ
 //!    from the scalar chain by at most one rounding step per fused pair —
 //!    the tolerance parity suite bounds the accumulated relative error.
-//! 2. **The vectorized exponential** — [`exp`] / [`exp_sum`] evaluate a
-//!    Cephes-style degree-6 polynomial after range reduction
+//! 2. **The vectorized exponential** — [`exp_sum`], the softmax core,
+//!    evaluates a Cephes-style degree-6 polynomial after range reduction
 //!    (`x = n·ln2 + r`, `|r| ≤ ln2/2`), accurate to a few ULP on normal
 //!    results, with explicit saturation (`+inf` above the overflow knee,
 //!    `0.0` below the underflow knee — true denormal results flush to
-//!    zero) and NaN-in → NaN-out propagation. [`exp_sum`] also vectorizes
-//!    the softmax sum as eight lane-partial sums folded at the end, which
+//!    zero) and NaN-in → NaN-out propagation. It also vectorizes the
+//!    softmax sum as eight lane-partial sums folded at the end, which
 //!    reassociates the reduction — exactly the trade the bit-exact tiers
 //!    refuse.
 //! 3. **Exact forwarders** — every remaining kernel calls its
@@ -67,17 +67,12 @@ forward! {
     // Elementwise kernels with no mul-add shape: nothing for FMA to fuse,
     // so the AVX2 bodies are already optimal and stay bit-exact here.
     avx2::add(a: &[f32], b: &[f32], out: &mut [f32]);
-    avx2::sub(a: &[f32], b: &[f32], out: &mut [f32]);
-    avx2::mul(a: &[f32], b: &[f32], out: &mut [f32]);
     avx2::add_assign(dst: &mut [f32], src: &[f32]);
-    avx2::scale(src: &[f32], s: f32, out: &mut [f32]);
     avx2::scale_inplace(dst: &mut [f32], s: f32);
     avx2::add_scalar(src: &[f32], s: f32, out: &mut [f32]);
     avx2::add_scalar_inplace(dst: &mut [f32], s: f32);
     avx2::clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32]);
-    avx2::relu(src: &[f32], out: &mut [f32]);
     avx2::relu_inplace(dst: &mut [f32]);
-    avx2::leaky_relu(src: &[f32], a: f32, out: &mut [f32]);
     avx2::leaky_relu_inplace(dst: &mut [f32], a: f32);
     avx2::relu_mask(src: &[f32], mask: &mut [f32]);
     avx2::relu_backward(mask: &[f32], g: &[f32], out: &mut [f32]);
@@ -241,9 +236,9 @@ const C3: f32 = 4.166_579_6e-2;
 const C4: f32 = 1.666_666_5e-1;
 const C5: f32 = 5.000_000_4e-1;
 
-/// Eight-lane polynomial `e^x`, the core shared by [`exp`] and
-/// [`exp_sum`]. Accuracy: a few ULP against libm on normal results;
-/// saturation and NaN behavior per the [`super::exp`] wrapper contract.
+/// Eight-lane polynomial `e^x`, the core of [`exp_sum`]. Accuracy: a few
+/// ULP against libm on normal results; saturation and NaN behavior per the
+/// [`super::exp_sum`] wrapper contract.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn exp_ps(x: __m256) -> __m256 {
@@ -293,41 +288,22 @@ fn exp_ps(x: __m256) -> __m256 {
     _mm256_blendv_ps(y, x, nan_mask)
 }
 
-/// Runs [`exp_ps`] over a sub-vector tail by staging it through a stack
-/// buffer, so tail elements get byte-identical treatment to main-loop
-/// lanes (no scalar-libm seam inside one call).
+/// Runs [`exp_ps`] in place over a sub-vector tail by staging it through
+/// a stack buffer, so tail elements get byte-identical treatment to
+/// main-loop lanes (no scalar-libm seam inside one call).
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn exp_tail(src: &[f32], out: &mut [f32]) {
-    debug_assert!(src.len() == out.len() && src.len() < LANES);
+fn exp_tail(tail: &mut [f32]) {
+    debug_assert!(tail.len() < LANES);
     let mut buf = [0.0f32; LANES];
-    buf[..src.len()].copy_from_slice(src);
+    buf[..tail.len()].copy_from_slice(tail);
     // SAFETY: `buf` is a live `[f32; LANES]`, in bounds for one unaligned
     // 8-lane load and store.
     unsafe {
         let v = exp_ps(_mm256_loadu_ps(buf.as_ptr()));
         _mm256_storeu_ps(buf.as_mut_ptr(), v);
     }
-    out.copy_from_slice(&buf[..src.len()]);
-}
-
-/// Vectorized elementwise `e^x` (see [`super::exp`] for the accuracy
-/// contract).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub fn exp(src: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(src.len(), out.len());
-    let n = out.len();
-    let main = n - n % LANES;
-    let (ps, po) = (src.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: `i + LANES <= main <= len` for both equal-length slices.
-        unsafe {
-            _mm256_storeu_ps(po.add(i), exp_ps(_mm256_loadu_ps(ps.add(i))));
-        }
-        i += LANES;
-    }
-    exp_tail(&src[main..], &mut out[main..]);
+    tail.copy_from_slice(&buf[..tail.len()]);
 }
 
 /// Fused in-place `e^x` + sum, the softmax hot loop: polynomial exp per
@@ -350,17 +326,8 @@ pub fn exp_sum(dst: &mut [f32]) -> f32 {
         }
         i += LANES;
     }
-    let tail = &mut dst[main..];
-    if !tail.is_empty() {
-        let mut buf = [0.0f32; LANES];
-        buf[..tail.len()].copy_from_slice(tail);
-        // SAFETY: `buf` is a live `[f32; LANES]`, in bounds for one
-        // unaligned 8-lane load and store.
-        unsafe {
-            let v = exp_ps(_mm256_loadu_ps(buf.as_ptr()));
-            _mm256_storeu_ps(buf.as_mut_ptr(), v);
-        }
-        tail.copy_from_slice(&buf[..tail.len()]);
+    if main < n {
+        exp_tail(&mut dst[main..]);
     }
     let mut lanes = [0.0f32; LANES];
     // SAFETY: `lanes` is a live `[f32; LANES]`, in bounds for one store.

@@ -32,9 +32,9 @@
 //!
 //! [`Backend::FastMath`] ([`Backend::bit_exact`] = `false`) trades the
 //! bit-exactness contract for FMA contraction and a vectorized polynomial
-//! `exp`. It never wins auto-selection: it runs only when requested by
-//! name (`LECA_BACKEND=fastmath`). Its outputs are held to
-//! relative-error bounds against the scalar oracle by tolerance-based
+//! exponential in [`exp_sum`]. It never wins auto-selection: it runs only
+//! when requested by name (`LECA_BACKEND=fastmath`). Its outputs are held
+//! to relative-error bounds against the scalar oracle by tolerance-based
 //! parity tests instead of the bit-exact conformance battery, and the
 //! determinism goldens exclude it.
 //!
@@ -80,7 +80,7 @@ mod avx2;
 mod qavx2;
 
 // Relaxed-precision FMA bodies (fused-multiply-add GEMM core, vectorized
-// polynomial `exp`, FMA elementwise epilogues); same Miri/non-x86 story
+// polynomial `exp_sum`, FMA elementwise epilogues); same Miri/non-x86 story
 // as `avx2`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod fastmath;
@@ -179,7 +179,7 @@ impl Backend {
 
     /// Whether this backend reproduces the [`scalar`] bodies bit for bit.
     /// Only [`Backend::FastMath`] does not (it contracts FMAs and
-    /// vectorizes `exp`), which excludes it from auto-selection and from
+    /// vectorizes `exp_sum`), which excludes it from auto-selection and from
     /// the bit-exact conformance and determinism suites — it is covered
     /// by tolerance-based parity tests instead.
     pub fn bit_exact(self) -> bool {
@@ -310,20 +310,6 @@ backend_kernels! {
     /// Panics when the slice lengths differ.
     [avx2] fn add(a: &[f32], b: &[f32], out: &mut [f32])
         where a.len() == b.len(), a.len() == out.len();
-    /// `out[i] = a[i] - b[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn sub(a: &[f32], b: &[f32], out: &mut [f32])
-        where a.len() == b.len(), a.len() == out.len();
-    /// `out[i] = a[i] * b[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn mul(a: &[f32], b: &[f32], out: &mut [f32])
-        where a.len() == b.len(), a.len() == out.len();
     /// `dst[i] += src[i]`.
     ///
     /// # Panics
@@ -339,13 +325,6 @@ backend_kernels! {
     /// Panics when the slice lengths differ.
     [avx2] fn axpy(dst: &mut [f32], src: &[f32], s: f32)
         where dst.len() == src.len();
-    /// `out[i] = src[i] * s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn scale(src: &[f32], s: f32, out: &mut [f32])
-        where src.len() == out.len();
     /// `dst[i] *= s` in place (the softmax normalize pass).
     [avx2] fn scale_inplace(dst: &mut [f32], s: f32);
     /// `out[i] = src[i] + s`.
@@ -366,26 +345,12 @@ backend_kernels! {
     /// (matching `f32::clamp`).
     [avx2] fn clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32])
         where src.len() == out.len(), lo <= hi;
-    /// NaN-preserving ReLU: `out[i] = src[i]` when `src[i] > 0` **or is NaN**,
-    /// else `0.0` — a poisoned activation must stay poisoned (the trainer's
-    /// divergence detector relies on it).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn relu(src: &[f32], out: &mut [f32])
-        where src.len() == out.len();
-    /// In-place [`relu`].
+    /// NaN-preserving in-place ReLU: `dst[i]` is kept when it is `> 0` **or
+    /// NaN**, else set to `0.0` — a poisoned activation must stay poisoned
+    /// (the trainer's divergence detector relies on it).
     [avx2] fn relu_inplace(dst: &mut [f32]);
-    /// Leaky ReLU: `out[i] = src[i]` when `src[i] > 0`, else `a * src[i]`
-    /// (NaN falls through to `a * NaN = NaN`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn leaky_relu(src: &[f32], a: f32, out: &mut [f32])
-        where src.len() == out.len();
-    /// In-place [`leaky_relu`].
+    /// In-place leaky ReLU: `dst[i]` is kept when it is `> 0`, else replaced
+    /// by `a * dst[i]` (NaN falls through to `a * NaN = NaN`).
     [avx2] fn leaky_relu_inplace(dst: &mut [f32], a: f32);
     /// Writes the activation mask: `mask[i] = 1.0` when `src[i] > 0.0`, else
     /// `0.0` (NaN counts as not-positive, matching the `v > 0.0` bool mask the
@@ -423,28 +388,18 @@ backend_kernels! {
     /// Panics when the slice lengths differ.
     [avx2] fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32)
         where src.len() == out.len();
-    /// Elementwise exponential: `out[i] = src[i].exp()`.
-    ///
-    /// Bit-exact backends compute libm `exp` per element. The fast-math tier
-    /// substitutes a vectorized polynomial approximation: a few ULP of
-    /// relative error on normal results, exact `+inf`/`0.0` saturation at the
-    /// overflow/underflow boundaries (results in the denormal range may flush
-    /// to zero), and NaN in → NaN out.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [avx2] fn exp(src: &[f32], out: &mut [f32])
-        where src.len() == out.len();
     /// Fused in-place exponential + sum — the softmax core: `dst[i] =
     /// dst[i].exp()`, returning the sum of the results.
     ///
     /// On bit-exact backends this is **exactly** the historical sequential
-    /// softmax chain (`*v = v.exp(); z += *v;` element by element), so the
-    /// determinism goldens are unchanged. The fast-math tier vectorizes both
-    /// the exponential (polynomial, see [`exp`]) and the sum (eight partial
-    /// lane sums folded at the end), trading bit-exactness for throughput. A
-    /// NaN element poisons the returned sum on every backend.
+    /// softmax chain (`*v = v.exp(); z += *v;` element by element, libm
+    /// `exp`), so the determinism goldens are unchanged. The fast-math tier
+    /// vectorizes both the exponential and the sum (eight partial lane sums
+    /// folded at the end), trading bit-exactness for throughput. Its
+    /// polynomial `exp` has a few ULP of relative error on normal results,
+    /// exact `+inf`/`0.0` saturation at the overflow/underflow boundaries
+    /// (results in the denormal range may flush to zero), and NaN in → NaN
+    /// out. A NaN element poisons the returned sum on every backend.
     [avx2] fn exp_sum(dst: &mut [f32]) -> f32;
     /// NaN-skipping maximum (`f32::max` fold semantics): NaN elements are
     /// ignored; an empty or all-NaN slice yields `f32::NEG_INFINITY`. The
@@ -662,7 +617,7 @@ mod tests {
         for be in Backend::ALL.into_iter().filter(|be| be.available()) {
             let calls: [(&str, &dyn Fn()); 9] = [
                 ("add", &|| be.add(&[0.0; 64], &[0.0; 1], &mut [0.0; 64])),
-                ("relu", &|| be.relu(&[0.0; 9], &mut [0.0; 8])),
+                ("relu_mask", &|| be.relu_mask(&[0.0; 9], &mut [0.0; 8])),
                 ("axpy", &|| be.axpy(&mut [0.0; 16], &[0.0; 15], 2.0)),
                 ("avg_pool_k2", &|| {
                     be.avg_pool_k2(&[0.0; 18], &[0.0; 18], &mut [0.0; 8], 0.25)

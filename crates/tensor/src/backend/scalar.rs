@@ -34,22 +34,6 @@ pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// `out[i] = a[i] - b[i]`.
-#[inline]
-pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
-/// `out[i] = a[i] * b[i]`.
-#[inline]
-pub fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
 /// `dst[i] += src[i]`.
 #[inline]
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
@@ -64,14 +48,6 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
 pub fn axpy(dst: &mut [f32], src: &[f32], s: f32) {
     for (d, &x) in dst.iter_mut().zip(src) {
         *d += s * x;
-    }
-}
-
-/// `out[i] = src[i] * s`.
-#[inline]
-pub fn scale(src: &[f32], s: f32, out: &mut [f32]) {
-    for (o, &x) in out.iter_mut().zip(src) {
-        *o = x * s;
     }
 }
 
@@ -107,15 +83,7 @@ pub fn clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32]) {
     }
 }
 
-/// NaN-preserving ReLU (see the parent module's semantics note).
-#[inline]
-pub fn relu(src: &[f32], out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = if v > 0.0 || v.is_nan() { v } else { 0.0 };
-    }
-}
-
-/// In-place [`relu`].
+/// NaN-preserving in-place ReLU: keep `v > 0` or NaN, else `0.0`.
 #[inline]
 pub fn relu_inplace(dst: &mut [f32]) {
     for v in dst.iter_mut() {
@@ -125,21 +93,13 @@ pub fn relu_inplace(dst: &mut [f32]) {
     }
 }
 
-/// Leaky ReLU: `v > 0 ? v : a * v`.
-#[inline]
-pub fn leaky_relu(src: &[f32], a: f32, out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = if v > 0.0 { v } else { a * v };
-    }
-}
-
-/// In-place [`leaky_relu`].
+/// In-place leaky ReLU: `v > 0 ? v : a * v`.
 #[inline]
 pub fn leaky_relu_inplace(dst: &mut [f32], a: f32) {
     for v in dst.iter_mut() {
         let x = *v;
         // `x <= 0.0 || x.is_nan()` is exactly `!(x > 0.0)`: NaN takes the
-        // scaled branch and propagates, matching [`leaky_relu`].
+        // scaled branch and propagates (`a * NaN = NaN`).
         if x <= 0.0 || x.is_nan() {
             *v = a * x;
         }
@@ -176,14 +136,6 @@ pub fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, 
     for (o, &x) in out.iter_mut().zip(src) {
         let xh = (x - mean) * inv_std;
         *o = g * xh + b;
-    }
-}
-
-/// `out[i] = src[i].exp()` — libm exponential per element.
-#[inline]
-pub fn exp(src: &[f32], out: &mut [f32]) {
-    for (o, &x) in out.iter_mut().zip(src) {
-        *o = x.exp();
     }
 }
 

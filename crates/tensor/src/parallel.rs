@@ -415,38 +415,11 @@ fn split(len: usize, min_chunk: usize) -> (usize, usize) {
     (chunk, len.div_ceil(chunk))
 }
 
-/// Runs `f(start, end)` over disjoint sub-ranges of `0..len` in parallel.
-///
-/// `f` is called once per chunk with a contiguous range. When `len` is
-/// small (or only one thread is configured) the call runs inline on the
-/// current thread, so there is no overhead for tiny problems.
-///
-/// # Panics
-///
-/// Propagates panics from worker closures.
-pub fn par_ranges<F>(len: usize, min_chunk: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if len == 0 {
-        f(0, 0);
-        return;
-    }
-    let (chunk, chunks) = split(len, min_chunk);
-    pool_run(chunks, |w| {
-        let start = w * chunk;
-        let end = ((w + 1) * chunk).min(len);
-        if start < end {
-            f(start, end);
-        }
-    });
-}
-
 /// Splits `out` into disjoint row-chunks of `row_len` elements and runs
 /// `f(row_range, chunk)` on each in parallel.
 ///
-/// This is the mutable-output variant of [`par_ranges`]: each chunk owns
-/// an exclusive slice of the output buffer, so no locking is needed.
+/// Each chunk owns an exclusive slice of the output buffer, so no locking
+/// is needed.
 /// Generic over the element type, like the block variant the f32 and
 /// int8 convolutions split their outputs with.
 ///
@@ -588,30 +561,6 @@ mod tests {
             None => std::env::remove_var("LECA_THREADS"),
         }
         refresh_num_threads();
-    }
-
-    #[test]
-    fn par_ranges_covers_everything_once() {
-        let total = AtomicU64::new(0);
-        par_ranges(1000, 8, |s, e| {
-            let local: u64 = (s as u64..e as u64).sum();
-            total.fetch_add(local, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn par_ranges_small_runs_inline() {
-        let total = AtomicU64::new(0);
-        par_ranges(3, 64, |s, e| {
-            total.fetch_add((e - s) as u64, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn par_ranges_zero_len() {
-        par_ranges(0, 1, |s, e| assert_eq!(s, e));
     }
 
     #[test]

@@ -164,11 +164,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multidimensional index.
     ///
     /// # Panics
@@ -359,13 +354,17 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "zip_map",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
+        self.zip_map_op("zip_map", other, f)
+    }
+
+    /// [`Tensor::zip_map`] reporting `op` on a shape mismatch.
+    fn zip_map_op(
+        &self,
+        op: &'static str,
+        other: &Tensor,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<Tensor> {
+        self.check_shape(op, other)?;
         Ok(Tensor {
             data: self
                 .data
@@ -377,14 +376,9 @@ impl Tensor {
         })
     }
 
-    /// Checks shape equality and hands both buffers plus a fresh output
-    /// buffer to a (SIMD-dispatched) slice kernel.
-    fn binary_kernel(
-        &self,
-        other: &Tensor,
-        op: &'static str,
-        f: fn(&[f32], &[f32], &mut [f32]),
-    ) -> Result<Tensor> {
+    /// `Ok` when `other` has this tensor's shape, else a
+    /// [`TensorError::ShapeMismatch`] naming `op`.
+    fn check_shape(&self, op: &'static str, other: &Tensor) -> Result<()> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
                 op,
@@ -392,21 +386,31 @@ impl Tensor {
                 rhs: other.shape().to_vec(),
             });
         }
-        let mut data = vec![0.0f32; self.data.len()];
-        f(&self.data, &other.data, &mut data);
-        Ok(Tensor {
-            data,
-            shape: self.shape.clone(),
-        })
+        Ok(())
     }
 
-    /// Elementwise sum. See [`Tensor::zip_map`] for error behaviour.
+    /// Elementwise sum.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
-        self.binary_kernel(other, "zip_map", crate::backend::add)
+        self.check_shape("add", other)?;
+        let mut out = Tensor::zeros(self.shape());
+        self.add_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::add`] writing into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when any shape differs.
+    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
+        self.check_shape("add_into", other)?;
+        self.check_shape("add_into", out)?;
+        crate::backend::add(&self.data, &other.data, &mut out.data);
+        Ok(())
     }
 
     /// Elementwise difference.
@@ -415,7 +419,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
-        self.binary_kernel(other, "zip_map", crate::backend::sub)
+        self.zip_map_op("sub", other, |a, b| a - b)
     }
 
     /// Elementwise product (Hadamard).
@@ -424,7 +428,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.binary_kernel(other, "zip_map", crate::backend::mul)
+        self.zip_map_op("mul", other, |a, b| a * b)
     }
 
     /// Accumulates `other` into `self` (`self += other`), in place.
@@ -433,13 +437,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
+        self.check_shape("add_assign", other)?;
         crate::backend::add_assign(&mut self.data, &other.data);
         Ok(())
     }
@@ -450,13 +448,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
     pub fn add_scaled(&mut self, other: &Tensor, scale: f32) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_scaled",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
+        self.check_shape("add_scaled", other)?;
         crate::backend::axpy(&mut self.data, &other.data, scale);
         Ok(())
     }
@@ -485,128 +477,6 @@ impl Tensor {
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
-    }
-
-    // ------------------------------------------------------------------
-    // Elementwise `_into` variants (write into a caller-provided buffer)
-    // ------------------------------------------------------------------
-
-    fn check_out(&self, op: &'static str, out: &Tensor) -> Result<()> {
-        if self.shape != out.shape {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: self.shape().to_vec(),
-                rhs: out.shape().to_vec(),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::map`] writing into `out` (same shape required).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `out`'s shape differs.
-    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) -> Result<()> {
-        self.check_out("map_into", out)?;
-        for (o, &x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(x);
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::zip_map`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when any shape differs.
-    pub fn zip_map_into(
-        &self,
-        other: &Tensor,
-        f: impl Fn(f32, f32) -> f32,
-        out: &mut Tensor,
-    ) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "zip_map_into",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
-        self.check_out("zip_map_into", out)?;
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = f(a, b);
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::add`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when any shape differs.
-    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_kernel_into(other, out, crate::backend::add)
-    }
-
-    /// Shape checks shared by the `_into` binary twins, then a
-    /// (SIMD-dispatched) slice kernel into `out`'s buffer.
-    fn binary_kernel_into(
-        &self,
-        other: &Tensor,
-        out: &mut Tensor,
-        f: fn(&[f32], &[f32], &mut [f32]),
-    ) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "zip_map_into",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
-        self.check_out("zip_map_into", out)?;
-        f(&self.data, &other.data, &mut out.data);
-        Ok(())
-    }
-
-    /// [`Tensor::sub`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when any shape differs.
-    pub fn sub_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_kernel_into(other, out, crate::backend::sub)
-    }
-
-    /// [`Tensor::mul`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when any shape differs.
-    pub fn mul_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_kernel_into(other, out, crate::backend::mul)
-    }
-
-    /// [`Tensor::scale`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `out`'s shape differs.
-    pub fn scale_into(&self, s: f32, out: &mut Tensor) -> Result<()> {
-        self.check_out("map_into", out)?;
-        crate::backend::scale(&self.data, s, &mut out.data);
-        Ok(())
-    }
-
-    /// [`Tensor::clamp`] writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `out`'s shape differs.
-    pub fn clamp_into(&self, lo: f32, hi: f32, out: &mut Tensor) -> Result<()> {
-        self.check_out("map_into", out)?;
-        crate::backend::clamp(&self.data, lo, hi, &mut out.data);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -826,6 +696,21 @@ mod tests {
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[3.0, 10.0]);
         assert!(a.add(&Tensor::zeros(&[3])).is_err());
+    }
+
+    #[test]
+    fn binary_ops_name_themselves_on_shape_mismatch() {
+        let a = Tensor::zeros(&[2]);
+        let b = Tensor::zeros(&[3]);
+        let op = |r: Result<()>| match r {
+            Err(TensorError::ShapeMismatch { op, .. }) => op,
+            other => panic!("expected a shape mismatch, got {other:?}"),
+        };
+        assert_eq!(op(a.add(&b).map(drop)), "add");
+        assert_eq!(op(a.sub(&b).map(drop)), "sub");
+        assert_eq!(op(a.mul(&b).map(drop)), "mul");
+        assert_eq!(op(a.add_into(&b, &mut Tensor::zeros(&[2]))), "add_into");
+        assert_eq!(op(a.add_into(&a, &mut Tensor::zeros(&[3]))), "add_into");
     }
 
     #[test]
