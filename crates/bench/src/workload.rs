@@ -58,9 +58,10 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let k = 256;
     let ap: Vec<f32> = (0..k * MR).map(|i| (i % 97) as f32 * 0.013 - 0.5).collect();
     let bp: Vec<f32> = (0..k * NR).map(|i| (i % 89) as f32 * 0.011 - 0.4).collect();
+    let rows: Vec<usize> = (0..k).map(|p| p * NR).collect();
     set.push(Workload::new("microkernel_k256", 20_000, move || {
         let mut acc = [[0.0f32; NR]; MR];
-        backend::microkernel(k, &ap, &bp, &mut acc);
+        backend::microkernel(k, &ap, &bp, &rows, &mut acc);
         std::hint::black_box(acc);
     }));
 

@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn cache_roundtrip_and_mismatch() {
-        // One test covers both scenarios because LECA_CACHE_DIR is a
+        // One test covers every scenario because LECA_CACHE_DIR is a
         // process-global environment variable (parallel tests would race).
         let dir = std::env::temp_dir().join(format!("leca_cache_test_{}", std::process::id()));
         std::env::set_var("LECA_CACHE_DIR", &dir);
@@ -145,6 +145,23 @@ mod tests {
         })
         .unwrap();
         assert!(trained, "truncated checkpoint must retrain");
+
+        // Scenario 5: a footer-less (legacy-format) file whose parameter
+        // count claims u32::MAX tensors is refused by the reader before it
+        // allocates, then discarded and retrained: no abort, no panic.
+        let mut bomb = b"LECAWT01".to_vec();
+        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path3, &bomb).unwrap();
+        let mut g = Linear::new(3, 2, &mut rng);
+        let trained = load_or_train(&mut g, tag3, |l| {
+            l.visit_params(&mut |p| p.value.fill(0.2));
+            Ok(())
+        })
+        .unwrap();
+        assert!(trained, "a u32::MAX parameter count must retrain");
+        let mut vals = Vec::new();
+        g.visit_params(&mut |p| vals.push(p.value.as_slice()[0]));
+        assert!(vals.iter().all(|&v| v == 0.2));
 
         std::fs::remove_dir_all(&dir).ok();
         std::env::remove_var("LECA_CACHE_DIR");

@@ -88,9 +88,8 @@ forward! {
 /// bit *with each other* (the accumulator round-trips through `acc`), just
 /// not with the scalar chain.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+pub fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[f32; NR]; MR]) {
     debug_assert!(ap.len() >= k * MR, "packed A shorter than k tiles");
-    debug_assert!(bp.len() >= k * NR, "packed B shorter than k panels");
     // SAFETY: each `acc[i]` is a live `[f32; NR]` with NR == LANES == 8,
     // so an unaligned 8-lane load from its base pointer stays in bounds.
     let (mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6, mut r7) = unsafe {
@@ -106,15 +105,19 @@ pub fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) 
         )
     };
     let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    for p in 0..k {
-        // SAFETY: `p < k`, so the B load covers `bp[p*NR .. p*NR + NR]`
-        // (in bounds: `bp.len() >= k * NR`) and the A reads cover
-        // `ap[p*MR .. p*MR + MR]` (in bounds: `ap.len() >= k * MR`), both
-        // checked by the `debug_assert!`s above and asserted again by the
-        // `Backend::microkernel` method in release builds.
+    let starts = super::row_starts(b.len());
+    for (p, &r) in rows[..k].iter().enumerate() {
+        if r >= starts {
+            super::row_out_of_bounds(r, b.len());
+        }
+        // SAFETY: the B load covers `b[r .. r + NR]`, in bounds because
+        // `r < row_starts(b.len())` was checked just above, in every build.
+        // `p < k`, so the A reads cover `ap[p*MR .. p*MR + MR]` (in bounds:
+        // `ap.len() >= k * MR`, checked by the `debug_assert!` above and
+        // asserted again by the `Backend::microkernel` method in release
+        // builds).
         unsafe {
-            let bv = _mm256_loadu_ps(b.add(p * NR));
+            let bv = _mm256_loadu_ps(b.as_ptr().add(r));
             let ac = a.add(p * MR);
             r0 = _mm256_fmadd_ps(_mm256_set1_ps(*ac), bv, r0);
             r1 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(1)), bv, r1);

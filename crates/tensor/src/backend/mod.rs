@@ -26,7 +26,9 @@
 //! Every kernel method asserts its slice-length preconditions before it
 //! dispatches, and a vector variant checks its CPU features on every call
 //! (running the scalar body when they are absent), so any [`Backend`] is
-//! sound to call on any host with any arguments.
+//! sound to call on any host with any arguments. The one bound checked
+//! inside the bodies instead is [`Backend::microkernel`]'s per-row B
+//! offset, tested as each row is read, in release builds too.
 //!
 //! # The fast-math tier
 //!
@@ -252,17 +254,24 @@ macro_rules! backend_kernels {
 backend_kernels! {
     /// `MR x NR` register-tile update `acc += A_tile · B_panel`.
     ///
-    /// `ap`/`bp` are the packed operands (`ap[p * MR + i]`, `bp[p * NR + j]`
-    /// for `p < k`). The kernel loads and stores `acc`, so a driver may split
-    /// the reduction into chunks and call this repeatedly on the same tile:
-    /// each output element still accumulates through one in-order chain,
-    /// keeping chunked and unchunked results bit-identical.
+    /// `ap` is the packed A tile, `ap[p * MR + i]` for `p < k`. B is given as
+    /// `(b, rows)`: its row `p` is `b[rows[p] .. rows[p] + NR]`, so one body
+    /// serves both B sources. A packed panel passes `rows[p] = p * NR`; the
+    /// stride-1 conv passes a table of row offsets into a zero-padded image
+    /// and reads each row in place. The kernel loads and stores `acc`, so a
+    /// driver may split the reduction into chunks and call this repeatedly
+    /// on the same tile: each output element still accumulates through one
+    /// in-order chain, keeping chunked and unchunked results bit-identical.
     ///
     /// # Panics
     ///
-    /// Panics when a packed operand is shorter than `k` tiles.
-    [avx2] fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR])
-        where ap.len() >= k * MR, bp.len() >= k * NR;
+    /// Panics when `ap` is shorter than `k` tiles, `rows` shorter than `k`
+    /// or any of its first `k` rows reaches past the end of `b`. Each body
+    /// checks a row's bound as it reads the row, release builds included:
+    /// a separate pass over `rows` before the call would cost up to a
+    /// quarter of the call itself.
+    [avx2] fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[f32; NR]; MR])
+        where ap.len() >= k * MR, rows.len() >= k;
     /// Quantized `MR x NR` register-tile update.
     ///
     /// Operands are zero-point-corrected i16 values packed in **pairs** along
@@ -425,6 +434,21 @@ backend_kernels! {
     /// Panics unless `r0.len() == r1.len() == 2 * out.len()`.
     [avx2] fn max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32])
         where r0.len() == r1.len(), r0.len() == 2 * out.len();
+}
+
+/// How many B row starts a `b_len`-float operand has: row `r` lies inside
+/// it, `b[r .. r + NR]`, iff `r < row_starts(b_len)`.
+#[inline]
+fn row_starts(b_len: usize) -> usize {
+    (b_len + 1).saturating_sub(NR)
+}
+
+/// The panic of a [`Backend::microkernel`] B row that runs past the end of
+/// `b`.
+#[cold]
+#[inline(never)]
+fn row_out_of_bounds(r: usize, b_len: usize) -> ! {
+    panic!("backend::microkernel: a B row at offset {r} runs past the end of the {b_len}-float b")
 }
 
 /// Cached index into [`Backend::ALL`]; `usize::MAX` = not yet selected.
@@ -606,16 +630,18 @@ mod tests {
     }
 
     /// One violating call per precondition shape, on every available
-    /// backend: each must panic, naming its kernel, before any body runs —
-    /// release builds included, where the vector bodies' `debug_assert!`s
-    /// are gone.
+    /// backend: each must panic, naming its kernel, before any out-of-bounds
+    /// read — release builds included, where the vector bodies'
+    /// `debug_assert!`s are gone. The microkernel's B row offsets are
+    /// checked in the bodies themselves, so its third call reaches them.
     #[test]
     fn kernels_check_preconditions_on_every_backend() {
+        const ROWS: [usize; 4] = [0, NR, 2 * NR, 3 * NR];
         let mut out = [0.0f32; 4];
         add(&[1.0; 4], &[2.0; 4], &mut out);
         assert_eq!(out, [3.0; 4]);
         for be in Backend::ALL.into_iter().filter(|be| be.available()) {
-            let calls: [(&str, &dyn Fn()); 9] = [
+            let calls: [(&str, &dyn Fn()); 11] = [
                 ("add", &|| be.add(&[0.0; 64], &[0.0; 1], &mut [0.0; 64])),
                 ("relu_mask", &|| be.relu_mask(&[0.0; 9], &mut [0.0; 8])),
                 ("axpy", &|| be.axpy(&mut [0.0; 16], &[0.0; 15], 2.0)),
@@ -623,7 +649,33 @@ mod tests {
                     be.avg_pool_k2(&[0.0; 18], &[0.0; 18], &mut [0.0; 8], 0.25)
                 }),
                 ("microkernel", &|| {
-                    be.microkernel(4, &[0.0; 3 * MR], &[0.0; 4 * NR], &mut [[0.0; NR]; MR])
+                    be.microkernel(
+                        4,
+                        &[0.0; 3 * MR],
+                        &[0.0; 4 * NR],
+                        &ROWS,
+                        &mut [[0.0; NR]; MR],
+                    )
+                }),
+                ("microkernel", &|| {
+                    be.microkernel(
+                        4,
+                        &[0.0; 4 * MR],
+                        &[0.0; 4 * NR],
+                        &ROWS[..3],
+                        &mut [[0.0; NR]; MR],
+                    )
+                }),
+                // One row offset reaching past the end of B.
+                ("microkernel", &|| {
+                    let rows = [0, NR, 3 * NR + 1, 2 * NR];
+                    be.microkernel(
+                        4,
+                        &[0.0; 4 * MR],
+                        &[0.0; 4 * NR],
+                        &rows,
+                        &mut [[0.0; NR]; MR],
+                    )
                 }),
                 ("qmicrokernel", &|| {
                     be.qmicrokernel(4, &[0; 4 * MR * 2], &[0; 3 * NR * 2], &mut [[0; NR]; MR])

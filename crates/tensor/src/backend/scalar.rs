@@ -10,12 +10,17 @@
 use super::{MR, NR};
 
 /// Scalar `MR x NR` register-tile update: one rank-1 update per k step,
-/// each accumulator fed by a single in-order chain (no `mul_add`).
+/// B row `p` read at `b[rows[p]..]`, each accumulator fed by a single
+/// in-order chain (no `mul_add`).
 #[inline]
-pub fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for p in 0..k {
+pub fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[f32; NR]; MR]) {
+    let starts = super::row_starts(b.len());
+    for (p, &r) in rows[..k].iter().enumerate() {
+        if r >= starts {
+            super::row_out_of_bounds(r, b.len());
+        }
         let a: &[f32; MR] = ap[p * MR..(p + 1) * MR].try_into().unwrap();
-        let b: &[f32; NR] = bp[p * NR..(p + 1) * NR].try_into().unwrap();
+        let b: &[f32; NR] = b[r..r + NR].try_into().unwrap();
         for i in 0..MR {
             let ai = a[i];
             let row = &mut acc[i];

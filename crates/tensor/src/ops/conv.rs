@@ -19,12 +19,16 @@
 //!
 //! * [`conv_nchw`] (forward) never materializes the im2col matrix: the
 //!   weights are packed into `MR`-row tiles once per call; then, per
-//!   image, each `NR`-column panel of output positions is packed as a
-//!   `(ci, ky, kx) x NR` im2col block into a thread-local buffer that stays
-//!   in L1, every weight tile's microkernel consumes it at once, and each
-//!   accumulator row is stored straight into the `(N, O, oh, ow)` output
-//!   with the bias fused as `acc + b`. Work is split over image ×
-//!   output-channel tile.
+//!   image, every weight tile's microkernel runs on one `NR`-column panel
+//!   of output positions at a time, and each accumulator row is stored
+//!   straight into the `(N, O, oh, ow)` output with the bias fused as
+//!   `acc + b`. The microkernel reads the panel's `(ci, ky, kx)` rows from
+//!   one of two B sources. At stride 1, a panel inside one output row is
+//!   read in place from a zero-padded copy of the image, made once per
+//!   image, through a per-call table of row offsets. Every other panel
+//!   (one straddling output rows, or any panel at stride > 1) is packed as
+//!   a `(ci, ky, kx) x NR` im2col block into a thread-local buffer that
+//!   stays in L1. Work is split over image × output-channel tile.
 //! * [`scatter_nchw`] (input gradient, transposed forward) multiplies the
 //!   channel-major input by `Wᵀ` on the blocked GEMM in [`super::gemm`]
 //!   into a thread-local column matrix, then scatter-adds it into NCHW.
@@ -33,7 +37,7 @@
 //!
 //! The standalone [`im2col`] remains as the tests' oracle.
 
-use super::gemm::{gemm, pack_a_tile, Im2colView, Operand};
+use super::gemm::{gemm, pack_a_tile, with_rows, Im2colView, Operand};
 use crate::backend::{self, MR, NR};
 use crate::parallel::{par_blocks_mut, par_rows_mut};
 use crate::{Result, Tensor, TensorError};
@@ -52,8 +56,8 @@ thread_local! {
     /// across the parallel region while this thread also packs panels.
     static WEIGHT_TILES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread `k x NR` im2col panel of [`conv_nchw`], followed by its
-    /// padded-row scratch (one per pool worker and one for the calling
-    /// thread).
+    /// padded-row scratch and, at stride 1, the zero-padded copy of the
+    /// current image (one per pool worker and one for the calling thread).
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -308,12 +312,30 @@ pub fn conv2d_into(
 /// `out[img, o, oy, ox] = Σ_p a[o, p] · im2col(v)[p, (img, oy, ox)]`, plus
 /// `bias[o]`, into the `(n, m, oh, ow)` buffer `out`.
 ///
-/// Every output element is one microkernel chain over increasing `p`
+/// The microkernel takes B as `(b, rows)`, panel row `p` at
+/// `b[rows[p]..]`, and each panel comes from one of two sources:
+///
+/// * **In place (stride 1, panel inside one output row).** Panel row
+///   `(ci, ky, kx)` at output `(oy, ox..ox + jn)` is the run of the image's
+///   zero-padded `(C, Hp, Wp)` copy starting at
+///   `ci·Hp·Wp + (oy + ky)·Wp + ox + kx`. So `b` is that copy from
+///   `oy·Wp + ox` on and `rows` the per-call table
+///   `ci·Hp·Wp + ky·Wp + kx`. The copy is made once per image and worker
+///   into [`PANEL`], with `NR` floats of zero slack: a partial panel at the
+///   end of the last plane reads up to `NR - 1` floats past it, into lanes
+///   the store drops.
+/// * **Packed (a panel straddling output rows, or stride > 1).**
+///   [`pack_panel`] writes the `k x NR` block and `rows[p] = p·NR`. A
+///   stride above 1 keeps the pack because a strided panel row is not a
+///   contiguous run of the image.
+///
+/// Both sources hold the same values, image or `0.0` padding, so every
+/// output element is one microkernel chain over increasing `p`
 /// (`(ci, ky, kx)` order) starting from `0.0`, followed by the single
-/// rounding `acc + b` when there is a bias. Tiling and the thread split
-/// only decide *who* computes an element, never how, so results are
-/// bit-identical across `LECA_THREADS` and the bit-exact backends, and
-/// every element is overwritten.
+/// rounding `acc + b` when there is a bias. Tiling, the B source and the
+/// thread split only decide *who* computes an element and from where it
+/// reads, never how, so results are bit-identical across `LECA_THREADS`
+/// and the bit-exact backends, and every element is overwritten.
 fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>, out: &mut [f32]) {
     let k = v.c * v.kh * v.kw;
     let ohw = v.oh * v.ow;
@@ -324,6 +346,17 @@ fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>
     }
     let mtiles = m.div_ceil(MR);
     let be = backend::active();
+    // B row offsets: `p * NR` into a packed panel, then `(ci, ky, kx)`'s
+    // offset `ci·Hp·Wp + ky·Wp + kx` into the zero-padded image.
+    let (hp, wp) = (v.h + 2 * v.pad, v.w + 2 * v.pad);
+    let packed_rows = (0..k).map(|p| p * NR);
+    let in_place_rows = (0..v.c).flat_map(|ci| {
+        (0..v.kh).flat_map(move |ky| (0..v.kw).map(move |kx| (ci * hp + ky) * wp + kx))
+    });
+    // `NR` floats of slack: a row read at the end of the last plane runs
+    // up to `NR - 1` columns past it, into lanes the store drops.
+    let padded_len = if v.stride == 1 { v.c * hp * wp + NR } else { 0 };
+    let scratch_len = k * NR + seg_len(v) + padded_len;
     WEIGHT_TILES.with(|cell| {
         let mut tiles = cell.borrow_mut();
         if tiles.len() < mtiles * k * MR {
@@ -335,63 +368,107 @@ fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>
             pack_a_tile(a, k, 1, t * MR, MR.min(m - t * MR), k, tile);
         }
         let tiles = &tiles[..mtiles * k * MR];
-        par_blocks_mut(out, n, m, MR, ohw, 1, |units, base, chunk| {
-            PANEL.with(|pc| {
-                let mut scratch = pc.borrow_mut();
-                if scratch.len() < k * NR + seg_len(v) {
-                    scratch.resize(k * NR + seg_len(v), 0.0);
-                }
-                let (panel, seg) = scratch.split_at_mut(k * NR);
-                let mut u = units.start;
-                while u < units.end {
-                    let img = u / mtiles;
-                    let (t0, t1) = (u % mtiles, mtiles.min(units.end - img * mtiles));
-                    for j0 in (0..ohw).step_by(NR) {
-                        let jn = NR.min(ohw - j0);
-                        pack_panel(v, img, j0, jn, panel, seg);
-                        for t in t0..t1 {
-                            let mut acc = [[0.0f32; NR]; MR];
-                            be.microkernel(
-                                k,
-                                &tiles[t * k * MR..(t + 1) * k * MR],
-                                panel,
-                                &mut acc,
-                            );
-                            for (i, row) in acc.iter().enumerate().take(MR.min(m - t * MR)) {
-                                let o = t * MR + i;
-                                let at = (img * m + o) * ohw + j0 - base;
-                                let dst = &mut chunk[at..at + jn];
-                                match bias {
-                                    Some(b) => {
-                                        for (d, &x) in dst.iter_mut().zip(&row[..jn]) {
-                                            *d = x + b[o];
-                                        }
+        with_rows(packed_rows.chain(in_place_rows), |rows| {
+            let (packed_rows, in_place_rows) = rows.split_at(k);
+            par_blocks_mut(out, n, m, MR, ohw, 1, |units, base, chunk| {
+                PANEL.with(|pc| {
+                    let mut scratch = pc.borrow_mut();
+                    if scratch.len() < scratch_len {
+                        scratch.resize(scratch_len, 0.0);
+                    }
+                    let (panel, rest) = scratch.split_at_mut(k * NR);
+                    let (seg, padded) = rest.split_at_mut(seg_len(v));
+                    let padded = &mut padded[..padded_len];
+                    let mut padded_img = None;
+                    let mut u = units.start;
+                    while u < units.end {
+                        let img = u / mtiles;
+                        let (t0, t1) = (u % mtiles, mtiles.min(units.end - img * mtiles));
+                        for j0 in (0..ohw).step_by(NR) {
+                            let jn = NR.min(ohw - j0);
+                            let (oy, ox) = (j0 / v.ow, j0 % v.ow);
+                            let (b, b_rows): (&[f32], &[usize]) =
+                                if v.stride == 1 && ox + jn <= v.ow {
+                                    if padded_img != Some(img) {
+                                        pad_image(v, img, padded);
+                                        padded_img = Some(img);
                                     }
-                                    None => dst.copy_from_slice(&row[..jn]),
+                                    (&padded[oy * wp + ox..], in_place_rows)
+                                } else {
+                                    pack_panel(v, img, j0, jn, panel, seg);
+                                    (panel, packed_rows)
+                                };
+                            for t in t0..t1 {
+                                let mut acc = [[0.0f32; NR]; MR];
+                                be.microkernel(
+                                    k,
+                                    &tiles[t * k * MR..(t + 1) * k * MR],
+                                    b,
+                                    b_rows,
+                                    &mut acc,
+                                );
+                                for (i, row) in acc.iter().enumerate().take(MR.min(m - t * MR)) {
+                                    let o = t * MR + i;
+                                    let at = (img * m + o) * ohw + j0 - base;
+                                    let dst = &mut chunk[at..at + jn];
+                                    match bias {
+                                        Some(b) => {
+                                            for (d, &x) in dst.iter_mut().zip(&row[..jn]) {
+                                                *d = x + b[o];
+                                            }
+                                        }
+                                        None => dst.copy_from_slice(&row[..jn]),
+                                    }
                                 }
                             }
                         }
+                        u += t1 - t0;
                     }
-                    u += t1 - t0;
-                }
+                });
             });
         });
     });
+}
+
+/// Copies image `img` into `dst` as its zero-padded `(C, H+2p, W+2p)`
+/// planes, followed by zeros to the end of `dst` (the slack past the last
+/// plane).
+fn pad_image(v: &Im2colView, img: usize, dst: &mut [f32]) {
+    let (hp, wp, p) = (v.h + 2 * v.pad, v.w + 2 * v.pad, v.pad);
+    let plane = v.h * v.w;
+    let (planes, slack) = dst.split_at_mut(v.c * hp * wp);
+    for (ci, dplane) in planes.chunks_exact_mut(hp * wp).enumerate() {
+        let src = &v.data[(img * v.c + ci) * plane..(img * v.c + ci + 1) * plane];
+        let (top, rest) = dplane.split_at_mut(p * wp);
+        let (body, bottom) = rest.split_at_mut(v.h * wp);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (d, s) in body.chunks_exact_mut(wp).zip(src.chunks_exact(v.w)) {
+            d[..p].fill(0.0);
+            d[p..p + v.w].copy_from_slice(s);
+            d[p + v.w..].fill(0.0);
+        }
+    }
+    slack.fill(0.0);
 }
 
 /// Packs output positions `j0 .. j0 + jn` of image `img` (a run of its
 /// row-major `oh x ow` grid, `jn <= NR`) as the `k x NR` im2col block
 /// `dst[p * NR + jj]`, `p = (ci*kh + ky)*kw + kx`, zeroing columns past
 /// `jn`. `seg` is scratch of at least [`seg_len`] floats.
+///
+/// [`conv_nchw`] packs only the panels it cannot read in place: at stride
+/// 1 those straddling output rows (the general path below), at stride > 1
+/// every panel (the in-row fast path or the general one).
 fn pack_panel(v: &Im2colView, img: usize, j0: usize, jn: usize, dst: &mut [f32], seg: &mut [f32]) {
     let (oy, ox) = (j0 / v.ow, j0 % v.ow);
     let plane = v.h * v.w;
     if ox + jn <= v.ow {
-        // Fast path: the panel lies in one output row, so all kw rows of
-        // one (ci, ky) read the same `len` zero-padded input columns from
-        // `x0` on: row (ci, ky, kx) is `seg[kx + jj*stride]`. The padding
-        // part of that segment is the same for every (ci, ky); only
-        // `lo..hi` comes from the image.
+        // Fast path (stride > 1 only): the panel lies in one output row,
+        // so all kw rows of one (ci, ky) read the same `len` zero-padded
+        // input columns from `x0` on: row (ci, ky, kx) is
+        // `seg[kx + jj*stride]`. The padding part of that segment is the
+        // same for every (ci, ky); only `lo..hi` comes from the image.
         let x0 = ox * v.stride;
         let len = (jn - 1) * v.stride + v.kw;
         let lo = v.pad.saturating_sub(x0).min(len);
@@ -424,7 +501,6 @@ fn pack_panel(v: &Im2colView, img: usize, j0: usize, jn: usize, dst: &mut [f32],
                 for (kx, d) in d.chunks_exact_mut(NR).enumerate() {
                     let d = <&mut [f32; NR]>::try_from(d).expect("NR-wide panel row");
                     match (jn, v.stride) {
-                        (NR, 1) => gather::<1>(&s[kx..], d),
                         (NR, 2) => gather::<2>(&s[kx..], d),
                         _ => {
                             for (e, &x) in d.iter_mut().zip(s[kx..].iter().step_by(v.stride)) {
@@ -474,7 +550,7 @@ fn seg_len(v: &Im2colView) -> usize {
 }
 
 /// `d[jj] = src[jj * S]`: a full panel row at a compile-time stride, so
-/// the copy (`S = 1`) or de-interleave (`S = 2`) has no per-element checks.
+/// the de-interleave (`S = 2`) has no per-element checks.
 #[inline]
 fn gather<const S: usize>(src: &[f32], d: &mut [f32; NR]) {
     let src = &src[..(NR - 1) * S + 1];

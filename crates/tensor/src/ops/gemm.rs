@@ -44,6 +44,21 @@ thread_local! {
     /// Per-thread packed-A tile scratch (one per pool worker and one for
     /// the calling thread).
     static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's B row-offset table for
+    /// [`backend::microkernel`], refilled once per driver call and read by
+    /// every worker.
+    static ROWS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the calling thread's row-offset table refilled from `rows`.
+/// A warm call no longer than the longest so far allocates nothing.
+pub(crate) fn with_rows<R>(rows: impl Iterator<Item = usize>, f: impl FnOnce(&[usize]) -> R) -> R {
+    ROWS.with(|cell| {
+        let mut table = cell.borrow_mut();
+        table.clear();
+        table.extend(rows);
+        f(&table)
+    })
 }
 
 /// Geometry of a virtual im2col matrix `(C*kh*kw, N*oh*ow)` over an NCHW
@@ -254,29 +269,37 @@ pub(crate) fn gemm(
         // its reduction order, so any split is bit-identical. With `k == 0`
         // the microkernel runs no steps and the zeroed `acc` is stored.
         let packed_b = &*packed_b;
-        par_rows_mut(out, m, n, MC, |rows, chunk| {
-            A_SCRATCH.with(|apc| {
-                let mut ap = apc.borrow_mut();
-                if ap.len() < k * MR {
-                    ap.resize(k * MR, 0.0);
-                }
-                let (r0, r1) = (rows.start, rows.end);
-                let mut i0 = r0;
-                while i0 < r1 {
-                    let im = MR.min(r1 - i0);
-                    pack_a_tile(a_data, a_rs, a_cs, i0, im, k, &mut ap);
-                    for jp in 0..npanels {
-                        let j0 = jp * NR;
-                        let jn = NR.min(n - j0);
-                        let mut acc = [[0.0f32; NR]; MR];
-                        be.microkernel(k, &ap, &packed_b[jp * k * NR..(jp + 1) * k * NR], &mut acc);
-                        for (i, arow) in acc.iter().enumerate().take(im) {
-                            let row = (i0 - r0 + i) * n + j0;
-                            chunk[row..row + jn].copy_from_slice(&arow[..jn]);
-                        }
+        with_rows((0..k).map(|p| p * NR), |b_rows| {
+            par_rows_mut(out, m, n, MC, |rows, chunk| {
+                A_SCRATCH.with(|apc| {
+                    let mut ap = apc.borrow_mut();
+                    if ap.len() < k * MR {
+                        ap.resize(k * MR, 0.0);
                     }
-                    i0 += im;
-                }
+                    let (r0, r1) = (rows.start, rows.end);
+                    let mut i0 = r0;
+                    while i0 < r1 {
+                        let im = MR.min(r1 - i0);
+                        pack_a_tile(a_data, a_rs, a_cs, i0, im, k, &mut ap);
+                        for jp in 0..npanels {
+                            let j0 = jp * NR;
+                            let jn = NR.min(n - j0);
+                            let mut acc = [[0.0f32; NR]; MR];
+                            be.microkernel(
+                                k,
+                                &ap,
+                                &packed_b[jp * k * NR..(jp + 1) * k * NR],
+                                b_rows,
+                                &mut acc,
+                            );
+                            for (i, arow) in acc.iter().enumerate().take(im) {
+                                let row = (i0 - r0 + i) * n + j0;
+                                chunk[row..row + jn].copy_from_slice(&arow[..jn]);
+                            }
+                        }
+                        i0 += im;
+                    }
+                });
             });
         });
     });

@@ -252,43 +252,70 @@ fn pool_row_kernels_conform_on_every_backend() {
     }
 }
 
-/// f32 microkernel on every bit-exact backend: fresh accumulation and
-/// chunked continuation (load-accumulate-store across split reductions)
-/// must both match the scalar chain bit for bit.
+/// One B source of the f32 microkernel: `(b, rows)` and the packed panel
+/// holding the same rows.
+type BSource = (Vec<f32>, Vec<usize>, Vec<f32>);
+
+/// The two B sources of the f32 microkernel for a `k`-step test: a packed
+/// panel with its `p * NR` rows, and a wider buffer read in place through
+/// overlapping, unaligned row offsets (the stride-1 conv's shape) with the
+/// panel that packs those same rows.
+fn microkernel_b_sources(k: usize, seed: u64) -> [BSource; 2] {
+    let packed_rows: Vec<usize> = (0..k).map(|p| p * NR).collect();
+    let bp = gen_vec(k * NR, seed);
+    let wide = gen_vec(3 * k + NR, seed ^ 0x5A);
+    let rows: Vec<usize> = (0..k).map(|p| (5 * p + 3) % (3 * k + 1)).collect();
+    let gathered = rows
+        .iter()
+        .flat_map(|&r| wide[r..r + NR].to_vec())
+        .collect();
+    [(bp.clone(), packed_rows, bp), (wide, rows, gathered)]
+}
+
+/// f32 microkernel on every bit-exact backend, for both B sources: fresh
+/// accumulation and chunked continuation (load-accumulate-store across
+/// split reductions) must both match the scalar chain over the packed
+/// panel bit for bit.
 #[test]
 fn microkernel_conforms_including_chunked_continuation() {
     for be in bit_exact_backends() {
         let name = be.name();
         for k in [0usize, 1, 2, 3, 7, 8, 17, 64] {
             let ap = gen_vec(k * MR, 0x11 + k as u64);
-            let bp = gen_vec(k * NR, 0x22 + k as u64);
-
-            let mut got = [[0.1f32; NR]; MR];
-            let mut want = [[0.1f32; NR]; MR];
-            be.microkernel(k, &ap, &bp, &mut got);
-            scalar::microkernel(k, &ap, &bp, &mut want);
-            for i in 0..MR {
-                assert_bits(
-                    &format!("{name}/microkernel/k={k}/row={i}"),
-                    &got[i],
-                    &want[i],
-                );
-            }
-
-            // Split the reduction at every interior point: the two-chunk
-            // result must equal the one-shot result on the SAME backend
-            // (this is the exact property the kc-blocked GEMM driver
-            // relies on).
-            for split in 0..=k {
-                let mut acc = [[0.1f32; NR]; MR];
-                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc);
-                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc);
+            for (src, (b, rows, bp)) in microkernel_b_sources(k, 0x22 + k as u64)
+                .into_iter()
+                .enumerate()
+            {
+                let packed_rows: Vec<usize> = (0..k).map(|p| p * NR).collect();
+                let mut got = [[0.1f32; NR]; MR];
+                let mut want = [[0.1f32; NR]; MR];
+                be.microkernel(k, &ap, &b, &rows, &mut got);
+                scalar::microkernel(k, &ap, &bp, &packed_rows, &mut want);
                 for i in 0..MR {
                     assert_bits(
-                        &format!("{name}/microkernel-chunked/k={k}/split={split}/row={i}"),
-                        &acc[i],
+                        &format!("{name}/microkernel/src={src}/k={k}/row={i}"),
+                        &got[i],
                         &want[i],
                     );
+                }
+
+                // Split the reduction at every interior point: the two-chunk
+                // result must equal the one-shot result on the SAME backend
+                // (this is the exact property the kc-blocked GEMM driver
+                // relies on).
+                for split in 0..=k {
+                    let mut acc = [[0.1f32; NR]; MR];
+                    be.microkernel(split, &ap[..split * MR], &b, &rows[..split], &mut acc);
+                    be.microkernel(k - split, &ap[split * MR..], &b, &rows[split..], &mut acc);
+                    for i in 0..MR {
+                        assert_bits(
+                            &format!(
+                                "{name}/microkernel-chunked/src={src}/k={k}/split={split}/row={i}"
+                            ),
+                            &acc[i],
+                            &want[i],
+                        );
+                    }
                 }
             }
         }
@@ -512,35 +539,41 @@ fn fastmath_microkernel_tolerance_and_exact_chunking() {
         let name = be.name();
         for k in [0usize, 1, 2, 3, 7, 8, 17, 64] {
             let ap = gen_vec(k * MR, 0x31 + k as u64);
-            let bp = gen_vec(k * NR, 0x42 + k as u64);
-
-            let mut got = [[0.1f32; NR]; MR];
-            let mut want = [[0.1f32; NR]; MR];
-            be.microkernel(k, &ap, &bp, &mut got);
-            scalar::microkernel(k, &ap, &bp, &mut want);
-            // FMA contraction shifts rounding per term; scale the absolute
-            // slack with the reduction depth (|terms| <= 16 each).
-            let atol = 1e-6 + k as f32 * 16.0 * 1e-6;
-            for i in 0..MR {
-                assert_close(
-                    &format!("{name}/microkernel/k={k}/row={i}"),
-                    &got[i],
-                    &want[i],
-                    1e-4,
-                    atol,
-                );
-            }
-
-            for split in 0..=k {
-                let mut acc = [[0.1f32; NR]; MR];
-                be.microkernel(split, &ap[..split * MR], &bp[..split * NR], &mut acc);
-                be.microkernel(k - split, &ap[split * MR..], &bp[split * NR..], &mut acc);
+            for (src, (b, rows, bp)) in microkernel_b_sources(k, 0x42 + k as u64)
+                .into_iter()
+                .enumerate()
+            {
+                let packed_rows: Vec<usize> = (0..k).map(|p| p * NR).collect();
+                let mut got = [[0.1f32; NR]; MR];
+                let mut want = [[0.1f32; NR]; MR];
+                be.microkernel(k, &ap, &b, &rows, &mut got);
+                scalar::microkernel(k, &ap, &bp, &packed_rows, &mut want);
+                // FMA contraction shifts rounding per term; scale the absolute
+                // slack with the reduction depth (|terms| <= 16 each).
+                let atol = 1e-6 + k as f32 * 16.0 * 1e-6;
                 for i in 0..MR {
-                    assert_bits(
-                        &format!("{name}/microkernel-chunked/k={k}/split={split}/row={i}"),
-                        &acc[i],
+                    assert_close(
+                        &format!("{name}/microkernel/src={src}/k={k}/row={i}"),
                         &got[i],
+                        &want[i],
+                        1e-4,
+                        atol,
                     );
+                }
+
+                for split in 0..=k {
+                    let mut acc = [[0.1f32; NR]; MR];
+                    be.microkernel(split, &ap[..split * MR], &b, &rows[..split], &mut acc);
+                    be.microkernel(k - split, &ap[split * MR..], &b, &rows[split..], &mut acc);
+                    for i in 0..MR {
+                        assert_bits(
+                            &format!(
+                                "{name}/microkernel-chunked/src={src}/k={k}/split={split}/row={i}"
+                            ),
+                            &acc[i],
+                            &got[i],
+                        );
+                    }
                 }
             }
         }

@@ -259,7 +259,9 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 /// `conv2d_grad_input` and `conv2d_grad_weight`. Each shape's transposed
 /// conv takes the forward conv's output grid as its input and the conv
 /// weight read as `(Ci, O, kh, kw)`. The shapes cover `ow % NR != 0`
-/// (panels that straddle output rows), `O % MR != 0`, strides 1/2/3/5,
+/// (panels that straddle output rows), stride-1 panels read in place from
+/// the padded image (from `ox != 0`, and a partial last panel that reads
+/// into the buffer's slack), `O % MR != 0`, strides 1/2/3/5,
 /// pads 0/1/2, `kh != kw`, 1x1 kernels, `C = 1`, `N = 1`/`3`, pad > kw (a
 /// panel wholly in the left or right padding), and forward convs that
 /// drop trailing input rows or columns, whose input gradient there is
@@ -288,6 +290,17 @@ fn conv_is_bit_identical_to_im2col_oracle() {
         [3, 3, 5, 5, 4, 2, 2, 2, 0],
         // The upsample geometry (stride == kernel, no padding).
         [2, 8, 8, 8, 3, 2, 2, 2, 0],
+        // Stride 1 reads in-row panels in place from a padded image. The
+        // image's last panel is a partial one inside the last output row,
+        // whose reads run into the buffer's slack.
+        [1, 2, 3, 13, 3, 3, 3, 1, 1],
+        // In-row panels that do not start at `ox = 0`, mixed with
+        // panels straddling output rows.
+        [2, 4, 5, 21, 9, 3, 3, 1, 1],
+        // Stride 1 without padding.
+        [2, 3, 10, 10, 8, 3, 3, 1, 0],
+        // A 1x1 kernel with pad > kw.
+        [1, 2, 4, 9, 3, 1, 1, 1, 2],
     ];
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0_11);
     let cases: Vec<_> = SHAPES
