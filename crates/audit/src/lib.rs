@@ -84,11 +84,11 @@ pub mod rules {
 pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
     (
         "crates/tensor/src/backend/avx2.rs",
-        "AVX2 kernel bodies (bounds argued per load/store, Miri-exempt via cfg)",
+        "hand-written AVX2 f32 GEMM microkernel (bounds argued per load/store, Miri-exempt via cfg)",
     ),
     (
         "crates/tensor/src/backend/mod.rs",
-        "runtime dispatch into target_feature functions after CPUID detection",
+        "runtime dispatch into target_feature functions (hand bodies and compiled scalar bodies) after CPUID detection",
     ),
     (
         "crates/tensor/src/parallel.rs",
@@ -112,11 +112,11 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/tensor/src/backend/qavx2.rs",
-        "int8 AVX2 microkernel and quant passes (bounds argued per load/store, Miri-exempt via cfg)",
+        "int8 AVX2 microkernel, quantize and requantize passes (bounds argued per load/store, Miri-exempt via cfg)",
     ),
     (
         "crates/tensor/src/backend/fastmath.rs",
-        "FMA kernel bodies + vectorized exp (bounds argued per load/store, Miri-exempt via cfg)",
+        "FMA GEMM microkernel + vectorized polynomial exp_sum (bounds argued per load/store, Miri-exempt via cfg)",
     ),
     (
         "shims/loom/src/lib.rs",

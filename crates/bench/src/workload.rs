@@ -49,7 +49,8 @@ impl std::fmt::Debug for Workload<'_> {
 }
 
 /// The canonical single-threaded kernel set: raw microkernel, GEMM, conv,
-/// int8 conv and row softmax, at the geometries the published tables use.
+/// int8 conv, eval BatchNorm + ReLU and row softmax, at the geometries the
+/// published tables use.
 pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();
@@ -111,6 +112,32 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
         std::hint::black_box(&mut qout);
     }));
 
+    // The eval BatchNorm → ReLU pair on the decoder's middle activation,
+    // as the layers run it: `bn_affine` per (image, channel) plane with that
+    // channel's statistics, then one `relu_inplace` over the whole tensor.
+    let bx = Tensor::rand_uniform(&[8, 16, 32, 32], -2.0, 2.0, &mut rng);
+    let stats: Vec<[f32; 4]> = (0..16)
+        .map(|c| {
+            let c = c as f32;
+            [
+                0.05 * c - 0.4,
+                1.0 / (0.5 + 0.1 * c),
+                1.0 - 0.02 * c,
+                0.03 * c,
+            ]
+        })
+        .collect();
+    let mut bout = vec![0.0f32; bx.len()];
+    set.push(Workload::new("bn_relu_8x16x32x32", 200, move || {
+        let planes = bx.as_slice().chunks(32 * 32).zip(bout.chunks_mut(32 * 32));
+        for (p, (src, dst)) in planes.enumerate() {
+            let [mean, inv_std, g, b] = stats[p % 16];
+            backend::bn_affine(src, dst, mean, inv_std, g, b);
+        }
+        backend::relu_inplace(&mut bout);
+        std::hint::black_box(&mut bout);
+    }));
+
     let logits = Tensor::rand_uniform(&[256, 1000], -4.0, 4.0, &mut rng);
     set.push(Workload::new("softmax_rows_256x1000", 50, move || {
         std::hint::black_box(ops::softmax_rows(&logits).expect("softmax"));
@@ -135,6 +162,7 @@ mod tests {
                 "conv2d_8x16x32x32_3x3_s2",
                 "conv2d_1x16x32x32_3x3",
                 "qconv2d_8x16x32x32_3x3",
+                "bn_relu_8x16x32x32",
                 "softmax_rows_256x1000",
             ]
         );

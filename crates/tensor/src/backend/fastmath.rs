@@ -1,15 +1,15 @@
-//! Fast-math bodies: FMA-contracted kernels and a vectorized polynomial
+//! Fast-math bodies: the FMA GEMM microkernel and a vectorized polynomial
 //! exponential, **not** bit-exact with the scalar oracle.
 //!
 //! This module backs [`super::Backend::FastMath`], the opt-in relaxed
-//! tier (`LECA_BACKEND=fastmath`). Three kinds of function live here:
+//! tier (`LECA_BACKEND=fastmath`). It holds the tier's only two bodies of
+//! its own:
 //!
-//! 1. **FMA specializations** — the GEMM [`microkernel`] and the
-//!    mul-add-shaped epilogues ([`axpy`], [`bn_affine`], [`dequant_i32`])
-//!    re-expressed with `_mm256_fmadd_ps`. The fused operation skips the
-//!    intermediate rounding of the separate multiply, so results differ
-//!    from the scalar chain by at most one rounding step per fused pair —
-//!    the tolerance parity suite bounds the accumulated relative error.
+//! 1. **The FMA microkernel** — the GEMM [`microkernel`] re-expressed with
+//!    `_mm256_fmadd_ps`. The fused operation skips the intermediate
+//!    rounding of the separate multiply, so results differ from the scalar
+//!    chain by at most one rounding step per fused pair — the tolerance
+//!    parity suite bounds the accumulated relative error.
 //! 2. **The vectorized exponential** — [`exp_sum`], the softmax core,
 //!    evaluates a Cephes-style degree-6 polynomial after range reduction
 //!    (`x = n·ln2 + r`, `|r| ≤ ln2/2`), accurate to a few ULP on normal
@@ -19,68 +19,25 @@
 //!    softmax sum as eight lane-partial sums folded at the end, which
 //!    reassociates the reduction — exactly the trade the bit-exact tiers
 //!    refuse.
-//! 3. **Exact forwarders** — every remaining kernel calls its
-//!    [`super::avx2`] / [`super::qavx2`] body unchanged (a safe call: these
-//!    functions enable a superset of the callees' target features). The
-//!    integer tier in particular (`qmicrokernel`, `quantize_q8`,
-//!    `requant_i32`) stays bit-identical, so fastmath perturbs only f32
-//!    outputs.
+//!
+//! Every other kernel runs its bit-exact body on this tier too (the int8
+//! hand bodies in `qavx2`, the rest compiled from their scalar bodies), so
+//! fastmath perturbs only the GEMM and the softmax exponential.
 //!
 //! # Safety
 //!
-//! All functions are safe `#[target_feature(enable = "avx2,fma")]`
+//! Both functions are safe `#[target_feature(enable = "avx2,fma")]`
 //! functions; the `Backend` methods in the parent module are the sole
 //! unsafe callers and check `fastmath_available()` (AVX2 **and** FMA) on
 //! every call, after asserting the kernel's preconditions.
 //! Within the bodies, `unsafe` is confined to raw-pointer load/store
 //! intrinsics with the same bound discipline as the `avx2` module.
 
-use super::{avx2, qavx2, scalar};
 use super::{MR, NR};
 use core::arch::x86_64::*;
 
 /// f32 lanes per AVX2 vector.
 const LANES: usize = 8;
-
-/// Expands to an exact forwarder per kernel: same signature, body is a
-/// plain (safe — superset target features) call into the bit-exact AVX2
-/// module. Keeping these one-liners in a macro makes "everything else is
-/// exact" auditable at a glance.
-macro_rules! forward {
-    ($( $to:ident :: $name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?; )*) => {
-        $(
-            #[target_feature(enable = "avx2", enable = "fma")]
-            pub fn $name($($arg: $ty),*) $(-> $ret)? {
-                $to::$name($($arg),*)
-            }
-        )*
-    };
-}
-
-forward! {
-    // Int8 tier: forwarded exactly — quantized codes and i32 accumulators
-    // are integer-exact, and keeping them identical means fastmath never
-    // changes a stored checkpoint or a requantized activation byte.
-    qavx2::qmicrokernel(kp2: usize, ap: &[i16], bp: &[i16], acc: &mut [[i32; NR]; MR]);
-    qavx2::quantize_q8(src: &[f32], inv: f32, zp: i32, out: &mut [i8]);
-    qavx2::requant_i32(acc: &[i32], m: f32, b: f32, zp: i32, relu: bool, out: &mut [i8]);
-    // Elementwise kernels with no mul-add shape: nothing for FMA to fuse,
-    // so the AVX2 bodies are already optimal and stay bit-exact here.
-    avx2::add(a: &[f32], b: &[f32], out: &mut [f32]);
-    avx2::add_assign(dst: &mut [f32], src: &[f32]);
-    avx2::scale_inplace(dst: &mut [f32], s: f32);
-    avx2::add_scalar(src: &[f32], s: f32, out: &mut [f32]);
-    avx2::add_scalar_inplace(dst: &mut [f32], s: f32);
-    avx2::clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32]);
-    avx2::relu_inplace(dst: &mut [f32]);
-    avx2::leaky_relu_inplace(dst: &mut [f32], a: f32);
-    avx2::relu_mask(src: &[f32], mask: &mut [f32]);
-    avx2::relu_backward(mask: &[f32], g: &[f32], out: &mut [f32]);
-    avx2::leaky_relu_backward(mask: &[f32], g: &[f32], a: f32, out: &mut [f32]);
-    avx2::row_max(xs: &[f32]) -> f32;
-    avx2::avg_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32], inv: f32);
-    avx2::max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32]);
-}
 
 /// FMA GEMM microkernel: the rank-1 update uses `_mm256_fmadd_ps`, halving
 /// the FP µop count per element versus the mul+add pair and skipping its
@@ -141,74 +98,6 @@ pub fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[
         _mm256_storeu_ps(acc[6].as_mut_ptr(), r6);
         _mm256_storeu_ps(acc[7].as_mut_ptr(), r7);
     }
-}
-
-/// FMA axpy: `dst[i] = fma(s, src[i], dst[i])`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub fn axpy(dst: &mut [f32], src: &[f32], s: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let main = n - n % LANES;
-    let vs = _mm256_set1_ps(s);
-    let (pd, ps) = (dst.as_mut_ptr(), src.as_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: `i + LANES <= main <= len` for both equal-length slices.
-        unsafe {
-            let d = _mm256_loadu_ps(pd.add(i));
-            let x = _mm256_loadu_ps(ps.add(i));
-            _mm256_storeu_ps(pd.add(i), _mm256_fmadd_ps(vs, x, d));
-        }
-        i += LANES;
-    }
-    scalar::axpy(&mut dst[main..], &src[main..], s);
-}
-
-/// FMA BatchNorm affine: `fma(g, (x - mean) * inv_std, b)` — one fused
-/// rounding where the exact sequence has two.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32) {
-    debug_assert_eq!(src.len(), out.len());
-    let n = out.len();
-    let main = n - n % LANES;
-    let vmean = _mm256_set1_ps(mean);
-    let vinv = _mm256_set1_ps(inv_std);
-    let vg = _mm256_set1_ps(g);
-    let vb = _mm256_set1_ps(b);
-    let (ps, po) = (src.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: `i + LANES <= main <= len` for both equal-length slices.
-        unsafe {
-            let v = _mm256_loadu_ps(ps.add(i));
-            let xh = _mm256_mul_ps(_mm256_sub_ps(v, vmean), vinv);
-            _mm256_storeu_ps(po.add(i), _mm256_fmadd_ps(vg, xh, vb));
-        }
-        i += LANES;
-    }
-    scalar::bn_affine(&src[main..], &mut out[main..], mean, inv_std, g, b);
-}
-
-/// FMA dequantize: `out[i] = fma(acc[i] as f32, m, b)`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub fn dequant_i32(acc: &[i32], m: f32, b: f32, out: &mut [f32]) {
-    debug_assert_eq!(acc.len(), out.len());
-    let n = out.len();
-    let main = n - n % LANES;
-    let vm = _mm256_set1_ps(m);
-    let vb = _mm256_set1_ps(b);
-    let (pa, po) = (acc.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: `i + LANES <= main <= len` for both slices (equal
-        // lengths checked above), so the load and store stay in bounds.
-        unsafe {
-            let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(pa.add(i).cast()));
-            _mm256_storeu_ps(po.add(i), _mm256_fmadd_ps(v, vm, vb));
-        }
-        i += LANES;
-    }
-    scalar::dequant_i32(&acc[main..], m, b, &mut out[main..]);
 }
 
 // ---------------------------------------------------------------------

@@ -4,14 +4,23 @@
 //! `Copy` enum with one variant per body set: [`Backend::Scalar`] runs the
 //! portable reference bodies in [`scalar`] (the *semantic definitions* —
 //! every bit-exact backend must reproduce them bit for bit),
-//! [`Backend::Avx2`] the runtime-detected AVX2 bodies, and
-//! [`Backend::FastMath`] the opt-in relaxed-precision FMA tier. Each
+//! [`Backend::Avx2`] runs them compiled for runtime-detected AVX2, and
+//! [`Backend::FastMath`] is the opt-in relaxed-precision FMA tier. Each
 //! kernel also has a free function of the same name that runs it on
 //! [`active`], the process-wide selection. That selection is made **once**
 //! and cached, mirroring `LECA_THREADS` /
 //! [`crate::parallel::num_threads`]: the `LECA_BACKEND` environment
 //! variable (`scalar` | `avx2` | `fastmath` | `auto`) pins a backend for
 //! CI and debugging, and [`refresh_backend`] is the in-process test hook.
+//!
+//! Each kernel has **one source**, its scalar body. A vector variant with
+//! no hand-written body runs that scalar body compiled under
+//! `#[target_feature(enable = "avx2")]`, where the compiler vectorizes it
+//! at 8 lanes. Hand-written intrinsic bodies remain only where the compiler
+//! loses: the f32 `microkernel` (`avx2`, and its FMA twin in `fastmath`),
+//! the int8 `qmicrokernel`, `quantize_q8` and `requant_i32` (`qavx2`; their
+//! round-to-even conversion does not vectorize), and fast-math's polynomial
+//! `exp_sum`.
 //!
 //! # Selection and availability
 //!
@@ -33,57 +42,64 @@
 //! # The fast-math tier
 //!
 //! [`Backend::FastMath`] ([`Backend::bit_exact`] = `false`) trades the
-//! bit-exactness contract for FMA contraction and a vectorized polynomial
-//! exponential in [`exp_sum`]. It never wins auto-selection: it runs only
-//! when requested by name (`LECA_BACKEND=fastmath`). Its outputs are held
-//! to relative-error bounds against the scalar oracle by tolerance-based
-//! parity tests instead of the bit-exact conformance battery, and the
-//! determinism goldens exclude it.
+//! bit-exactness contract in exactly two bodies: the FMA-contracted GEMM
+//! [`microkernel`] and a vectorized polynomial exponential in [`exp_sum`].
+//! Every other kernel runs a bit-exact body on it, and the conformance
+//! suite holds those bit for bit to scalar. It never wins auto-selection:
+//! it runs only when requested by name (`LECA_BACKEND=fastmath`). Its two
+//! own bodies are held to relative-error bounds against the scalar oracle
+//! by tolerance-based parity tests, and the determinism goldens exclude
+//! it.
 //!
 //! # Why every bit-exact backend is bit-identical
 //!
-//! The vector kernels only ever parallelize across **independent
-//! outputs** — the [`NR`] columns of the GEMM register tile, or disjoint
-//! elements of an elementwise map. Each output element still sees exactly
-//! the scalar sequence of IEEE-754 operations (same order, same
-//! intermediates, no FMA contraction: `_mm256_mul_ps` + `_mm256_add_ps`
-//! round identically to `a * b` then `+`), so every lane reproduces the
-//! scalar result bit for bit. Loops with a *sequential* dependence chain
-//! (the softmax `exp`/sum pass, f64 plane reductions) deliberately stay
-//! scalar — vectorizing them would reassociate the reduction and break the
-//! determinism goldens.
-//!
-//! The one documented wobble: an all-`±0.0` maximum tie in [`row_max`] may
-//! differ from `f32::max` in the *sign* of the returned zero (IEEE leaves
-//! it unspecified). Its only in-tree consumer, `softmax_rows`, erases the
-//! sign via `exp(x - m)`, so softmax outputs remain bit-identical.
+//! The hand-written GEMM bodies only parallelize across **independent
+//! outputs** — the [`NR`] columns of the register tile — and each output
+//! element still sees exactly the scalar sequence of IEEE-754 operations
+//! (same order, no FMA contraction: `_mm256_mul_ps` + `_mm256_add_ps` round
+//! identically to `a * b` then `+`). The compiled bodies get the same
+//! property from the compiler: Rust never contracts `a * b + c` into an
+//! FMA or reassociates float adds, so enabling AVX2 changes only the
+//! vector width, never an element's operation sequence or its NaN and
+//! signed-zero outcome. Loops with a *sequential* float dependence chain
+//! (the softmax `exp`/sum pass, f64 plane reductions) therefore stay
+//! sequential even when compiled for AVX2 — vectorizing them would
+//! reassociate the reduction and break the determinism goldens. The one
+//! reduction the compiler does vectorize is [`row_max`]'s `f32::max` fold,
+//! whose result is the same in any order except for the sign of a `±0.0`
+//! tie; the scalar body returns a zero maximum as `+0.0`, so it is the
+//! same at every vector width.
 //!
 //! # Adding a kernel
 //!
-//! Add one entry to the `backend_kernels!` table below (doc, signature,
-//! AVX2 module tag, preconditions) and a body of the same name in
-//! [`scalar`], the tagged AVX2 module and `fastmath`. The conformance
-//! suite (`crates/tensor/tests/backend_conformance.rs`) holds each
-//! available backend to the scalar oracle.
+//! Add one entry to the `backend_kernels!` table below (doc, `[scalar,
+//! scalar]` body tags, signature, preconditions) and an `#[inline]` body
+//! of the same name in [`scalar`]. That is all a new kernel needs: both
+//! vector variants run the scalar body compiled for AVX2. A hand-written
+//! vector body replaces the compiled one only with a recorded win over it,
+//! measured where the library calls the kernel (a caller-level row in
+//! `leca-bench`, not only the kernel in isolation); it then carries its
+//! own `unsafe` bound arguments. The conformance suite
+//! (`crates/tensor/tests/backend_conformance.rs`) holds each available
+//! backend to the scalar oracle.
 
 pub mod scalar;
 
-// Miri interprets portable Rust only — the AVX2 bodies are compiled out
-// under it (and `Backend::Avx2` reports unavailable, running the scalar
-// bodies), so `cargo miri test` checks the whole crate through the scalar
-// path, which the parity suite proves bit-identical to the vector one.
+// Miri interprets portable Rust only — the hand-written AVX2 bodies and
+// the compiled AVX2 variants are compiled out under it (and
+// `Backend::Avx2` reports unavailable, running the scalar bodies), so
+// `cargo miri test` checks the whole crate through the scalar path, which
+// the parity suite proves bit-identical to the vector one.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx2;
 
 // Int8-tier AVX2 bodies (`_mm256_madd_epi16` GEMM core plus the
-// quantize/requantize/dequantize passes); same Miri/non-x86 story as
-// `avx2`.
+// quantize and requantize passes); same Miri/non-x86 story as `avx2`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod qavx2;
 
-// Relaxed-precision FMA bodies (fused-multiply-add GEMM core, vectorized
-// polynomial `exp_sum`, FMA elementwise epilogues); same Miri/non-x86 story
-// as `avx2`.
+// Relaxed-precision bodies (fused-multiply-add GEMM core, vectorized
+// polynomial `exp_sum`); same Miri/non-x86 story as `avx2`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod fastmath;
 
@@ -110,7 +126,7 @@ fn avx2_available() -> bool {
 
 /// Non-x86 targets never have AVX2; under Miri the vector bodies are not
 /// even compiled, so detection reports unavailable and every kernel runs
-/// its scalar twin.
+/// its scalar body.
 #[cfg(any(not(target_arch = "x86_64"), miri))]
 fn avx2_available() -> bool {
     false
@@ -153,13 +169,14 @@ pub enum Backend {
     /// Portable scalar bodies: always available, the bit-exactness oracle
     /// for every other backend.
     Scalar,
-    /// AVX2 bodies (`x86_64` with runtime-detected AVX2).
+    /// The scalar bodies compiled for AVX2, plus the hand-written AVX2
+    /// GEMM and int8 bodies (`x86_64` with runtime-detected AVX2).
     Avx2,
     /// Opt-in relaxed-precision bodies (`x86_64` with runtime-detected
-    /// AVX2 + FMA): fused-multiply-add GEMM core, vectorized polynomial
-    /// `exp` driving the fused softmax pass, and FMA elementwise
-    /// epilogues. Not bit-exact with the scalar oracle — see the module
-    /// docs for the selection and testing contract.
+    /// AVX2 + FMA): fused-multiply-add GEMM core and vectorized polynomial
+    /// `exp` driving the fused softmax pass; every other kernel is
+    /// bit-exact. Not bit-exact with the scalar oracle as a whole — see
+    /// the module docs for the selection and testing contract.
     FastMath,
 }
 
@@ -180,10 +197,10 @@ impl Backend {
     }
 
     /// Whether this backend reproduces the [`scalar`] bodies bit for bit.
-    /// Only [`Backend::FastMath`] does not (it contracts FMAs and
-    /// vectorizes `exp_sum`), which excludes it from auto-selection and from
-    /// the bit-exact conformance and determinism suites — it is covered
-    /// by tolerance-based parity tests instead.
+    /// Only [`Backend::FastMath`] does not (it contracts FMAs in the
+    /// microkernel and vectorizes `exp_sum`), which excludes it from
+    /// auto-selection and from the determinism suites — its two own bodies
+    /// are covered by tolerance-based parity tests instead.
     pub fn bit_exact(self) -> bool {
         self != Backend::FastMath
     }
@@ -199,16 +216,36 @@ impl Backend {
     }
 }
 
-/// Declares every kernel **once**: its doc, signature, AVX2 body module
-/// (`[avx2]` for the f32 tier, `[qavx2]` for the int8 tier) and, after
-/// `where`, its argument preconditions. Each entry expands to a
-/// [`Backend`] method — assert the preconditions, then run the variant's
-/// body — and a free function of the same name that runs the method on
-/// [`active`].
+/// Runs one vector variant of a kernel: the hand-written body in the named
+/// module, or, when the module is `scalar`, the scalar body compiled with
+/// AVX2 enabled. The scalar bodies are `#[inline]` so they inline into that
+/// `#[target_feature]` wrapper and vectorize at 8 lanes; a call that is not
+/// inlined runs at the baseline SSE2 width.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+macro_rules! vector_body {
+    (scalar, $name:ident($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {{
+        #[target_feature(enable = "avx2")]
+        fn compiled($($arg: $ty),*) $(-> $ret)? {
+            scalar::$name($($arg),*)
+        }
+        compiled($($arg),*)
+    }};
+    ($vmod:ident, $name:ident($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
+        $vmod::$name($($arg),*)
+    };
+}
+
+/// Declares every kernel **once**: its doc, its vector bodies, its
+/// signature and, after `where`, its argument preconditions. The bracket
+/// names the module holding the [`Backend::Avx2`] body, then the one holding
+/// the [`Backend::FastMath`] body; `scalar` there means no hand-written body
+/// (see `vector_body!`). Each entry expands to a [`Backend`] method — assert
+/// the preconditions, then run the variant's body — and a free function of
+/// the same name that runs the method on [`active`].
 macro_rules! backend_kernels {
     ($(
         $(#[$meta:meta])*
-        [$vmod:ident] fn $name:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?
+        [$avx:ident, $fm:ident] fn $name:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?
             $(where $($pre:expr),+)?;
     )*) => {
         impl Backend {
@@ -220,21 +257,26 @@ macro_rules! backend_kernels {
                         assert!($pre, "backend::{}: `{}` violated", stringify!($name), stringify!($pre));
                     )+)?
                     match self {
-                        // SAFETY: the AVX2 bodies are safe `#[target_feature]`
-                        // fns, so the only obligation is that the host really
-                        // has AVX2 — checked by `avx2_available()` on this very
-                        // call (std caches the CPUID probe, so the guard is a
-                        // load, not a CPUID, after the first call). The
-                        // preconditions asserted above keep the bodies' raw
-                        // loads in bounds in release builds too.
+                        // SAFETY: every body here is a safe `#[target_feature]`
+                        // fn enabling AVX2 only (a compiled scalar body or an
+                        // `avx2`/`qavx2` one), so the one obligation is that
+                        // the host really has AVX2 — checked by
+                        // `avx2_available()` on this very call (std caches the
+                        // CPUID probe, so the guard is a load, not a CPUID,
+                        // after the first call). The preconditions asserted
+                        // above keep the hand bodies' raw loads in bounds in
+                        // release builds too.
                         #[cfg(all(target_arch = "x86_64", not(miri)))]
-                        Backend::Avx2 if avx2_available() => unsafe { $vmod::$name($($arg),*) },
-                        // SAFETY: the fastmath bodies are safe
-                        // `#[target_feature(enable = "avx2", enable = "fma")]`
-                        // fns; `fastmath_available()` on this very call
-                        // confirms the host has both features.
+                        Backend::Avx2 if avx2_available() => unsafe {
+                            vector_body!($avx, $name($($arg: $ty),*) $(-> $ret)?)
+                        },
+                        // SAFETY: these bodies enable AVX2, or AVX2 and FMA
+                        // (`fastmath`); `fastmath_available()` on this very
+                        // call confirms the host has both features.
                         #[cfg(all(target_arch = "x86_64", not(miri)))]
-                        Backend::FastMath if fastmath_available() => unsafe { fastmath::$name($($arg),*) },
+                        Backend::FastMath if fastmath_available() => unsafe {
+                            vector_body!($fm, $name($($arg: $ty),*) $(-> $ret)?)
+                        },
                         _ => scalar::$name($($arg),*),
                     }
                 }
@@ -270,7 +312,7 @@ backend_kernels! {
     /// checks a row's bound as it reads the row, release builds included:
     /// a separate pass over `rows` before the call would cost up to a
     /// quarter of the call itself.
-    [avx2] fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[f32; NR]; MR])
+    [avx2, fastmath] fn microkernel(k: usize, ap: &[f32], b: &[f32], rows: &[usize], acc: &mut [[f32; NR]; MR])
         where ap.len() >= k * MR, rows.len() >= k;
     /// Quantized `MR x NR` register-tile update.
     ///
@@ -284,7 +326,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when a packed operand is shorter than `kp2` tiles.
-    [qavx2] fn qmicrokernel(kp2: usize, ap: &[i16], bp: &[i16], acc: &mut [[i32; NR]; MR])
+    [qavx2, qavx2] fn qmicrokernel(kp2: usize, ap: &[i16], bp: &[i16], acc: &mut [[i32; NR]; MR])
         where ap.len() >= kp2 * MR * 2, bp.len() >= kp2 * NR * 2;
     /// f32 → i8 quantize: `out[i] = clamp(rne(src[i] * inv) + zp, -127, 127)`
     /// with round-ties-to-even. Inputs must be finite (callers that cannot
@@ -293,7 +335,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [qavx2] fn quantize_q8(src: &[f32], inv: f32, zp: i32, out: &mut [i8])
+    [qavx2, qavx2] fn quantize_q8(src: &[f32], inv: f32, zp: i32, out: &mut [i8])
         where src.len() == out.len();
     /// i32 accumulator → i8 requantize with fused bias and optional ReLU:
     /// `clamp(rne(acc[i] as f32 * m + b) + zp, -127, 127)`, then `max(·, zp)`
@@ -302,7 +344,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [qavx2] fn requant_i32(acc: &[i32], m: f32, b: f32, zp: i32, relu: bool, out: &mut [i8])
+    [qavx2, qavx2] fn requant_i32(acc: &[i32], m: f32, b: f32, zp: i32, relu: bool, out: &mut [i8])
         where acc.len() == out.len();
     /// i32 accumulator → f32 dequantize with fused bias:
     /// `out[i] = acc[i] as f32 * m + b` (cvt, mul, add — no FMA).
@@ -310,21 +352,21 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [qavx2] fn dequant_i32(acc: &[i32], m: f32, b: f32, out: &mut [f32])
+    [scalar, scalar] fn dequant_i32(acc: &[i32], m: f32, b: f32, out: &mut [f32])
         where acc.len() == out.len();
     /// `out[i] = a[i] + b[i]`.
     ///
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn add(a: &[f32], b: &[f32], out: &mut [f32])
+    [scalar, scalar] fn add(a: &[f32], b: &[f32], out: &mut [f32])
         where a.len() == b.len(), a.len() == out.len();
     /// `dst[i] += src[i]`.
     ///
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn add_assign(dst: &mut [f32], src: &[f32])
+    [scalar, scalar] fn add_assign(dst: &mut [f32], src: &[f32])
         where dst.len() == src.len();
     /// `dst[i] += s * src[i]` (axpy; `s * src` first, matching the scalar
     /// `add_scaled`).
@@ -332,19 +374,19 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn axpy(dst: &mut [f32], src: &[f32], s: f32)
+    [scalar, scalar] fn axpy(dst: &mut [f32], src: &[f32], s: f32)
         where dst.len() == src.len();
     /// `dst[i] *= s` in place (the softmax normalize pass).
-    [avx2] fn scale_inplace(dst: &mut [f32], s: f32);
+    [scalar, scalar] fn scale_inplace(dst: &mut [f32], s: f32);
     /// `out[i] = src[i] + s`.
     ///
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn add_scalar(src: &[f32], s: f32, out: &mut [f32])
+    [scalar, scalar] fn add_scalar(src: &[f32], s: f32, out: &mut [f32])
         where src.len() == out.len();
     /// `dst[i] += s` in place (the convolution bias pass).
-    [avx2] fn add_scalar_inplace(dst: &mut [f32], s: f32);
+    [scalar, scalar] fn add_scalar_inplace(dst: &mut [f32], s: f32);
     /// `out[i] = src[i].clamp(lo, hi)` with `f32::clamp` semantics (NaN
     /// propagates; equal-zero ties keep the input's sign).
     ///
@@ -352,15 +394,15 @@ backend_kernels! {
     ///
     /// Panics when the slice lengths differ or `lo > hi` / either bound is NaN
     /// (matching `f32::clamp`).
-    [avx2] fn clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32])
+    [scalar, scalar] fn clamp(src: &[f32], lo: f32, hi: f32, out: &mut [f32])
         where src.len() == out.len(), lo <= hi;
     /// NaN-preserving in-place ReLU: `dst[i]` is kept when it is `> 0` **or
     /// NaN**, else set to `0.0` — a poisoned activation must stay poisoned
     /// (the trainer's divergence detector relies on it).
-    [avx2] fn relu_inplace(dst: &mut [f32]);
+    [scalar, scalar] fn relu_inplace(dst: &mut [f32]);
     /// In-place leaky ReLU: `dst[i]` is kept when it is `> 0`, else replaced
     /// by `a * dst[i]` (NaN falls through to `a * NaN = NaN`).
-    [avx2] fn leaky_relu_inplace(dst: &mut [f32], a: f32);
+    [scalar, scalar] fn leaky_relu_inplace(dst: &mut [f32], a: f32);
     /// Writes the activation mask: `mask[i] = 1.0` when `src[i] > 0.0`, else
     /// `0.0` (NaN counts as not-positive, matching the `v > 0.0` bool mask the
     /// activations historically collected).
@@ -368,7 +410,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn relu_mask(src: &[f32], mask: &mut [f32])
+    [scalar, scalar] fn relu_mask(src: &[f32], mask: &mut [f32])
         where src.len() == mask.len();
     /// Masked ReLU backward: `out[i] = g[i]` where `mask[i] != 0.0`, else
     /// `0.0`. A **select**, not `g * mask` — a NaN gradient at a masked-off
@@ -377,7 +419,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn relu_backward(mask: &[f32], g: &[f32], out: &mut [f32])
+    [scalar, scalar] fn relu_backward(mask: &[f32], g: &[f32], out: &mut [f32])
         where mask.len() == g.len(), mask.len() == out.len();
     /// Masked leaky-ReLU backward: `out[i] = g[i]` where `mask[i] != 0.0`,
     /// else `g[i] * a` (select + scaled pass-through, same NaN discipline as
@@ -386,7 +428,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn leaky_relu_backward(mask: &[f32], g: &[f32], a: f32, out: &mut [f32])
+    [scalar, scalar] fn leaky_relu_backward(mask: &[f32], g: &[f32], a: f32, out: &mut [f32])
         where mask.len() == g.len(), mask.len() == out.len();
     /// BatchNorm affine pass: `out[i] = g * ((src[i] - mean) * inv_std) + b`,
     /// exactly that operation sequence (sub, mul, mul, add — no fusing, no
@@ -395,7 +437,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics when the slice lengths differ.
-    [avx2] fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32)
+    [scalar, scalar] fn bn_affine(src: &[f32], out: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32)
         where src.len() == out.len();
     /// Fused in-place exponential + sum — the softmax core: `dst[i] =
     /// dst[i].exp()`, returning the sum of the results.
@@ -409,13 +451,13 @@ backend_kernels! {
     /// exact `+inf`/`0.0` saturation at the overflow/underflow boundaries
     /// (results in the denormal range may flush to zero), and NaN in → NaN
     /// out. A NaN element poisons the returned sum on every backend.
-    [avx2] fn exp_sum(dst: &mut [f32]) -> f32;
+    [scalar, fastmath] fn exp_sum(dst: &mut [f32]) -> f32;
     /// NaN-skipping maximum (`f32::max` fold semantics): NaN elements are
     /// ignored; an empty or all-NaN slice yields `f32::NEG_INFINITY`. The
-    /// softmax row-max pass.
-    ///
-    /// An all-`±0.0` tie may return either zero sign (see module docs).
-    [avx2] fn row_max(xs: &[f32]) -> f32;
+    /// softmax row-max pass. A zero maximum is returned as `+0.0`, whatever
+    /// the signs of the zeros, so the result does not depend on the order
+    /// in which a vectorized fold meets them.
+    [scalar, scalar] fn row_max(xs: &[f32]) -> f32;
     /// Fused 2x2 average-pool row pass over two input rows: `out[j]` is the
     /// in-order window sum `((r0[2j] + r0[2j+1]) + r1[2j]) + r1[2j+1]` times
     /// `inv`.
@@ -423,7 +465,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics unless `r0.len() == r1.len() == 2 * out.len()`.
-    [avx2] fn avg_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32], inv: f32)
+    [scalar, scalar] fn avg_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32], inv: f32)
         where r0.len() == r1.len(), r0.len() == 2 * out.len();
     /// Fused 2x2 max-pool row pass: `out[j]` is the running `if v > best`
     /// maximum over `r0[2j], r0[2j+1], r1[2j], r1[2j+1]` starting from
@@ -432,7 +474,7 @@ backend_kernels! {
     /// # Panics
     ///
     /// Panics unless `r0.len() == r1.len() == 2 * out.len()`.
-    [avx2] fn max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32])
+    [scalar, scalar] fn max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32])
         where r0.len() == r1.len(), r0.len() == 2 * out.len();
 }
 

@@ -1,5 +1,8 @@
 //! AVX2 bodies for the int8 tier, bit-exact with [`super::scalar`]'s
-//! quantized kernels.
+//! quantized kernels: the GEMM core and the two passes whose
+//! round-to-even float-to-int conversion the compiler does not vectorize.
+//! (`dequant_i32` converts the other way and runs its compiled scalar
+//! body; see the parent module.)
 //!
 //! The GEMM core is `_mm256_madd_epi16`: both operands are packed as
 //! zero-point-corrected i16 **pairs** along the reduction axis, so one
@@ -186,26 +189,4 @@ pub fn requant_i32(acc: &[i32], m: f32, b: f32, zp: i32, relu: bool, out: &mut [
         i += LANES;
     }
     scalar::requant_i32(&acc[main..], m, b, zp, relu, &mut out[main..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub fn dequant_i32(acc: &[i32], m: f32, b: f32, out: &mut [f32]) {
-    debug_assert_eq!(acc.len(), out.len());
-    let n = out.len();
-    let main = n - n % LANES;
-    let vm = _mm256_set1_ps(m);
-    let vb = _mm256_set1_ps(b);
-    let (pa, po) = (acc.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: `i + LANES <= main <= len` for both slices (equal
-        // lengths checked above), so the load and store stay in bounds.
-        unsafe {
-            let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(pa.add(i).cast()));
-            // cvt, mul, add — the exact scalar sequence (no FMA).
-            _mm256_storeu_ps(po.add(i), _mm256_add_ps(_mm256_mul_ps(v, vm), vb));
-        }
-        i += LANES;
-    }
-    scalar::dequant_i32(&acc[main..], m, b, &mut out[main..]);
 }

@@ -1,11 +1,15 @@
-//! Scalar reference bodies for every SIMD kernel.
+//! Scalar reference bodies for every kernel.
 //!
-//! These are the *semantic definitions*: the AVX2 bodies in the sibling
-//! module must reproduce them bit for bit (the conformance suite in
-//! `crates/tensor/tests/backend_conformance.rs` enforces it), and non-x86 targets
-//! run them exclusively. They also serve as the tail handlers for the
-//! vector bodies' sub-lane remainders, so keep them branch-for-branch
-//! identical to the documented semantics in the parent module.
+//! These are the *semantic definitions* and, for most kernels, the only
+//! source: the AVX2 and fast-math variants of a kernel without a
+//! hand-written body run these same functions compiled with AVX2 enabled,
+//! which is why every body here is `#[inline]` (it must inline into that
+//! `#[target_feature]` wrapper to be vectorized at 8 lanes). The
+//! hand-written bodies in the sibling modules must reproduce them bit for
+//! bit (the conformance suite in
+//! `crates/tensor/tests/backend_conformance.rs` enforces it), and
+//! `quantize_q8` / `requant_i32` here also finish the int8 AVX2 bodies'
+//! sub-lane tails. Non-x86 targets run them exclusively.
 
 use super::{MR, NR};
 
@@ -157,10 +161,14 @@ pub fn exp_sum(dst: &mut [f32]) -> f32 {
     z
 }
 
-/// `f32::max` fold from `NEG_INFINITY` (NaN operands are skipped).
+/// `f32::max` fold from `NEG_INFINITY` (NaN operands are skipped), with a
+/// zero maximum returned as `+0.0`. The compiler vectorizes the fold at
+/// whatever width the build enables, and `f32::max` leaves the sign of a
+/// `±0.0` tie unspecified, so the fold alone could return either zero;
+/// adding `+0.0` maps `-0.0` to `+0.0` and leaves every other value as is.
 #[inline]
 pub fn row_max(xs: &[f32]) -> f32 {
-    xs.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+    xs.iter().copied().fold(f32::NEG_INFINITY, f32::max) + 0.0
 }
 
 /// 2x2 average-pool row pass; see the parent module for the summation

@@ -1,7 +1,8 @@
 //! Characterization of the fast-math tier's vectorized exponential.
 //!
-//! The conformance suite holds fastmath kernels to relative-error bounds
-//! against the scalar oracle on NaN-poisoned workloads; this file pins
+//! The conformance suite holds the fastmath microkernel and `exp_sum` to
+//! relative-error bounds against the scalar oracle on NaN-poisoned
+//! workloads (every other fastmath kernel bit for bit); this file pins
 //! down the *numerics of the polynomial `exp` itself* across the full
 //! f32 input range — denormals, every binade, the overflow/underflow
 //! cutoffs, and the IEEE specials — in ULPs against an f64 reference.
