@@ -95,20 +95,8 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
         "worker pool: lifetime-erased job closures and disjoint row slices",
     ),
     (
-        "tests/alloc_regression.rs",
-        "counting GlobalAlloc delegating verbatim to System",
-    ),
-    (
-        "tests/activation_alloc.rs",
-        "counting GlobalAlloc delegating verbatim to System",
-    ),
-    (
-        "tests/serve_alloc.rs",
-        "counting GlobalAlloc delegating verbatim to System",
-    ),
-    (
-        "tests/quant_alloc.rs",
-        "counting GlobalAlloc delegating verbatim to System",
+        "tests/counting_alloc/mod.rs",
+        "counting GlobalAlloc delegating verbatim to System, shared by the allocation-lockdown tests",
     ),
     (
         "crates/tensor/src/backend/qavx2.rs",

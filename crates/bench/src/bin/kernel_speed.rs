@@ -1,5 +1,5 @@
 //! Kernel speed table across every backend, emitted as
-//! `BENCH_kernels.json` at the repo root.
+//! `BENCH_kernels.json` in the current directory.
 //!
 //! Built on the structured harness (`leca_bench::{workload, profiler,
 //! harness}`): every named workload is timed single-threaded under
@@ -14,6 +14,9 @@
 //! `--smoke` runs every workload end to end with a cut-down timing
 //! policy and **does not** rewrite `BENCH_kernels.json` — it is the CI
 //! sanity gate, not a measurement.
+//!
+//! Run from the repo root, where the record is checked in:
+//! `cargo run --release -p leca-bench --bin kernel_speed [-- --smoke]`.
 
 use leca_bench::harness::{pin_backend, unpin_backend, Harness, KernelRun};
 use leca_bench::profiler::Profiler;
@@ -199,10 +202,8 @@ fn main() {
         ips_str(int8_ips[2]),
         ips_ratio(int8_ips[1], f32_ips[1]),
     );
-    // crates/bench/ -> repo root.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_kernels.json");
-    std::fs::write(&out, json).expect("write BENCH_kernels.json");
-    println!("\nwrote {}", out.display());
+    // The current directory: run from the repo root to update the
+    // checked-in record, from anywhere else to leave it alone.
+    std::fs::write("BENCH_kernels.json", json).expect("write BENCH_kernels.json");
+    println!("\nwrote BENCH_kernels.json in the current directory");
 }

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the component models, emitted as
-//! `BENCH_micro.json` at the repo root.
+//! `BENCH_micro.json` in the current directory.
 //!
 //! Five groups, each a set of named [`Workload`]s timed by the shared
 //! [`Profiler`] under the ambient backend and thread count:
@@ -17,7 +17,8 @@
 //! `--smoke` runs every workload end to end with the cut-down timing
 //! policy and **does not** write `BENCH_micro.json`.
 //!
-//! Run: `cargo run --release -p leca-bench --bin micro_bench [-- --smoke]`.
+//! Run from the repo root, where the record is checked in:
+//! `cargo run --release -p leca-bench --bin micro_bench [-- --smoke]`.
 
 use leca_baselines::agt::Agt;
 use leca_baselines::cnv::Cnv;
@@ -278,10 +279,8 @@ fn main() {
         leca_tensor::backend::active().name(),
         rows.join(",\n")
     );
-    // crates/bench/ -> repo root.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_micro.json");
-    std::fs::write(&out, json).expect("write BENCH_micro.json");
-    println!("\nwrote {}", out.display());
+    // The current directory: run from the repo root to update the
+    // checked-in record, from anywhere else to leave it alone.
+    std::fs::write("BENCH_micro.json", json).expect("write BENCH_micro.json");
+    println!("\nwrote BENCH_micro.json in the current directory");
 }

@@ -1,4 +1,5 @@
-//! Serving load sweep, emitted as `BENCH_serving.json` at the repo root.
+//! Serving load sweep, emitted as `BENCH_serving.json` in the current
+//! directory.
 //!
 //! Drives the `leca-serve` service through a calibrated offered-load
 //! sweep — light, at-capacity, overload, and overload-with-chaos — using
@@ -10,6 +11,9 @@
 //!
 //! `--smoke` (or `LECA_BENCH_FAST=1`) shrinks the sweep for CI. The
 //! chaos level is seeded, so its panic/rebuild schedule replays exactly.
+//!
+//! Run from the repo root, where the record is checked in:
+//! `cargo run --release -p leca-bench --bin serve_bench [-- --smoke]`.
 
 use leca_core::config::LecaConfig;
 use leca_core::encoder::Modality;
@@ -302,10 +306,8 @@ fn main() {
         cfg.queue_cap,
         rows.join(",\n")
     );
-    // crates/bench/ -> repo root.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serving.json");
-    std::fs::write(&out, json).expect("write BENCH_serving.json");
-    println!("\nwrote {}", out.display());
+    // The current directory: run from the repo root to update the
+    // checked-in record, from anywhere else to leave it alone.
+    std::fs::write("BENCH_serving.json", json).expect("write BENCH_serving.json");
+    println!("\nwrote BENCH_serving.json in the current directory");
 }

@@ -143,6 +143,34 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
         std::hint::black_box(ops::softmax_rows(&logits).expect("softmax"));
     }));
 
+    // tiny_cnn's second conv: at ow = 4 every panel straddles output rows.
+    let xt = Tensor::rand_uniform(&[8, 8, 8, 8], -1.0, 1.0, &mut rng);
+    let wt = Tensor::rand_uniform(&[16, 8, 3, 3], -1.0, 1.0, &mut rng);
+    set.push(Workload::new("conv2d_8x8x8x8_3x3_s2", 400, move || {
+        std::hint::black_box(ops::conv2d(&xt, &wt, None, 2, 1).expect("conv"));
+    }));
+
+    // The decoder's first int8 conv (dncnn.0): three input channels, so
+    // one reduction pair per tap holds a channel and the zero channel.
+    let w3 = Tensor::rand_uniform(&[16, 3, 3, 3], -1.0, 1.0, &mut rng);
+    let qc3 = QConv2d::from_conv(
+        &Conv2d::from_weights(w3, None, 1, 1),
+        grid,
+        QConvEpilogue::Requant {
+            out: QuantParams::from_range(0.0, 8.0),
+            relu: true,
+        },
+    )
+    .expect("finite weights");
+    let x3 = Tensor::rand_uniform(&[8, 3, 16, 16], -1.0, 1.0, &mut rng);
+    let mut qx3 = vec![0i8; x3.len()];
+    quantize_batch(x3.as_slice(), grid, &mut qx3);
+    let mut qout3 = vec![0i8; 8 * 16 * 16 * 16];
+    set.push(Workload::new("qconv2d_8x3x16x16_3x3", 100, move || {
+        qc3.run_q(&qx3, 8, 16, 16, &mut qout3).expect("qconv");
+        std::hint::black_box(&mut qout3);
+    }));
+
     set
 }
 
@@ -164,6 +192,8 @@ mod tests {
                 "qconv2d_8x16x32x32_3x3",
                 "bn_relu_8x16x32x32",
                 "softmax_rows_256x1000",
+                "conv2d_8x8x8x8_3x3_s2",
+                "qconv2d_8x3x16x16_3x3",
             ]
         );
     }

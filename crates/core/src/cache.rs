@@ -146,9 +146,10 @@ mod tests {
         .unwrap();
         assert!(trained, "truncated checkpoint must retrain");
 
-        // Scenario 5: a footer-less (legacy-format) file whose parameter
-        // count claims u32::MAX tensors is refused by the reader before it
-        // allocates, then discarded and retrained: no abort, no panic.
+        // Scenario 5: a footer-less file whose parameter count claims
+        // u32::MAX tensors is refused for its missing integrity footer,
+        // then discarded and retrained: no abort, no panic. (The count
+        // bound itself is `serialize`'s own unit test.)
         let mut bomb = b"LECAWT01".to_vec();
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path3, &bomb).unwrap();

@@ -198,28 +198,30 @@ fn pack_weight(w: &Tensor) -> Result<PackedQMat> {
 
 /// Quantizes a conv weight `(O, C, KH, KW)` per output channel and packs
 /// it with the reduction axis reordered from the weight's natural
-/// `(ci, ky, kx)` to the `(ky, kx, ci)` order [`QIm2col`] serves. Channel-
-/// adjacent reduction rows share one bounds geometry, which is what lets
-/// the im2col panel pack run at streaming speed; i32 accumulation is
-/// exact under any reduction permutation, so results are bit-identical.
+/// `(ci, ky, kx)` to the `(channel pair, ky, kx)` order [`QIm2col`]
+/// serves, an odd `C` padded by a zero channel. A reduction pair is then
+/// one contiguous run of the padded pair copy [`qconv`] reads; i32
+/// accumulation is exact under any reduction permutation, so results are
+/// bit-identical.
 fn pack_conv_weight(w: &Tensor) -> Result<PackedQMat> {
     let qt = QTensor::quantize_per_channel(w)?;
     let d = w.shape();
     let (o, c, kh, kw) = (d[0], d[1], d[2], d[3]);
-    let k = c * kh * kw;
-    let mut perm = vec![0i8; o * k];
+    let (k, kpad) = (c * kh * kw, c.next_multiple_of(2) * kh * kw);
+    let mut perm = vec![0i8; o * kpad];
     for oi in 0..o {
         let src = &qt.data()[oi * k..(oi + 1) * k];
-        let row = &mut perm[oi * k..(oi + 1) * k];
+        let row = &mut perm[oi * kpad..(oi + 1) * kpad];
         for ci in 0..c {
             for ky in 0..kh {
                 for kx in 0..kw {
-                    row[(ky * kw + kx) * c + ci] = src[(ci * kh + ky) * kw + kx];
+                    row[((ci / 2 * kh + ky) * kw + kx) * 2 + ci % 2] =
+                        src[(ci * kh + ky) * kw + kx];
                 }
             }
         }
     }
-    Ok(PackedQMat::pack(&perm, o, k, qt.scales()))
+    Ok(PackedQMat::pack(&perm, o, kpad, qt.scales()))
 }
 
 impl QConv2d {

@@ -10,7 +10,8 @@
 //! per tensor: same encoding
 //! ```
 //!
-//! Files written by [`save`] append a 16-byte integrity footer:
+//! A checkpoint file is that payload followed by a 16-byte integrity
+//! footer:
 //!
 //! ```text
 //! u32     CRC-32 (IEEE) of the payload above
@@ -18,11 +19,13 @@
 //! magic   b"LCK1"
 //! ```
 //!
-//! and are written atomically (`<path>.tmp` + fsync + rename), so a crash
-//! mid-write never leaves a half-written file under the final name, and a
-//! corrupt or truncated checkpoint is *detected* on [`load`] rather than
-//! silently restoring garbage weights. Footer-less files (the legacy
-//! format) still load.
+//! [`save`] writes it atomically (`<path>.tmp` + fsync + rename), so a
+//! crash mid-write never leaves a half-written file under the final name.
+//! [`load`] refuses a file without the footer, and [`from_bytes`] refuses
+//! bytes after the buffer section, so a corrupt or truncated checkpoint is
+//! *detected* rather than silently restoring garbage weights: neither
+//! truncating the file by one byte nor flipping a footer-magic bit along
+//! with a payload bit gets past the checksum.
 //!
 //! Checkpoints are used to cache pre-trained backbones between experiment
 //! runs and to hand weights from hard training to noisy fine-tuning.
@@ -58,11 +61,12 @@ fn append_footer(payload: &mut Vec<u8>) {
     payload.extend_from_slice(FOOTER_MAGIC);
 }
 
-/// Validates and strips the footer, returning the payload slice. Files
-/// without a footer (legacy format) pass through unchanged.
+/// Validates and strips the footer, returning the payload slice.
 fn strip_footer(data: &[u8]) -> Result<&[u8]> {
     if data.len() < FOOTER_LEN || &data[data.len() - 4..] != FOOTER_MAGIC {
-        return Ok(data); // legacy footer-less checkpoint
+        return Err(NnError::CheckpointMismatch(
+            "checkpoint has no LCK1 integrity footer".into(),
+        ));
     }
     let base = data.len() - FOOTER_LEN;
     let crc = u32::from_le_bytes(data[base..base + 4].try_into().expect("length checked"));
@@ -177,7 +181,8 @@ pub fn to_bytes<L: Layer + ?Sized>(layer: &mut L) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`NnError::CheckpointMismatch`] when the magic, tensor counts or
-/// shapes disagree with the target layer.
+/// shapes disagree with the target layer, or bytes follow the buffer
+/// section.
 pub fn from_bytes<L: Layer + ?Sized>(layer: &mut L, data: &[u8]) -> Result<()> {
     if data.len() < 8 || &data[..8] != MAGIC {
         return Err(NnError::CheckpointMismatch("bad magic".into()));
@@ -192,6 +197,12 @@ pub fn from_bytes<L: Layer + ?Sized>(layer: &mut L, data: &[u8]) -> Result<()> {
     let mut buffers = Vec::with_capacity(n_buffers);
     for _ in 0..n_buffers {
         buffers.push(read_tensor(data, &mut pos)?);
+    }
+    if pos != data.len() {
+        return Err(NnError::CheckpointMismatch(format!(
+            "{} trailing bytes after the buffer section",
+            data.len() - pos
+        )));
     }
 
     // Validate counts/shapes before mutating anything.
@@ -260,13 +271,13 @@ pub fn save<L: Layer + ?Sized, P: AsRef<Path>>(layer: &mut L, path: P) -> Result
     result.map_err(NnError::Io)
 }
 
-/// Loads a layer checkpoint from a file, validating the integrity footer
-/// when one is present (legacy footer-less files still load).
+/// Loads a layer checkpoint from a file, validating its integrity footer.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::Io`] on filesystem errors and
-/// [`NnError::CheckpointMismatch`] on checksum, format or shape mismatches.
+/// [`NnError::CheckpointMismatch`] on a missing footer and on checksum,
+/// format or shape mismatches.
 pub fn load<L: Layer + ?Sized, P: AsRef<Path>>(layer: &mut L, path: P) -> Result<()> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -488,19 +499,53 @@ mod tests {
     }
 
     #[test]
-    fn legacy_footerless_file_still_loads() {
-        let dir = std::env::temp_dir().join("leca_nn_legacy_test");
+    fn file_truncated_by_one_byte_is_refused() {
+        let dir = std::env::temp_dir().join("leca_nn_truncate_one_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.bin");
         let mut a = small_net(18);
-        std::fs::write(&path, to_bytes(&mut a)).unwrap();
+        save(&mut a, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
         let mut b = small_net(19);
-        load(&mut b, &path).unwrap();
-        let x = leca_tensor::Tensor::ones(&[1, 2, 4, 4]);
-        assert_eq!(
-            a.forward(&x, Mode::Eval).unwrap(),
-            b.forward(&x, Mode::Eval).unwrap()
-        );
+        assert!(matches!(
+            load(&mut b, &path),
+            Err(NnError::CheckpointMismatch(_))
+        ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn footer_magic_and_payload_bit_flips_are_refused() {
+        let dir = std::env::temp_dir().join("leca_nn_magic_flip_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.bin");
+        let mut a = small_net(24);
+        save(&mut a, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (last, mid) = (bytes.len() - 1, bytes.len() / 2);
+        bytes[last] ^= 0x01;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut b = small_net(25);
+        let before = to_bytes(&mut b);
+        assert!(matches!(
+            load(&mut b, &path),
+            Err(NnError::CheckpointMismatch(_))
+        ));
+        assert_eq!(to_bytes(&mut b), before, "a refused load changes nothing");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bytes_after_the_buffer_section_are_refused() {
+        let mut a = small_net(26);
+        let mut bytes = to_bytes(&mut a);
+        bytes.push(0);
+        let mut b = small_net(27);
+        assert!(matches!(
+            from_bytes(&mut b, &bytes),
+            Err(NnError::CheckpointMismatch(_))
+        ));
     }
 }

@@ -299,8 +299,8 @@ backend_kernels! {
     /// `ap` is the packed A tile, `ap[p * MR + i]` for `p < k`. B is given as
     /// `(b, rows)`: its row `p` is `b[rows[p] .. rows[p] + NR]`, so one body
     /// serves both B sources. A packed panel passes `rows[p] = p * NR`; the
-    /// stride-1 conv passes a table of row offsets into a zero-padded image
-    /// and reads each row in place. The kernel loads and stores `acc`, so a
+    /// forward conv passes a table of row offsets into its zero-padded,
+    /// phase-split image and reads each row in place. The kernel loads and stores `acc`, so a
     /// driver may split the reduction into chunks and call this repeatedly
     /// on the same tile: each output element still accumulates through one
     /// in-order chain, keeping chunked and unchunked results bit-identical.

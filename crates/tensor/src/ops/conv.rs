@@ -22,13 +22,14 @@
 //!   image, every weight tile's microkernel runs on one `NR`-column panel
 //!   of output positions at a time, and each accumulator row is stored
 //!   straight into the `(N, O, oh, ow)` output with the bias fused as
-//!   `acc + b`. The microkernel reads the panel's `(ci, ky, kx)` rows from
-//!   one of two B sources. At stride 1, a panel inside one output row is
-//!   read in place from a zero-padded copy of the image, made once per
-//!   image, through a per-call table of row offsets. Every other panel
-//!   (one straddling output rows, or any panel at stride > 1) is packed as
-//!   a `(ci, ky, kx) x NR` im2col block into a thread-local buffer that
-//!   stays in L1. Work is split over image × output-channel tile.
+//!   `acc + b`. Each image is first copied once into a zero-padded copy
+//!   split by stride phase ([`PhaseSplit`]), so one tap's panel row over
+//!   the outputs of one output row is a contiguous run at every stride,
+//!   found through a per-call table of row offsets. A panel inside one
+//!   output row is read in place from that copy; a panel straddling
+//!   output rows is gathered from it into a thread-local `(ci, ky, kx) x
+//!   NR` block that stays in L1. Padding is decided only when the copy is
+//!   made. Work is split over image × output-channel tile.
 //! * [`scatter_nchw`] (input gradient, transposed forward) multiplies the
 //!   channel-major input by `Wᵀ` on the blocked GEMM in [`super::gemm`]
 //!   into a thread-local column matrix, then scatter-adds it into NCHW.
@@ -55,9 +56,9 @@ thread_local! {
     /// The calling thread's packed weight tiles for [`conv_nchw`], held
     /// across the parallel region while this thread also packs panels.
     static WEIGHT_TILES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread `k x NR` im2col panel of [`conv_nchw`], followed by its
-    /// padded-row scratch and, at stride 1, the zero-padded copy of the
-    /// current image (one per pool worker and one for the calling thread).
+    /// Per-thread zero-padded, phase-split copy of the current image for
+    /// [`conv_nchw`], followed by its `k x NR` gathered panel (one per pool
+    /// worker and one for the calling thread).
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -312,22 +313,21 @@ pub fn conv2d_into(
 /// `out[img, o, oy, ox] = Σ_p a[o, p] · im2col(v)[p, (img, oy, ox)]`, plus
 /// `bias[o]`, into the `(n, m, oh, ow)` buffer `out`.
 ///
-/// The microkernel takes B as `(b, rows)`, panel row `p` at
-/// `b[rows[p]..]`, and each panel comes from one of two sources:
+/// Each image is first copied once per worker into its zero-padded,
+/// stride-phase-split [`PhaseSplit`] form in [`PANEL`], with `NR` floats
+/// of zero slack. Panel row `(ci, ky, kx)` at output `(oy, ox..ox + jn)`
+/// is then the run starting at `taps[p] + at(oy, ox)`, with `taps` the
+/// per-call table of [`PhaseSplit::tap`] offsets. The microkernel takes B
+/// as `(b, rows)`, panel row `p` at `b[rows[p]..]`, from one of two
+/// sources:
 ///
-/// * **In place (stride 1, panel inside one output row).** Panel row
-///   `(ci, ky, kx)` at output `(oy, ox..ox + jn)` is the run of the image's
-///   zero-padded `(C, Hp, Wp)` copy starting at
-///   `ci·Hp·Wp + (oy + ky)·Wp + ox + kx`. So `b` is that copy from
-///   `oy·Wp + ox` on and `rows` the per-call table
-///   `ci·Hp·Wp + ky·Wp + kx`. The copy is made once per image and worker
-///   into [`PANEL`], with `NR` floats of zero slack: a partial panel at the
-///   end of the last plane reads up to `NR - 1` floats past it, into lanes
-///   the store drops.
-/// * **Packed (a panel straddling output rows, or stride > 1).**
-///   [`pack_panel`] writes the `k x NR` block and `rows[p] = p·NR`. A
-///   stride above 1 keeps the pack because a strided panel row is not a
-///   contiguous run of the image.
+/// * **In place (a panel inside one output row), at every stride.** `b`
+///   is the padded copy from `at(oy, ox)` on and `rows` is `taps`. A
+///   partial panel at the end of the last plane reads up to `NR - 1`
+///   floats past it, into the slack, for lanes the store drops.
+/// * **Gathered (a panel straddling output rows).** [`gather_panel`]
+///   writes the `k x NR` block `padded[taps[p] + cols[jj]]` and
+///   `rows[p] = p·NR`.
 ///
 /// Both sources hold the same values, image or `0.0` padding, so every
 /// output element is one microkernel chain over increasing `p`
@@ -346,17 +346,12 @@ fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>
     }
     let mtiles = m.div_ceil(MR);
     let be = backend::active();
-    // B row offsets: `p * NR` into a packed panel, then `(ci, ky, kx)`'s
-    // offset `ci·Hp·Wp + ky·Wp + kx` into the zero-padded image.
-    let (hp, wp) = (v.h + 2 * v.pad, v.w + 2 * v.pad);
+    let ph = PhaseSplit::new(v.h, v.w, v.kh, v.kw, v.stride, v.pad);
     let packed_rows = (0..k).map(|p| p * NR);
-    let in_place_rows = (0..v.c).flat_map(|ci| {
-        (0..v.kh).flat_map(move |ky| (0..v.kw).map(move |kx| (ci * hp + ky) * wp + kx))
+    let taps = (0..v.c).flat_map(|ci| {
+        (0..v.kh).flat_map(move |ky| (0..v.kw).map(move |kx| ci * ph.block() + ph.tap(ky, kx)))
     });
-    // `NR` floats of slack: a row read at the end of the last plane runs
-    // up to `NR - 1` columns past it, into lanes the store drops.
-    let padded_len = if v.stride == 1 { v.c * hp * wp + NR } else { 0 };
-    let scratch_len = k * NR + seg_len(v) + padded_len;
+    let padded_len = v.c * ph.block() + NR;
     WEIGHT_TILES.with(|cell| {
         let mut tiles = cell.borrow_mut();
         if tiles.len() < mtiles * k * MR {
@@ -368,36 +363,30 @@ fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>
             pack_a_tile(a, k, 1, t * MR, MR.min(m - t * MR), k, tile);
         }
         let tiles = &tiles[..mtiles * k * MR];
-        with_rows(packed_rows.chain(in_place_rows), |rows| {
-            let (packed_rows, in_place_rows) = rows.split_at(k);
+        with_rows(packed_rows.chain(taps), |rows| {
+            let (packed_rows, taps) = rows.split_at(k);
             par_blocks_mut(out, n, m, MR, ohw, 1, |units, base, chunk| {
                 PANEL.with(|pc| {
                     let mut scratch = pc.borrow_mut();
-                    if scratch.len() < scratch_len {
-                        scratch.resize(scratch_len, 0.0);
+                    if scratch.len() < k * NR + padded_len {
+                        scratch.resize(k * NR + padded_len, 0.0);
                     }
-                    let (panel, rest) = scratch.split_at_mut(k * NR);
-                    let (seg, padded) = rest.split_at_mut(seg_len(v));
-                    let padded = &mut padded[..padded_len];
-                    let mut padded_img = None;
+                    let (padded, panel) = scratch.split_at_mut(padded_len);
+                    let panel = &mut panel[..k * NR];
                     let mut u = units.start;
                     while u < units.end {
                         let img = u / mtiles;
                         let (t0, t1) = (u % mtiles, mtiles.min(units.end - img * mtiles));
+                        pad_image(v, &ph, img, padded);
                         for j0 in (0..ohw).step_by(NR) {
                             let jn = NR.min(ohw - j0);
                             let (oy, ox) = (j0 / v.ow, j0 % v.ow);
-                            let (b, b_rows): (&[f32], &[usize]) =
-                                if v.stride == 1 && ox + jn <= v.ow {
-                                    if padded_img != Some(img) {
-                                        pad_image(v, img, padded);
-                                        padded_img = Some(img);
-                                    }
-                                    (&padded[oy * wp + ox..], in_place_rows)
-                                } else {
-                                    pack_panel(v, img, j0, jn, panel, seg);
-                                    (panel, packed_rows)
-                                };
+                            let (b, b_rows): (&[f32], &[usize]) = if ox + jn <= v.ow {
+                                (&padded[ph.at(oy, ox)..], taps)
+                            } else {
+                                gather_panel::<_, 1>(padded, taps, &ph.cols(v.ow, j0, jn), panel);
+                                (panel, packed_rows)
+                            };
                             for t in t0..t1 {
                                 let mut acc = [[0.0f32; NR]; MR];
                                 be.microkernel(
@@ -430,132 +419,159 @@ fn conv_nchw(v: &Im2colView, n: usize, a: &[f32], m: usize, bias: Option<&[f32]>
     });
 }
 
-/// Copies image `img` into `dst` as its zero-padded `(C, H+2p, W+2p)`
-/// planes, followed by zeros to the end of `dst` (the slack past the last
-/// plane).
-fn pad_image(v: &Im2colView, img: usize, dst: &mut [f32]) {
-    let (hp, wp, p) = (v.h + 2 * v.pad, v.w + 2 * v.pad, v.pad);
-    let plane = v.h * v.w;
-    let (planes, slack) = dst.split_at_mut(v.c * hp * wp);
-    for (ci, dplane) in planes.chunks_exact_mut(hp * wp).enumerate() {
-        let src = &v.data[(img * v.c + ci) * plane..(img * v.c + ci + 1) * plane];
-        let (top, rest) = dplane.split_at_mut(p * wp);
-        let (body, bottom) = rest.split_at_mut(v.h * wp);
-        top.fill(0.0);
-        bottom.fill(0.0);
-        for (d, s) in body.chunks_exact_mut(wp).zip(src.chunks_exact(v.w)) {
-            d[..p].fill(0.0);
-            d[p..p + v.w].copy_from_slice(s);
-            d[p + v.w..].fill(0.0);
+/// The zero-padded, stride-phase-split copy of one conv input image that
+/// both forward drivers read, [`conv_nchw`] (f32) and
+/// [`super::qconv::qconv`] (int8 channel pairs).
+///
+/// Padded pixel `(y, x)` of a channel, image pixel `(y - pad, x - pad)` or
+/// zero, is stored in phase plane `(y % s, x % s)` at `(y / s, x / s)`.
+/// A channel's block is `(ny, nx, hq, wq)` with `hq = ⌈Hp/s⌉` and
+/// `wq = ⌈Wp/s⌉`; it holds the `ny = min(s, kh)` by `nx = min(s, kw)`
+/// phases a kernel tap reads (all `s x s` for a 3×3 kernel at stride 2 or
+/// 3, only the first for a 1×1 stride-2 shortcut). At stride 1 this is the
+/// plain `(Hp, Wp)` padded plane.
+///
+/// Tap `(ky, kx)` at output `(oy, ox + jj)` reads pixel
+/// `tap(ky, kx) + at(oy, ox) + jj`: for a fixed tap, outputs along one
+/// output row are one contiguous run at every stride.
+#[derive(Clone, Copy)]
+pub(crate) struct PhaseSplit {
+    h: usize,
+    w: usize,
+    pad: usize,
+    s: usize,
+    ny: usize,
+    nx: usize,
+    hq: usize,
+    wq: usize,
+    block: usize,
+}
+
+impl PhaseSplit {
+    pub(crate) fn new(h: usize, w: usize, kh: usize, kw: usize, s: usize, pad: usize) -> Self {
+        let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+        let (ny, nx) = (s.min(kh), s.min(kw));
+        PhaseSplit {
+            h,
+            w,
+            pad,
+            s,
+            ny,
+            nx,
+            hq,
+            wq,
+            block: ny * nx * hq * wq,
         }
+    }
+
+    /// Pixels in one channel's block.
+    pub(crate) fn block(&self) -> usize {
+        self.block
+    }
+
+    /// Offset of kernel tap `(ky, kx)` within a channel's block, at output
+    /// `(0, 0)`.
+    pub(crate) fn tap(&self, ky: usize, kx: usize) -> usize {
+        let phase = (ky % self.s) * self.nx + kx % self.s;
+        (phase * self.hq + ky / self.s) * self.wq + kx / self.s
+    }
+
+    /// Offset of output `(oy, ox)` added to every tap offset.
+    pub(crate) fn at(&self, oy: usize, ox: usize) -> usize {
+        oy * self.wq + ox
+    }
+
+    /// [`PhaseSplit::at`] of outputs `j0 .. j0 + jn` of a row-major grid
+    /// `ow` wide, and `0` (any valid offset) for the lanes past `jn`.
+    pub(crate) fn cols(&self, ow: usize, j0: usize, jn: usize) -> [usize; NR] {
+        let mut cols = [0; NR];
+        for (jj, c) in cols.iter_mut().take(jn).enumerate() {
+            *c = self.at((j0 + jj) / ow, (j0 + jj) % ow);
+        }
+        cols
+    }
+
+    /// Writes one channel's block into `dst` (`block() * lanes` elements,
+    /// `lanes` per pixel). Every pixel outside the image is `zero`; each
+    /// run of in-image pixels along a phase row is handed to
+    /// `copy(y, x0, run)`, which fills it from image row `y`, columns
+    /// `x0, x0 + s, ...`. This is the only place that decides padding.
+    pub(crate) fn fill<T: Copy>(
+        &self,
+        dst: &mut [T],
+        lanes: usize,
+        zero: T,
+        mut copy: impl FnMut(usize, usize, &mut [T]),
+    ) {
+        let mut rows = dst.chunks_exact_mut(self.wq * lanes);
+        for py in 0..self.ny {
+            for px in 0..self.nx {
+                // Phase columns lo..hi hold image columns x0, x0 + s, ...
+                let lo = self.pad.saturating_sub(px).div_ceil(self.s);
+                let hi = (self.pad + self.w).saturating_sub(px).div_ceil(self.s);
+                for qy in 0..self.hq {
+                    let d = rows.next().expect("a block holds ny·nx·hq rows");
+                    match (qy * self.s + py).checked_sub(self.pad) {
+                        Some(y) if y < self.h && lo < hi => {
+                            let (left, rest) = d.split_at_mut(lo * lanes);
+                            let (run, right) = rest.split_at_mut((hi - lo) * lanes);
+                            for e in left.iter_mut().chain(right) {
+                                *e = zero;
+                            }
+                            copy(y, lo * self.s + px - self.pad, run);
+                        }
+                        _ => d.fill(zero),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copies image `img` into `dst` as its [`PhaseSplit`] channel blocks,
+/// followed by zeros to the end of `dst` (the slack past the last block).
+fn pad_image(v: &Im2colView, ph: &PhaseSplit, img: usize, dst: &mut [f32]) {
+    let plane = v.h * v.w;
+    let (blocks, slack) = dst.split_at_mut(v.c * ph.block());
+    for (ci, block) in blocks.chunks_exact_mut(ph.block()).enumerate() {
+        let src = &v.data[(img * v.c + ci) * plane..(img * v.c + ci + 1) * plane];
+        ph.fill(block, 1, 0.0, |y, x0, run| {
+            copy_strided(run, &src[y * v.w + x0..(y + 1) * v.w], v.stride);
+        });
     }
     slack.fill(0.0);
 }
 
-/// Packs output positions `j0 .. j0 + jn` of image `img` (a run of its
-/// row-major `oh x ow` grid, `jn <= NR`) as the `k x NR` im2col block
-/// `dst[p * NR + jj]`, `p = (ci*kh + ky)*kw + kx`, zeroing columns past
-/// `jn`. `seg` is scratch of at least [`seg_len`] floats.
-///
-/// [`conv_nchw`] packs only the panels it cannot read in place: at stride
-/// 1 those straddling output rows (the general path below), at stride > 1
-/// every panel (the in-row fast path or the general one).
-fn pack_panel(v: &Im2colView, img: usize, j0: usize, jn: usize, dst: &mut [f32], seg: &mut [f32]) {
-    let (oy, ox) = (j0 / v.ow, j0 % v.ow);
-    let plane = v.h * v.w;
-    if ox + jn <= v.ow {
-        // Fast path (stride > 1 only): the panel lies in one output row,
-        // so all kw rows of one (ci, ky) read the same `len` zero-padded
-        // input columns from `x0` on: row (ci, ky, kx) is
-        // `seg[kx + jj*stride]`. The padding part of that segment is the
-        // same for every (ci, ky); only `lo..hi` comes from the image.
-        let x0 = ox * v.stride;
-        let len = (jn - 1) * v.stride + v.kw;
-        let lo = v.pad.saturating_sub(x0).min(len);
-        let hi = (v.w + v.pad).saturating_sub(x0).clamp(lo, len);
-        let inside = (lo, hi) == (0, len);
-        let seg = &mut seg[..len];
-        if !inside {
-            seg.fill(0.0);
+/// `run[q] = row[q * s]`, with the networks' strides 1 and 2 compiled as
+/// constants: a copy and a de-interleave.
+fn copy_strided(run: &mut [f32], row: &[f32], s: usize) {
+    #[inline(always)]
+    fn every(run: &mut [f32], row: &[f32], s: usize) {
+        let row = &row[..(run.len() - 1) * s + 1];
+        for (q, e) in run.iter_mut().enumerate() {
+            *e = row[q * s];
         }
-        let mut taps = dst.chunks_exact_mut(NR * v.kw);
-        for ci in 0..v.c {
-            let src = &v.data[(img * v.c + ci) * plane..(img * v.c + ci + 1) * plane];
-            for ky in 0..v.kh {
-                let d = taps.next().expect("panel shorter than k rows");
-                let Some(y) = (oy * v.stride + ky).checked_sub(v.pad).filter(|&y| y < v.h) else {
-                    d.fill(0.0);
-                    continue;
-                };
-                let row = &src[y * v.w..(y + 1) * v.w];
-                let s: &[f32] = if inside {
-                    &row[x0 - v.pad..x0 - v.pad + len]
-                } else {
-                    // An empty `lo..hi` (the segment lies wholly in the
-                    // padding, possible when pad > kw) reads no input.
-                    if lo < hi {
-                        seg[lo..hi].copy_from_slice(&row[x0 + lo - v.pad..x0 + hi - v.pad]);
-                    }
-                    seg
-                };
-                for (kx, d) in d.chunks_exact_mut(NR).enumerate() {
-                    let d = <&mut [f32; NR]>::try_from(d).expect("NR-wide panel row");
-                    match (jn, v.stride) {
-                        (NR, 2) => gather::<2>(&s[kx..], d),
-                        _ => {
-                            for (e, &x) in d.iter_mut().zip(s[kx..].iter().step_by(v.stride)) {
-                                *e = x;
-                            }
-                            d[jn..].fill(0.0);
-                        }
-                    }
-                }
-            }
-        }
-        return;
     }
-    // General path (a panel straddling output rows): the columns are
-    // fixed output positions, their input bases hoisted once per panel.
-    let mut rows = dst.chunks_exact_mut(NR);
-    let mut cols = [(0usize, 0usize); NR];
-    for (jj, slot) in cols.iter_mut().take(jn).enumerate() {
-        let j = j0 + jj;
-        *slot = ((j / v.ow) * v.stride, (j % v.ow) * v.stride);
-    }
-    for ci in 0..v.c {
-        for ky in 0..v.kh {
-            for kx in 0..v.kw {
-                let d = rows.next().expect("panel shorter than k rows");
-                let (body, tail) = d.split_at_mut(jn);
-                if v.pad == 0 {
-                    // Padding branch hoisted: zero-pad geometry never
-                    // samples outside the image.
-                    for (e, &(y, x)) in body.iter_mut().zip(&cols) {
-                        *e = v.sample_unpadded(img, ci, y + ky, x + kx);
-                    }
-                } else {
-                    for (e, &(y, x)) in body.iter_mut().zip(&cols) {
-                        *e = v.sample(img, ci, y + ky, x + kx);
-                    }
-                }
-                tail.fill(0.0);
-            }
-        }
+    match s {
+        1 => run.copy_from_slice(&row[..run.len()]),
+        2 => every(run, row, 2),
+        s => every(run, row, s),
     }
 }
 
-/// Scratch [`pack_panel`] needs for one padded input-row segment.
-fn seg_len(v: &Im2colView) -> usize {
-    (NR - 1) * v.stride + v.kw
-}
-
-/// `d[jj] = src[jj * S]`: a full panel row at a compile-time stride, so
-/// the de-interleave (`S = 2`) has no per-element checks.
-#[inline]
-fn gather<const S: usize>(src: &[f32], d: &mut [f32; NR]) {
-    let src = &src[..(NR - 1) * S + 1];
-    for (jj, e) in d.iter_mut().enumerate() {
-        *e = src[jj * S];
+/// Gathers a panel straddling output rows from the padded image: panel
+/// row `p` (`NR * L` elements) holds, for each lane `jj`, the `L`-wide
+/// pixel at `padded[taps[p] + cols[jj] * L]`.
+pub(crate) fn gather_panel<T: Copy, const L: usize>(
+    padded: &[T],
+    taps: &[usize],
+    cols: &[usize; NR],
+    panel: &mut [T],
+) {
+    for (d, &r) in panel.chunks_exact_mut(NR * L).zip(taps) {
+        for (px, &c) in d.chunks_exact_mut(L).zip(cols) {
+            px.copy_from_slice(&padded[r + c * L..][..L]);
+        }
     }
 }
 

@@ -321,7 +321,7 @@ type BSource = (Vec<f32>, Vec<usize>, Vec<f32>);
 
 /// The two B sources of the f32 microkernel for a `k`-step test: a packed
 /// panel with its `p * NR` rows, and a wider buffer read in place through
-/// overlapping, unaligned row offsets (the stride-1 conv's shape) with the
+/// overlapping, unaligned row offsets (the forward conv's shape) with the
 /// panel that packs those same rows.
 fn microkernel_b_sources(k: usize, seed: u64) -> [BSource; 2] {
     let packed_rows: Vec<usize> = (0..k).map(|p| p * NR).collect();

@@ -259,9 +259,11 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 /// `conv2d_grad_input` and `conv2d_grad_weight`. Each shape's transposed
 /// conv takes the forward conv's output grid as its input and the conv
 /// weight read as `(Ci, O, kh, kw)`. The shapes cover `ow % NR != 0`
-/// (panels that straddle output rows), stride-1 panels read in place from
-/// the padded image (from `ox != 0`, and a partial last panel that reads
-/// into the buffer's slack), `O % MR != 0`, strides 1/2/3/5,
+/// (panels that straddle output rows), panels read in place from the
+/// padded image at strides 1, 2 and 3 (from `ox != 0`, and a partial last
+/// panel that reads into the buffer's slack), padded sizes the stride
+/// does not divide, kernels with fewer taps than the stride has phases,
+/// `O % MR != 0`, strides 1/2/3/5,
 /// pads 0/1/2, `kh != kw`, 1x1 kernels, `C = 1`, `N = 1`/`3`, pad > kw (a
 /// panel wholly in the left or right padding), and forward convs that
 /// drop trailing input rows or columns, whose input gradient there is
@@ -301,6 +303,18 @@ fn conv_is_bit_identical_to_im2col_oracle() {
         [2, 3, 10, 10, 8, 3, 3, 1, 0],
         // A 1x1 kernel with pad > kw.
         [1, 2, 4, 9, 3, 1, 1, 1, 2],
+        // Strides 2 and 3 with ow > NR and ow % NR != 0: in-row panels
+        // read in place from a phase plane at ox = 0 and ox = 8, then a
+        // panel straddling output rows. No padded size is a multiple of
+        // the stride, so the phase planes differ in size.
+        [2, 3, 7, 41, 5, 3, 3, 2, 1],
+        [1, 2, 8, 59, 4, 3, 3, 3, 1],
+        // kh != kw at stride 2, no padding.
+        [2, 4, 11, 37, 9, 2, 3, 2, 0],
+        // Fewer taps than phases: a 1x1 kernel at stride 2 and a 2x2
+        // kernel at stride 3 store only the phases they read.
+        [1, 3, 5, 35, 4, 1, 1, 2, 0],
+        [1, 2, 9, 50, 3, 2, 2, 3, 1],
     ];
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0_11);
     let cases: Vec<_> = SHAPES

@@ -42,15 +42,17 @@ fn with_backend<T>(value: &str, body: impl FnOnce() -> T) -> T {
 }
 
 /// The int8 conv driver on the scalar and AVX2 backends, bitwise against
-/// `qmatmul_naive` on the materialized `(ky, kx, ci)` im2col matrix
-/// (padding materialized as the code `zp`, i.e. the real value zero),
-/// scattered to NCHW. The output is sentinel-filled first and each
-/// element carries the output channel its epilogue was called with, so an
-/// unwritten or misrouted plane fails.
+/// `qmatmul_naive` on the materialized `(channel pair, ky, kx)` im2col
+/// matrix (padding, and the zero channel that pads an odd `c`,
+/// materialized as the code `zp`, i.e. the real value zero), scattered to
+/// NCHW. The output is sentinel-filled first and each element carries the
+/// output channel its epilogue was called with, so an unwritten or
+/// misrouted plane fails.
 #[test]
 fn qconv_is_bit_identical_to_im2col_oracle() {
-    // [n, c, h, w, kh, kw, stride, pad]: the even-channel panels inside
-    // one output row take the fast pack, the rest the per-element walk.
+    // [n, c, h, w, kh, kw, stride, pad]: panels inside one output row are
+    // copied from the padded pair image, panels straddling output rows
+    // gathered from it, at every stride and channel parity.
     const SHAPES: &[[usize; 8]] = &[
         [2, 4, 9, 16, 3, 3, 1, 1],
         [1, 6, 16, 16, 3, 3, 2, 1],
@@ -67,21 +69,31 @@ fn qconv_is_bit_identical_to_im2col_oracle() {
         // pad > kw: panels wholly in the horizontal padding.
         [1, 2, 1, 5, 5, 1, 1, 2],
         [1, 2, 3, 3, 1, 1, 5, 2],
+        // tiny_cnn's conv 0 (c = 3, stride 2) and the decoder's dncnn.0
+        // (c = 3, stride 1).
+        [2, 3, 16, 16, 3, 3, 2, 1],
+        [2, 3, 16, 16, 3, 3, 1, 1],
+        // Even c at stride 2, ow = 20: in-row panels at ox = 0 and 8,
+        // then one straddling output rows.
+        [1, 4, 9, 40, 3, 3, 2, 1],
     ];
     for (case, &[n, c, h, w, kh, kw, stride, pad]) in SHAPES.iter().enumerate() {
         let (oh, ow) = (
             (h + 2 * pad - kh) / stride + 1,
             (w + 2 * pad - kw) / stride + 1,
         );
-        let (k, ohw) = (c * kh * kw, oh * ow);
+        let (k, ohw) = (c.next_multiple_of(2) * kh * kw, oh * ow);
         let zp = [-5, QMAX, 0, QMIN][case % 4];
         let x = gen_codes(n * c * h * w, case as u64 + 1);
-        // Materialize im2col: row p = (ky*kw + kx)*c + ci, column
-        // img*ohw + oy*ow + ox.
+        // Materialize im2col: row p = ((ci/2*kh + ky)*kw + kx)*2 + ci%2,
+        // column img*ohw + oy*ow + ox.
         let cols = n * ohw;
         let mut mat = vec![zp as i8; k * cols];
         for (p, row) in mat.chunks_exact_mut(cols).enumerate() {
-            let (ci, kx, ky) = (p % c, (p / c) % kw, p / c / kw);
+            let (ci, kx, ky) = (p / 2 / (kh * kw) * 2 + p % 2, p / 2 % kw, p / 2 / kw % kh);
+            if ci == c {
+                continue;
+            }
             for (j, slot) in row.iter_mut().enumerate() {
                 let (img, oy, ox) = (j / ohw, (j % ohw) / ow, j % ow);
                 let (iy, ix) = (oy * stride + ky, ox * stride + kx);

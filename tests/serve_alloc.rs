@@ -15,6 +15,9 @@
 //! pollutes the counters (each integration-test file is its own process
 //! and allocator).
 
+mod counting_alloc;
+
+use counting_alloc::alloc_count;
 use leca::core::config::LecaConfig;
 use leca::core::encoder::Modality;
 use leca::core::pipeline::LecaPipeline;
@@ -25,54 +28,8 @@ use leca::tensor::parallel::refresh_num_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates every operation to `System` unchanged; the counter is
-// a relaxed atomic with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwards the caller's contract (valid layout) verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract; forwarded.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwards the caller's contract (valid layout) verbatim.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract; forwarded.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwards the caller's contract (live `ptr` with matching
-        // layout) verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract; forwarded.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwards the caller's contract (live `ptr` with matching
-        // layout) verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
 
 const SAMPLE_SHAPE: [usize; 4] = [1, 3, 16, 16];
 const HANG: Duration = Duration::from_secs(30);
