@@ -125,10 +125,7 @@ fn run(pipeline_name: &str, data: &SynthVision) {
 fn main() {
     run("proxy", &harness::proxy_data());
     // The full pipeline triples the training cost; opt in explicitly.
-    if std::env::var("LECA_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
+    if leca_tensor::runtime_env::flag("LECA_FULL").unwrap_or(false) {
         run("full", &harness::full_data());
     } else {
         println!("\n(set LECA_FULL=1 to additionally run the full pipeline)");

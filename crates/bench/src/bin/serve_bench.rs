@@ -9,8 +9,10 @@
 //! reports latency quantiles, achieved images/sec, and the full shed /
 //! timeout / retry accounting from [`leca_serve::MetricsSnapshot`].
 //!
-//! `--smoke` (or `LECA_BENCH_FAST=1`) shrinks the sweep for CI. The
-//! chaos level is seeded, so its panic/rebuild schedule replays exactly.
+//! `--smoke` (or `LECA_BENCH_FAST=1`) runs every level on a shrunk sweep
+//! and **does not** rewrite `BENCH_serving.json` — it is the CI sanity
+//! gate, not a measurement. The chaos level is seeded, so its
+//! panic/rebuild schedule replays exactly.
 //!
 //! Run from the repo root, where the record is checked in:
 //! `cargo run --release -p leca-bench --bin serve_bench [-- --smoke]`.
@@ -103,7 +105,7 @@ fn run_level(
             let _ = t.wait_for(HANG);
         }
     }
-    let warm_snap = service.metrics();
+    let warm_snap = settled(&service);
 
     let per_producer = total / PRODUCERS;
     let gap = Duration::from_secs_f64(PRODUCERS as f64 / offered_rps);
@@ -155,6 +157,20 @@ fn run_level(
         achieved_rps: snap.completed as f64 / elapsed_s,
         elapsed_s,
         snap,
+    }
+}
+
+/// A snapshot taken once every delivered reply has been counted: the
+/// worker bumps `completed` just after it sets a reply, so a snapshot
+/// taken as the last warm-up ticket returns can miss it.
+fn settled(service: &Service) -> MetricsSnapshot {
+    let give_up = Instant::now() + Duration::from_secs(1);
+    loop {
+        let m = service.metrics();
+        if m.admitted == m.resolved() || Instant::now() > give_up {
+            return m;
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -294,10 +310,15 @@ fn main() {
         );
     }
 
+    if smoke {
+        println!("\nsmoke mode: all levels exercised; BENCH_serving.json left untouched");
+        return;
+    }
+
     let cfg = serve_config(deadline_us);
     let rows: Vec<String> = levels.iter().map(json_level).collect();
     let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"shards\": {},\n  \"max_batch\": {},\n  \
+        "{{\n  \"shards\": {},\n  \"max_batch\": {},\n  \
          \"queue_cap\": {},\n  \"deadline_us\": {deadline_us},\n  \
          \"calibrated_service_us\": {svc_us:.1},\n  \"requests_per_level\": {total},\n  \
          \"levels\": [\n{}\n  ]\n}}\n",

@@ -2,19 +2,6 @@ use crate::{Layer, Mode, NnError, Result};
 use leca_tensor::backend;
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 
-/// Length check shared by the masked backward passes, returning the
-/// zeroed gradient-input tensor on success.
-fn checked_grad_buf(what: &'static str, mask: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
-    if mask.len() != grad_out.len() {
-        return Err(NnError::BatchMismatch {
-            what,
-            expected: mask.len(),
-            actual: grad_out.len(),
-        });
-    }
-    Ok(Tensor::zeros(grad_out.shape()))
-}
-
 /// Rectified linear unit: `y = max(x, 0)`.
 ///
 /// The forward mask is a pooled `1.0 / 0.0` tensor rather than a
@@ -54,67 +41,20 @@ impl Layer for Relu {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mask = self.mask.take().ok_or(NnError::NoForwardCache("relu"))?;
-        let mut out = checked_grad_buf("relu backward", &mask, grad_out)?;
+        if mask.len() != grad_out.len() {
+            return Err(NnError::BatchMismatch {
+                what: "relu backward",
+                expected: mask.len(),
+                actual: grad_out.len(),
+            });
+        }
+        let mut out = Tensor::zeros(grad_out.shape());
         backend::relu_backward(mask.as_slice(), grad_out.as_slice(), out.as_mut_slice());
         Ok(out)
     }
 
     fn name(&self) -> &'static str {
         "relu"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Leaky rectified linear unit: `y = x` for `x > 0`, else `alpha * x`.
-#[derive(Debug)]
-pub struct LeakyRelu {
-    alpha: f32,
-    mask: Option<PooledTensor>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with negative-slope `alpha`.
-    pub fn new(alpha: f32) -> Self {
-        LeakyRelu { alpha, mask: None }
-    }
-
-    fn cache_mask(&mut self, x: &Tensor, ws: &Workspace) {
-        let mut mask = ws.take(x.shape());
-        backend::relu_mask(x.as_slice(), mask.as_mut_slice());
-        self.mask = Some(mask);
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.cache_mask(x, ws);
-        }
-        let mut out = ws.take_from(x);
-        backend::leaky_relu_inplace(out.as_mut_slice(), self.alpha);
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .take()
-            .ok_or(NnError::NoForwardCache("leaky_relu"))?;
-        let mut out = checked_grad_buf("leaky_relu backward", &mask, grad_out)?;
-        backend::leaky_relu_backward(
-            mask.as_slice(),
-            grad_out.as_slice(),
-            self.alpha,
-            out.as_mut_slice(),
-        );
-        Ok(out)
-    }
-
-    fn name(&self) -> &'static str {
-        "leaky_relu"
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -143,8 +83,6 @@ mod tests {
         let y = Relu::new().forward(&x, Mode::Eval).unwrap();
         assert!(y.as_slice()[0].is_nan());
         assert_eq!(&y.as_slice()[1..], &[0.0, 2.0]);
-        let y = LeakyRelu::new(0.1).forward(&x, Mode::Eval).unwrap();
-        assert!(y.as_slice()[0].is_nan());
     }
 
     #[test]
@@ -164,24 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_scales_negatives() {
-        let mut r = LeakyRelu::new(0.1);
-        let x = Tensor::from_slice(&[-2.0, 4.0]);
-        let y = r.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y.as_slice(), &[-0.2, 4.0]);
-    }
-
-    #[test]
-    fn leaky_relu_gradcheck() {
-        let mut r = LeakyRelu::new(0.2);
-        let x = Tensor::from_slice(&[-2.0, -0.7, 0.6, 1.5]);
-        check_layer(&mut r, &x, 1e-2).unwrap();
-    }
-
-    #[test]
     fn backward_requires_forward() {
         assert!(Relu::new().backward(&Tensor::zeros(&[2])).is_err());
-        assert!(LeakyRelu::new(0.1).backward(&Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
@@ -194,7 +116,6 @@ mod tests {
     #[test]
     fn activations_are_stateless_params() {
         assert_eq!(Relu::new().num_params(), 0);
-        assert_eq!(LeakyRelu::new(0.1).num_params(), 0);
     }
 
     #[test]
@@ -206,10 +127,6 @@ mod tests {
         let got = r.forward_ws(&x, Mode::Eval, &ws).unwrap();
         assert_eq!(expected.as_slice()[..4], got.as_slice()[..4]);
         assert!(got.as_slice()[4].is_nan());
-        let mut l = LeakyRelu::new(0.3);
-        let expected = l.forward(&x, Mode::Eval).unwrap();
-        let got = l.forward_ws(&x, Mode::Eval, &ws).unwrap();
-        assert_eq!(expected.as_slice()[..4], got.as_slice()[..4]);
     }
 
     #[test]

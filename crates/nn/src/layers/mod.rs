@@ -11,14 +11,12 @@ mod linear;
 mod pool;
 mod residual;
 mod sequential;
-mod shape_ops;
 
-pub use activation::{LeakyRelu, Relu};
+pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use conv_transpose::ConvTranspose2d;
 pub use linear::Linear;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::GlobalAvgPool;
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;
-pub use shape_ops::{Flatten, GlobalAvgPool};

@@ -1,91 +1,75 @@
 use crate::{Layer, Mode, NnError, Result};
-use leca_tensor::ops::{self, MaxPoolIndices};
+use leca_tensor::ops::reduce;
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 
-/// Non-overlapping average pooling (`k x k` window, stride `k`).
-#[derive(Debug)]
-pub struct AvgPool2d {
-    k: usize,
-    did_forward: bool,
+/// Global average pooling: `(N, C, H, W)` → `(N, C)`.
+///
+/// The standard ResNet head before the final linear classifier.
+#[derive(Debug, Default)]
+pub struct GlobalAvgPool {
+    in_shape: Option<[usize; 4]>,
 }
 
-impl AvgPool2d {
-    /// Creates an average-pool layer with window `k`.
-    pub fn new(k: usize) -> Self {
-        AvgPool2d {
-            k,
-            did_forward: false,
-        }
+impl GlobalAvgPool {
+    /// Creates a global-average-pool layer.
+    pub fn new() -> Self {
+        GlobalAvgPool { in_shape: None }
     }
 }
 
-impl Layer for AvgPool2d {
+impl Layer for GlobalAvgPool {
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        let mut out = ws.take(&ops::pool2d_out_shape("avg_pool2d", x, self.k)?);
-        ops::avg_pool2d_into(x, self.k, &mut out)?;
+        if x.rank() != 4 {
+            return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
+                op: "global_avg_pool",
+                expected: 4,
+                actual: x.rank(),
+            }));
+        }
+        let d = x.shape();
+        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         if mode.is_train() {
-            self.did_forward = true;
+            self.in_shape = Some([d[0], d[1], d[2], d[3]]);
+        }
+        let mut out = ws.take(&[n, c]);
+        let inv = 1.0 / hw.max(1) as f32;
+        for ni in 0..n {
+            for ci in 0..c {
+                let plane = &x.as_slice()[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
+                out.as_mut_slice()[ni * c + ci] = reduce::sum_slice_f32(plane) * inv;
+            }
         }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if !self.did_forward {
-            return Err(NnError::NoForwardCache("avg_pool2d"));
-        }
-        self.did_forward = false;
-        Ok(ops::avg_pool2d_backward(grad_out, self.k)?)
-    }
-
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Non-overlapping max pooling (`k x k` window, stride `k`).
-#[derive(Debug)]
-pub struct MaxPool2d {
-    k: usize,
-    indices: Option<MaxPoolIndices>,
-}
-
-impl MaxPool2d {
-    /// Creates a max-pool layer with window `k`.
-    pub fn new(k: usize) -> Self {
-        MaxPool2d { k, indices: None }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            // Training needs the argmax indices, which only the allocating
-            // kernel records.
-            let (out, idx) = ops::max_pool2d(x, self.k)?;
-            self.indices = Some(idx);
-            return Ok(ws.adopt(out));
-        }
-        let mut out = ws.take(&ops::pool2d_out_shape("max_pool2d", x, self.k)?);
-        // Inference never runs backward: the index-free kernel avoids the
-        // argmax vector allocation entirely.
-        ops::max_pool2d_into(x, self.k, &mut out)?;
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let idx = self
-            .indices
+        let [n, c, h, w] = self
+            .in_shape
             .take()
-            .ok_or(NnError::NoForwardCache("max_pool2d"))?;
-        Ok(ops::max_pool2d_backward(grad_out, &idx)?)
+            .ok_or(NnError::NoForwardCache("global_avg_pool"))?;
+        if grad_out.shape() != [n, c] {
+            return Err(NnError::BatchMismatch {
+                what: "global_avg_pool backward",
+                expected: n * c,
+                actual: grad_out.len(),
+            });
+        }
+        let hw = h * w;
+        let inv = 1.0 / hw.max(1) as f32;
+        let mut gx = Tensor::zeros(&[n, c, h, w]);
+        for ni in 0..n {
+            for ci in 0..c {
+                let g = grad_out.as_slice()[ni * c + ci] * inv;
+                for p in 0..hw {
+                    gx.as_mut_slice()[(ni * c + ci) * hw + p] = g;
+                }
+            }
+        }
+        Ok(gx)
     }
 
     fn name(&self) -> &'static str {
-        "max_pool2d"
+        "global_avg_pool"
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -101,45 +85,35 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn avg_pool_shape() {
-        let mut p = AvgPool2d::new(2);
-        let y = p
-            .forward(&Tensor::zeros(&[1, 2, 8, 8]), Mode::Eval)
-            .unwrap();
-        assert_eq!(y.shape(), &[1, 2, 4, 4]);
+    fn gap_computes_plane_means() {
+        let mut g = GlobalAvgPool::new();
+        let mut x = Tensor::zeros(&[1, 2, 2, 2]);
+        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
+            x.as_mut_slice()[i] = *v;
+        }
+        x.as_mut_slice()[4..8].copy_from_slice(&[10.0, 10.0, 10.0, 10.0]);
+        let y = g.forward(&x, Mode::Eval).unwrap();
+        assert_eq!(y.as_slice(), &[2.5, 10.0]);
     }
 
     #[test]
-    fn avg_pool_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut p = AvgPool2d::new(2);
-        let x = Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
-        check_layer(&mut p, &x, 1e-2).unwrap();
-    }
-
-    #[test]
-    fn max_pool_gradcheck_distinct_values() {
-        // Use well-separated values so the argmax is stable under the
-        // finite-difference perturbation.
-        let vals: Vec<f32> = (0..32).map(|i| i as f32 * 0.37 - 5.0).collect();
-        let x = Tensor::from_vec(vals, &[1, 2, 4, 4]).unwrap();
-        let mut p = MaxPool2d::new(2);
-        check_layer(&mut p, &x, 1e-2).unwrap();
+    fn gap_gradcheck() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut g = GlobalAvgPool::new();
+        let x = Tensor::rand_uniform(&[2, 3, 2, 2], -1.0, 1.0, &mut rng);
+        check_layer(&mut g, &x, 1e-3).unwrap();
     }
 
     #[test]
     fn backward_requires_forward() {
-        assert!(AvgPool2d::new(2)
-            .backward(&Tensor::zeros(&[1, 1, 2, 2]))
-            .is_err());
-        assert!(MaxPool2d::new(2)
-            .backward(&Tensor::zeros(&[1, 1, 2, 2]))
+        assert!(GlobalAvgPool::new()
+            .backward(&Tensor::zeros(&[1, 4]))
             .is_err());
     }
 
     #[test]
-    fn pools_have_no_params() {
-        assert_eq!(AvgPool2d::new(2).num_params(), 0);
-        assert_eq!(MaxPool2d::new(2).num_params(), 0);
+    fn gap_rejects_wrong_rank() {
+        let mut g = GlobalAvgPool::new();
+        assert!(g.forward(&Tensor::zeros(&[2, 4]), Mode::Eval).is_err());
     }
 }

@@ -11,10 +11,11 @@
 //! Contents:
 //!
 //! * [`layers`] — Conv2d, ConvTranspose2d, Linear, BatchNorm2d, ReLU,
-//!   pooling, `Sequential`, residual blocks.
+//!   global average pooling, `Sequential`, residual blocks.
 //! * [`loss`] — fused softmax + cross-entropy with accuracy helpers.
-//! * [`optim`] — SGD and Adam with the paper's step-decay schedule.
-//! * [`quant`] — straight-through-estimator quantizers
+//! * [`optim`] — Adam with the paper's step-decay schedule.
+//! * [`quant`] — bit depths and the software quantizer grids that the
+//!   encoder trains through with a straight-through estimator
 //!   (`f(x) = q(x) + x - stop_gradient(x)`, Eq. (2) of the paper).
 //! * [`backbone`] — ResNet-style classifier builders that stand in for the
 //!   paper's ResNet-18/50.

@@ -35,72 +35,6 @@ impl StepDecay {
     }
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for non-positive learning rates.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Result<Self> {
-        if lr <= 0.0 {
-            return Err(NnError::InvalidConfig(format!(
-                "lr must be positive, got {lr}"
-            )));
-        }
-        Ok(Sgd {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        })
-    }
-
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Applies one update step to every non-frozen parameter of `model`.
-    pub fn step<L: Layer + ?Sized>(&mut self, model: &mut L) {
-        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        model.visit_params(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.shape()));
-            }
-            if !p.frozen {
-                let v = &mut velocity[idx];
-                for ((vi, gi), wi) in v
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(p.grad.as_slice())
-                    .zip(p.value.as_mut_slice())
-                {
-                    let g = gi + wd * *wi;
-                    *vi = mu * *vi + g;
-                    *wi -= lr * *vi;
-                }
-            }
-            idx += 1;
-        });
-    }
-}
-
 /// Adam optimizer (Kingma & Ba, 2014), the paper's choice.
 #[derive(Debug)]
 pub struct Adam {
@@ -258,29 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_moves_against_gradient() {
-        let mut layer = OneParam {
-            p: Param::new(Tensor::from_slice(&[1.0])),
-        };
-        layer.p.grad = Tensor::from_slice(&[2.0]);
-        let mut opt = Sgd::new(0.1, 0.0, 0.0).unwrap();
-        opt.step(&mut layer);
-        assert!((layer.p.value.as_slice()[0] - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut layer = OneParam {
-            p: Param::new(Tensor::from_slice(&[0.0])),
-        };
-        let mut opt = Sgd::new(1.0, 0.9, 0.0).unwrap();
-        layer.p.grad = Tensor::from_slice(&[1.0]);
-        opt.step(&mut layer); // v=1, w=-1
-        opt.step(&mut layer); // v=1.9, w=-2.9
-        assert!((layer.p.value.as_slice()[0] + 2.9).abs() < 1e-5);
-    }
-
-    #[test]
     fn frozen_params_not_updated() {
         let mut layer = OneParam {
             p: Param::new(Tensor::from_slice(&[1.0])),
@@ -289,9 +200,6 @@ mod tests {
         layer.p.grad = Tensor::from_slice(&[5.0]);
         let mut adam = Adam::new(0.1).unwrap();
         adam.step(&mut layer);
-        assert_eq!(layer.p.value.as_slice()[0], 1.0);
-        let mut sgd = Sgd::new(0.1, 0.0, 0.0).unwrap();
-        sgd.step(&mut layer);
         assert_eq!(layer.p.value.as_slice()[0], 1.0);
     }
 
@@ -310,7 +218,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(Sgd::new(0.0, 0.0, 0.0).is_err());
         assert!(Adam::new(-1.0).is_err());
         assert!(Adam::with_config(0.1, 1.0, 0.9, 1e-8, 0.0).is_err());
     }
@@ -353,8 +260,5 @@ mod tests {
         let mut a = Adam::new(0.1).unwrap();
         a.set_lr(0.02);
         assert_eq!(a.lr(), 0.02);
-        let mut s = Sgd::new(0.1, 0.0, 0.0).unwrap();
-        s.set_lr(0.5);
-        assert_eq!(s.lr(), 0.5);
     }
 }

@@ -1,14 +1,14 @@
-//! Straight-through-estimator (STE) quantization.
+//! Software quantizers.
 //!
-//! The paper's Eq. (2): `f(x) = q(x) + x - stop_gradient(x)` — the forward
-//! pass emits quantized values while gradients flow through as if `q` were
-//! the identity, clipped to the quantizer's input range. This module
-//! provides the software quantizers used for soft LeCA training and the
-//! low-resolution (LR) baseline; the trainable-boundary ADC quantizer lives
+//! Bit depths in the paper's `Q_bit` notation, the uniform quantizer of
+//! the low-resolution (LR) baseline, and the SCM's signed-magnitude weight
+//! grid. The straight-through estimator of Eq. (2),
+//! `f(x) = q(x) + x - stop_gradient(x)`, is applied where these grids are
+//! trained through: the encoder and the trainable-boundary ADC quantizer
 //! in `leca-core`.
 
-use crate::{Layer, Mode, NnError, Result};
-use leca_tensor::{PooledTensor, Tensor, Workspace};
+use crate::{NnError, Result};
+use leca_tensor::Tensor;
 
 /// A quantization bit depth, including the paper's 1.5-bit (ternary) mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,103 +74,6 @@ pub fn quantize_uniform(x: f32, lo: f32, hi: f32, levels: usize) -> f32 {
     lo + ((x - lo) / step).round() * step
 }
 
-/// Maps `x` to its integer code `0..levels` over `[lo, hi]`.
-pub fn quantize_code(x: f32, lo: f32, hi: f32, levels: usize) -> usize {
-    let x = x.clamp(lo, hi);
-    let step = (hi - lo) / (levels - 1) as f32;
-    (((x - lo) / step).round() as usize).min(levels - 1)
-}
-
-/// Reconstruction value of integer `code` over `[lo, hi]`.
-pub fn dequantize_code(code: usize, lo: f32, hi: f32, levels: usize) -> f32 {
-    let step = (hi - lo) / (levels - 1) as f32;
-    lo + code.min(levels - 1) as f32 * step
-}
-
-/// Uniform quantizer layer with straight-through gradients.
-///
-/// Forward: clamp to `[lo, hi]`, snap to one of `levels` uniform values.
-/// Backward: pass the gradient through wherever the (pre-clamp) input was
-/// inside the range; zero outside (clipped STE).
-#[derive(Debug)]
-pub struct UniformQuantSte {
-    depth: BitDepth,
-    lo: f32,
-    hi: f32,
-    mask: Option<Vec<bool>>,
-}
-
-impl UniformQuantSte {
-    /// Creates a quantizer over `[lo, hi]` with the given bit depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] when `lo >= hi`.
-    pub fn new(depth: BitDepth, lo: f32, hi: f32) -> Result<Self> {
-        if lo >= hi {
-            return Err(NnError::InvalidConfig(format!(
-                "quantizer range [{lo}, {hi}] is empty"
-            )));
-        }
-        Ok(UniformQuantSte {
-            depth,
-            lo,
-            hi,
-            mask: None,
-        })
-    }
-
-    /// The quantizer's bit depth.
-    pub fn depth(&self) -> BitDepth {
-        self.depth
-    }
-
-    /// The quantizer's input range.
-    pub fn range(&self) -> (f32, f32) {
-        (self.lo, self.hi)
-    }
-}
-
-impl Layer for UniformQuantSte {
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.mask = Some(
-                x.as_slice()
-                    .iter()
-                    .map(|&v| v >= self.lo && v <= self.hi)
-                    .collect(),
-            );
-        }
-        let (lo, hi, levels) = (self.lo, self.hi, self.depth.levels());
-        Ok(ws.adopt(x.map(|v| quantize_uniform(v, lo, hi, levels))))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .take()
-            .ok_or(NnError::NoForwardCache("uniform_quant_ste"))?;
-        if mask.len() != grad_out.len() {
-            return Err(NnError::BatchMismatch {
-                what: "quantizer backward",
-                expected: mask.len(),
-                actual: grad_out.len(),
-            });
-        }
-        let mut g = grad_out.clone();
-        for (v, m) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        Ok(g)
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform_quant_ste"
-    }
-}
-
 /// Quantizes a weight tensor to signed magnitude codes with `mag_bits`
 /// magnitude bits (the SCM's ±4-bit precision), STE-style.
 ///
@@ -231,16 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn code_roundtrip() {
-        for levels in [2usize, 3, 4, 8, 16] {
-            for code in 0..levels {
-                let v = dequantize_code(code, -1.0, 1.0, levels);
-                assert_eq!(quantize_code(v, -1.0, 1.0, levels), code);
-            }
-        }
-    }
-
-    #[test]
     fn quantization_error_bounded_by_half_step() {
         let levels = 8;
         let step = 1.0 / (levels - 1) as f32;
@@ -249,53 +142,6 @@ mod tests {
             let q = quantize_uniform(x, 0.0, 1.0, levels);
             assert!((x - q).abs() <= step / 2.0 + 1e-6);
         }
-    }
-
-    #[test]
-    fn ste_forward_quantizes() {
-        let depth = BitDepth::from_qbit(1.5).unwrap();
-        let mut q = UniformQuantSte::new(depth, -1.0, 1.0).unwrap();
-        let x = Tensor::from_slice(&[-0.9, -0.2, 0.3, 0.8]);
-        let y = q.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y.as_slice(), &[-1.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn ste_backward_passes_in_range_only() {
-        let depth = BitDepth::from_qbit(2.0).unwrap();
-        let mut q = UniformQuantSte::new(depth, 0.0, 1.0).unwrap();
-        let x = Tensor::from_slice(&[-0.5, 0.5, 1.5]);
-        q.forward(&x, Mode::Train).unwrap();
-        let g = q.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
-        assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn ste_gradient_is_exact_passthrough_in_range() {
-        // The STE gradient is *defined* as the identity inside the range
-        // (Eq. (2) of the paper); finite differences of the staircase do not
-        // apply. Verify the definition directly with an arbitrary upstream
-        // gradient.
-        let depth = BitDepth::from_qbit(8.0).unwrap();
-        let mut q = UniformQuantSte::new(depth, -2.0, 2.0).unwrap();
-        let x = Tensor::from_slice(&[-1.0, -0.25, 0.4, 1.2]);
-        q.forward(&x, Mode::Train).unwrap();
-        let upstream = Tensor::from_slice(&[0.3, -0.7, 1.1, 2.5]);
-        let g = q.backward(&upstream).unwrap();
-        assert_eq!(g.as_slice(), upstream.as_slice());
-    }
-
-    #[test]
-    fn invalid_range_rejected() {
-        let depth = BitDepth::from_qbit(2.0).unwrap();
-        assert!(UniformQuantSte::new(depth, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn backward_requires_forward() {
-        let depth = BitDepth::from_qbit(2.0).unwrap();
-        let mut q = UniformQuantSte::new(depth, 0.0, 1.0).unwrap();
-        assert!(q.backward(&Tensor::zeros(&[2])).is_err());
     }
 
     #[test]

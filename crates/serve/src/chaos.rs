@@ -9,7 +9,7 @@
 //! storm. That is what lets the chaos suite assert exact accounting
 //! invariants instead of "it probably survived".
 //!
-//! Four domains:
+//! Three domains:
 //!
 //! * **worker panics** — the worker panics mid-batch before calling the
 //!   model; the supervisor must catch it, answer every batched request
@@ -19,11 +19,6 @@
 //! * **NaN poisoning** — a traffic generator consults
 //!   [`ChaosPlan::poison_request`] to corrupt payloads, exercising
 //!   ingress validation.
-//! * **sensor fault replay** — an embedded [`FaultPlan`] for generators
-//!   that run payloads through the simulated sensor, tying serving chaos
-//!   to the repo's hardware-fault story.
-
-use leca_circuit::fault::FaultPlan;
 
 const DOMAIN_PANIC: u64 = 0x5041_4e49;
 const DOMAIN_LATENCY: u64 = 0x4c41_5445;
@@ -50,7 +45,6 @@ pub struct ChaosPlan {
     latency_rate: f64,
     latency_spike_us: u64,
     nan_rate: f64,
-    sensor_faults: FaultPlan,
 }
 
 impl ChaosPlan {
@@ -63,7 +57,6 @@ impl ChaosPlan {
             latency_rate: 0.0,
             latency_spike_us: 0,
             nan_rate: 0.0,
-            sensor_faults: FaultPlan::none(),
         }
     }
 
@@ -96,14 +89,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Embeds a sensor [`FaultPlan`] for generators that synthesize
-    /// payloads through the simulated sensor chain.
-    #[must_use]
-    pub fn with_sensor_faults(mut self, plan: FaultPlan) -> Self {
-        self.sensor_faults = plan;
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -111,10 +96,7 @@ impl ChaosPlan {
 
     /// True when no domain can inject anything.
     pub fn is_none(&self) -> bool {
-        self.panic_rate == 0.0
-            && self.latency_rate == 0.0
-            && self.nan_rate == 0.0
-            && self.sensor_faults.is_none()
+        self.panic_rate == 0.0 && self.latency_rate == 0.0 && self.nan_rate == 0.0
     }
 
     /// Per-site hash: deterministic in `(seed, domain, a, b)`.
@@ -154,11 +136,6 @@ impl ChaosPlan {
         } else {
             None
         }
-    }
-
-    /// The embedded sensor fault plan (identity when unset).
-    pub fn sensor_faults(&self) -> &FaultPlan {
-        &self.sensor_faults
     }
 }
 

@@ -37,9 +37,9 @@
 //!   session and keeps serving; threads are always joined, never
 //!   detached.
 //! * **Deterministic chaos** — [`ChaosPlan`] injects worker panics,
-//!   latency spikes, NaN payloads and sensor fault replay as a pure
-//!   function of `(seed, domain, site)`, so failure storms replay
-//!   bit-for-bit (the serving analog of [`leca_circuit::fault::FaultPlan`]).
+//!   latency spikes and NaN payloads as a pure function of
+//!   `(seed, domain, site)`, so failure storms replay bit-for-bit (the
+//!   serving analog of [`leca_circuit::fault::FaultPlan`]).
 //!
 //! The robustness contract, end to end: **every admitted request
 //! receives exactly one typed reply**, and after a graceful

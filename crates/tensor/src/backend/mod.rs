@@ -400,9 +400,6 @@ backend_kernels! {
     /// NaN**, else set to `0.0` — a poisoned activation must stay poisoned
     /// (the trainer's divergence detector relies on it).
     [scalar, scalar] fn relu_inplace(dst: &mut [f32]);
-    /// In-place leaky ReLU: `dst[i]` is kept when it is `> 0`, else replaced
-    /// by `a * dst[i]` (NaN falls through to `a * NaN = NaN`).
-    [scalar, scalar] fn leaky_relu_inplace(dst: &mut [f32], a: f32);
     /// Writes the activation mask: `mask[i] = 1.0` when `src[i] > 0.0`, else
     /// `0.0` (NaN counts as not-positive, matching the `v > 0.0` bool mask the
     /// activations historically collected).
@@ -420,15 +417,6 @@ backend_kernels! {
     ///
     /// Panics when the slice lengths differ.
     [scalar, scalar] fn relu_backward(mask: &[f32], g: &[f32], out: &mut [f32])
-        where mask.len() == g.len(), mask.len() == out.len();
-    /// Masked leaky-ReLU backward: `out[i] = g[i]` where `mask[i] != 0.0`,
-    /// else `g[i] * a` (select + scaled pass-through, same NaN discipline as
-    /// [`relu_backward`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ.
-    [scalar, scalar] fn leaky_relu_backward(mask: &[f32], g: &[f32], a: f32, out: &mut [f32])
         where mask.len() == g.len(), mask.len() == out.len();
     /// BatchNorm affine pass: `out[i] = g * ((src[i] - mean) * inv_std) + b`,
     /// exactly that operation sequence (sub, mul, mul, add — no fusing, no
@@ -458,24 +446,6 @@ backend_kernels! {
     /// the signs of the zeros, so the result does not depend on the order
     /// in which a vectorized fold meets them.
     [scalar, scalar] fn row_max(xs: &[f32]) -> f32;
-    /// Fused 2x2 average-pool row pass over two input rows: `out[j]` is the
-    /// in-order window sum `((r0[2j] + r0[2j+1]) + r1[2j]) + r1[2j+1]` times
-    /// `inv`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `r0.len() == r1.len() == 2 * out.len()`.
-    [scalar, scalar] fn avg_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32], inv: f32)
-        where r0.len() == r1.len(), r0.len() == 2 * out.len();
-    /// Fused 2x2 max-pool row pass: `out[j]` is the running `if v > best`
-    /// maximum over `r0[2j], r0[2j+1], r1[2j], r1[2j+1]` starting from
-    /// `NEG_INFINITY` (NaN never wins, matching the scalar comparison).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `r0.len() == r1.len() == 2 * out.len()`.
-    [scalar, scalar] fn max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32])
-        where r0.len() == r1.len(), r0.len() == 2 * out.len();
 }
 
 /// How many B row starts a `b_len`-float operand has: row `r` lies inside
@@ -687,8 +657,9 @@ mod tests {
                 ("add", &|| be.add(&[0.0; 64], &[0.0; 1], &mut [0.0; 64])),
                 ("relu_mask", &|| be.relu_mask(&[0.0; 9], &mut [0.0; 8])),
                 ("axpy", &|| be.axpy(&mut [0.0; 16], &[0.0; 15], 2.0)),
-                ("avg_pool_k2", &|| {
-                    be.avg_pool_k2(&[0.0; 18], &[0.0; 18], &mut [0.0; 8], 0.25)
+                // First clause holds, second fails: a short `out`.
+                ("relu_backward", &|| {
+                    be.relu_backward(&[0.0; 16], &[0.0; 16], &mut [0.0; 15])
                 }),
                 ("microkernel", &|| {
                     be.microkernel(

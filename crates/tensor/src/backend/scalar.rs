@@ -102,19 +102,6 @@ pub fn relu_inplace(dst: &mut [f32]) {
     }
 }
 
-/// In-place leaky ReLU: `v > 0 ? v : a * v`.
-#[inline]
-pub fn leaky_relu_inplace(dst: &mut [f32], a: f32) {
-    for v in dst.iter_mut() {
-        let x = *v;
-        // `x <= 0.0 || x.is_nan()` is exactly `!(x > 0.0)`: NaN takes the
-        // scaled branch and propagates (`a * NaN = NaN`).
-        if x <= 0.0 || x.is_nan() {
-            *v = a * x;
-        }
-    }
-}
-
 /// `mask[i] = 1.0` where `src[i] > 0.0`, else `0.0`.
 #[inline]
 pub fn relu_mask(src: &[f32], mask: &mut [f32]) {
@@ -128,14 +115,6 @@ pub fn relu_mask(src: &[f32], mask: &mut [f32]) {
 pub fn relu_backward(mask: &[f32], g: &[f32], out: &mut [f32]) {
     for ((o, &m), &gv) in out.iter_mut().zip(mask).zip(g) {
         *o = if m != 0.0 { gv } else { 0.0 };
-    }
-}
-
-/// `out[i] = mask[i] != 0 ? g[i] : g[i] * a`.
-#[inline]
-pub fn leaky_relu_backward(mask: &[f32], g: &[f32], a: f32, out: &mut [f32]) {
-    for ((o, &m), &gv) in out.iter_mut().zip(mask).zip(g) {
-        *o = if m != 0.0 { gv } else { gv * a };
     }
 }
 
@@ -169,16 +148,6 @@ pub fn exp_sum(dst: &mut [f32]) -> f32 {
 #[inline]
 pub fn row_max(xs: &[f32]) -> f32 {
     xs.iter().copied().fold(f32::NEG_INFINITY, f32::max) + 0.0
-}
-
-/// 2x2 average-pool row pass; see the parent module for the summation
-/// order contract.
-#[inline]
-pub fn avg_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32], inv: f32) {
-    for (j, o) in out.iter_mut().enumerate() {
-        let acc = ((r0[2 * j] + r0[2 * j + 1]) + r1[2 * j]) + r1[2 * j + 1];
-        *o = acc * inv;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -252,19 +221,5 @@ pub fn requant_i32(acc: &[i32], m: f32, b: f32, zp: i32, relu: bool, out: &mut [
 pub fn dequant_i32(acc: &[i32], m: f32, b: f32, out: &mut [f32]) {
     for (o, &a) in out.iter_mut().zip(acc) {
         *o = (a as f32) * m + b;
-    }
-}
-
-/// 2x2 max-pool row pass: running `if v > best` in window order.
-#[inline]
-pub fn max_pool_k2(r0: &[f32], r1: &[f32], out: &mut [f32]) {
-    for (j, o) in out.iter_mut().enumerate() {
-        let mut best = f32::NEG_INFINITY;
-        for &v in &[r0[2 * j], r0[2 * j + 1], r1[2 * j], r1[2 * j + 1]] {
-            if v > best {
-                best = v;
-            }
-        }
-        *o = best;
     }
 }

@@ -4,7 +4,7 @@
 //! dependency-light n-dimensional array with exactly the operations a
 //! convolutional training stack needs — threaded matrix multiplication,
 //! convolution (forward, both gradients, and the transposed conv as its
-//! adjoint) on three im2col-style drivers, pooling, reductions, and random
+//! adjoint) on three im2col-style drivers, reductions, and random
 //! initialization.
 //!
 //! Tensors are always row-major and contiguous; shapes are plain

@@ -1,6 +1,6 @@
 //! Cache-blocked, register-tiled GEMM core.
 //!
-//! Every matmul variant ([`super::matmul`], [`super::matmul_bt`],
+//! Every matmul variant ([`super::matmul`], [`super::matmul_bt_into`],
 //! [`super::matmul_at`]) and two of the three convolution drivers in
 //! [`super::conv`] lower onto [`gemm`] here: the scatter driver (conv
 //! input gradient and transposed conv) with a strided B, and the weight

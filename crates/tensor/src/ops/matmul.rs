@@ -4,7 +4,8 @@
 //! transposition copies:
 //!
 //! * [`matmul`]   — `C = A · B`
-//! * [`matmul_bt`] — `C = A · Bᵀ` (weight-gradient shapes)
+//! * [`matmul_bt_into`] — `C = A · Bᵀ` into a caller-provided `C` (the
+//!   `Linear` forward)
 //! * [`matmul_at`] — `C = Aᵀ · B` (input-gradient shapes)
 //!
 //! All three lower onto the packed-panel GEMM in [`super::gemm`]; the
@@ -26,17 +27,6 @@ fn check_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
     Ok((t.shape()[0], t.shape()[1]))
 }
 
-fn check_out(op: &'static str, out: &Tensor, m: usize, n: usize) -> Result<()> {
-    if out.shape() != [m, n] {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: out.shape().to_vec(),
-            rhs: vec![m, n],
-        });
-    }
-    Ok(())
-}
-
 /// `C = A · B` for row-major matrices `A: (m, k)`, `B: (k, n)`.
 ///
 /// # Errors
@@ -44,21 +34,6 @@ fn check_out(op: &'static str, out: &Tensor, m: usize, n: usize) -> Result<()> {
 /// Returns [`TensorError::RankMismatch`] for non-matrix operands and
 /// [`TensorError::ShapeMismatch`] when `A.cols != B.rows`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, _) = check_rank2("matmul", a)?;
-    let (_, n) = check_rank2("matmul", b)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul`] writing into the caller-provided `(m, n)` tensor `out`,
-/// bit-identical to the allocating variant.
-///
-/// # Errors
-///
-/// As [`matmul`], plus [`TensorError::ShapeMismatch`] when `out` has the
-/// wrong shape.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (m, k) = check_rank2("matmul", a)?;
     let (k2, n) = check_rank2("matmul", b)?;
     if k != k2 {
@@ -68,7 +43,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
             rhs: b.shape().to_vec(),
         });
     }
-    check_out("matmul_into", out, m, n)?;
+    let mut out = Tensor::zeros(&[m, n]);
     gemm(
         m,
         n,
@@ -83,28 +58,16 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
         },
         out.as_mut_slice(),
     );
-    Ok(())
+    Ok(out)
 }
 
-/// `C = A · Bᵀ` for `A: (m, k)`, `B: (n, k)` producing `(m, n)`.
+/// `C = A · Bᵀ` for `A: (m, k)`, `B: (n, k)`, written into the
+/// caller-provided `(m, n)` tensor `out`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] as
-/// for [`matmul`].
-pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, _) = check_rank2("matmul_bt", a)?;
-    let (n, _) = check_rank2("matmul_bt", b)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_bt_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_bt`] writing into the caller-provided `(m, n)` tensor `out`.
-///
-/// # Errors
-///
-/// As [`matmul_bt`], plus [`TensorError::ShapeMismatch`] when `out` has the
+/// for [`matmul`], plus [`TensorError::ShapeMismatch`] when `out` has the
 /// wrong shape.
 pub fn matmul_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (m, k) = check_rank2("matmul_bt", a)?;
@@ -116,7 +79,13 @@ pub fn matmul_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
             rhs: b.shape().to_vec(),
         });
     }
-    check_out("matmul_bt_into", out, m, n)?;
+    if out.shape() != [m, n] {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_bt_into",
+            lhs: out.shape().to_vec(),
+            rhs: vec![m, n],
+        });
+    }
     // Bᵀ as a view: element (p, j) of the logical operand is B[j][p].
     gemm(
         m,
@@ -142,20 +111,6 @@ pub fn matmul_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] as
 /// for [`matmul`].
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (_, m) = check_rank2("matmul_at", a)?;
-    let (_, n) = check_rank2("matmul_at", b)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_at_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_at`] writing into the caller-provided `(m, n)` tensor `out`.
-///
-/// # Errors
-///
-/// As [`matmul_at`], plus [`TensorError::ShapeMismatch`] when `out` has the
-/// wrong shape.
-pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (k, m) = check_rank2("matmul_at", a)?;
     let (k2, n) = check_rank2("matmul_at", b)?;
     if k != k2 {
@@ -165,7 +120,7 @@ pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
             rhs: b.shape().to_vec(),
         });
     }
-    check_out("matmul_at_into", out, m, n)?;
+    let mut out = Tensor::zeros(&[m, n]);
     // Aᵀ as a strided view: element (i, p) of the logical A is A[p][i].
     gemm(
         m,
@@ -181,7 +136,7 @@ pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
         },
         out.as_mut_slice(),
     );
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -244,7 +199,9 @@ mod tests {
         let a = Tensor::rand_uniform(&[9, 6], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[11, 6], -1.0, 1.0, &mut rng);
         let expected = matmul(&a, &b.transpose().unwrap()).unwrap();
-        assert_close(&matmul_bt(&a, &b).unwrap(), &expected, 1e-4);
+        let mut got = Tensor::zeros(&[9, 11]);
+        matmul_bt_into(&a, &b, &mut got).unwrap();
+        assert_close(&got, &expected, 1e-4);
     }
 
     #[test]
@@ -276,7 +233,8 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 5]);
         assert!(matmul(&a, &b).is_err());
-        assert!(matmul_bt(&a, &Tensor::zeros(&[5, 4])).is_err());
+        let mut out = Tensor::zeros(&[2, 5]);
+        assert!(matmul_bt_into(&a, &Tensor::zeros(&[5, 4]), &mut out).is_err());
         assert!(matmul_at(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[4, 5])).is_err());
     }
 

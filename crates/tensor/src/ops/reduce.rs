@@ -75,37 +75,12 @@ pub fn sum_spatial_per_channel(x: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Per-channel mean over N, H, W of an `(N, C, H, W)` tensor: `(C,)`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-rank-4 input.
-pub fn mean_axes_keep_channel(x: &Tensor) -> Result<Tensor> {
-    let d = x.shape().to_vec();
-    let sums = sum_spatial_per_channel(x)?;
-    let count = (d[0] * d[2] * d[3]).max(1) as f32;
-    Ok(sums.scale(1.0 / count))
-}
-
 /// Numerically-stable softmax of each row of a rank-2 tensor.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for non-matrix input.
 pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
-    let mut out = x.clone();
-    softmax_rows_into(x, &mut out)?;
-    Ok(out)
-}
-
-/// [`softmax_rows`] writing into the caller-provided tensor `out` (same
-/// shape as `x`), bit-identical to the allocating variant.
-///
-/// # Errors
-///
-/// As [`softmax_rows`], plus [`TensorError::ShapeMismatch`] when `out` has
-/// the wrong shape.
-pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
     if x.rank() != 2 {
         return Err(TensorError::RankMismatch {
             op: "softmax_rows",
@@ -114,13 +89,7 @@ pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
         });
     }
     let (rows, cols) = (x.shape()[0], x.shape()[1]);
-    if out.shape() != [rows, cols] {
-        return Err(TensorError::ShapeMismatch {
-            op: "softmax_rows_into",
-            lhs: out.shape().to_vec(),
-            rhs: vec![rows, cols],
-        });
-    }
+    let mut out = Tensor::zeros(&[rows, cols]);
     let src = x.as_slice();
     let data = out.as_mut_slice();
     for r in 0..rows {
@@ -129,9 +98,8 @@ pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
         let m = crate::backend::row_max(xrow);
         // The subtraction rides the vectorized add kernel: IEEE-754
         // guarantees `v - m == v + (-m)` bit for bit, so shifting by the
-        // negated max is the exact same value the scalar loop produced
-        // (and writing x - m straight into `out` replaces what used to be
-        // a full-matrix copy).
+        // negated max is the exact same value the scalar loop produced,
+        // and `x - m` goes straight into `out` without copying `x`.
         crate::backend::add_scalar(xrow, -m, row);
         // The exp + running-sum pass dispatches through the backend's
         // fused `exp_sum` kernel: bit-exact backends keep the historical
@@ -143,7 +111,7 @@ pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
         let inv = 1.0 / z;
         crate::backend::scale_inplace(row, inv);
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -166,13 +134,6 @@ mod tests {
         x.set4(0, 1, 0, 1, 10.0);
         let s = sum_spatial_per_channel(&x).unwrap();
         assert_eq!(s.as_slice(), &[6.0, 10.0]);
-    }
-
-    #[test]
-    fn mean_keep_channel() {
-        let x = Tensor::ones(&[2, 3, 2, 2]);
-        let m = mean_axes_keep_channel(&x).unwrap();
-        assert_eq!(m.as_slice(), &[1.0, 1.0, 1.0]);
     }
 
     #[test]

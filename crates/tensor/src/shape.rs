@@ -70,13 +70,6 @@ impl Shape {
         self.0
     }
 
-    /// Replaces the dimensions in place, reusing the existing vector's
-    /// capacity (allocation-free when it suffices).
-    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
-        self.0.clear();
-        self.0.extend_from_slice(dims);
-    }
-
     /// Validates that `axis` is a legal dimension index.
     ///
     /// # Errors

@@ -231,24 +231,6 @@ impl Tensor {
         })
     }
 
-    /// In-place variant of [`Tensor::reshape`]; avoids the buffer clone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] when the element counts
-    /// differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
-        let len: usize = shape.iter().product();
-        if len != self.len() {
-            return Err(TensorError::ShapeDataMismatch {
-                expected: len,
-                actual: self.len(),
-            });
-        }
-        self.shape.set_dims(shape);
-        Ok(())
-    }
-
     /// Transpose of a rank-2 tensor.
     ///
     /// # Errors
@@ -650,14 +632,6 @@ mod tests {
         let r = t.reshape(&[4]).unwrap();
         assert_eq!(r.as_slice(), t.as_slice());
         assert!(t.reshape(&[3]).is_err());
-    }
-
-    #[test]
-    fn reshape_in_place_keeps_buffer() {
-        let mut t = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        t.reshape_in_place(&[1, 2]).unwrap();
-        assert_eq!(t.shape(), &[1, 2]);
-        assert!(t.reshape_in_place(&[3]).is_err());
     }
 
     #[test]

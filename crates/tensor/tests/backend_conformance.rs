@@ -10,17 +10,12 @@
 //! `microkernel` and the polynomial `exp_sum`, which run under
 //! relative-error bounds plus NaN-position agreement.
 //!
-//! The suite also locks down a selection-adjacent contract: `_into` twins
-//! produce bit-identical results to their allocating counterparts under
-//! every selectable backend (env-pinned, serialized), and the dispatched
-//! GEMM, softmax and pools of every bit-exact backend match the scalar
-//! backend's end to end.
+//! The suite also locks down a selection-adjacent contract: the dispatched
+//! GEMM and softmax of every bit-exact backend (env-pinned, serialized)
+//! match the scalar backend's end to end.
 
 use leca_tensor::backend::{self, scalar, Backend, MR, NR};
-use leca_tensor::ops::{
-    avg_pool2d, avg_pool2d_into, matmul, matmul_into, max_pool2d, max_pool2d_into, softmax_rows,
-    softmax_rows_into,
-};
+use leca_tensor::ops::{matmul, softmax_rows};
 use leca_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -164,12 +159,6 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         scalar::relu_inplace(&mut want);
         assert_bits(&ctx("relu_inplace"), &got, &want);
 
-        got.copy_from_slice(&a);
-        want.copy_from_slice(&a);
-        be.leaky_relu_inplace(&mut got, 0.2);
-        scalar::leaky_relu_inplace(&mut want, 0.2);
-        assert_bits(&ctx("leaky_relu_inplace"), &got, &want);
-
         be.relu_mask(&a, &mut got);
         scalar::relu_mask(&a, &mut want);
         assert_bits(&ctx("relu_mask"), &got, &want);
@@ -179,10 +168,6 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         be.relu_backward(&a, &b, &mut got);
         scalar::relu_backward(&a, &b, &mut want);
         assert_bits(&ctx("relu_backward"), &got, &want);
-
-        be.leaky_relu_backward(&a, &b, 0.1, &mut got);
-        scalar::leaky_relu_backward(&a, &b, 0.1, &mut want);
-        assert_bits(&ctx("leaky_relu_backward"), &got, &want);
 
         be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3);
         scalar::bn_affine(&a, &mut want, 0.4, 1.9, 1.1, -0.3);
@@ -208,8 +193,8 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         );
     }
 
-    // NaN semantics at the exact lane boundary: the forward ReLU and
-    // leaky ReLU pass NaN through (never launder it to zero)...
+    // NaN semantics at the exact lane boundary: the forward ReLU passes
+    // NaN through (never launders it to zero)...
     for len in [7usize, 8, 9] {
         let mut src: Vec<f32> = (0..len).map(|i| (i as f32 - 3.5) * 0.5).collect();
         src[len / 2] = f32::NAN;
@@ -218,12 +203,6 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         assert!(
             out[len / 2].is_nan(),
             "{name}/relu_inplace/len={len} dropped NaN"
-        );
-        let mut out = src.clone();
-        be.leaky_relu_inplace(&mut out, 0.01);
-        assert!(
-            out[len / 2].is_nan(),
-            "{name}/leaky_relu_inplace/len={len} dropped NaN"
         );
     }
     // ...and the backward is a select, not `g * mask`: a NaN gradient
@@ -237,33 +216,6 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         } else {
             assert!(v.is_nan(), "{name}/relu_backward dropped NaN");
         }
-    }
-}
-
-/// The fused 2x2 pooling row kernels (their row length is `2 * out`, so
-/// they get their own length set).
-#[test]
-fn pool_row_kernels_conform_on_every_backend() {
-    for be in bit_exact_backends() {
-        assert_pool_rows_exact(be);
-    }
-}
-
-fn assert_pool_rows_exact(be: Backend) {
-    let name = be.name();
-    for out_len in [0usize, 1, 3, 4, 5, 8, 9, 16, 33] {
-        let r0 = gen_vec(out_len * 2, 0xabc0 + out_len as u64);
-        let r1 = gen_vec(out_len * 2, 0xdef0 + out_len as u64);
-        let mut got = vec![0.0f32; out_len];
-        let mut want = vec![0.0f32; out_len];
-
-        be.avg_pool_k2(&r0, &r1, &mut got, 0.25);
-        scalar::avg_pool_k2(&r0, &r1, &mut want, 0.25);
-        assert_bits(&format!("{name}/avg_pool_k2/out={out_len}"), &got, &want);
-
-        be.max_pool_k2(&r0, &r1, &mut got);
-        scalar::max_pool_k2(&r0, &r1, &mut want);
-        assert_bits(&format!("{name}/max_pool_k2/out={out_len}"), &got, &want);
     }
 }
 
@@ -462,16 +414,6 @@ proptest! {
                 "{}/axpy", be.name()
             );
 
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            be.leaky_relu_inplace(&mut got, s);
-            scalar::leaky_relu_inplace(&mut want, s);
-            prop_assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{}/leaky_relu_inplace", be.name()
-            );
-
             be.relu_backward(&a, &b, &mut got);
             scalar::relu_backward(&a, &b, &mut want);
             prop_assert_eq!(
@@ -588,12 +530,6 @@ fn fastmath_kernels_within_tolerance_of_scalar() {
             be.relu_inplace(&mut got);
             scalar::relu_inplace(&mut want);
             assert_close(&ctx("relu_inplace"), &got, &want, RTOL, ATOL);
-
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            be.leaky_relu_inplace(&mut got, 0.01);
-            scalar::leaky_relu_inplace(&mut want, 0.01);
-            assert_close(&ctx("leaky_relu_inplace"), &got, &want, RTOL, ATOL);
         }
     }
 }
@@ -658,7 +594,6 @@ fn fastmath_microkernel_tolerance_and_exact_chunking() {
 fn fastmath_is_exact_outside_microkernel_and_exp_sum() {
     for be in tolerance_backends() {
         assert_elementwise_exact(be, false);
-        assert_pool_rows_exact(be);
         assert_quant_exact(be);
     }
 }
@@ -702,7 +637,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// `_into` twin equivalence under every selectable backend
+// Dispatched ops under every bit-exact backend
 // ---------------------------------------------------------------------
 
 /// Runs `body` with `LECA_BACKEND` pinned to `name`, restoring the
@@ -720,72 +655,32 @@ fn pin_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The workspace `_into` twins must be bit-identical to their allocating
-/// counterparts under every available backend — reusing a caller buffer
-/// may never change numerics, whichever backend serves the kernels. The
-/// allocating outputs of every bit-exact backend must in turn equal the
-/// scalar backend's bit for bit: the blocked GEMM (over edge shapes that
-/// straddle the 8x8 tile), softmax and both pools, end to end through the
-/// free kernel functions.
+/// The outputs of every bit-exact backend must equal the scalar backend's
+/// bit for bit: the blocked GEMM (over edge shapes that straddle the 8x8
+/// tile) and softmax, end to end through the free kernel functions.
 #[test]
-fn into_twins_match_allocating_ops_on_every_backend() {
+fn dispatched_ops_match_scalar_on_every_backend() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut scalar_outputs: Option<Vec<(String, Tensor)>> = None;
-    for be in available_backends() {
+    for be in bit_exact_backends() {
         let name = be.name();
         let outputs = pin_backend(name, || {
             let mut outputs = Vec::new();
             let mut rng = StdRng::seed_from_u64(2024);
-            let a = Tensor::rand_uniform(&[13, 37], -2.0, 2.0, &mut rng);
-            let b = Tensor::rand_uniform(&[37, 21], -2.0, 2.0, &mut rng);
-            let want = matmul(&a, &b).unwrap();
-            let mut got = Tensor::zeros(&[13, 21]);
-            matmul_into(&a, &b, &mut got).unwrap();
-            assert_bits(
-                &format!("{name}/matmul_into"),
-                got.as_slice(),
-                want.as_slice(),
-            );
-            outputs.push(("matmul".to_string(), want));
-
-            let x = Tensor::rand_uniform(&[2, 3, 8, 10], -3.0, 3.0, &mut rng);
-            let want = avg_pool2d(&x, 2).unwrap();
-            let mut got = Tensor::zeros(want.shape());
-            avg_pool2d_into(&x, 2, &mut got).unwrap();
-            assert_bits(
-                &format!("{name}/avg_pool2d_into"),
-                got.as_slice(),
-                want.as_slice(),
-            );
-            outputs.push(("avg_pool2d".to_string(), want));
-
-            let (want, _idx) = max_pool2d(&x, 2).unwrap();
-            let mut got = Tensor::zeros(want.shape());
-            max_pool2d_into(&x, 2, &mut got).unwrap();
-            assert_bits(
-                &format!("{name}/max_pool2d_into"),
-                got.as_slice(),
-                want.as_slice(),
-            );
-            outputs.push(("max_pool2d".to_string(), want));
-
-            let logits = Tensor::rand_uniform(&[9, 33], -6.0, 6.0, &mut rng);
-            let want = softmax_rows(&logits).unwrap();
-            let mut got = Tensor::zeros(logits.shape());
-            softmax_rows_into(&logits, &mut got).unwrap();
-            assert_bits(
-                &format!("{name}/softmax_rows_into"),
-                got.as_slice(),
-                want.as_slice(),
-            );
-            outputs.push(("softmax_rows".to_string(), want));
-
-            for &(m, n, k) in &[(1, 1, 1), (7, 9, 8), (8, 17, 65), (33, 16, 9), (65, 31, 15)] {
+            let shapes = [
+                (1, 1, 1),
+                (7, 9, 8),
+                (8, 17, 65),
+                (13, 21, 37),
+                (33, 16, 9),
+                (65, 31, 15),
+            ];
+            for (m, n, k) in shapes {
                 let a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
                 let b = Tensor::rand_uniform(&[k, n], -2.0, 2.0, &mut rng);
                 outputs.push((format!("matmul/{m}x{n}x{k}"), matmul(&a, &b).unwrap()));
             }
-            for cols in [1, 8, 9, 65] {
+            for cols in [1, 8, 9, 33, 65] {
                 let logits = Tensor::rand_uniform(&[3, cols], -6.0, 6.0, &mut rng);
                 outputs.push((
                     format!("softmax_rows/cols={cols}"),
@@ -794,9 +689,6 @@ fn into_twins_match_allocating_ops_on_every_backend() {
             }
             outputs
         });
-        if !be.bit_exact() {
-            continue;
-        }
         match &scalar_outputs {
             None => {
                 assert_eq!(name, "scalar", "Backend::ALL lists scalar first");

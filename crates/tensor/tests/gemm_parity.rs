@@ -5,13 +5,15 @@
 //! shapes where that machinery can go wrong — dimensions of 1, tile-size
 //! +/-1 stragglers, odd primes — and random rectangles, asserting
 //! elementwise agreement with `ops::reference::matmul_naive` to within
-//! 1e-4 relative error. Every convolution op is held to its im2col +
-//! `matmul_naive` oracle bit for bit, on every bit-exact backend.
+//! 1e-4 relative error. `matmul_bt_into` is held to `matmul_naive` bit for
+//! bit whenever the active backend is bit-exact, and every convolution op
+//! to its im2col + `matmul_naive` oracle on every bit-exact backend. Every
+//! op writing into a caller's tensor rejects one of the wrong shape.
 
 use leca_tensor::ops::reference::matmul_naive;
 use leca_tensor::ops::{
     conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv_transpose2d_into, im2col, matmul,
-    matmul_at, matmul_bt, matmul_into,
+    matmul_at, matmul_bt_into,
 };
 use leca_tensor::Tensor;
 use proptest::prelude::*;
@@ -91,7 +93,15 @@ proptest! {
         let a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
         let b = Tensor::rand_uniform(&[n, k], -2.0, 2.0, &mut rng);
         let want = matmul_naive(&a, &b.transpose().unwrap()).unwrap();
-        assert_rel_close(&matmul_bt(&a, &b).unwrap(), &want)?;
+        let mut got = Tensor::full(&[m, n], f32::NAN);
+        matmul_bt_into(&a, &b, &mut got).unwrap();
+        if leca_tensor::backend::active().bit_exact() {
+            // Every element written, each one the naive in-order chain.
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        } else {
+            assert_rel_close(&got, &want)?;
+        }
     }
 
     #[test]
@@ -127,8 +137,9 @@ proptest! {
 
 /// Exhaustive sweep over every combination of the edge dimensions for the
 /// plain variant — cheap (dims <= 29) and deterministic. Each `(m, n)`
-/// pair also runs the empty reduction `(m, 0) · (0, n)`, which must
-/// overwrite a NaN-poisoned output with `+0.0` everywhere.
+/// pair also runs the empty reduction `(m, 0) · (n, 0)ᵀ` through
+/// `matmul_bt_into`, which must overwrite a NaN-poisoned output with
+/// `+0.0` everywhere.
 #[test]
 fn edge_dim_cross_product() {
     use rand::SeedableRng;
@@ -136,7 +147,7 @@ fn edge_dim_cross_product() {
     for &m in EDGE_DIMS {
         for &n in EDGE_DIMS {
             let mut out = Tensor::full(&[m, n], f32::NAN);
-            matmul_into(&Tensor::zeros(&[m, 0]), &Tensor::zeros(&[0, n]), &mut out).unwrap();
+            matmul_bt_into(&Tensor::zeros(&[m, 0]), &Tensor::zeros(&[n, 0]), &mut out).unwrap();
             assert!(
                 out.as_slice().iter().all(|v| v.to_bits() == 0),
                 "m={m} n={n} k=0: output not all +0.0"
@@ -155,6 +166,19 @@ fn edge_dim_cross_product() {
             }
         }
     }
+}
+
+#[test]
+fn into_ops_reject_wrong_out_shapes() {
+    let mut bad = Tensor::zeros(&[4, 2]);
+    let (a, b) = (Tensor::zeros(&[2, 3]), Tensor::zeros(&[4, 3]));
+    assert!(matmul_bt_into(&a, &b, &mut bad).is_err());
+
+    let x = Tensor::zeros(&[1, 2, 4, 4]);
+    let w = Tensor::zeros(&[3, 2, 2, 2]);
+    assert!(conv2d_into(&x, &w, None, 2, 0, &mut bad).is_err());
+    let wt = Tensor::zeros(&[2, 3, 2, 2]);
+    assert!(conv_transpose2d_into(&x, &wt, None, 2, 0, &mut bad).is_err());
 }
 
 /// Bitwise oracle for forward convolution: `ops::im2col`, then

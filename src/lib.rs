@@ -5,8 +5,8 @@
 //!
 //! * [`core`] — the LeCA encoder/decoder, training modalities, joint
 //!   trainer and deployment onto the sensor simulator.
-//! * [`nn`] — the from-scratch neural-network stack (layers, Adam, STE
-//!   quantizers, ResNet backbones).
+//! * [`nn`] — the from-scratch neural-network stack (layers, Adam,
+//!   quantizer grids, ResNet backbones).
 //! * [`tensor`] — dense f32 tensor kernels.
 //! * [`data`] — the SynthVision dataset, Bayer utilities, image I/O and
 //!   quality metrics.
