@@ -9,7 +9,8 @@
 //! * `codecs` — 32x32 transcode through every baseline codec;
 //! * `leca_encoder` — the encoder's three modalities, plus one
 //!   forward/backward step;
-//! * `sensor` — full-frame capture and the energy / timing models;
+//! * `sensor` — full-frame capture (noise-free and noisy) and the energy /
+//!   timing models;
 //! * `leca_inference` — the workspace-backed `InferenceSession`, logits
 //!   alone and the full classify path, on the same batch.
 //!
@@ -31,7 +32,7 @@ use leca_baselines::Codec;
 use leca_bench::profiler::Profiler;
 use leca_bench::workload::Workload;
 use leca_circuit::adc::{AdcModel, AdcResolution};
-use leca_circuit::pe::AnalogPe;
+use leca_circuit::pe::{AnalogPe, BlockScratch};
 use leca_circuit::scm::ScmModel;
 use leca_circuit::CircuitParams;
 use leca_core::config::LecaConfig;
@@ -68,6 +69,7 @@ fn main() {
     let pe = AnalogPe::typical(&params, AdcResolution::Sar(3)).expect("pe");
     let pixels: Vec<f32> = (0..16).map(|i| i as f32 / 15.0).collect();
     let weights = vec![vec![7i32; 16]; 4];
+    let mut block_scratch = BlockScratch::default();
 
     let img = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut StdRng::seed_from_u64(0));
     // (name, nominal iterations, codec)
@@ -119,6 +121,7 @@ fn main() {
         .program_weights(vec![vec![7i32; 16]; 4])
         .expect("weights");
     let scene: Vec<f32> = (0..64 * 64).map(|i| (i % 64) as f32 / 63.0).collect();
+    let mut capture_rng = StdRng::seed_from_u64(2);
     let energy = EnergyModel::paper();
     let timing = TimingModel::paper();
 
@@ -163,8 +166,8 @@ fn main() {
             "circuit",
             Workload::new("pe_encode_block_4_kernels", 50_000, || {
                 black_box(
-                    pe.encode_block::<StdRng>(&pixels, 4, &weights, None)
-                        .expect("encode"),
+                    pe.encode_block::<StdRng>(&pixels, 4, &weights, None, &mut block_scratch)
+                        .expect("encode")[0],
                 );
             }),
         ),
@@ -204,6 +207,16 @@ fn main() {
             "sensor",
             Workload::new("capture_64x64_leca", 200, || {
                 black_box(sensor.capture::<StdRng>(&scene, None).expect("capture"));
+            }),
+        ),
+        (
+            "sensor",
+            Workload::new("capture_64x64_leca_noisy", 50, || {
+                black_box(
+                    sensor
+                        .capture(&scene, Some(&mut capture_rng))
+                        .expect("capture"),
+                );
             }),
         ),
         (

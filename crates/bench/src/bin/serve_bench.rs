@@ -105,7 +105,9 @@ fn run_level(
             let _ = t.wait_for(HANG);
         }
     }
-    let warm_snap = settled(&service);
+    // Each warm-up ticket has returned, and the service counts a request
+    // before its ticket can return, so this snapshot balances.
+    let warm_snap = service.metrics();
 
     let per_producer = total / PRODUCERS;
     let gap = Duration::from_secs_f64(PRODUCERS as f64 / offered_rps);
@@ -157,20 +159,6 @@ fn run_level(
         achieved_rps: snap.completed as f64 / elapsed_s,
         elapsed_s,
         snap,
-    }
-}
-
-/// A snapshot taken once every delivered reply has been counted: the
-/// worker bumps `completed` just after it sets a reply, so a snapshot
-/// taken as the last warm-up ticket returns can miss it.
-fn settled(service: &Service) -> MetricsSnapshot {
-    let give_up = Instant::now() + Duration::from_secs(1);
-    loop {
-        let m = service.metrics();
-        if m.admitted == m.resolved() || Instant::now() > give_up {
-            return m;
-        }
-        std::thread::yield_now();
     }
 }
 

@@ -7,8 +7,8 @@
 //! central symmetry explicitly). In normal sensing mode the same ADC runs at
 //! 8 bit on single-ended pixel values.
 
-use crate::psf::gaussian;
 use crate::{CircuitError, Result};
+use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
 /// ADC operating resolution.
@@ -114,7 +114,7 @@ impl AdcModel {
         rng: &mut R,
     ) -> Result<Self> {
         let mut adc = AdcModel::new(resolution, v_fs)?;
-        adc.offset = 4.0e-4 * gaussian(rng);
+        adc.offset = 4.0e-4 * standard_normal(rng);
         adc.noise_sigma = 2.5e-4;
         Ok(adc)
     }
@@ -169,9 +169,13 @@ impl AdcModel {
         }
     }
 
-    /// Quantizes with comparator noise sampled from `rng`.
-    pub fn quantize_noisy<R: Rng + ?Sized>(&self, v_diff: f32, rng: &mut R) -> i32 {
-        self.quantize(v_diff + self.noise_sigma * gaussian(rng))
+    /// Quantizes with comparator noise: one normal from `normals`.
+    pub fn quantize_noisy<R: Rng + ?Sized>(
+        &self,
+        v_diff: f32,
+        normals: &mut NormalStream<'_, R>,
+    ) -> i32 {
+        self.quantize(v_diff + self.noise_sigma * normals.draw())
     }
 
     /// Reconstruction voltage of a code (the dequantization the decoder
@@ -289,16 +293,17 @@ mod tests {
     fn device_adc_noise_flips_near_threshold_only() {
         let mut rng = StdRng::seed_from_u64(0);
         let adc = AdcModel::device(AdcResolution::Sar(4), 0.7, &mut rng).unwrap();
+        let mut normals = NormalStream::new(&mut rng, 300);
         // Far from a decision boundary the code is stable under noise.
         let stable = adc.dequantize(3);
         let codes: Vec<i32> = (0..100)
-            .map(|_| adc.quantize_noisy(stable, &mut rng))
+            .map(|_| adc.quantize_noisy(stable, &mut normals))
             .collect();
         assert!(codes.iter().all(|&c| c == 3));
         // At a decision boundary the noisy comparator dithers.
         let boundary = stable + adc.lsb() / 2.0;
         let codes: Vec<i32> = (0..200)
-            .map(|_| adc.quantize_noisy(boundary, &mut rng))
+            .map(|_| adc.quantize_noisy(boundary, &mut normals))
             .collect();
         let n3 = codes.iter().filter(|&&c| c == 3).count();
         let n4 = codes.iter().filter(|&&c| c == 4).count();

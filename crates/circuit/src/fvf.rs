@@ -6,8 +6,8 @@
 //! mismatch and thermal noise.
 
 use crate::params::CircuitParams;
-use crate::psf::gaussian;
 use crate::{CircuitError, Result};
+use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
 const NOMINAL_GAIN: f32 = 0.985;
@@ -76,8 +76,8 @@ impl FvfDevice {
     /// Samples a Monte-Carlo mismatch instance.
     pub fn sample<R: Rng + ?Sized>(params: &CircuitParams, rng: &mut R) -> Self {
         let mut d = FvfDevice::typical(params);
-        d.gain_err = SIGMA_GAIN * gaussian(rng);
-        d.offset_err = SIGMA_OFFSET * gaussian(rng);
+        d.gain_err = SIGMA_GAIN * standard_normal(rng);
+        d.offset_err = SIGMA_OFFSET * standard_normal(rng);
         d
     }
 
@@ -105,14 +105,18 @@ impl FvfDevice {
         Ok(lin + NONLIN_COEFF * d * d * d)
     }
 
-    /// Noisy device transfer.
+    /// Noisy device transfer: one normal from `normals`.
     ///
     /// # Errors
     ///
     /// See [`FvfDevice::transfer`].
-    pub fn transfer_noisy<R: Rng + ?Sized>(&self, v_in: f32, rng: &mut R) -> Result<f32> {
+    pub fn transfer_noisy<R: Rng + ?Sized>(
+        &self,
+        v_in: f32,
+        normals: &mut NormalStream<'_, R>,
+    ) -> Result<f32> {
         let clean = self.transfer(v_in)?;
-        Ok(clean + self.noise_sigma(v_in) * gaussian(rng))
+        Ok(clean + self.noise_sigma(v_in) * normals.draw())
     }
 
     /// Input-dependent noise sigma (V).
@@ -193,7 +197,9 @@ mod tests {
         );
         assert!(a.noise_sigma(1.1) > a.noise_sigma(0.6));
         let clean = a.transfer(0.6).unwrap();
-        let noisy = a.transfer_noisy(0.6, &mut rng).unwrap();
+        let noisy = a
+            .transfer_noisy(0.6, &mut NormalStream::new(&mut rng, 1))
+            .unwrap();
         assert!((noisy - clean).abs() < 0.01);
     }
 }

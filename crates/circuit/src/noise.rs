@@ -6,7 +6,7 @@
 //! convert the digital image to its voltage intensity, add the equivalent
 //! noise in the voltage domain, and finally convert it back."*
 
-use crate::psf::gaussian;
+use leca_tensor::NormalStream;
 use rand::Rng;
 
 /// Pixel noise model in the electron domain.
@@ -40,15 +40,27 @@ impl PixelNoise {
     ///
     /// Shot noise is Poisson in the photo-electron count; above ~20 e⁻ the
     /// Gaussian approximation `N(n, √n)` is indistinguishable and far
-    /// cheaper, so that is what we sample.
-    pub fn apply<R: Rng + ?Sized>(&self, x: f32, rng: &mut R) -> f32 {
+    /// cheaper, so that is what we sample. Takes
+    /// [`PixelNoise::normals_per_pixel`] normals from `normals`: the shot
+    /// term's, then the read term's.
+    pub fn apply<R: Rng + ?Sized>(&self, x: f32, normals: &mut NormalStream<'_, R>) -> f32 {
         if !self.full_well_e.is_finite() {
             return x.clamp(0.0, 1.0);
         }
         let electrons = x.clamp(0.0, 1.0) * self.full_well_e;
         let shot_sigma = electrons.max(0.0).sqrt();
-        let noisy = electrons + shot_sigma * gaussian(rng) + self.read_noise_e * gaussian(rng);
+        let noisy = electrons + shot_sigma * normals.draw() + self.read_noise_e * normals.draw();
         (noisy / self.full_well_e).clamp(0.0, 1.0)
+    }
+
+    /// Normals [`PixelNoise::apply`] takes per pixel: two (shot and read)
+    /// with a finite full well, none for the noiseless model.
+    pub fn normals_per_pixel(&self) -> usize {
+        if self.full_well_e.is_finite() {
+            2
+        } else {
+            0
+        }
     }
 
     /// Standard deviation (in normalized pixel units) the model adds at
@@ -89,7 +101,8 @@ mod tests {
     fn none_model_is_identity() {
         let mut rng = StdRng::seed_from_u64(0);
         let n = PixelNoise::none();
-        assert_eq!(n.apply(0.47, &mut rng), 0.47);
+        assert_eq!(n.normals_per_pixel(), 0);
+        assert_eq!(n.apply(0.47, &mut NormalStream::new(&mut rng, 0)), 0.47);
         assert_eq!(n.sigma_at(0.47), 0.0);
         assert_eq!(n.snr_db(0.5), f32::INFINITY);
     }
@@ -113,8 +126,9 @@ mod tests {
     fn empirical_sigma_matches_analytic() {
         let n = PixelNoise::typical();
         let mut rng = StdRng::seed_from_u64(1);
+        let mut normals = NormalStream::new(&mut rng, 8000 * n.normals_per_pixel());
         let x = 0.5;
-        let samples: Vec<f32> = (0..8000).map(|_| n.apply(x, &mut rng)).collect();
+        let samples: Vec<f32> = (0..8000).map(|_| n.apply(x, &mut normals)).collect();
         let mean: f32 = samples.iter().sum::<f32>() / samples.len() as f32;
         let std: f32 =
             (samples.iter().map(|s| (s - mean).powi(2)).sum::<f32>() / samples.len() as f32).sqrt();
@@ -138,8 +152,9 @@ mod tests {
     fn output_stays_in_unit_range() {
         let n = PixelNoise::typical();
         let mut rng = StdRng::seed_from_u64(2);
+        let mut normals = NormalStream::new(&mut rng, 1000 * n.normals_per_pixel());
         for _ in 0..1000 {
-            let v = n.apply(1.0, &mut rng);
+            let v = n.apply(1.0, &mut normals);
             assert!((0.0..=1.0).contains(&v));
         }
     }

@@ -12,9 +12,10 @@ use crate::adc::{AdcModel, AdcResolution};
 use crate::fvf::FvfDevice;
 use crate::noise::ktc_noise_v;
 use crate::params::CircuitParams;
-use crate::psf::{gaussian, PsfDevice};
+use crate::psf::PsfDevice;
 use crate::scm::ScmDevice;
 use crate::{CircuitError, Result};
+use leca_tensor::NormalStream;
 use rand::Rng;
 
 /// Default full-scale differential voltage of the ofmap ADC.
@@ -24,6 +25,17 @@ use rand::Rng;
 /// the code range on that swing. The trained pipeline overrides it (the
 /// quantization boundary is a learned parameter).
 pub const DEFAULT_VFS: f32 = 0.35;
+
+/// Reusable buffers for [`AnalogPe::encode_block`]: the differential
+/// o-buffers, one buffered pixel row and the output codes. A scratch grows
+/// to the largest block it has served and then stops allocating.
+#[derive(Debug, Clone, Default)]
+pub struct BlockScratch {
+    vp: Vec<f32>,
+    vn: Vec<f32>,
+    row_v: Vec<f32>,
+    codes: Vec<i32>,
+}
 
 /// A device-accurate analog PE instance.
 #[derive(Debug, Clone)]
@@ -92,22 +104,25 @@ impl AnalogPe {
     /// * `width` — pixels per row (= i-buffer count = 4 in the paper).
     /// * `weights` — per kernel, one signed weight code per pixel
     ///   (`±(2^mag_bits − 1)` max magnitude), same layout as `pixels`.
-    /// * `rng` — `Some` enables the stochastic noise sources (noisy mode);
-    ///   `None` runs the deterministic device model.
+    /// * `normals` — `Some` enables the stochastic noise sources (noisy
+    ///   mode) and takes [`AnalogPe::normals_per_block`] normals from the
+    ///   stream; `None` runs the deterministic device model.
+    /// * `scratch` — the working buffers, reused across calls.
     ///
-    /// Returns one signed ADC code per kernel.
+    /// Returns one signed ADC code per kernel, held in `scratch`.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidConfig`] for layout mismatches and
     /// propagates stage errors.
-    pub fn encode_block<R: Rng + ?Sized>(
+    pub fn encode_block<'s, R: Rng + ?Sized>(
         &self,
         pixels: &[f32],
         width: usize,
         weights: &[Vec<i32>],
-        mut rng: Option<&mut R>,
-    ) -> Result<Vec<i32>> {
+        mut normals: Option<&mut NormalStream<'_, R>>,
+        scratch: &'s mut BlockScratch,
+    ) -> Result<&'s [i32]> {
         if width == 0 || !pixels.len().is_multiple_of(width) {
             return Err(CircuitError::InvalidConfig(format!(
                 "pixel block of {} values is not rows x {width}",
@@ -125,26 +140,34 @@ impl AnalogPe {
         }
         let rows = pixels.len() / width;
         let max_code = self.params.max_weight_code();
+        let BlockScratch {
+            vp,
+            vn,
+            row_v,
+            codes,
+        } = scratch;
 
         // Differential o-buffers per kernel, reset to VCM.
-        let mut vp = vec![self.params.vcm; weights.len()];
-        let mut vn = vec![self.params.vcm; weights.len()];
+        vp.clear();
+        vp.resize(weights.len(), self.params.vcm);
+        vn.clear();
+        vn.resize(weights.len(), self.params.vcm);
 
         // Input-stationary dataflow: buffer one ifmap row, sweep kernels.
         for r in 0..rows {
             // i-buffer sampling (kTC noise when noisy).
-            let mut row_v = Vec::with_capacity(width);
+            row_v.clear();
             for c in 0..width {
                 let x = pixels[r * width + c].clamp(0.0, 1.0);
                 let mut v = self.params.pixel_to_voltage(x);
-                if let Some(rng) = rng.as_deref_mut() {
-                    v += ktc_noise_v(self.params.c_ibuf_ff) * gaussian(rng);
+                if let Some(normals) = normals.as_deref_mut() {
+                    v += ktc_noise_v(self.params.c_ibuf_ff) * normals.draw();
                 }
                 // PSF buffers the i-buffer voltage into the SCM.
                 let (lo, hi) = self.psf.input_window();
                 let v = v.clamp(lo, hi);
-                let buffered = match rng.as_deref_mut() {
-                    Some(rng) => self.psf.transfer_noisy(v, rng)?,
+                let buffered = match normals.as_deref_mut() {
+                    Some(normals) => self.psf.transfer_noisy(v, normals)?,
                     None => self.psf.transfer(v)?,
                 };
                 row_v.push(buffered);
@@ -158,8 +181,8 @@ impl AnalogPe {
                     }
                     let mag = w.unsigned_abs().min(max_code as u32);
                     let acc = if w > 0 { &mut vp[k] } else { &mut vn[k] };
-                    *acc = match rng.as_deref_mut() {
-                        Some(rng) => self.scm.step_noisy(*acc, vin, mag, rng)?,
+                    *acc = match normals.as_deref_mut() {
+                        Some(normals) => self.scm.step_noisy(*acc, vin, mag, normals)?,
                         None => self.scm.step(*acc, vin, mag)?,
                     };
                 }
@@ -167,31 +190,37 @@ impl AnalogPe {
         }
 
         // FVF + differential ADC per kernel.
-        let mut codes = Vec::with_capacity(weights.len());
+        codes.clear();
         for k in 0..weights.len() {
-            let (bp, bn) = match rng.as_deref_mut() {
-                Some(rng) => {
-                    let bp = self
-                        .fvf
-                        .transfer_noisy(vp[k].clamp(0.0, self.params.vdd), rng)?;
-                    let bn = self
-                        .fvf
-                        .transfer_noisy(vn[k].clamp(0.0, self.params.vdd), rng)?;
-                    (bp, bn)
+            let (vp, vn) = (
+                vp[k].clamp(0.0, self.params.vdd),
+                vn[k].clamp(0.0, self.params.vdd),
+            );
+            let code = match normals.as_deref_mut() {
+                Some(normals) => {
+                    let bp = self.fvf.transfer_noisy(vp, normals)?;
+                    let bn = self.fvf.transfer_noisy(vn, normals)?;
+                    self.adc.quantize_noisy(bp - bn, normals)
                 }
-                None => {
-                    let bp = self.fvf.transfer(vp[k].clamp(0.0, self.params.vdd))?;
-                    let bn = self.fvf.transfer(vn[k].clamp(0.0, self.params.vdd))?;
-                    (bp, bn)
-                }
-            };
-            let code = match rng.as_deref_mut() {
-                Some(rng) => self.adc.quantize_noisy(bp - bn, rng),
-                None => self.adc.quantize(bp - bn),
+                None => self
+                    .adc
+                    .quantize(self.fvf.transfer(vp)? - self.fvf.transfer(vn)?),
             };
             codes.push(code);
         }
         Ok(codes)
+    }
+
+    /// Normals one noisy [`AnalogPe::encode_block`] call takes for a block
+    /// of `pixels` values under `weights`: two per pixel (kTC, PSF), one
+    /// per nonzero weight code (the SCM step; a zero code transfers no
+    /// charge) and three per kernel (both FVFs, the ADC comparator).
+    pub fn normals_per_block(pixels: usize, weights: &[Vec<i32>]) -> usize {
+        let nonzero: usize = weights
+            .iter()
+            .map(|w| w.iter().filter(|&&c| c != 0).count())
+            .sum();
+        2 * pixels + nonzero + 3 * weights.len()
     }
 
     /// Normal sensing mode: bypasses the PE and digitizes one pixel at
@@ -217,6 +246,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The deterministic chain's codes for one block.
+    fn clean(pe: &AnalogPe, pixels: &[f32], weights: &[Vec<i32>]) -> Vec<i32> {
+        pe.encode_block::<StdRng>(pixels, 4, weights, None, &mut BlockScratch::default())
+            .unwrap()
+            .to_vec()
+    }
+
     fn pe(q: f32) -> AnalogPe {
         AnalogPe::typical(
             &CircuitParams::paper_65nm(),
@@ -230,9 +266,7 @@ mod tests {
         let pe = pe(4.0);
         let pixels = vec![0.5; 16];
         let weights = vec![vec![0i32; 16]];
-        let codes = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap();
+        let codes = clean(&pe, &pixels, &weights);
         assert_eq!(codes, vec![0]);
     }
 
@@ -240,12 +274,8 @@ mod tests {
     fn positive_weights_respond_to_brightness() {
         let pe = pe(4.0);
         let weights = vec![vec![8i32; 16]];
-        let dark = pe
-            .encode_block::<StdRng>(&[0.05; 16], 4, &weights, None)
-            .unwrap()[0];
-        let bright = pe
-            .encode_block::<StdRng>(&[0.95; 16], 4, &weights, None)
-            .unwrap()[0];
+        let dark = clean(&pe, &[0.05; 16], &weights)[0];
+        let bright = clean(&pe, &[0.95; 16], &weights)[0];
         // Charge-domain MAC inverts: brighter pixels pull the accumulator
         // down (2·V_CM − V_in), so the bright code is lower.
         assert!(bright < dark, "bright {bright} !< dark {dark}");
@@ -258,8 +288,8 @@ mod tests {
         let wpos = vec![vec![9i32; 16]];
         let wneg = vec![vec![-9i32; 16]];
         let pixels: Vec<f32> = (0..16).map(|i| i as f32 / 15.0).collect();
-        let cp = pe.encode_block::<StdRng>(&pixels, 4, &wpos, None).unwrap()[0];
-        let cn = pe.encode_block::<StdRng>(&pixels, 4, &wneg, None).unwrap()[0];
+        let cp = clean(&pe, &pixels, &wpos)[0];
+        let cn = clean(&pe, &pixels, &wneg)[0];
         // Sign routing swaps the differential pair: codes mirror to within
         // one LSB (charge injection is common-mode but transfer loss isn't
         // perfectly symmetric).
@@ -276,9 +306,7 @@ mod tests {
             vec![0i32; 16],
             vec![12i32; 16],
         ];
-        let codes = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap();
+        let codes = clean(&pe, &pixels, &weights);
         assert_eq!(codes.len(), 4);
         assert_eq!(codes[2], 0);
         assert!((codes[0] + codes[1]).abs() <= 1);
@@ -289,16 +317,18 @@ mod tests {
         let pe = pe(4.0);
         let pixels = vec![0.4; 16];
         let weights = vec![vec![10i32; 16]];
-        let clean = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let clean = clean(&pe, &pixels, &weights)[0];
         let mut rng = StdRng::seed_from_u64(0);
+        let mut normals =
+            NormalStream::new(&mut rng, 50 * AnalogPe::normals_per_block(16, &weights));
+        let mut scratch = BlockScratch::default();
         let noisy: Vec<i32> = (0..50)
             .map(|_| {
-                pe.encode_block(&pixels, 4, &weights, Some(&mut rng))
+                pe.encode_block(&pixels, 4, &weights, Some(&mut normals), &mut scratch)
                     .unwrap()[0]
             })
             .collect();
+        assert_eq!(normals.remaining(), 0);
         let mean: f32 = noisy.iter().map(|&c| c as f32).sum::<f32>() / noisy.len() as f32;
         assert!(
             (mean - clean as f32).abs() <= 1.0,
@@ -310,12 +340,8 @@ mod tests {
     fn ternary_mode_emits_signs() {
         let pe = pe(1.5);
         let weights = vec![vec![15i32; 16]];
-        let dark = pe
-            .encode_block::<StdRng>(&[0.0; 16], 4, &weights, None)
-            .unwrap()[0];
-        let bright = pe
-            .encode_block::<StdRng>(&[1.0; 16], 4, &weights, None)
-            .unwrap()[0];
+        let dark = clean(&pe, &[0.0; 16], &weights)[0];
+        let bright = clean(&pe, &[1.0; 16], &weights)[0];
         assert_eq!(dark, 1);
         assert_eq!(bright, -1);
     }
@@ -323,14 +349,15 @@ mod tests {
     #[test]
     fn layout_validation() {
         let pe = pe(4.0);
+        let mut s = BlockScratch::default();
         assert!(pe
-            .encode_block::<StdRng>(&[0.5; 15], 4, &[vec![0; 15]], None)
+            .encode_block::<StdRng>(&[0.5; 15], 4, &[vec![0; 15]], None, &mut s)
             .is_err());
         assert!(pe
-            .encode_block::<StdRng>(&[0.5; 16], 4, &[vec![0; 12]], None)
+            .encode_block::<StdRng>(&[0.5; 16], 4, &[vec![0; 12]], None, &mut s)
             .is_err());
         assert!(pe
-            .encode_block::<StdRng>(&[0.5; 16], 0, &[vec![0; 16]], None)
+            .encode_block::<StdRng>(&[0.5; 16], 0, &[vec![0; 16]], None, &mut s)
             .is_err());
     }
 
@@ -347,12 +374,8 @@ mod tests {
             for base in [0.1f32, 0.35, 0.6, 0.85] {
                 let pixels: Vec<f32> = (0..16).map(|i| base + i as f32 / 160.0).collect();
                 let weights = vec![vec![w; 16]];
-                let ca = a
-                    .encode_block::<StdRng>(&pixels, 4, &weights, None)
-                    .unwrap();
-                let cb = b
-                    .encode_block::<StdRng>(&pixels, 4, &weights, None)
-                    .unwrap();
+                let ca = clean(&a, &pixels, &weights);
+                let cb = clean(&b, &pixels, &weights);
                 any_differ |= ca != cb;
             }
         }
@@ -380,13 +403,9 @@ mod tests {
         let mut pe = pe(4.0);
         let pixels = vec![0.15; 16];
         let weights = vec![vec![6i32; 16]];
-        let before = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let before = clean(&pe, &pixels, &weights)[0];
         pe.set_adc_vfs(0.08).unwrap();
-        let after = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let after = clean(&pe, &pixels, &weights)[0];
         assert!(after.abs() >= before.abs());
         assert!(pe.set_adc_vfs(-1.0).is_err());
     }

@@ -10,6 +10,7 @@
 
 use crate::params::CircuitParams;
 use crate::{CircuitError, Result};
+use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
 /// Nominal (typical-corner) PSF parameters.
@@ -79,8 +80,8 @@ impl PsfDevice {
     /// Samples a Monte-Carlo mismatch instance.
     pub fn sample<R: Rng + ?Sized>(params: &CircuitParams, rng: &mut R) -> Self {
         let mut d = PsfDevice::typical(params);
-        d.gain_err = SIGMA_GAIN * gaussian(rng);
-        d.offset_err = SIGMA_OFFSET * gaussian(rng);
+        d.gain_err = SIGMA_GAIN * standard_normal(rng);
+        d.offset_err = SIGMA_OFFSET * standard_normal(rng);
         d
     }
 
@@ -111,14 +112,19 @@ impl PsfDevice {
         Ok(lin + bend)
     }
 
-    /// Noisy device transfer: adds input-dependent thermal noise.
+    /// Noisy device transfer: adds input-dependent thermal noise, one
+    /// normal from `normals`.
     ///
     /// # Errors
     ///
     /// See [`PsfDevice::transfer`].
-    pub fn transfer_noisy<R: Rng + ?Sized>(&self, v_in: f32, rng: &mut R) -> Result<f32> {
+    pub fn transfer_noisy<R: Rng + ?Sized>(
+        &self,
+        v_in: f32,
+        normals: &mut NormalStream<'_, R>,
+    ) -> Result<f32> {
         let clean = self.transfer(v_in)?;
-        Ok(clean + self.noise_sigma(v_in) * gaussian(rng))
+        Ok(clean + self.noise_sigma(v_in) * normals.draw())
     }
 
     /// Input-dependent noise sigma (V), as in the paper's
@@ -126,14 +132,6 @@ impl PsfDevice {
     pub fn noise_sigma(&self, v_in: f32) -> f32 {
         NOISE_FLOOR + NOISE_SLOPE * ((v_in - self.v_lo) / (self.v_hi - self.v_lo)).clamp(0.0, 1.0)
     }
-}
-
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    // Box–Muller; duplicated from leca-tensor to keep this crate
-    // dependency-free of the tensor stack.
-    let u1: f32 = 1.0 - rng.gen::<f32>();
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -217,9 +215,10 @@ mod tests {
         let p = params();
         let d = PsfDevice::typical(&p);
         let mut rng = StdRng::seed_from_u64(1);
+        let mut normals = NormalStream::new(&mut rng, 2000);
         let clean = d.transfer(0.6).unwrap();
         let mean: f32 = (0..2000)
-            .map(|_| d.transfer_noisy(0.6, &mut rng).unwrap())
+            .map(|_| d.transfer_noisy(0.6, &mut normals).unwrap())
             .sum::<f32>()
             / 2000.0;
         assert!((mean - clean).abs() < 1e-4);

@@ -20,8 +20,8 @@
 //! gain error and per-code capacitor mismatch.
 
 use crate::params::CircuitParams;
-use crate::psf::gaussian;
 use crate::{CircuitError, Result};
+use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
 /// Fraction of sampled charge lost to parasitics in the device model.
@@ -127,7 +127,9 @@ impl ScmDevice {
         let mut d = ScmDevice::typical(params);
         let bits = params.weight_mag_bits as usize;
         // One error per binary-weighted unit in the capacitor DAC.
-        let unit_errs: Vec<f32> = (0..bits).map(|_| SIGMA_CAP * gaussian(rng)).collect();
+        let unit_errs: Vec<f32> = (0..bits)
+            .map(|_| SIGMA_CAP * standard_normal(rng))
+            .collect();
         for code in 0..d.cap_err.len() {
             let mut total = 0.0f32;
             let mut weight_sum = 0.0f32;
@@ -179,7 +181,8 @@ impl ScmDevice {
         Ok(ideal + self.charge_injection)
     }
 
-    /// One noisy device MAC cycle (adds per-step kTC/switch noise).
+    /// One noisy device MAC cycle (adds per-step kTC/switch noise): one
+    /// normal from `normals`, none for a zero code (no transfer happens).
     ///
     /// # Errors
     ///
@@ -189,13 +192,13 @@ impl ScmDevice {
         v_out_prev: f32,
         v_in: f32,
         magnitude: u32,
-        rng: &mut R,
+        normals: &mut NormalStream<'_, R>,
     ) -> Result<f32> {
         let clean = self.step(v_out_prev, v_in, magnitude)?;
         if magnitude == 0 {
             return Ok(clean);
         }
-        Ok(clean + STEP_NOISE * gaussian(rng))
+        Ok(clean + STEP_NOISE * normals.draw())
     }
 
     /// Output-referred per-step noise sigma (V).
@@ -291,7 +294,8 @@ mod tests {
         let d = ScmDevice::typical(&p);
         assert_eq!(d.step(0.61, 0.9, 0).unwrap(), 0.61);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(d.step_noisy(0.61, 0.9, 0, &mut rng).unwrap(), 0.61);
+        let mut normals = NormalStream::new(&mut rng, 0);
+        assert_eq!(d.step_noisy(0.61, 0.9, 0, &mut normals).unwrap(), 0.61);
     }
 
     #[test]
@@ -311,9 +315,10 @@ mod tests {
         let p = CircuitParams::paper_65nm();
         let d = ScmDevice::typical(&p);
         let mut rng = StdRng::seed_from_u64(2);
+        let mut normals = NormalStream::new(&mut rng, 2000);
         let clean = d.step(0.6, 0.8, 8).unwrap();
         let mean: f32 = (0..2000)
-            .map(|_| d.step_noisy(0.6, 0.8, 8, &mut rng).unwrap())
+            .map(|_| d.step_noisy(0.6, 0.8, 8, &mut normals).unwrap())
             .sum::<f32>()
             / 2000.0;
         assert!((mean - clean).abs() < 5e-5);

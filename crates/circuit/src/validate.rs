@@ -9,7 +9,7 @@
 use crate::adc::{AdcModel, AdcResolution};
 use crate::fvf::FvfModel;
 use crate::params::CircuitParams;
-use crate::pe::AnalogPe;
+use crate::pe::{AnalogPe, BlockScratch};
 use crate::psf::PsfModel;
 use crate::scm::ScmModel;
 use crate::Result;
@@ -74,7 +74,8 @@ fn device_chain(params: &CircuitParams, pixel: f32, w_code: u32, n_macs: usize) 
     pe.set_adc_vfs(FIG8_VFS)?;
     let pixels = vec![pixel; n_macs];
     let weights = vec![vec![w_code as i32; n_macs]];
-    let codes = pe.encode_block::<StdRng>(&pixels, 4, &weights, None)?;
+    let mut scratch = BlockScratch::default();
+    let codes = pe.encode_block::<StdRng>(&pixels, 4, &weights, None, &mut scratch)?;
     Ok(codes[0])
 }
 

@@ -36,7 +36,7 @@ use leca_circuit::scm::ScmModel;
 use leca_circuit::CircuitParams;
 use leca_nn::quant::signed_magnitude_quantize;
 use leca_nn::{Layer, Mode, NnError, Param};
-use leca_tensor::{ops, standard_normal, PooledTensor, Tensor, Workspace};
+use leca_tensor::{ops, NormalStream, PooledTensor, Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -382,29 +382,20 @@ impl LecaEncoder {
         )?)
     }
 
-    /// PSF transfer + slope in the current modality.
-    fn psf_eval(&mut self, vpix: f32, noisy: bool) -> (f32, f32) {
-        if noisy {
-            let mean = self.psf_lut.value(vpix);
-            let sigma = self.psf_lut.sigma(vpix);
-            let v = mean + sigma * standard_normal(&mut self.rng);
-            (v, self.psf_lut.slope(vpix))
-        } else {
-            (self.psf.transfer(vpix), self.psf.gain)
+    /// PSF transfer in the current modality: with `normals` (noisy) the
+    /// Monte-Carlo `N(LUT(v), σ(v))` model, taking one normal.
+    fn psf_eval(&self, vpix: f32, normals: Option<&mut NormalStream<'_, StdRng>>) -> f32 {
+        match normals {
+            Some(normals) => self.psf_lut.value(vpix) + self.psf_lut.sigma(vpix) * normals.draw(),
+            None => self.psf.transfer(vpix),
         }
     }
 
-    /// FVF transfer + slope in the current modality.
-    fn fvf_eval(&mut self, v: f32, noisy: bool) -> (f32, f32) {
-        if noisy {
-            let mean = self.fvf_lut.value(v);
-            let sigma = self.fvf_lut.sigma(v);
-            (
-                mean + sigma * standard_normal(&mut self.rng),
-                self.fvf_lut.slope(v),
-            )
-        } else {
-            (self.fvf.transfer(v), self.fvf.gain)
+    /// FVF transfer in the current modality; see [`Self::psf_eval`].
+    fn fvf_eval(&self, v: f32, normals: Option<&mut NormalStream<'_, StdRng>>) -> f32 {
+        match normals {
+            Some(normals) => self.fvf_lut.value(v) + self.fvf_lut.sigma(v) * normals.draw(),
+            None => self.fvf.transfer(v),
         }
     }
 
@@ -456,6 +447,19 @@ impl LecaEncoder {
             }
         }
 
+        // Noisy normals per block, in the order the loops below take them:
+        // per MAC step the pixel's shot and read noise and the PSF's, then
+        // per kernel one per nonzero-capacitance step and the two FVFs' and
+        // the comparator's.
+        let pixel_normals = self.pixel_noise.normals_per_pixel();
+        let nonzero_steps = cs.iter().filter(|&&c| c > 0.0).count();
+        let block_normals = 16 * (pixel_normals + 1) + nonzero_steps + 3 * n_ch;
+        let total_normals = n * blocks * block_normals;
+        // The stream draws from a copy of the encoder's generator so the
+        // loops can still borrow `self`; the copy is stored back below.
+        let mut rng = self.rng.clone();
+        let mut normals = noisy.then(|| NormalStream::new(&mut rng, total_normals));
+
         let schedule = self.schedule;
         let mut vpix = vec![0.0f32; n * blocks * 16];
         let mut vin = vec![0.0f32; n * blocks * 16];
@@ -472,8 +476,8 @@ impl LecaEncoder {
                     // Stage 1: pixel → i-buffer → PSF, shared by kernels.
                     for (j, step) in schedule.iter().enumerate() {
                         let mut px = x.at4(ni, step.c, by * 2 + step.dy, bx * 2 + step.dx);
-                        if noisy {
-                            px = self.pixel_noise.apply(px, &mut self.rng);
+                        if let Some(normals) = normals.as_mut() {
+                            px = self.pixel_noise.apply(px, normals);
                         }
                         if faulty {
                             // Map MAC step j onto the raw-Bayer photosite
@@ -489,8 +493,7 @@ impl LecaEncoder {
                         let v = self.params.pixel_to_voltage(px).clamp(win_lo, win_hi);
                         let idx = (ni * blocks + b) * 16 + j;
                         vpix[idx] = v;
-                        let (buffered, _) = self.psf_eval(v, noisy);
-                        vin[idx] = buffered;
+                        vin[idx] = self.psf_eval(v, normals.as_mut());
                     }
                     // Stage 2: per-kernel MAC chains on the differential
                     // o-buffers.
@@ -504,9 +507,8 @@ impl LecaEncoder {
                             if cs[ks] > 0.0 {
                                 let mut v =
                                     self.scm.step(*acc, vin[(ni * blocks + b) * 16 + j], cs[ks]);
-                                if noisy {
-                                    v += CHARGE_INJECTION
-                                        + SCM_STEP_NOISE * standard_normal(&mut self.rng);
+                                if let Some(normals) = normals.as_mut() {
+                                    v += CHARGE_INJECTION + SCM_STEP_NOISE * normals.draw();
                                 }
                                 *acc = v;
                             }
@@ -515,11 +517,11 @@ impl LecaEncoder {
                         vp[kb] = acc_p;
                         vn[kb] = acc_n;
                         // Stage 3: FVF + ADC.
-                        let (bp, _) = self.fvf_eval(acc_p, noisy);
-                        let (bn, _) = self.fvf_eval(acc_n, noisy);
+                        let bp = self.fvf_eval(acc_p, normals.as_mut());
+                        let bn = self.fvf_eval(acc_n, normals.as_mut());
                         let mut vdiff = bp - bn;
-                        if noisy {
-                            vdiff += ADC_NOISE * standard_normal(&mut self.rng);
+                        if let Some(normals) = normals.as_mut() {
+                            vdiff += ADC_NOISE * normals.draw();
                         }
                         let uu = vdiff / vfs;
                         u[kb] = uu;
@@ -531,6 +533,15 @@ impl LecaEncoder {
                     }
                 }
             }
+        }
+
+        if let Some(normals) = normals {
+            assert_eq!(
+                normals.remaining(),
+                0,
+                "leca_encoder: the noisy chain left normals of its {total_normals} untaken"
+            );
+            self.rng = rng;
         }
 
         if mode.is_train() {

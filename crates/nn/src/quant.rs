@@ -8,7 +8,6 @@
 //! in `leca-core`.
 
 use crate::{NnError, Result};
-use leca_tensor::Tensor;
 
 /// A quantization bit depth, including the paper's 1.5-bit (ternary) mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,29 +73,16 @@ pub fn quantize_uniform(x: f32, lo: f32, hi: f32, levels: usize) -> f32 {
     lo + ((x - lo) / step).round() * step
 }
 
-/// Quantizes a weight tensor to signed magnitude codes with `mag_bits`
-/// magnitude bits (the SCM's ±4-bit precision), STE-style.
-///
-/// Returns the quantized tensor; values are snapped to
-/// `scale * k / (2^mag_bits - 1)` for integer `k` in `[-(2^mag_bits - 1),
-/// 2^mag_bits - 1]`.
-pub fn quantize_signed_magnitude(w: &Tensor, mag_bits: u32, scale: f32) -> Tensor {
-    let max_code = ((1u32 << mag_bits) - 1) as f32;
-    w.map(|v| {
-        let clipped = v.clamp(-scale, scale);
-        let code = (clipped / scale * max_code).round();
-        code / max_code * scale
-    })
-}
-
-/// The signed-magnitude code grid used by [`quantize_signed_magnitude`].
+/// The signed-magnitude weight code of `v` with `mag_bits` magnitude bits
+/// (the SCM's ±4-bit precision): `v` clamped to `±scale`, then rounded to
+/// an integer `k` in `[-(2^mag_bits - 1), 2^mag_bits - 1]`.
 pub fn signed_magnitude_code(v: f32, mag_bits: u32, scale: f32) -> i32 {
     let max_code = ((1u32 << mag_bits) - 1) as f32;
     (v.clamp(-scale, scale) / scale * max_code).round() as i32
 }
 
-/// Scalar form of [`quantize_signed_magnitude`] for hot loops (no tensor
-/// allocation per element).
+/// `v` snapped to the signed-magnitude grid: the value
+/// `scale * k / (2^mag_bits - 1)` of its [`signed_magnitude_code`] `k`.
 pub fn signed_magnitude_quantize(v: f32, mag_bits: u32, scale: f32) -> f32 {
     let max_code = ((1u32 << mag_bits) - 1) as f32;
     (v.clamp(-scale, scale) / scale * max_code).round() / max_code * scale
@@ -146,26 +132,28 @@ mod tests {
 
     #[test]
     fn signed_magnitude_grid() {
-        let w = Tensor::from_slice(&[0.5, -0.5, 0.04, 2.0]);
-        let q = quantize_signed_magnitude(&w, 4, 1.0);
+        let q = [0.5, -0.5, 0.04, 2.0].map(|v| signed_magnitude_quantize(v, 4, 1.0));
         // Grid step is 1/15.
-        assert!(
-            (q.as_slice()[0] - 7.0 / 15.0).abs() < 1e-6
-                || (q.as_slice()[0] - 8.0 / 15.0).abs() < 1e-6
-        );
-        assert_eq!(q.as_slice()[1], -q.as_slice()[0]);
-        assert_eq!(q.as_slice()[3], 1.0, "clamps to scale");
+        assert!((q[0] - 7.0 / 15.0).abs() < 1e-6 || (q[0] - 8.0 / 15.0).abs() < 1e-6);
+        assert_eq!(q[1], -q[0]);
+        assert_eq!(q[2], 1.0 / 15.0);
+        assert_eq!(q[3], 1.0, "clamps to scale");
         assert_eq!(signed_magnitude_code(1.0, 4, 1.0), 15);
         assert_eq!(signed_magnitude_code(-1.0, 4, 1.0), -15);
         assert_eq!(signed_magnitude_code(0.0, 4, 1.0), 0);
     }
 
     #[test]
-    fn scalar_quantize_matches_tensor_form() {
+    fn quantized_value_is_the_code_on_the_grid() {
         for i in 0..200 {
             let v = (i as f32 - 100.0) / 80.0; // spans beyond ±1
-            let t = quantize_signed_magnitude(&Tensor::from_slice(&[v]), 4, 1.0).as_slice()[0];
-            assert_eq!(signed_magnitude_quantize(v, 4, 1.0), t, "v = {v}");
+            let k = signed_magnitude_code(v, 4, 1.0);
+            assert!(k.abs() <= 15, "v = {v}");
+            assert_eq!(
+                signed_magnitude_quantize(v, 4, 1.0),
+                k as f32 / 15.0,
+                "v = {v}"
+            );
         }
     }
 }

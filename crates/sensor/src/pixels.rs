@@ -8,6 +8,7 @@ use crate::geometry::SensorGeometry;
 use crate::{Result, SensorError};
 use leca_circuit::fault::FaultPlan;
 use leca_circuit::noise::PixelNoise;
+use leca_tensor::NormalStream;
 use rand::Rng;
 
 /// The pixel plane: geometry plus the noise operating point.
@@ -58,22 +59,37 @@ impl PixelArray {
     }
 
     /// Exposes the array to `scene` (row-major, `rows*cols` values in
-    /// `[0, 1]`), returning sampled pixel values.
+    /// `[0, 1]`), returning sampled pixel values. Takes
+    /// [`PixelArray::exposure_normals`] normals from `normals`, photosite
+    /// by photosite in row-major order.
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::FrameShapeMismatch`] when the scene size does
     /// not match the array.
-    pub fn expose<R: Rng + ?Sized>(&self, scene: &[f32], rng: &mut R) -> Result<Vec<f32>> {
+    pub fn expose<R: Rng + ?Sized>(
+        &self,
+        scene: &[f32],
+        normals: &mut NormalStream<'_, R>,
+    ) -> Result<Vec<f32>> {
         if scene.len() != self.rows * self.cols {
             return Err(SensorError::FrameShapeMismatch {
                 expected: self.rows * self.cols,
                 actual: scene.len(),
             });
         }
-        let mut out: Vec<f32> = scene.iter().map(|&x| self.noise.apply(x, rng)).collect();
+        let mut out: Vec<f32> = scene
+            .iter()
+            .map(|&x| self.noise.apply(x, normals))
+            .collect();
         self.apply_faults(&mut out);
         Ok(out)
+    }
+
+    /// Normals one noisy [`PixelArray::expose`] takes: the noise model's
+    /// per-pixel count for every photosite.
+    pub fn exposure_normals(&self) -> usize {
+        self.rows * self.cols * self.noise.normals_per_pixel()
     }
 
     /// Noiseless exposure (clamps only); used by deterministic experiments.
@@ -124,10 +140,12 @@ mod tests {
         let a = array();
         let scene = vec![0.5f32; 64];
         let mut rng = StdRng::seed_from_u64(0);
+        let mut normals = NormalStream::new(&mut rng, 200 * a.exposure_normals());
         let mut acc = 0.0;
         for _ in 0..200 {
-            acc += a.expose(&scene, &mut rng).unwrap().iter().sum::<f32>() / 64.0;
+            acc += a.expose(&scene, &mut normals).unwrap().iter().sum::<f32>() / 64.0;
         }
+        assert_eq!(normals.remaining(), 0);
         assert!((acc / 200.0 - 0.5).abs() < 5e-3);
     }
 
@@ -136,7 +154,7 @@ mod tests {
         let a = array();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
-            a.expose(&vec![0.0; 63], &mut rng),
+            a.expose(&vec![0.0; 63], &mut NormalStream::new(&mut rng, 0)),
             Err(SensorError::FrameShapeMismatch {
                 expected: 64,
                 actual: 63
@@ -162,7 +180,9 @@ mod tests {
         let a = array().with_noise(PixelNoise::none());
         let scene: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(a.expose(&scene, &mut rng).unwrap(), scene);
+        assert_eq!(a.exposure_normals(), 0);
+        let mut normals = NormalStream::new(&mut rng, 0);
+        assert_eq!(a.expose(&scene, &mut normals).unwrap(), scene);
         assert_eq!(a.dims(), (8, 8));
     }
 }

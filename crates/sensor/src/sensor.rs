@@ -7,8 +7,9 @@ use crate::timing::TimingModel;
 use crate::{Result, SensorError};
 use leca_circuit::adc::AdcResolution;
 use leca_circuit::fault::FaultPlan;
-use leca_circuit::pe::AnalogPe;
+use leca_circuit::pe::{AnalogPe, BlockScratch};
 use leca_circuit::CircuitParams;
+use leca_tensor::NormalStream;
 use rand::Rng;
 
 /// Raw pixels per PE block (4x4).
@@ -81,6 +82,9 @@ pub struct LecaSensor {
     /// Weights as stored in the (possibly faulty) SRAM: `weights` with the
     /// fault plan's bit flips applied. What `capture` actually uses.
     effective_weights: Option<Vec<Vec<i32>>>,
+    /// Normals one noisy PE block readout (every pass) takes under
+    /// `effective_weights`; 0 before weights are programmed.
+    block_normals: usize,
     /// Permanent hardware defects; [`FaultPlan::none`] by default.
     faults: FaultPlan,
 }
@@ -104,6 +108,7 @@ impl LecaSensor {
             pes: vec![AnalogPe::typical(&params, resolution)?],
             weights: None,
             effective_weights: None,
+            block_normals: 0,
             faults: FaultPlan::none(),
         })
     }
@@ -134,6 +139,7 @@ impl LecaSensor {
             pes,
             weights: None,
             effective_weights: None,
+            block_normals: 0,
             faults: FaultPlan::none(),
         })
     }
@@ -166,7 +172,26 @@ impl LecaSensor {
     pub fn set_fault_plan(&mut self, faults: FaultPlan) {
         self.pixels = self.pixels.clone().with_faults(faults.clone());
         self.faults = faults;
-        self.effective_weights = self.weights.as_ref().map(|w| self.faulted_weights(w));
+        if let Some(w) = &self.weights {
+            self.set_effective_weights(self.faulted_weights(w));
+        }
+    }
+
+    /// Installs the weights `capture` uses and counts the normals one
+    /// noisy block readout takes under them.
+    fn set_effective_weights(&mut self, effective: Vec<Vec<i32>>) {
+        self.block_normals = effective
+            .chunks(KERNELS_PER_PASS)
+            .map(|chunk| AnalogPe::normals_per_block(BLOCK_PIXELS, chunk))
+            .sum();
+        self.effective_weights = Some(effective);
+    }
+
+    /// Normals one noisy [`LecaSensor::capture`] takes: the exposure's
+    /// (none with a noiseless pixel array), then every PE block's.
+    fn frame_normals(&self) -> usize {
+        let (oh, ow) = self.geometry.ofmap_dims();
+        self.pixels.exposure_normals() + oh * ow * self.block_normals
     }
 
     /// Applies the plan's SRAM bit flips to pristine weight codes.
@@ -217,7 +242,7 @@ impl LecaSensor {
                 )));
             }
         }
-        self.effective_weights = Some(self.faulted_weights(&weights));
+        self.set_effective_weights(self.faulted_weights(&weights));
         self.weights = Some(weights);
         Ok(())
     }
@@ -257,6 +282,17 @@ impl LecaSensor {
     /// chain runs (pixel shot/read noise, kTC, stage noise, comparator
     /// dither); with `None` the capture is deterministic.
     ///
+    /// A noisy capture draws the frame's normals from `rng` in batches
+    /// ([`NormalStream`]): exactly as many uniforms, in the same order, as
+    /// one serial Box–Muller draw per noise source would, so `rng` ends
+    /// where that chain would leave it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain took a different number of normals than the
+    /// sensor counted for the frame (a bookkeeping bug, checked in
+    /// release builds too).
+    ///
     /// # Errors
     ///
     /// Returns [`SensorError::WeightShapeMismatch`] when no weights are
@@ -265,7 +301,7 @@ impl LecaSensor {
     pub fn capture<R: Rng + ?Sized>(
         &self,
         scene: &[f32],
-        mut rng: Option<&mut R>,
+        rng: Option<&mut R>,
     ) -> Result<(Ofmap, FrameStats)> {
         let weights = self
             .effective_weights
@@ -273,8 +309,10 @@ impl LecaSensor {
             .ok_or_else(|| SensorError::WeightShapeMismatch("no weights programmed".into()))?;
         let has_faults = !self.faults.is_none();
         let adc_max = self.pes[0].adc().resolution().max_code();
-        let exposed = match rng.as_deref_mut() {
-            Some(rng) => self.pixels.expose(scene, rng)?,
+        let frame_normals = self.frame_normals();
+        let mut normals = rng.map(|rng| NormalStream::new(rng, frame_normals));
+        let exposed = match normals.as_mut() {
+            Some(normals) => self.pixels.expose(scene, normals)?,
             None => self.pixels.expose_ideal(scene)?,
         };
         let (rows, cols) = (self.geometry.rows, self.geometry.cols);
@@ -283,6 +321,7 @@ impl LecaSensor {
         let mut codes = vec![0i32; n_ch * oh * ow];
 
         let mut block = [0.0f32; BLOCK_PIXELS];
+        let mut scratch = BlockScratch::default();
         for gy in 0..oh {
             for gx in 0..ow {
                 for by in 0..COLUMNS_PER_PE {
@@ -303,7 +342,13 @@ impl LecaSensor {
                 let pe = self.pe_for_column(gx);
                 // Repetitive readout: kernels in chunks of 4 per pass.
                 for (pass, chunk) in weights.chunks(KERNELS_PER_PASS).enumerate() {
-                    let out = pe.encode_block(&block, COLUMNS_PER_PE, chunk, rng.as_deref_mut())?;
+                    let out = pe.encode_block(
+                        &block,
+                        COLUMNS_PER_PE,
+                        chunk,
+                        normals.as_mut(),
+                        &mut scratch,
+                    )?;
                     for (i, &code) in out.iter().enumerate() {
                         let k = pass * KERNELS_PER_PASS + i;
                         let code = if has_faults {
@@ -315,6 +360,13 @@ impl LecaSensor {
                     }
                 }
             }
+        }
+        if let Some(normals) = &normals {
+            assert_eq!(
+                normals.remaining(),
+                0,
+                "capture: the chain left normals of the frame's {frame_normals} untaken"
+            );
         }
 
         let stats = FrameStats {
@@ -346,7 +398,10 @@ impl LecaSensor {
         rng: Option<&mut R>,
     ) -> Result<(Vec<u8>, FrameStats)> {
         let exposed = match rng {
-            Some(rng) => self.pixels.expose(scene, rng)?,
+            Some(rng) => {
+                let mut normals = NormalStream::new(rng, self.pixels.exposure_normals());
+                self.pixels.expose(scene, &mut normals)?
+            }
             None => self.pixels.expose_ideal(scene)?,
         };
         let pe = &self.pes[0];

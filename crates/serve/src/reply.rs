@@ -26,6 +26,12 @@ use loom::sync::{Arc, Condvar, Mutex};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A one-shot reply cell. First [`ReplySlot::set`] wins.
+///
+/// The winning `set` runs its `on_delivery` hook under the slot's lock,
+/// before the reply becomes takeable: whoever has taken a reply therefore
+/// also sees what the hook did. The service bumps its resolution counters
+/// there, so a metrics snapshot taken right after [`Ticket::wait`] returns
+/// already counts that request.
 #[derive(Debug, Default)]
 pub struct ReplySlot {
     state: Mutex<Option<Reply>>,
@@ -34,12 +40,15 @@ pub struct ReplySlot {
 
 impl ReplySlot {
     /// Delivers `reply` unless one is already present; returns whether
-    /// this call won.
-    pub fn set(&self, reply: Reply) -> bool {
+    /// this call won. A winning call runs `on_delivery` first, under the
+    /// lock the waiter must take to see the reply; a losing call does not
+    /// run it.
+    pub fn set(&self, reply: Reply, on_delivery: impl FnOnce()) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.is_some() {
             return false;
         }
+        on_delivery();
         *state = Some(reply);
         self.ready.notify_all();
         true
@@ -206,8 +215,10 @@ mod tests {
     #[test]
     fn first_write_wins() {
         let slot = ReplySlot::default();
-        assert!(slot.set(ok(1)));
-        assert!(!slot.set(Err(ServeError::ShuttingDown)));
+        let mut hooks = 0;
+        assert!(slot.set(ok(1), || hooks += 1));
+        assert!(!slot.set(Err(ServeError::ShuttingDown), || hooks += 1));
+        assert_eq!(hooks, 1, "only the winning write runs its hook");
         assert!(slot.is_set());
         assert_eq!(slot.take_blocking(), ok(1));
         assert!(!slot.is_set());
@@ -218,7 +229,7 @@ mod tests {
         let pool = Arc::new(SlotPool::new(1));
         let slot = pool.get();
         let t = Ticket::new(Arc::clone(&slot), Arc::clone(&pool), 7);
-        slot.set(ok(3));
+        slot.set(ok(3), || {});
         drop(slot); // service side releases its handle
         assert_eq!(t.wait(), ok(3));
         assert_eq!(pool.idle(), 1);
@@ -233,10 +244,13 @@ mod tests {
         let pool = Arc::new(SlotPool::new(1));
         let slot = pool.get();
         let t = Ticket::new(Arc::clone(&slot), Arc::clone(&pool), 5);
-        slot.set(ok(2));
+        slot.set(ok(2), || {});
         // The service side still holds its clone when the client consumes.
         assert_eq!(t.wait(), ok(2));
-        assert!(slot.set(ok(8)), "a late write lands in the consumed slot");
+        assert!(
+            slot.set(ok(8), || {}),
+            "a late write lands in the consumed slot"
+        );
         let held = Arc::as_ptr(&slot);
         // While the clone lives, the pooled slot is not handed out.
         let other = pool.get();
@@ -257,7 +271,7 @@ mod tests {
         let t = Ticket::new(Arc::clone(&slot), Arc::clone(&pool), 1);
         assert!(t.wait_for(Duration::from_millis(5)).is_none());
         // A reply delivered later is still observable via the slot.
-        slot.set(ok(9));
+        slot.set(ok(9), || {});
         assert!(slot.is_set());
     }
 

@@ -135,12 +135,13 @@ fn abandon_shard(w: &Worker) {
         Duration::ZERO,
     ) {
         for req in expired.drain(..).chain(batch.drain(..)) {
-            if req.slot.set(Err(ServeError::WorkerFailed {
+            let failure = Err(ServeError::WorkerFailed {
                 attempts: 1,
                 reason: "shard abandoned: session factory failed".to_string(),
-            })) {
+            });
+            req.slot.set(failure, || {
                 w.metrics.worker_failed.fetch_add(1, Ordering::Relaxed);
-            }
+            });
             w.breakers.record(req.tenant, true, now);
         }
     }

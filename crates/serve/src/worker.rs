@@ -161,14 +161,15 @@ impl Pending<'_> {
         let now = Instant::now();
         for (req, &class) in self.batch.drain(..).zip(preds) {
             let waited = now.saturating_duration_since(req.enqueued_at);
-            if req.slot.set(Ok(Verdict {
+            let verdict = Ok(Verdict {
                 class,
                 worker: self.worker,
                 batch_size: n,
-            })) {
+            });
+            req.slot.set(verdict, || {
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 self.metrics.latency.record(waited.as_micros() as u64);
-            }
+            });
             self.breakers.record(req.tenant, false, now);
         }
     }
@@ -179,12 +180,13 @@ impl Pending<'_> {
         let now = Instant::now();
         let attempts = self.attempts.max(1);
         for req in self.batch.drain(..) {
-            if req.slot.set(Err(ServeError::WorkerFailed {
+            let failure = Err(ServeError::WorkerFailed {
                 attempts,
                 reason: reason.to_string(),
-            })) {
+            });
+            req.slot.set(failure, || {
                 self.metrics.worker_failed.fetch_add(1, Ordering::Relaxed);
-            }
+            });
             self.breakers.record(req.tenant, true, now);
         }
     }
@@ -205,9 +207,9 @@ fn answer_expired(expired: &mut Vec<Request>, metrics: &ServeMetrics) {
         let reply: Reply = Err(ServeError::TimedOut {
             waited_us: waited.as_micros() as u64,
         });
-        if req.slot.set(reply) {
+        req.slot.set(reply, || {
             metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-        }
+        });
     }
 }
 

@@ -120,6 +120,41 @@ fn seeded_panic_schedule_replays_exactly() {
 }
 
 #[test]
+fn accounting_balances_the_moment_each_ticket_returns() {
+    // One client with one request in flight at a time: once a ticket's
+    // wait returns, the service must already count that request, whether
+    // it completed, failed (seeded worker panics) or timed out (a zero
+    // deadline expires in the queue).
+    let chaos = ChaosPlan::new(1234).with_worker_panics(0.3);
+    let service = Service::start_with_chaos(base_config(), make_session, chaos).unwrap();
+    let mut paths = [0u32; 3];
+    for i in 0..60u64 {
+        let deadline_us = if i % 4 == 3 { 0 } else { 5_000_000 };
+        let t = service
+            .submit_with_deadline(0, payload(), deadline_us)
+            .unwrap();
+        let reply = t.wait_for(HANG).expect("ticket must resolve");
+        let m = service.metrics();
+        assert_eq!(
+            m.admitted,
+            m.resolved(),
+            "request {i} ({reply:?}) returned before it was counted: {m:?}"
+        );
+        paths[match reply {
+            Ok(_) => 0,
+            Err(ServeError::WorkerFailed { .. }) => 1,
+            Err(ServeError::TimedOut { .. }) => 2,
+            Err(e) => panic!("unexpected reply {e:?}"),
+        }] += 1;
+    }
+    assert!(
+        paths.iter().all(|&n| n > 0),
+        "completed / failed / timed-out counts {paths:?}: every path must run"
+    );
+    service.shutdown();
+}
+
+#[test]
 fn expired_deadlines_time_out_and_never_ride_batches() {
     // A 200 ms latency spike stalls the worker while short-deadline
     // requests from another tenant expire in the queue.

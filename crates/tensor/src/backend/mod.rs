@@ -84,6 +84,7 @@
 //! backend to the scalar oracle.
 
 pub mod scalar;
+pub mod transcendental;
 
 // Miri interprets portable Rust only — the hand-written AVX2 bodies and
 // the compiled AVX2 variants are compiled out under it (and
@@ -446,6 +447,19 @@ backend_kernels! {
     /// the signs of the zeros, so the result does not depend on the order
     /// in which a vectorized fold meets them.
     [scalar, scalar] fn row_max(xs: &[f32]) -> f32;
+    /// Box–Muller transform: `out[i] = √(−2 ln u1[i]) · cos(2π u2[i])`,
+    /// one standard normal per uniform pair, with `u1[i] ∈ (0, 1]` and
+    /// `u2[i] ∈ [0, 1)`. `ln` and `cos` are the owned ports in
+    /// [`transcendental`], bit-identical to glibc's `logf`/`cosf` there, so
+    /// every backend returns the bits the serial `f32::ln`/`f32::cos` chain
+    /// returns on a glibc host. Outside that domain the result is
+    /// unspecified (but still the same on every bit-exact backend).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice lengths differ.
+    [scalar, scalar] fn box_muller(u1: &[f32], u2: &[f32], out: &mut [f32])
+        where u1.len() == out.len(), u2.len() == out.len();
 }
 
 /// How many B row starts a `b_len`-float operand has: row `r` lies inside

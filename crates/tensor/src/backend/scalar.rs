@@ -150,6 +150,15 @@ pub fn row_max(xs: &[f32]) -> f32 {
     xs.iter().copied().fold(f32::NEG_INFINITY, f32::max) + 0.0
 }
 
+/// `out[i] = transcendental::box_muller(u1[i], u2[i])`: branch-free, so
+/// the AVX2 variant runs it 8 wide (4 lanes per `f64` half).
+#[inline]
+pub fn box_muller(u1: &[f32], u2: &[f32], out: &mut [f32]) {
+    for ((o, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
+        *o = super::transcendental::box_muller(a, b);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Int8 tier
 // ---------------------------------------------------------------------

@@ -43,7 +43,7 @@ pub mod runtime_env;
 pub mod workspace;
 
 pub use error::TensorError;
-pub use init::{kaiming_normal, kaiming_uniform, standard_normal, xavier_uniform};
+pub use init::{kaiming_normal, kaiming_uniform, standard_normal, xavier_uniform, NormalStream};
 pub use quant::{QTensor, QuantParams};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -19,7 +19,7 @@ use leca_tensor::ops::{matmul, softmax_rows};
 use leca_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate process-global state (`LECA_BACKEND` and
@@ -91,6 +91,22 @@ fn scalar_is_always_available_and_the_active_choice_is_available() {
         "active backend {} is not available",
         active.name()
     );
+}
+
+/// `len` Box–Muller input pairs as the uniform generator makes them
+/// (`k · 2^-24`), each side led by the extremes `k = 0` and
+/// `k = 2^24 − 1`.
+fn box_muller_inputs(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let u: Vec<f32> = (0..2 * len)
+        .map(|i| match i % len {
+            0 => 0.0,
+            1 => 1.0 - f32::EPSILON / 2.0,
+            _ => rng.gen(),
+        })
+        .collect();
+    let u1 = u[..len].iter().map(|&x| 1.0 - x).collect();
+    (u1, u[len..].to_vec())
 }
 
 /// Every elementwise kernel on every bit-exact backend, bit-for-bit
@@ -184,6 +200,13 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
                 "{name}/exp_sum-sum/len={len}: {gz} vs {wz}"
             );
         }
+
+        // Box–Muller on its domain: the generator's uniforms `k · 2^-24`,
+        // `u1 = 1 − u ∈ (0, 1]` and `u2 = u ∈ [0, 1)`, extremes included.
+        let (u1, u2) = box_muller_inputs(len, seed);
+        be.box_muller(&u1, &u2, &mut got);
+        scalar::box_muller(&u1, &u2, &mut want);
+        assert_bits(&ctx("box_muller"), &got, &want);
 
         let gm = be.row_max(&a);
         let wm = scalar::row_max(&a);

@@ -19,17 +19,20 @@
 //! the `refresh_*` hooks, so they serialize on a mutex.
 
 use leca::circuit::fault::FaultPlan;
+use leca::circuit::noise::PixelNoise;
 use leca::core::config::LecaConfig;
-use leca::core::encoder::Modality;
+use leca::core::deploy::{program_sensor, sensor_encode};
+use leca::core::encoder::{LecaEncoder, Modality};
 use leca::core::pipeline::LecaPipeline;
 use leca::nn::backbone::tiny_cnn;
 use leca::nn::optim::Adam;
 use leca::nn::{Layer, Mode};
+use leca::sensor::{LecaSensor, SensorGeometry};
 use leca::tensor::backend::refresh_backend;
 use leca::tensor::parallel::refresh_num_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
 
 /// Pre-rewrite golden bit patterns (captured on the naive kernels at
@@ -46,6 +49,15 @@ const GOLDEN_FAULTY_LOSS: u32 = 0x3fb3698f;
 /// reproduce this bit pattern — and the f32 goldens above must stay
 /// untouched by the quantization machinery.
 const GOLDEN_INT8_LOGITS_CHECKSUM: u64 = 0xed4e9cb5aa79e081;
+
+/// Noisy sensor-capture goldens, recorded on the serial capture chain
+/// (one Box–Muller draw at a time through std `ln`/`cos`) before capture
+/// drew its normals in batches. `GOLDEN_NOISY_ENCODE` pins a noisy 32x32
+/// `sensor_encode` at two seeds; `GOLDEN_SUCCESSIVE_CAPTURES` pins three
+/// captures on one `StdRng` plus the stream's next word, so it also pins
+/// how many uniforms each capture draws.
+const GOLDEN_NOISY_ENCODE: [u64; 2] = [0xa02e7a07b4bc7594, 0xb74347b3155199c8];
+const GOLDEN_SUCCESSIVE_CAPTURES: u64 = 0x6bc2b8a04352ab8c;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -134,6 +146,73 @@ fn int8_logits_checksum() -> u64 {
     logits
         .iter()
         .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
+}
+
+/// Noisy `sensor_encode` of one 32x32 RGB image through a sensor
+/// programmed from a K = 2, 8-channel encoder (two readout passes), at two
+/// capture seeds.
+fn noisy_encode_checksums() -> [u64; 2] {
+    let cfg = LecaConfig::new(2, 8, 6.0).unwrap();
+    let enc = LecaEncoder::new(&cfg, Modality::Hard, 5).unwrap();
+    let sensor = program_sensor(&enc, 32, 32).unwrap();
+    let img = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut StdRng::seed_from_u64(3));
+    [11, 12].map(|seed| checksum(&sensor_encode(&sensor, &img, true, seed).unwrap()))
+}
+
+/// Three captures on one `StdRng` through a mismatched, faulty 8-bit
+/// sensor whose kernels hold zero codes: two with the typical pixel noise,
+/// one with a noiseless pixel array. Folds every code, then the stream's
+/// next word.
+fn successive_captures_checksum() -> u64 {
+    let geometry = SensorGeometry {
+        rows: 16,
+        cols: 16,
+        n_ch: 8,
+    };
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut sensor = LecaSensor::with_mismatch(geometry, 8.0, &mut rng).unwrap();
+    let weights: Vec<Vec<i32>> = (0..8)
+        .map(|_| (0..16).map(|_| rng.gen_range(-15..16) / 2).collect())
+        .collect();
+    sensor.program_weights(weights).unwrap();
+    sensor.set_fault_plan(FaultPlan::uniform(5, 0.05));
+    let scene: Vec<f32> = (0..256).map(|_| rng.gen()).collect();
+    let mut h = 0u64;
+    for noise in [
+        PixelNoise::typical(),
+        PixelNoise::typical(),
+        PixelNoise::none(),
+    ] {
+        *sensor.pixels_mut() = sensor.pixels_mut().clone().with_noise(noise);
+        let (ofmap, _) = sensor.capture(&scene, Some(&mut rng)).unwrap();
+        for &c in ofmap.codes() {
+            h = h.rotate_left(7) ^ (c as u32 as u64);
+        }
+    }
+    h.rotate_left(7) ^ rng.next_u64()
+}
+
+#[test]
+fn noisy_capture_matches_serial_chain_goldens() {
+    // Capture draws no tensor kernel but the Box–Muller transform, so the
+    // backend leg is the one that matters; threads are crossed for the
+    // matrix's sake.
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let got = with_backend(backend, || {
+                with_threads(threads, || {
+                    (noisy_encode_checksums(), successive_captures_checksum())
+                })
+            });
+            assert_eq!(
+                got,
+                (GOLDEN_NOISY_ENCODE, GOLDEN_SUCCESSIVE_CAPTURES),
+                "noisy capture drifted from the serial-chain goldens at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+            );
+        }
+    }
 }
 
 #[test]
