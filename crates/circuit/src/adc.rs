@@ -11,6 +11,10 @@ use crate::{CircuitError, Result};
 use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
+/// Comparator noise sigma (V) of a device-accurate ADC
+/// ([`AdcModel::device`]).
+pub const DEVICE_NOISE: f32 = 2.5e-4;
+
 /// ADC operating resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdcResolution {
@@ -56,15 +60,6 @@ impl AdcResolution {
         match self {
             AdcResolution::Ternary => 1.5,
             AdcResolution::Sar(n) => *n as f32,
-        }
-    }
-
-    /// Number of SAR bit-cycles one conversion takes (1 for the ternary
-    /// comparator), used by the energy/timing models.
-    pub fn conversion_cycles(&self) -> u32 {
-        match self {
-            AdcResolution::Ternary => 1,
-            AdcResolution::Sar(n) => *n as u32,
         }
     }
 }
@@ -115,7 +110,7 @@ impl AdcModel {
     ) -> Result<Self> {
         let mut adc = AdcModel::new(resolution, v_fs)?;
         adc.offset = 4.0e-4 * standard_normal(rng);
-        adc.noise_sigma = 2.5e-4;
+        adc.noise_sigma = DEVICE_NOISE;
         Ok(adc)
     }
 
@@ -187,11 +182,6 @@ impl AdcModel {
             AdcResolution::Sar(_) => code.clamp(-max, max) as f32 / max as f32 * self.v_fs,
         }
     }
-
-    /// LSB size in volts (full scale divided by the code span).
-    pub fn lsb(&self) -> f32 {
-        2.0 * self.v_fs / (self.resolution.num_codes() as f32 - 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -229,9 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn conversion_cycles() {
-        assert_eq!(AdcResolution::Ternary.conversion_cycles(), 1);
-        assert_eq!(AdcResolution::Sar(8).conversion_cycles(), 8);
+    fn qbit_is_the_bit_depth() {
         assert_eq!(AdcResolution::Ternary.qbit(), 1.5);
         assert_eq!(AdcResolution::Sar(3).qbit(), 3.0);
     }
@@ -275,12 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn lsb_matches_span() {
-        let adc = AdcModel::new(AdcResolution::Sar(4), 0.7).unwrap();
-        assert!((adc.lsb() - 1.4 / 14.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn trainable_boundary_updates() {
         let mut adc = AdcModel::new(AdcResolution::Sar(4), 0.7).unwrap();
         adc.set_v_fs(0.35).unwrap();
@@ -301,7 +283,7 @@ mod tests {
             .collect();
         assert!(codes.iter().all(|&c| c == 3));
         // At a decision boundary the noisy comparator dithers.
-        let boundary = stable + adc.lsb() / 2.0;
+        let boundary = (stable + adc.dequantize(4)) / 2.0;
         let codes: Vec<i32> = (0..200)
             .map(|_| adc.quantize_noisy(boundary, &mut normals))
             .collect();

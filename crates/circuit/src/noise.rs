@@ -72,15 +72,6 @@ impl PixelNoise {
         let electrons = x.clamp(0.0, 1.0) * self.full_well_e;
         (electrons + self.read_noise_e * self.read_noise_e).sqrt() / self.full_well_e
     }
-
-    /// Signal-to-noise ratio in dB at signal level `x`.
-    pub fn snr_db(&self, x: f32) -> f32 {
-        let sigma = self.sigma_at(x);
-        if sigma <= 0.0 {
-            return f32::INFINITY;
-        }
-        20.0 * (x.max(1e-9) / sigma).log10()
-    }
 }
 
 /// kTC (reset) noise sigma in volts for a capacitance in femtofarads at
@@ -104,7 +95,6 @@ mod tests {
         assert_eq!(n.normals_per_pixel(), 0);
         assert_eq!(n.apply(0.47, &mut NormalStream::new(&mut rng, 0)), 0.47);
         assert_eq!(n.sigma_at(0.47), 0.0);
-        assert_eq!(n.snr_db(0.5), f32::INFINITY);
     }
 
     #[test]
@@ -138,14 +128,6 @@ mod tests {
             (std - expected).abs() / expected < 0.1,
             "{std} vs {expected}"
         );
-    }
-
-    #[test]
-    fn snr_improves_with_light() {
-        let n = PixelNoise::typical();
-        assert!(n.snr_db(0.9) > n.snr_db(0.1));
-        // Peak SNR of a 9 ke- full well is ~39.5 dB.
-        assert!((n.snr_db(1.0) - 39.5).abs() < 1.0);
     }
 
     #[test]

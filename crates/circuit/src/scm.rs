@@ -25,13 +25,13 @@ use leca_tensor::{standard_normal, NormalStream};
 use rand::Rng;
 
 /// Fraction of sampled charge lost to parasitics in the device model.
-const TRANSFER_LOSS: f32 = 0.015;
+pub const TRANSFER_LOSS: f32 = 0.015;
 /// Switch charge-injection offset per transfer (V onto `C_out`).
-const CHARGE_INJECTION: f32 = 0.0012;
+pub const CHARGE_INJECTION: f32 = 0.0012;
 /// Per-unit-capacitor mismatch sigma (fractional).
 const SIGMA_CAP: f32 = 0.006;
 /// Output-referred noise per MAC step (V, kTC + switch noise).
-const STEP_NOISE: f32 = 1.8e-4;
+pub const STEP_NOISE: f32 = 1.8e-4;
 
 /// Exact analytical SCM (Eq. (3)).
 #[derive(Debug, Clone, PartialEq)]
@@ -59,22 +59,6 @@ impl ScmModel {
         }
         let c_out = self.params.c_out_ff;
         (c_sample * (2.0 * self.params.vcm - v_in) + c_out * v_out_prev) / (c_out + c_sample)
-    }
-
-    /// One MAC cycle from a digital magnitude code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WeightCodeOutOfRange`] for codes beyond the
-    /// SCM's magnitude precision.
-    pub fn step_code(&self, v_out_prev: f32, v_in: f32, magnitude: u32) -> Result<f32> {
-        if magnitude > self.params.max_weight_code() as u32 {
-            return Err(CircuitError::WeightCodeOutOfRange {
-                code: magnitude as i32,
-                max_magnitude: self.params.max_weight_code(),
-            });
-        }
-        Ok(self.step(v_out_prev, v_in, self.params.csample_for_code(magnitude)))
     }
 
     /// Partial derivatives of [`ScmModel::step`] wrt
@@ -200,11 +184,6 @@ impl ScmDevice {
         }
         Ok(clean + STEP_NOISE * normals.draw())
     }
-
-    /// Output-referred per-step noise sigma (V).
-    pub fn step_noise_sigma(&self) -> f32 {
-        STEP_NOISE
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +209,6 @@ mod tests {
     fn zero_cap_is_noop() {
         let m = model();
         assert_eq!(m.step(0.55, 0.9, 0.0), 0.55);
-        assert_eq!(m.step_code(0.55, 0.9, 0).unwrap(), 0.55);
     }
 
     #[test]
@@ -243,13 +221,6 @@ mod tests {
             v = m.step(v, 0.9, 135.0);
         }
         assert!((v - (1.2 - 0.9)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn step_code_bounds_checked() {
-        let m = model();
-        assert!(m.step_code(0.6, 0.8, 15).is_ok());
-        assert!(m.step_code(0.6, 0.8, 16).is_err());
     }
 
     #[test]
@@ -282,7 +253,7 @@ mod tests {
         let p = CircuitParams::paper_65nm();
         let d = ScmDevice::typical(&p);
         let m = model();
-        let ideal = m.step_code(0.6, 0.8, 10).unwrap();
+        let ideal = m.step(0.6, 0.8, p.csample_for_code(10));
         let dev = d.step(0.6, 0.8, 10).unwrap();
         assert!((ideal - dev).abs() < 0.01, "device within 10 mV of model");
         assert_ne!(ideal, dev, "device must include non-idealities");

@@ -13,7 +13,7 @@ use crate::pipeline::LecaPipeline;
 use crate::session::InferenceSession;
 use crate::{LecaError, Result as LecaResult};
 use leca_circuit::adc::AdcResolution;
-use leca_data::bayer::mosaic;
+use leca_data::bayer::{bayer_site, mosaic};
 use leca_data::Dataset;
 use leca_nn::quant::signed_magnitude_code;
 use leca_sensor::{LecaSensor, SensorGeometry};
@@ -35,24 +35,17 @@ pub fn export_weight_codes(enc: &LecaEncoder) -> LecaResult<Vec<Vec<i32>>> {
         ));
     }
     let w = enc.weight();
-    let mut kernels = Vec::with_capacity(enc.n_ch());
-    for kern in 0..enc.n_ch() {
-        let mut codes = vec![0i32; 16];
-        for row in 0..4 {
-            for col in 0..4 {
-                let (dy, pr) = (row / 2, row % 2);
-                let (dx, pc) = (col / 2, col % 2);
-                let (c, factor) = match (pr, pc) {
-                    (0, 0) => (0usize, 1.0f32),
-                    (1, 1) => (2, 1.0),
-                    _ => (1, 0.5),
-                };
-                let wv = w.at4(kern, c, dy, dx) * factor;
-                codes[row * 4 + col] = signed_magnitude_code(wv, 4, 1.0);
-            }
-        }
-        kernels.push(codes);
-    }
+    let kernels = (0..enc.n_ch())
+        .map(|kern| {
+            (0..16)
+                .map(|i| {
+                    let (row, col) = (i / 4, i % 4);
+                    let (c, factor) = bayer_site(row, col);
+                    signed_magnitude_code(w.at4(kern, c, row / 2, col / 2) * factor, 4, 1.0)
+                })
+                .collect()
+        })
+        .collect();
     Ok(kernels)
 }
 
@@ -198,6 +191,24 @@ mod tests {
             assert_eq!(kernel[1], 8); // G at (0,1)
             assert_eq!(kernel[4], 8); // G at (1,0)
             assert_eq!(kernel[5], 15); // B at (1,1)
+        }
+    }
+
+    #[test]
+    fn exported_codes_are_the_flattened_kernel_codes() {
+        // Random, asymmetric weights: a swapped dy/dx or a misplaced green
+        // site changes some code.
+        let mut enc = encoder();
+        let mut rng = StdRng::seed_from_u64(31);
+        enc.set_weight(Tensor::rand_uniform(&[4, 3, 2, 2], -1.0, 1.0, &mut rng))
+            .unwrap();
+        let flat = leca_data::bayer::flatten_kernel(enc.weight()).unwrap();
+        let codes = export_weight_codes(&enc).unwrap();
+        for (kern, kernel) in codes.iter().enumerate() {
+            for (i, &code) in kernel.iter().enumerate() {
+                let expect = signed_magnitude_code(flat.at(&[kern, i / 4, i % 4]), 4, 1.0);
+                assert_eq!(code, expect, "kernel {kern} site {i}");
+            }
         }
     }
 

@@ -26,14 +26,15 @@
 
 use crate::config::LecaConfig;
 use crate::{LecaError, Result as LecaResult};
-use leca_circuit::adc::AdcResolution;
+use leca_circuit::adc::{self, AdcResolution};
 use leca_circuit::fault::FaultPlan;
 use leca_circuit::fvf::FvfModel;
 use leca_circuit::mismatch::{extract_fvf_lut, extract_psf_lut, Lut, PAPER_MC_SAMPLES};
 use leca_circuit::noise::PixelNoise;
 use leca_circuit::psf::PsfModel;
-use leca_circuit::scm::ScmModel;
+use leca_circuit::scm::{self, ScmModel, CHARGE_INJECTION, TRANSFER_LOSS};
 use leca_circuit::CircuitParams;
+use leca_data::bayer::bayer_site;
 use leca_nn::quant::signed_magnitude_quantize;
 use leca_nn::{Layer, Mode, NnError, Param};
 use leca_tensor::{ops, NormalStream, PooledTensor, Tensor, Workspace};
@@ -56,13 +57,6 @@ pub enum Modality {
     Faulty,
 }
 
-/// SCM incomplete-transfer loss and per-step charge injection used by the
-/// noisy modality (mirrors `leca_circuit::scm::ScmDevice`).
-const TRANSFER_LOSS: f32 = 0.015;
-const CHARGE_INJECTION: f32 = 0.0012;
-const SCM_STEP_NOISE: f32 = 1.8e-4;
-const ADC_NOISE: f32 = 2.5e-4;
-
 /// One step of the Bayer-expanded MAC schedule: which RGB weight/pixel it
 /// reads and with what scale factor (greens are halved and duplicated).
 #[derive(Debug, Clone, Copy)]
@@ -77,27 +71,19 @@ struct BayerStep {
     factor: f32,
 }
 
-/// The 16-step raw-Bayer MAC schedule for a 2x2x3 RGB kernel (Fig. 5(a)).
+/// The 16-step raw-Bayer MAC schedule for a 2x2x3 RGB kernel (Fig. 5(a)),
+/// in row-major raw-site order.
 fn bayer_schedule() -> [BayerStep; 16] {
-    let mut steps = [BayerStep {
-        c: 0,
-        dy: 0,
-        dx: 0,
-        factor: 1.0,
-    }; 16];
-    for row in 0..4 {
-        for col in 0..4 {
-            let (dy, pr) = (row / 2, row % 2);
-            let (dx, pc) = (col / 2, col % 2);
-            let (c, factor) = match (pr, pc) {
-                (0, 0) => (0, 1.0),
-                (1, 1) => (2, 1.0),
-                _ => (1, 0.5),
-            };
-            steps[row * 4 + col] = BayerStep { c, dy, dx, factor };
+    std::array::from_fn(|i| {
+        let (row, col) = (i / 4, i % 4);
+        let (c, factor) = bayer_site(row, col);
+        BayerStep {
+            c,
+            dy: row / 2,
+            dx: col / 2,
+            factor,
         }
-    }
-    steps
+    })
 }
 
 #[derive(Debug)]
@@ -508,7 +494,7 @@ impl LecaEncoder {
                                 let mut v =
                                     self.scm.step(*acc, vin[(ni * blocks + b) * 16 + j], cs[ks]);
                                 if let Some(normals) = normals.as_mut() {
-                                    v += CHARGE_INJECTION + SCM_STEP_NOISE * normals.draw();
+                                    v += CHARGE_INJECTION + scm::STEP_NOISE * normals.draw();
                                 }
                                 *acc = v;
                             }
@@ -521,7 +507,7 @@ impl LecaEncoder {
                         let bn = self.fvf_eval(acc_n, normals.as_mut());
                         let mut vdiff = bp - bn;
                         if let Some(normals) = normals.as_mut() {
-                            vdiff += ADC_NOISE * normals.draw();
+                            vdiff += adc::DEVICE_NOISE * normals.draw();
                         }
                         let uu = vdiff / vfs;
                         u[kb] = uu;

@@ -136,12 +136,6 @@ pub fn evaluate_codec(
     })
 }
 
-/// Accuracy loss of `accuracy` relative to an uncompressed baseline, in
-/// percentage points (the y-axis of Fig. 10(c) / Fig. 13(c)).
-pub fn accuracy_loss_pp(baseline: f32, accuracy: f32) -> f32 {
-    (baseline - accuracy) * 100.0
-}
-
 /// Applies a conventional-sensor defect model to one image: stuck/hot
 /// photosites keyed on the linear element index, dead readout columns
 /// keyed on the image column.
@@ -292,12 +286,6 @@ mod tests {
         let r1 = evaluate_codec(&Lr::new(1.0).unwrap(), &mut bb, data.val()).unwrap();
         assert!(r3.mean_psnr > r1.mean_psnr);
         assert!(r1.mean_cr > r3.mean_cr);
-    }
-
-    #[test]
-    fn accuracy_loss_helper() {
-        assert!((accuracy_loss_pp(0.76, 0.75) - 1.0).abs() < 1e-4);
-        assert!(accuracy_loss_pp(0.8, 0.8).abs() < 1e-5);
     }
 
     #[test]

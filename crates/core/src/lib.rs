@@ -50,7 +50,7 @@ pub use decoder::LecaDecoder;
 pub use encoder::{LecaEncoder, Modality};
 pub use error::LecaError;
 pub use pipeline::LecaPipeline;
-pub use quantized::{QuantCalibration, QuantizedEngine};
+pub use quantized::QuantizedEngine;
 pub use session::{InferenceSession, Precision};
 
 /// Result alias used throughout the crate.

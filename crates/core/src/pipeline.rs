@@ -95,15 +95,6 @@ impl LecaPipeline {
         self.backbone.set_frozen(frozen);
     }
 
-    /// Strict frozen-backbone protocol: additionally lock the backbone's
-    /// batch-norm running statistics (PyTorch's `.eval()` reading). The
-    /// default — weights frozen, statistics tracking — is the common
-    /// PyTorch `requires_grad=False` reading and is what the recorded
-    /// experiments use.
-    pub fn set_backbone_stats_locked(&mut self, locked: bool) {
-        self.backbone.set_stats_locked(locked);
-    }
-
     /// Encoded feature map for `x` (what would leave the sensor).
     ///
     /// # Errors

@@ -21,11 +21,9 @@
 //!    backbone's convolution stages run in int8; the last stage
 //!    dequantizes for the f32 global-average-pool and classifier head.
 //!
-//! Activation grids come from a [`QuantCalibration`] recorded by
-//! [`QuantizedEngine::calibrate`] on representative data; the table is a
-//! per-[`Layer`] table whose ranges persist through the
-//! CRC-checked checkpoint format (`leca_nn::serialize`), so a deployed
-//! sensor can ship its calibration next to its weights.
+//! [`QuantizedEngine::compile`] takes the activation grids from the
+//! ranges one staged f32 eval forward of a representative batch
+//! observes.
 //!
 //! Everything downstream of the f32 encoder conv is integer arithmetic
 //! with round-to-nearest-even epilogues that are bit-identical across the
@@ -46,9 +44,7 @@ use leca_nn::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu, Sequenti
 use leca_nn::qlayers::{quantize_batch, QConv2d, QConvEpilogue, QConvTranspose2d};
 use leca_nn::{Layer, Mode};
 use leca_tensor::ops::{self, Conv2dGeometry};
-use leca_tensor::{QuantParams, Tensor};
-
-pub use leca_nn::qlayers::QuantCalibration;
+use leca_tensor::{QTensor, QuantParams, Tensor};
 
 /// One `Conv2d [+ BatchNorm2d] [+ Relu]` group inside a [`Sequential`],
 /// recorded by layer index so parsing can outlive the borrow.
@@ -205,81 +201,24 @@ impl std::fmt::Debug for QuantizedEngine {
 }
 
 impl QuantizedEngine {
-    /// Number of activation ranges [`QuantizedEngine::calibrate`] records
-    /// for `pipeline` (and [`QuantizedEngine::build`] expects).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LecaError::InvalidConfig`] when the pipeline's decoder or
-    /// backbone has a structure the int8 lowering does not support.
-    pub fn calibration_points(pipeline: &LecaPipeline) -> LecaResult<usize> {
-        Ok(QuantPlan::of(pipeline)?.points())
-    }
-
-    /// Records the activation ranges a quantized engine needs by running
-    /// `batch` through the pipeline's stages in f32 eval mode.
-    ///
-    /// Call once on representative data (the paper's protocol calibrates
-    /// on a held-out evaluation split). The returned table is a
-    /// `leca_nn` layer, so `leca_nn::serialize::{save, to_bytes}` persist
-    /// it with CRC protection alongside the pipeline checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LecaError::InvalidConfig`] for unsupported structures and
-    /// propagates layer errors (e.g. non-finite activations).
-    pub fn calibrate(pipeline: &mut LecaPipeline, batch: &Tensor) -> LecaResult<QuantCalibration> {
-        let plan = QuantPlan::of(pipeline)?;
-        let mut cal = QuantCalibration::new(plan.points());
-        Self::observe(pipeline, batch, &plan, &mut cal)?;
-        Ok(cal)
-    }
-
-    /// One staged f32 forward recording ranges into `cal` (widening any
-    /// previous observations).
-    fn observe(
-        pipeline: &mut LecaPipeline,
-        batch: &Tensor,
-        plan: &QuantPlan,
-        cal: &mut QuantCalibration,
-    ) -> LecaResult<()> {
-        let ofmap = pipeline.encoder_mut().forward(batch, Mode::Eval)?;
-        let decoder = pipeline.decoder_mut();
-        let up = decoder.upsample_mut().forward(&ofmap, Mode::Eval)?;
-        cal.record(0, &up)?;
-        let mut point = 1;
-        let dn = decoder.dncnn_mut();
-        let mut cur = up.clone();
-        for (si, stage) in plan.dncnn.iter().enumerate() {
-            cur = run_stage(dn, stage, &cur)?;
-            if si + 1 < plan.dncnn.len() {
-                cal.record(point, &cur)?;
-                point += 1;
-            }
-        }
-        let decoded = up.add(&cur)?.clamp(0.0, 1.0);
-        let net = pipeline.backbone_mut().net_mut();
-        let mut cur = decoded;
-        for (si, stage) in plan.backbone.iter().enumerate() {
-            cur = run_stage(net, stage, &cur)?;
-            if si + 1 < plan.backbone.len() {
-                cal.record(point, &cur)?;
-                point += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles `pipeline` into an int8 engine using the activation grids
-    /// in `calib`.
+    /// Compiles `pipeline` into an int8 engine whose activation grids
+    /// cover the ranges a staged f32 eval forward of `batch` observes.
     ///
     /// # Errors
     ///
     /// Returns [`LecaError::InvalidConfig`] when the pipeline structure is
-    /// unsupported, the encoder is not in [`Modality::Soft`], or `calib`
-    /// has the wrong number of points; propagates weight-quantization
+    /// unsupported or the encoder is not in [`Modality::Soft`]; propagates
+    /// layer errors (e.g. non-finite activations) and weight-quantization
     /// errors (non-finite weights).
-    pub fn build(pipeline: &LecaPipeline, calib: &QuantCalibration) -> LecaResult<Self> {
+    pub fn compile(pipeline: &mut LecaPipeline, batch: &Tensor) -> LecaResult<Self> {
+        let plan = QuantPlan::of(pipeline)?;
+        let grids = calibrate(pipeline, batch, &plan)?;
+        Self::build(pipeline, &plan, &grids)
+    }
+
+    /// Compiles `pipeline` using one activation grid per calibration
+    /// point of `plan`.
+    fn build(pipeline: &LecaPipeline, plan: &QuantPlan, calib: &[QuantParams]) -> LecaResult<Self> {
         let enc = pipeline.encoder();
         if enc.modality() != Modality::Soft {
             return Err(LecaError::InvalidConfig(format!(
@@ -288,20 +227,12 @@ impl QuantizedEngine {
                 enc.modality()
             )));
         }
-        let plan = QuantPlan::of(pipeline)?;
-        if calib.len() != plan.points() {
-            return Err(LecaError::InvalidConfig(format!(
-                "calibration has {} points, pipeline needs {}",
-                calib.len(),
-                plan.points()
-            )));
-        }
         let resolution = enc.resolution();
         let codes = code_params(resolution);
 
         let decoder = pipeline.decoder();
         let upsample = QConvTranspose2d::from_conv_transpose(decoder.upsample(), codes)?;
-        let up_params = calib.params(0);
+        let up_params = calib[0];
 
         // DnCNN chain: stage si reads the grid of point si (point 0 being
         // the quantized upsample output) and writes point si + 1; the
@@ -309,10 +240,10 @@ impl QuantizedEngine {
         let dn = decoder.dncnn();
         let mut dncnn = Vec::with_capacity(plan.dncnn.len());
         for (si, stage) in plan.dncnn.iter().enumerate() {
-            let input = calib.params(si);
+            let input = calib[si];
             let epilogue = if si + 1 < plan.dncnn.len() {
                 QConvEpilogue::Requant {
-                    out: calib.params(si + 1),
+                    out: calib[si + 1],
                     relu: stage.relu,
                 }
             } else {
@@ -331,11 +262,11 @@ impl QuantizedEngine {
             let input = if si == 0 {
                 dec_params
             } else {
-                calib.params(base + si - 1)
+                calib[base + si - 1]
             };
             let epilogue = if si + 1 < plan.backbone.len() {
                 QConvEpilogue::Requant {
-                    out: calib.params(base + si),
+                    out: calib[base + si],
                     relu: stage.relu,
                 }
             } else {
@@ -385,16 +316,6 @@ impl QuantizedEngine {
             gap_f: Vec::new(),
             logits_f: Vec::new(),
         })
-    }
-
-    /// Convenience: calibrate on `batch` and compile in one step.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedEngine::calibrate`] and [`QuantizedEngine::build`].
-    pub fn compile(pipeline: &mut LecaPipeline, batch: &Tensor) -> LecaResult<Self> {
-        let cal = Self::calibrate(pipeline, batch)?;
-        Self::build(pipeline, &cal)
     }
 
     /// Number of output classes.
@@ -530,6 +451,48 @@ impl QuantizedEngine {
     }
 }
 
+/// The activation grids of `plan`'s calibration points, in point order,
+/// from one staged f32 eval forward of `batch`.
+fn calibrate(
+    pipeline: &mut LecaPipeline,
+    batch: &Tensor,
+    plan: &QuantPlan,
+) -> LecaResult<Vec<QuantParams>> {
+    let mut grids = Vec::with_capacity(plan.points());
+    let ofmap = pipeline.encoder_mut().forward(batch, Mode::Eval)?;
+    let decoder = pipeline.decoder_mut();
+    let up = decoder.upsample_mut().forward(&ofmap, Mode::Eval)?;
+    grids.push(grid_of(&up)?);
+    let dn = decoder.dncnn_mut();
+    let mut cur = up.clone();
+    for (si, stage) in plan.dncnn.iter().enumerate() {
+        cur = run_stage(dn, stage, &cur)?;
+        if si + 1 < plan.dncnn.len() {
+            grids.push(grid_of(&cur)?);
+        }
+    }
+    let decoded = up.add(&cur)?.clamp(0.0, 1.0);
+    let net = pipeline.backbone_mut().net_mut();
+    let mut cur = decoded;
+    for (si, stage) in plan.backbone.iter().enumerate() {
+        cur = run_stage(net, stage, &cur)?;
+        if si + 1 < plan.backbone.len() {
+            grids.push(grid_of(&cur)?);
+        }
+    }
+    Ok(grids)
+}
+
+/// The affine grid covering every value of `t`.
+///
+/// # Errors
+///
+/// Returns a tensor error when `t` holds a non-finite value.
+fn grid_of(t: &Tensor) -> LecaResult<QuantParams> {
+    let (lo, hi) = QTensor::observe_range(t)?;
+    Ok(QuantParams::from_range(lo, hi))
+}
+
 /// Runs one parsed conv stage of `seq` in f32 eval mode (calibration).
 fn run_stage(seq: &mut Sequential, stage: &ConvStage, x: &Tensor) -> LecaResult<Tensor> {
     let mut cur = seq
@@ -596,7 +559,7 @@ mod tests {
         // tiny_cnn: 2 conv stages; dncnn: 1 + decoder_layers + 1 stages.
         let m = p.config().decoder_layers;
         let expect = 1 + (m + 2 - 1) + (2 - 1);
-        assert_eq!(QuantizedEngine::calibration_points(&p).unwrap(), expect);
+        assert_eq!(QuantPlan::of(&p).unwrap().points(), expect);
     }
 
     #[test]
@@ -671,20 +634,11 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_hardware_modalities() {
+    fn compile_rejects_hardware_modalities() {
         let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = LecaPipeline::new(&cfg, Modality::Hard, tiny_cnn(4, &mut rng), 9).unwrap();
-        let cal = QuantizedEngine::calibrate(&mut p, &batch(2, 8)).unwrap();
-        let err = QuantizedEngine::build(&p, &cal).unwrap_err();
-        assert!(matches!(err, LecaError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn build_rejects_wrong_point_count() {
-        let p = pipeline();
-        let cal = QuantCalibration::new(1);
-        let err = QuantizedEngine::build(&p, &cal).unwrap_err();
+        let err = QuantizedEngine::compile(&mut p, &batch(2, 8)).unwrap_err();
         assert!(matches!(err, LecaError::InvalidConfig(_)), "{err}");
     }
 
@@ -694,25 +648,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         // resnet_proxy contains ResidualBlock, which the lowering rejects.
         let bb = leca_nn::backbone::resnet_proxy(4, &mut rng);
-        let p = LecaPipeline::new(&cfg, Modality::Soft, bb, 11).unwrap();
-        let err = QuantizedEngine::calibration_points(&p).unwrap_err();
+        let mut p = LecaPipeline::new(&cfg, Modality::Soft, bb, 11).unwrap();
+        let err = QuantizedEngine::compile(&mut p, &batch(2, 9)).unwrap_err();
         assert!(matches!(err, LecaError::InvalidConfig(_)), "{err}");
     }
 
     #[test]
-    fn calibration_persists_through_checkpoint_bytes() {
-        let mut p = pipeline();
-        let mut cal = QuantizedEngine::calibrate(&mut p, &batch(4, 9)).unwrap();
-        let bytes = leca_nn::serialize::to_bytes(&mut cal);
-        let mut restored = QuantCalibration::new(cal.len());
-        leca_nn::serialize::from_bytes(&mut restored, &bytes).unwrap();
-        for i in 0..cal.len() {
-            assert_eq!(cal.range(i), restored.range(i));
-        }
-        // A rebuilt engine from the restored table behaves identically.
-        let mut a = QuantizedEngine::build(&p, &cal).unwrap();
-        let mut b = QuantizedEngine::build(&p, &restored).unwrap();
-        let x = batch(2, 10);
-        assert_eq!(a.logits(&x).unwrap(), b.logits(&x).unwrap());
+    fn calibration_rejects_non_finite_activations() {
+        assert!(grid_of(&Tensor::from_slice(&[0.5, f32::NAN])).is_err());
+        assert!(grid_of(&Tensor::from_slice(&[f32::INFINITY])).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //! memory plan.
 
 use crate::pipeline::LecaPipeline;
-use crate::quantized::{QuantCalibration, QuantizedEngine};
+use crate::quantized::QuantizedEngine;
 use crate::{LecaError, Result as LecaResult};
 use leca_nn::backbone::Backbone;
 use leca_nn::{Layer, Mode};
@@ -34,9 +34,8 @@ pub enum Precision {
 
 /// The model a session drives: a full LeCA pipeline or a bare backbone
 /// (the baseline-codec evaluation path), either borrowed from the caller
-/// or owned outright (the serving tier pins one owned session per worker
-/// so a poisoned worker can swap in a rebuilt pipeline without any
-/// borrow gymnastics).
+/// or owned outright (the serving tier pins one owned session per
+/// worker).
 enum ModelRef<'a> {
     Pipeline(&'a mut LecaPipeline),
     Backbone(&'a mut Backbone),
@@ -51,7 +50,6 @@ pub struct InferenceSession<'a> {
     model: ModelRef<'a>,
     ws: Workspace,
     engine: Option<QuantizedEngine>,
-    precision: Precision,
 }
 
 impl<'a> InferenceSession<'a> {
@@ -61,7 +59,6 @@ impl<'a> InferenceSession<'a> {
             model: ModelRef::Pipeline(pipeline),
             ws: Workspace::new(),
             engine: None,
-            precision: Precision::F32,
         }
     }
 
@@ -71,56 +68,27 @@ impl<'a> InferenceSession<'a> {
             model: ModelRef::Backbone(backbone),
             ws: Workspace::new(),
             engine: None,
-            precision: Precision::F32,
         }
     }
 
     /// Takes ownership of a pipeline, yielding a `'static` session.
     ///
     /// This is the serving-tier constructor: a worker thread owns its
-    /// session outright, and a supervisor can replace the model after a
-    /// panic via [`InferenceSession::rebuild_owned`].
+    /// session outright (after a panic the supervisor builds a fresh
+    /// session rather than repairing this one).
     pub fn owning(pipeline: LecaPipeline) -> InferenceSession<'static> {
         InferenceSession {
             model: ModelRef::Owned(Box::new(pipeline)),
             ws: Workspace::new(),
             engine: None,
-            precision: Precision::F32,
-        }
-    }
-
-    /// Replaces an owned session's model with a freshly built pipeline and
-    /// discards the workspace (a panicked forward may have left pooled
-    /// buffers in an inconsistent live/free state, so the whole memory
-    /// plan is rebuilt from scratch; the next batches re-warm it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LecaError::InvalidConfig`] on a borrowed session — the
-    /// caller owns the model there, so a rebuild must happen outside.
-    pub fn rebuild_owned(&mut self, pipeline: LecaPipeline) -> LecaResult<()> {
-        match self.model {
-            ModelRef::Owned(_) => {
-                self.model = ModelRef::Owned(Box::new(pipeline));
-                self.ws = Workspace::new();
-                // A compiled engine holds the *old* model's weights; drop
-                // it and fall back to f32 until the caller re-enables int8
-                // against the fresh pipeline.
-                self.engine = None;
-                self.precision = Precision::F32;
-                Ok(())
-            }
-            _ => Err(LecaError::InvalidConfig(
-                "rebuild_owned needs an owning session (see InferenceSession::owning)".into(),
-            )),
         }
     }
 
     /// Compiles the int8 engine for this session's pipeline: calibrates
     /// activation ranges on `calib_batch` (f32 eval forward) and prepacks
-    /// the quantized kernels. Does **not** change the session's default
-    /// precision — use [`InferenceSession::set_precision`] or the explicit
-    /// [`InferenceSession::classify_batch_with`] to route batches.
+    /// the quantized kernels. Int8 batches then run through
+    /// [`InferenceSession::classify_batch_with`] with [`Precision::Int8`]
+    /// or [`InferenceSession::logits_int8`]; `classify_batch` stays f32.
     ///
     /// # Errors
     ///
@@ -137,82 +105,13 @@ impl<'a> InferenceSession<'a> {
                 ));
             }
         };
-        let cal = QuantizedEngine::calibrate(p, calib_batch)?;
-        self.engine = Some(QuantizedEngine::build(p, &cal)?);
+        self.engine = Some(QuantizedEngine::compile(p, calib_batch)?);
         Ok(())
-    }
-
-    /// Compiles the int8 engine from a previously recorded (e.g.
-    /// checkpoint-restored) calibration table instead of calibrating anew.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceSession::enable_int8`], plus a config error when the
-    /// table's point count does not match the pipeline.
-    pub fn enable_int8_with(&mut self, calib: &QuantCalibration) -> LecaResult<()> {
-        let p: &LecaPipeline = match &self.model {
-            ModelRef::Pipeline(p) => p,
-            ModelRef::Owned(p) => p,
-            ModelRef::Backbone(_) => {
-                return Err(LecaError::InvalidConfig(
-                    "int8 needs a pipeline session (no encoder/decoder on a bare backbone)".into(),
-                ));
-            }
-        };
-        self.engine = Some(QuantizedEngine::build(p, calib)?);
-        Ok(())
-    }
-
-    /// The session's default classify precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// True once [`InferenceSession::enable_int8`] has compiled an engine.
     pub fn int8_ready(&self) -> bool {
         self.engine.is_some()
-    }
-
-    /// Sets the default precision used by
-    /// [`InferenceSession::classify_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LecaError::Int8Unavailable`] when selecting
-    /// [`Precision::Int8`] before [`InferenceSession::enable_int8`].
-    pub fn set_precision(&mut self, precision: Precision) -> LecaResult<()> {
-        if precision == Precision::Int8 && self.engine.is_none() {
-            return Err(LecaError::Int8Unavailable);
-        }
-        self.precision = precision;
-        Ok(())
-    }
-
-    /// Discards every pooled buffer and starts the workspace over.
-    ///
-    /// Post-panic hygiene for callers that keep the model: a forward that
-    /// unwound mid-flight can strand buffers marked live, so the pool's
-    /// occupancy counters no longer describe reality. The next forwards
-    /// repopulate the fresh pool.
-    pub fn reset_workspace(&mut self) {
-        self.ws = Workspace::new();
-    }
-
-    /// Cheap liveness probe for supervisors: runs one zero-filled batch of
-    /// `input_shape` through the model and checks the logits are finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LecaError::NonFinite`] when the model emits NaN/inf from
-    /// a well-formed input (weight corruption, poisoned state), and
-    /// propagates layer errors (e.g. a shape the model rejects).
-    pub fn health_check(&mut self, input_shape: &[usize]) -> LecaResult<()> {
-        let x = Tensor::zeros(input_shape);
-        let logits = self.logits(&x)?;
-        if let Some(index) = logits.as_slice().iter().position(|v| !v.is_finite()) {
-            return Err(LecaError::NonFinite { index });
-        }
-        Ok(())
     }
 
     /// Eval-mode logits for a batch, computed through the workspace.
@@ -231,9 +130,9 @@ impl<'a> InferenceSession<'a> {
         Ok(out)
     }
 
-    /// Classifies a batch, writing one predicted class index per sample
-    /// into `preds` (cleared first). Reusing the same `preds` vector across
-    /// calls keeps the steady state allocation-free.
+    /// Classifies a batch in f32, writing one predicted class index per
+    /// sample into `preds` (cleared first). Reusing the same `preds`
+    /// vector across calls keeps the steady state allocation-free.
     ///
     /// The batch is validated first: garbage in no longer means garbage
     /// (or a panic) out, which is what lets the serving tier accept
@@ -247,12 +146,11 @@ impl<'a> InferenceSession<'a> {
     /// [`LecaError::NonFinite`] when the batch contains NaN/inf;
     /// otherwise propagates layer errors.
     pub fn classify_batch(&mut self, x: &Tensor, preds: &mut Vec<usize>) -> LecaResult<()> {
-        self.classify_batch_with(x, preds, self.precision)
+        self.classify_batch_with(x, preds, Precision::F32)
     }
 
-    /// Classifies a batch at an explicit precision, regardless of the
-    /// session default. The serving tier uses this to route mixed-tenant
-    /// batches through one session.
+    /// Classifies a batch at an explicit precision. The serving tier uses
+    /// this to route mixed-tenant batches through one session.
     ///
     /// # Errors
     ///
@@ -322,8 +220,10 @@ impl<'a> InferenceSession<'a> {
     }
 
     /// Pre-warms the pool for inputs of `input_shape`: runs two throwaway
-    /// batches so every buffer shape the forward needs is resident and
-    /// subsequent same-shape batches hit the free list exclusively.
+    /// f32 batches so every buffer shape the forward needs is resident and
+    /// subsequent same-shape batches hit the free list exclusively, then,
+    /// when an int8 engine is compiled, two int8 batches to grow its
+    /// scratch.
     ///
     /// # Errors
     ///
@@ -340,9 +240,7 @@ impl<'a> InferenceSession<'a> {
         for _ in 0..2 {
             self.classify_batch(&x, &mut preds)?;
         }
-        // Also pre-grow the int8 engine's scratch so a precision switch
-        // does not reintroduce steady-state allocations.
-        if self.engine.is_some() && self.precision == Precision::F32 {
+        if self.engine.is_some() {
             for _ in 0..2 {
                 self.classify_batch_with(&x, &mut preds, Precision::Int8)?;
             }
@@ -353,11 +251,6 @@ impl<'a> InferenceSession<'a> {
     /// Workspace occupancy and hit-rate counters.
     pub fn stats(&self) -> WorkspaceStats {
         self.ws.stats()
-    }
-
-    /// The session's workspace (e.g. to adopt auxiliary tensors).
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
     }
 }
 
@@ -565,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn owning_session_matches_borrowed_and_rebuilds() {
+    fn owning_session_matches_borrowed() {
         let mut p = pipeline(Modality::Soft);
         let mut rng = StdRng::seed_from_u64(9);
         let x = Tensor::rand_uniform(&[3, 3, 16, 16], 0.1, 0.9, &mut rng);
@@ -574,31 +467,14 @@ mod tests {
         let mut preds = Vec::new();
         session.classify_batch(&x, &mut preds).unwrap();
         assert_eq!(preds, expect);
-        // Rebuild with an identically seeded pipeline: same predictions,
-        // fresh workspace.
-        session.rebuild_owned(pipeline(Modality::Soft)).unwrap();
-        assert_eq!(session.stats().free, 0, "rebuild must discard the pool");
-        session.classify_batch(&x, &mut preds).unwrap();
-        assert_eq!(preds, expect);
         assert!(session.classify_ofmaps(&x, &mut preds).is_err()); // wrong shape propagates
-    }
-
-    #[test]
-    fn rebuild_rejected_on_borrowed_session() {
-        let mut p = pipeline(Modality::Soft);
-        let mut session = InferenceSession::for_pipeline(&mut p);
-        let err = session.rebuild_owned(pipeline(Modality::Soft)).unwrap_err();
-        assert!(matches!(err, LecaError::InvalidConfig(_)), "{err}");
     }
 
     #[test]
     fn int8_requires_enable_first() {
         let mut p = pipeline(Modality::Soft);
         let mut session = InferenceSession::for_pipeline(&mut p);
-        assert_eq!(session.precision(), Precision::F32);
         assert!(!session.int8_ready());
-        let err = session.set_precision(Precision::Int8).unwrap_err();
-        assert!(matches!(err, LecaError::Int8Unavailable), "{err}");
         let mut preds = Vec::new();
         let x = Tensor::zeros(&[1, 3, 16, 16]);
         let err = session
@@ -618,13 +494,12 @@ mod tests {
         let mut session = InferenceSession::for_pipeline(&mut p);
         session.enable_int8(&calib).unwrap();
         assert!(session.int8_ready());
-        // Default precision stays f32 until asked.
-        assert_eq!(session.precision(), Precision::F32);
         let mut f32_preds = Vec::new();
         session.classify_batch(&x, &mut f32_preds).unwrap();
-        session.set_precision(Precision::Int8).unwrap();
         let mut int8_preds = Vec::new();
-        session.classify_batch(&x, &mut int8_preds).unwrap();
+        session
+            .classify_batch_with(&x, &mut int8_preds, Precision::Int8)
+            .unwrap();
         assert_eq!(int8_preds.len(), f32_preds.len());
         let agree = f32_preds
             .iter()
@@ -649,22 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_owned_drops_stale_engine() {
-        let p = pipeline(Modality::Soft);
-        let mut session = InferenceSession::owning(p);
-        let mut rng = StdRng::seed_from_u64(22);
-        let calib = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
-        session.enable_int8(&calib).unwrap();
-        session.set_precision(Precision::Int8).unwrap();
-        session.rebuild_owned(pipeline(Modality::Soft)).unwrap();
-        assert!(!session.int8_ready());
-        assert_eq!(session.precision(), Precision::F32);
-        // Re-enabling against the fresh pipeline works.
-        session.enable_int8(&calib).unwrap();
-        assert!(session.int8_ready());
-    }
-
-    #[test]
     fn warm_up_covers_the_int8_path_too() {
         let p = pipeline(Modality::Soft);
         let mut session = InferenceSession::owning(p);
@@ -682,16 +541,5 @@ mod tests {
             .classify_batch_with(&x, &mut preds, Precision::Int8)
             .unwrap();
         assert_eq!(preds.len(), 2);
-    }
-
-    #[test]
-    fn health_check_passes_on_sane_model_and_resets() {
-        let p = pipeline(Modality::Soft);
-        let mut session = InferenceSession::owning(p);
-        session.health_check(&[1, 3, 16, 16]).unwrap();
-        assert!(session.stats().free > 0);
-        session.reset_workspace();
-        assert_eq!(session.stats().free, 0);
-        assert_eq!(session.stats().live, 0);
     }
 }

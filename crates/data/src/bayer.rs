@@ -1,4 +1,4 @@
-//! Bayer color-filter-array mosaic and demosaic.
+//! Bayer color-filter-array mosaic and the Fig. 5(a) kernel flattening.
 //!
 //! The LeCA sensor captures a `2W x 2H` Bayer-patterned pixel plane for a
 //! `W x H` RGB image, with the green filter duplicated (Sec. 2.1). The
@@ -15,12 +15,18 @@
 
 use leca_tensor::{Tensor, TensorError};
 
-/// Which color a Bayer site at `(row, col)` samples (RGGB pattern).
-pub fn bayer_channel(row: usize, col: usize) -> usize {
+/// The Fig. 5(a) rule for the raw Bayer site at `(row, col)`: the RGB
+/// channel its RGGB filter samples, and the factor the flattened kernel
+/// weight at that site carries. Green is duplicated onto two sites of
+/// each 2x2 block, so each green site carries half the green weight.
+///
+/// [`flatten_kernel`], the encoder's hardware MAC schedule and the sensor
+/// weight export all derive their site layout from this rule.
+pub fn bayer_site(row: usize, col: usize) -> (usize, f32) {
     match (row % 2, col % 2) {
-        (0, 0) => 0,          // R
-        (0, 1) | (1, 0) => 1, // G (duplicated)
-        _ => 2,               // B
+        (0, 0) => (0, 1.0), // R
+        (1, 1) => (2, 1.0), // B
+        _ => (1, 0.5),      // G (duplicated)
     }
 }
 
@@ -61,51 +67,11 @@ pub fn mosaic(rgb: &Tensor) -> Result<Tensor, TensorError> {
     Ok(raw)
 }
 
-/// Reconstructs the `(3, H, W)` RGB image from a `(2H, 2W)` raw Bayer plane
-/// produced by [`mosaic`] (block-exact inverse; the two green sites are
-/// averaged).
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidGeometry`] for odd-sized planes and
-/// [`TensorError::RankMismatch`] for non-matrix input.
-pub fn demosaic(raw: &Tensor) -> Result<Tensor, TensorError> {
-    if raw.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "bayer_demosaic",
-            expected: 2,
-            actual: raw.rank(),
-        });
-    }
-    let (rh, rw) = (raw.shape()[0], raw.shape()[1]);
-    if rh % 2 != 0 || rw % 2 != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "bayer plane must be even-sized, got {rh}x{rw}"
-        )));
-    }
-    let (h, w) = (rh / 2, rw / 2);
-    let mut rgb = Tensor::zeros(&[3, h, w]);
-    let src = raw.as_slice();
-    let dst = rgb.as_mut_slice();
-    for y in 0..h {
-        for x in 0..w {
-            let base = (2 * y) * rw + 2 * x;
-            let r = src[base];
-            let g = 0.5 * (src[base + 1] + src[base + rw]);
-            let b = src[base + rw + 1];
-            dst[y * w + x] = r;
-            dst[(h + y) * w + x] = g;
-            dst[(2 * h + y) * w + x] = b;
-        }
-    }
-    Ok(rgb)
-}
-
 /// Flattens a `(N_ch, 3, K, K)` RGB encoder kernel into the `(N_ch, 2K, 2K)`
-/// raw-Bayer kernel of Fig. 5(a): the green weight is **halved and
-/// duplicated** onto both green sites of each 2x2 block, so convolving the
-/// flattened kernel over the raw plane equals convolving the original kernel
-/// over the demosaiced RGB image.
+/// raw-Bayer kernel of Fig. 5(a) ([`bayer_site`]): the green weight is
+/// **halved and duplicated** onto both green sites of each 2x2 block, so
+/// convolving the flattened kernel over the [`mosaic`] plane equals
+/// convolving the original kernel over the RGB image.
 ///
 /// # Errors
 ///
@@ -121,16 +87,10 @@ pub fn flatten_kernel(kernel: &Tensor) -> Result<Tensor, TensorError> {
     let (n, k) = (kernel.shape()[0], kernel.shape()[2]);
     let mut flat = Tensor::zeros(&[n, 2 * k, 2 * k]);
     for ni in 0..n {
-        for ky in 0..k {
-            for kx in 0..k {
-                let r = kernel.at4(ni, 0, ky, kx);
-                let g = kernel.at4(ni, 1, ky, kx);
-                let b = kernel.at4(ni, 2, ky, kx);
-                let (fy, fx) = (2 * ky, 2 * kx);
-                flat.set(&[ni, fy, fx], r);
-                flat.set(&[ni, fy, fx + 1], 0.5 * g);
-                flat.set(&[ni, fy + 1, fx], 0.5 * g);
-                flat.set(&[ni, fy + 1, fx + 1], b);
+        for fy in 0..2 * k {
+            for fx in 0..2 * k {
+                let (c, factor) = bayer_site(fy, fx);
+                flat.set(&[ni, fy, fx], kernel.at4(ni, c, fy / 2, fx / 2) * factor);
             }
         }
     }
@@ -144,24 +104,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn channel_pattern_is_rggb() {
-        assert_eq!(bayer_channel(0, 0), 0);
-        assert_eq!(bayer_channel(0, 1), 1);
-        assert_eq!(bayer_channel(1, 0), 1);
-        assert_eq!(bayer_channel(1, 1), 2);
-        assert_eq!(bayer_channel(2, 2), 0, "pattern repeats");
-    }
-
-    #[test]
-    fn mosaic_demosaic_roundtrip_exact() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let rgb = Tensor::rand_uniform(&[3, 4, 5], 0.0, 1.0, &mut rng);
-        let raw = mosaic(&rgb).unwrap();
-        assert_eq!(raw.shape(), &[8, 10]);
-        let back = demosaic(&raw).unwrap();
-        for (a, b) in rgb.as_slice().iter().zip(back.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
-        }
+    fn site_pattern_is_rggb_with_halved_green() {
+        assert_eq!(bayer_site(0, 0), (0, 1.0));
+        assert_eq!(bayer_site(0, 1), (1, 0.5));
+        assert_eq!(bayer_site(1, 0), (1, 0.5));
+        assert_eq!(bayer_site(1, 1), (2, 1.0));
+        assert_eq!(bayer_site(2, 2), (0, 1.0), "pattern repeats");
     }
 
     #[test]
@@ -181,8 +129,6 @@ mod tests {
     fn invalid_inputs_rejected() {
         assert!(mosaic(&Tensor::zeros(&[4, 2, 2])).is_err());
         assert!(mosaic(&Tensor::zeros(&[2, 2])).is_err());
-        assert!(demosaic(&Tensor::zeros(&[3, 4])).is_err());
-        assert!(demosaic(&Tensor::zeros(&[2, 2, 2])).is_err());
     }
 
     #[test]

@@ -164,32 +164,6 @@ impl Dataset {
         self.labels = order.iter().map(|&i| self.labels[i]).collect();
     }
 
-    /// Splits off the first `n` items into a new dataset (e.g. validation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::RangeOutOfBounds`] when `n > len`.
-    pub fn split_front(&self, n: usize) -> Result<(Dataset, Dataset), DatasetError> {
-        if n > self.len() {
-            return Err(DatasetError::RangeOutOfBounds {
-                start: 0,
-                count: n,
-                len: self.len(),
-            });
-        }
-        let front = Dataset {
-            images: self.images[..n].to_vec(),
-            labels: self.labels[..n].to_vec(),
-            num_classes: self.num_classes,
-        };
-        let back = Dataset {
-            images: self.images[n..].to_vec(),
-            labels: self.labels[n..].to_vec(),
-            num_classes: self.num_classes,
-        };
-        Ok((front, back))
-    }
-
     /// Iterates over `(batch, labels)` chunks of size `batch_size` (the last
     /// chunk may be smaller).
     pub fn iter_batches(&self, batch_size: usize) -> BatchIter<'_> {
@@ -277,16 +251,6 @@ mod tests {
             assert_eq!(i % 3, l);
         }
         assert_eq!(ds.len(), 6);
-    }
-
-    #[test]
-    fn split_front() {
-        let ds = tiny();
-        let (a, b) = ds.split_front(2).unwrap();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 4);
-        assert_eq!(a.num_classes(), 3);
-        assert!(ds.split_front(7).is_err());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! Also here:
 //!
-//! * [`bayer`] — RGGB mosaic/demosaic, matching the sensor's color filter
-//!   array (Sec. 2.1 / Fig. 5(a) kernel flattening).
-//! * [`io`] — PPM/PGM image files for the Fig. 12 visualizations.
+//! * [`bayer`] — RGGB mosaic and the Fig. 5(a) kernel flattening,
+//!   matching the sensor's color filter array (Sec. 2.1).
+//! * [`io`] — PPM/PGM image writers for the Fig. 12 visualizations.
 //! * [`augment`] — the paper's training augmentation (random rotation up to
 //!   20°, random horizontal flip).
 //! * [`metrics`] — PSNR and SSIM, the task-agnostic quality metrics the

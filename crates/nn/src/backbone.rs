@@ -67,10 +67,6 @@ impl Layer for Backbone {
         self.net.visit_buffers(f);
     }
 
-    fn set_stats_locked(&mut self, locked: bool) {
-        self.net.set_stats_locked(locked);
-    }
-
     fn name(&self) -> &'static str {
         "backbone"
     }

@@ -18,9 +18,8 @@ fn close(analytic: f32, numeric: f32, tol: f32) -> bool {
 /// differences of `L = sum(forward(x))`, with every forward pass run in
 /// `Train` mode.
 ///
-/// Stateful side effects that would break the finite-difference probes
-/// (batch-norm running-statistics updates) must be disabled by the
-/// caller, e.g. via [`Layer::set_stats_locked`].
+/// Side effects of a train forward that its output does not read
+/// (batch-norm running-statistics updates) do not disturb the probes.
 ///
 /// Checks up to 24 evenly-spaced coordinates of the input and of every
 /// parameter to keep the cost bounded for larger layers.

@@ -81,13 +81,6 @@ pub trait Layer {
     /// The default implementation visits nothing.
     fn visit_buffers(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
-    /// Locks/unlocks training-time statistics tracking (batch-norm running
-    /// stats). Containers forward this to children; stateless layers
-    /// ignore it. Locking a pre-trained backbone's statistics is the
-    /// *strict* reading of the paper's frozen-backbone protocol (PyTorch's
-    /// `.eval()` on the frozen module).
-    fn set_stats_locked(&mut self, _locked: bool) {}
-
     /// Clears all accumulated parameter gradients.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());

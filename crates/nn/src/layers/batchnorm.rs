@@ -15,7 +15,6 @@ pub struct BatchNorm2d {
     running_var: Tensor,
     eps: f32,
     momentum: f32,
-    stats_locked: bool,
     cache: Option<BnCache>,
 }
 
@@ -37,7 +36,6 @@ impl BatchNorm2d {
             running_var: Tensor::ones(&[channels]),
             eps: 1e-5,
             momentum: 0.1,
-            stats_locked: false,
             cache: None,
         }
     }
@@ -93,16 +91,14 @@ impl BatchNorm2d {
 
     /// Training forward of the `(n, c, hw)`-shaped `x` into `out`:
     /// normalizes with batch statistics, updates the running statistics
-    /// (unless locked) and caches x̂ and `1/σ` for backward.
+    /// and caches x̂ and `1/σ` for backward.
+    ///
+    /// The statistics update even when the parameters are frozen
+    /// (`Param::frozen`, PyTorch's `requires_grad=False`): the paper's
+    /// frozen backbone keeps its weights fixed while its batch-norm
+    /// statistics track the incoming distribution.
     fn normalize_batch(&mut self, x: &Tensor, (n, c, hw): (usize, usize, usize), out: &mut Tensor) {
         let m = (n * hw) as f32;
-        // Two freezing notions exist (PyTorch convention): parameter
-        // freezing (optimizer skips updates — Param::frozen) and statistics
-        // locking (eval-like running stats — `stats_locked`). A "frozen"
-        // backbone in the paper's sense keeps its weights fixed while its
-        // BN statistics may still track the incoming distribution unless
-        // explicitly locked via [`Layer::set_stats_locked`].
-        let update_stats = !self.stats_locked;
         let mut x_hat = Tensor::zeros(x.shape());
         let mut inv_stds = Vec::with_capacity(c);
         for ci in 0..c {
@@ -139,14 +135,12 @@ impl BatchNorm2d {
             }
 
             // Exponential running statistics (unbiased variance, as in
-            // PyTorch), skipped entirely for frozen layers.
-            if update_stats {
-                let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                let rm = &mut self.running_mean.as_mut_slice()[ci];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                let rv = &mut self.running_var.as_mut_slice()[ci];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
-            }
+            // PyTorch).
+            let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+            let rm = &mut self.running_mean.as_mut_slice()[ci];
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+            let rv = &mut self.running_var.as_mut_slice()[ci];
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
         }
         self.cache = Some(BnCache {
             x_hat,
@@ -249,10 +243,6 @@ impl Layer for BatchNorm2d {
         f(&mut self.running_var);
     }
 
-    fn set_stats_locked(&mut self, locked: bool) {
-        self.stats_locked = locked;
-    }
-
     fn name(&self) -> &'static str {
         "batch_norm2d"
     }
@@ -342,24 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn locked_stats_do_not_drift() {
-        // Strict freezing: statistics locked explicitly (the PyTorch
-        // `.eval()`-on-backbone reading of the paper's protocol).
+    fn frozen_params_still_track_stats() {
+        // Param::frozen does not lock statistics (PyTorch convention).
         let mut bn = BatchNorm2d::new(1);
-        bn.set_stats_locked(true);
         let before_mean = bn.running_mean().clone();
-        let before_var = bn.running_var().clone();
-        let x = Tensor::full(&[2, 1, 2, 2], 4.0);
-        for _ in 0..10 {
-            bn.forward(&x, Mode::Train).unwrap();
-        }
-        assert_eq!(bn.running_mean(), &before_mean);
-        assert_eq!(bn.running_var(), &before_var);
-        // Unlocking resumes tracking; note Param::frozen alone does NOT
-        // lock statistics (PyTorch convention).
-        bn.set_stats_locked(false);
         bn.set_frozen(true);
-        bn.forward(&x, Mode::Train).unwrap();
+        bn.forward(&Tensor::full(&[2, 1, 2, 2], 4.0), Mode::Train)
+            .unwrap();
         assert_ne!(bn.running_mean(), &before_mean);
     }
 

@@ -109,13 +109,6 @@ impl Layer for ResidualBlock {
         }
     }
 
-    fn set_stats_locked(&mut self, locked: bool) {
-        self.main.set_stats_locked(locked);
-        if let Some(s) = &mut self.shortcut {
-            s.set_stats_locked(locked);
-        }
-    }
-
     fn name(&self) -> &'static str {
         "residual_block"
     }

@@ -30,12 +30,6 @@ impl Sequential {
         self
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -101,12 +95,6 @@ impl Layer for Sequential {
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_buffers(f);
-        }
-    }
-
-    fn set_stats_locked(&mut self, locked: bool) {
-        for layer in &mut self.layers {
-            layer.set_stats_locked(locked);
         }
     }
 

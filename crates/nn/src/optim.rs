@@ -35,55 +35,42 @@ impl StepDecay {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2014), the paper's choice.
+/// Adam's first-moment decay rate.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay rate.
+const BETA2: f32 = 0.999;
+/// Adam's denominator stabilizer.
+const EPS: f32 = 1e-8;
+/// L2 weight decay, folded into the gradient as `g + WEIGHT_DECAY * w`.
+/// Zero, but the term stays so every update keeps its bits: it can turn a
+/// `-0.0` gradient into `+0.0`, and it turns an infinite weight's update
+/// into NaN.
+const WEIGHT_DECAY: f32 = 0.0;
+
+/// Adam optimizer (Kingma & Ba, 2014), the paper's choice, with the
+/// standard betas (0.9, 0.999) and eps 1e-8.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: i32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with the standard betas (0.9, 0.999).
+    /// Creates an Adam optimizer with learning rate `lr`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for non-positive learning rates.
     pub fn new(lr: f32) -> Result<Self> {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Creates an Adam optimizer with explicit hyper-parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for out-of-range values.
-    pub fn with_config(
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        weight_decay: f32,
-    ) -> Result<Self> {
         if lr <= 0.0 {
             return Err(NnError::InvalidConfig(format!(
                 "lr must be positive, got {lr}"
             )));
         }
-        if !(0.0..1.0).contains(&beta1) || !(0.0..1.0).contains(&beta2) {
-            return Err(NnError::InvalidConfig("betas must be in [0, 1)".into()));
-        }
         Ok(Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -108,14 +95,7 @@ impl Adam {
     /// Applies one Adam step to every non-frozen parameter of `model`.
     pub fn step<L: Layer + ?Sized>(&mut self, model: &mut L) {
         self.t += 1;
-        let (lr, b1, b2, eps, wd, t) = (
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            self.weight_decay,
-            self.t,
-        );
+        let (lr, b1, b2, eps, wd, t) = (self.lr, BETA1, BETA2, EPS, WEIGHT_DECAY, self.t);
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
         let (ms, vs) = (&mut self.m, &mut self.v);
@@ -219,7 +199,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(Adam::new(-1.0).is_err());
-        assert!(Adam::with_config(0.1, 1.0, 0.9, 1e-8, 0.0).is_err());
     }
 
     #[test]

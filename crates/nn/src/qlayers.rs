@@ -10,115 +10,16 @@
 //! not implement [`crate::Layer`] — there is no backward pass, and their
 //! operands are raw i8 code buffers rather than f32 tensors.
 //!
-//! Calibration state (the activation ranges observed on a representative
-//! batch) lives in [`QuantCalibration`], which *does* implement
-//! [`crate::Layer`] purely so the ranges ride the CRC-checked checkpoint
-//! format in [`crate::serialize`] like any other persistent buffer.
-//!
 //! Numerical contract: everything here inherits the tensor tier's
 //! bit-determinism — integer accumulation has no rounding and every
 //! f32→i32 conversion rounds to nearest-even on both dispatch paths, so
 //! int8 inference is bit-identical across `LECA_BACKEND` and `LECA_THREADS`.
 
 use crate::layers::{BatchNorm2d, Conv2d, ConvTranspose2d};
-use crate::{Layer, Mode, NnError, Result};
+use crate::{NnError, Result};
 use leca_tensor::backend;
 use leca_tensor::ops::{qconv, Conv2dGeometry, PackedQMat, QIm2col};
-use leca_tensor::{PooledTensor, QTensor, QuantParams, Tensor, Workspace};
-
-/// Named activation ranges gathered during calibration, persisted through
-/// the standard checkpoint format.
-///
-/// The ranges live in a single `(n_points, 2)` tensor exposed via
-/// [`Layer::visit_buffers`], so [`crate::serialize::save`] /
-/// [`crate::serialize::load`] give CRC-checked persistence for free. The
-/// [`Layer`] forward is the identity — this layer is never part of a
-/// compute graph.
-#[derive(Debug)]
-pub struct QuantCalibration {
-    ranges: Tensor,
-}
-
-impl QuantCalibration {
-    /// Creates a calibration table with `n_points` empty observation
-    /// points (`lo = +inf`, `hi = -inf`).
-    pub fn new(n_points: usize) -> Self {
-        let mut ranges = Tensor::zeros(&[n_points.max(1), 2]);
-        for p in 0..n_points.max(1) {
-            ranges.as_mut_slice()[p * 2] = f32::INFINITY;
-            ranges.as_mut_slice()[p * 2 + 1] = f32::NEG_INFINITY;
-        }
-        QuantCalibration { ranges }
-    }
-
-    /// Number of observation points.
-    pub fn len(&self) -> usize {
-        self.ranges.shape()[0]
-    }
-
-    /// True when the table has no observation points. (The backing tensor
-    /// always holds at least one row; emptiness is a logical property of
-    /// point 0 never having been observed.)
-    pub fn is_empty(&self) -> bool {
-        self.ranges.as_slice()[0] > self.ranges.as_slice()[1]
-    }
-
-    /// Widens point `idx` to cover `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BatchMismatch`] for an out-of-range index and a
-    /// tensor error when `t` is non-finite.
-    pub fn record(&mut self, idx: usize, t: &Tensor) -> Result<()> {
-        if idx >= self.len() {
-            return Err(NnError::BatchMismatch {
-                what: "calibration point",
-                expected: self.len(),
-                actual: idx,
-            });
-        }
-        let (lo, hi) = QTensor::observe_range(t)?;
-        let row = &mut self.ranges.as_mut_slice()[idx * 2..idx * 2 + 2];
-        row[0] = row[0].min(lo);
-        row[1] = row[1].max(hi);
-        Ok(())
-    }
-
-    /// The observed `(lo, hi)` range of point `idx`.
-    pub fn range(&self, idx: usize) -> (f32, f32) {
-        let row = &self.ranges.as_slice()[idx * 2..idx * 2 + 2];
-        (row[0], row[1])
-    }
-
-    /// The affine grid covering point `idx` (the unit grid when the point
-    /// was never observed).
-    pub fn params(&self, idx: usize) -> QuantParams {
-        let (lo, hi) = self.range(idx);
-        if lo > hi {
-            QuantParams::UNIT
-        } else {
-            QuantParams::from_range(lo, hi)
-        }
-    }
-}
-
-impl Layer for QuantCalibration {
-    fn forward_ws(&mut self, x: &Tensor, _mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        Ok(ws.take_from(x))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        Ok(grad_out.clone())
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.ranges);
-    }
-
-    fn name(&self) -> &'static str {
-        "quant_calibration"
-    }
-}
+use leca_tensor::{QTensor, QuantParams, Tensor};
 
 /// Folds an eval-mode [`BatchNorm2d`] into the preceding convolution's
 /// weights and bias: `w'_o = w_o * γ_o / sqrt(var_o + eps)`,
@@ -562,6 +463,7 @@ pub fn quantize_batch(src: &[f32], params: QuantParams, out: &mut [i8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Layer, Mode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -719,29 +621,6 @@ mod tests {
         for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
             assert!((g - e).abs() < 1e-4, "folded {g} vs {e}");
         }
-    }
-
-    #[test]
-    fn calibration_roundtrip() {
-        let mut cal = QuantCalibration::new(3);
-        assert_eq!(cal.len(), 3);
-        assert!(cal.is_empty());
-        cal.record(0, &Tensor::from_slice(&[-1.0, 3.0])).unwrap();
-        cal.record(2, &Tensor::from_slice(&[0.0, 10.0])).unwrap();
-        assert!(cal.record(3, &Tensor::from_slice(&[0.0])).is_err());
-        assert!(cal.record(1, &Tensor::from_slice(&[f32::NAN])).is_err());
-        assert!(!cal.is_empty());
-
-        // Persist through the standard CRC-checked checkpoint format.
-        let bytes = crate::serialize::to_bytes(&mut cal);
-        let mut restored = QuantCalibration::new(3);
-        crate::serialize::from_bytes(&mut restored, &bytes).unwrap();
-        assert_eq!(restored.range(0), (-1.0, 3.0));
-        assert_eq!(restored.range(2), (0.0, 10.0));
-        let p = restored.params(0);
-        assert!(p.scale > 0.0);
-        // Unobserved point falls back to the unit grid.
-        assert_eq!(restored.params(1).scale, 1.0);
     }
 
     #[test]

@@ -61,11 +61,10 @@ fn cases() -> Vec<Case> {
         1e-2,
     );
 
-    // Batch norm, train mode: normalizes with batch statistics. Statistics
-    // locked so the running-stat EMA update (a side effect, not part of
-    // the differentiated function) cannot run during the FD probes.
+    // Batch norm, train mode: normalizes with batch statistics. The
+    // running-stat EMA update the FD probes trigger is a side effect that
+    // the train-mode output does not read.
     let mut bn_train = BatchNorm2d::new(2);
-    bn_train.set_stats_locked(true);
     let mut nontrivial = [
         Tensor::from_slice(&[1.5, 0.5]),
         Tensor::from_slice(&[0.2, -0.3]),
@@ -95,7 +94,6 @@ fn cases() -> Vec<Case> {
         });
     }
     let mut res_id = ResidualBlock::new(4, 4, 1, &mut rng);
-    res_id.set_stats_locked(true);
     debias_batchnorms(&mut res_id);
     push(
         "residual_identity",
@@ -104,7 +102,6 @@ fn cases() -> Vec<Case> {
         2e-2,
     );
     let mut res_proj = ResidualBlock::new(2, 4, 2, &mut rng);
-    res_proj.set_stats_locked(true);
     debias_batchnorms(&mut res_proj);
     push(
         "residual_projection",
@@ -133,7 +130,6 @@ fn cases() -> Vec<Case> {
     seq.push(Conv2d::new(2, 3, 3, 1, 1, false, &mut rng));
     seq.push(BatchNorm2d::new(3));
     seq.push(Relu::new());
-    seq.set_stats_locked(true);
     let mut idx = 0usize;
     seq.visit_params(&mut |p| {
         if p.value.rank() == 1 {

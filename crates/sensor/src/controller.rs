@@ -6,7 +6,7 @@
 //! 4-row group as an explicit event trace, which the Fig. 6 experiment
 //! prints and the tests check for the paper's overlap/ordering properties.
 
-use crate::geometry::{SensorGeometry, COLUMNS_PER_PE};
+use crate::geometry::COLUMNS_PER_PE;
 use crate::timing::TimingModel;
 
 /// Which controller issues a step.
@@ -106,11 +106,6 @@ pub fn group_trace_latency_ns(events: &[Event]) -> f64 {
     events.iter().fold(0.0f64, |m, e| m.max(e.end_ns))
 }
 
-/// Number of group iterations in a frame (groups x repetitive passes).
-pub fn groups_per_frame(geom: &SensorGeometry) -> usize {
-    (geom.rows / COLUMNS_PER_PE) * geom.readout_passes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +170,6 @@ mod tests {
         let tm = TimingModel::paper();
         let t = group_trace(&tm);
         assert!((group_trace_latency_ns(&t) - tm.group_latency_ns()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn groups_per_frame_counts_passes() {
-        assert_eq!(groups_per_frame(&SensorGeometry::paper(4)), 112);
-        assert_eq!(groups_per_frame(&SensorGeometry::paper(8)), 224);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Ofmap {
         );
         self.codes[(k * self.oh + y) * self.ow + x]
     }
-
-    /// Total number of payload bits at the given bit depth.
-    pub fn payload_bits(&self, qbit: f32) -> f64 {
-        self.codes.len() as f64 * qbit as f64
-    }
 }
 
 /// Energy / latency accounting for one captured frame.
@@ -617,17 +612,6 @@ mod tests {
         let (ofmap, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
         let max = AdcResolution::from_qbit(3.0).unwrap().max_code();
         assert!(ofmap.codes().iter().all(|c| c.abs() <= max));
-    }
-
-    #[test]
-    fn ofmap_payload_bits() {
-        let of = Ofmap {
-            n_ch: 2,
-            oh: 2,
-            ow: 2,
-            codes: vec![0; 8],
-        };
-        assert_eq!(of.payload_bits(3.0), 24.0);
     }
 
     #[test]

@@ -200,11 +200,6 @@ impl Service {
         &self.cfg
     }
 
-    /// True once shutdown has begun.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
     /// Graceful drain: stop admitting, let workers finish every admitted
     /// request, join every supervisor thread, and return the final
     /// metrics snapshot. After shutdown,

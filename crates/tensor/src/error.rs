@@ -29,13 +29,6 @@ pub enum TensorError {
         /// Rank the operand actually had.
         actual: usize,
     },
-    /// A dimension index was out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor's rank.
-        rank: usize,
-    },
     /// Geometry (stride/padding/kernel) does not produce a valid output.
     InvalidGeometry(String),
     /// An operation that requires finite inputs encountered NaN or an
@@ -64,9 +57,6 @@ impl fmt::Display for TensorError {
                 expected,
                 actual,
             } => write!(f, "{op}: expected rank {expected}, got rank {actual}"),
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
-            }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::NonFinite { op, index } => {
                 write!(f, "{op}: non-finite value at flat index {index}")
@@ -112,12 +102,6 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("expected rank 4"));
-    }
-
-    #[test]
-    fn display_axis_out_of_range() {
-        let e = TensorError::AxisOutOfRange { axis: 5, rank: 2 };
-        assert!(e.to_string().contains("axis 5"));
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use crate::TensorError;
-
 /// A lightweight owned shape: the dimension sizes of a row-major tensor.
 ///
 /// `Shape` exists mostly to centralize the small amount of index arithmetic
@@ -69,22 +67,6 @@ impl Shape {
     pub(crate) fn into_dims(self) -> Vec<usize> {
         self.0
     }
-
-    /// Validates that `axis` is a legal dimension index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] when `axis >= rank`.
-    pub fn check_axis(&self, axis: usize) -> Result<(), TensorError> {
-        if axis < self.rank() {
-            Ok(())
-        } else {
-            Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
-        }
-    }
 }
 
 impl From<&[usize]> for Shape {
@@ -129,16 +111,6 @@ mod tests {
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 1, 0]), 4);
-    }
-
-    #[test]
-    fn check_axis_bounds() {
-        let s = Shape::new(&[2, 3]);
-        assert!(s.check_axis(1).is_ok());
-        assert!(matches!(
-            s.check_axis(2),
-            Err(TensorError::AxisOutOfRange { axis: 2, rank: 2 })
-        ));
     }
 
     #[test]

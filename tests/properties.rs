@@ -28,18 +28,6 @@ proptest! {
     }
 
     #[test]
-    fn bayer_roundtrip_on_random_images(
-        data in proptest::collection::vec(0.0f32..1.0, 3 * 4 * 6),
-    ) {
-        let img = Tensor::from_vec(data, &[3, 4, 6]).expect("shape");
-        let raw = bayer::mosaic(&img).expect("mosaic");
-        let back = bayer::demosaic(&raw).expect("demosaic");
-        for (a, b) in img.as_slice().iter().zip(back.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn flattened_kernel_preserves_inner_products(
         kdata in proptest::collection::vec(-1.0f32..1.0, 12),
         idata in proptest::collection::vec(0.0f32..1.0, 12),

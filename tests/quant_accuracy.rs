@@ -115,33 +115,3 @@ fn int8_top1_accuracy_within_half_a_point_of_f32() {
         f32_preds.len()
     );
 }
-
-#[test]
-fn int8_accuracy_holds_after_checkpoint_roundtrip_of_the_calibration() {
-    // The calibration table rides the CRC-checked checkpoint format;
-    // restoring it into a fresh session must reproduce the engine
-    // bit-for-bit, so accuracy is identical by construction.
-    let data = data();
-    let mut pipeline = trained_pipeline(&data);
-    let (calib_batch, _) = data.val().batch(0, 32).expect("calibration batch");
-
-    let mut cal = leca::core::quantized::QuantizedEngine::calibrate(&mut pipeline, &calib_batch)
-        .expect("calibrates");
-    let bytes = leca::nn::serialize::to_bytes(&mut cal);
-
-    let mut session = InferenceSession::for_pipeline(&mut pipeline);
-    session.enable_int8(&calib_batch).expect("direct engine");
-    let direct = predictions(&mut session, data.val(), Precision::Int8);
-
-    let mut restored = leca::core::quantized::QuantCalibration::new(cal.len());
-    leca::nn::serialize::from_bytes(&mut restored, &bytes).expect("restores");
-    session
-        .enable_int8_with(&restored)
-        .expect("restored engine");
-    let roundtrip = predictions(&mut session, data.val(), Precision::Int8);
-
-    assert_eq!(
-        direct, roundtrip,
-        "calibration checkpoint roundtrip changed int8 predictions"
-    );
-}

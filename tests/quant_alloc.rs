@@ -3,7 +3,7 @@
 //! The quantized engine owns every scratch buffer it needs — ADC code
 //! planes, per-stage int8 activation buffers, the f32 residual/GAP/logit
 //! tails — all grown during [`leca::core::session::InferenceSession::warm_up`].
-//! After warm-up, a steady-state int8 `classify_batch` must perform
+//! After warm-up, a steady-state int8 `classify_batch_with` must perform
 //! **zero heap allocations**, exactly like the f32 workspace path pinned
 //! by `tests/alloc_regression.rs`.
 //!
@@ -38,29 +38,32 @@ fn int8_steady_state_makes_no_heap_allocations() {
     let mut rng = StdRng::seed_from_u64(5);
     let calib = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
     session.enable_int8(&calib).unwrap();
-    session.set_precision(Precision::Int8).unwrap();
 
-    // `warm_up` runs throwaway batches at the session's precision,
-    // growing the engine's scratch for this exact shape.
+    // With an engine compiled, `warm_up` also runs throwaway int8
+    // batches, growing the engine's scratch for this exact shape.
     let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
     let mut preds = Vec::new();
     session.warm_up(&[4, 3, 16, 16]).unwrap();
     for _ in 0..4 {
-        session.classify_batch(&x, &mut preds).unwrap();
+        session
+            .classify_batch_with(&x, &mut preds, Precision::Int8)
+            .unwrap();
     }
 
     let before = alloc_count();
     const ITERS: usize = 50;
     let mut guard = 0usize;
     for _ in 0..ITERS {
-        session.classify_batch(&x, &mut preds).unwrap();
+        session
+            .classify_batch_with(&x, &mut preds, Precision::Int8)
+            .unwrap();
         guard += preds.iter().sum::<usize>();
     }
     let steady = alloc_count() - before;
-    println!("int8: {steady} heap allocations across {ITERS} warm classify_batch calls");
+    println!("int8: {steady} heap allocations across {ITERS} warm classify_batch_with calls");
     assert_eq!(
         steady, 0,
-        "warm int8 classify_batch must not touch the heap \
+        "warm int8 classify_batch_with must not touch the heap \
          ({steady} allocations across {ITERS} batches)"
     );
     assert!(guard < ITERS * 4 * 4, "predictions stayed in range");
