@@ -9,7 +9,7 @@ use leca_bench as harness;
 use leca_core::cache;
 use leca_core::config::LecaConfig;
 use leca_core::encoder::Modality;
-use leca_core::trainer::pipeline_accuracy;
+use leca_core::trainer::accuracy;
 use leca_core::LecaPipeline;
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
             },
         )
         .expect("unfrozen pipeline trains");
-        let unfrozen_acc = pipeline_accuracy(&mut unfrozen, data.val()).expect("eval");
+        let unfrozen_acc = accuracy(&mut unfrozen, data.val()).expect("eval");
 
         rows.push(vec![
             format!("{cr}x"),

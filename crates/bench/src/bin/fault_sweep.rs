@@ -6,10 +6,10 @@
 //!
 //! * **LeCA (noisy-trained)** — the Fig. 11 noisy pipeline deployed on a
 //!   faulty sensor it never saw during training;
-//! * **LeCA (fault-aware ft)** — the same pipeline fine-tuned for a few
-//!   epochs in `Modality::Faulty` against its own die's defect map (same
-//!   fault seed: sites active at low rates are a subset of those at high
-//!   rates, so calibration transfers across the sweep);
+//! * **LeCA (fault-aware ft)** — the same Noisy pipeline fine-tuned for a
+//!   few epochs with its own die's defect map installed as the encoder's
+//!   fault plan (same fault seed: sites active at low rates are a subset
+//!   of those at high rates, so calibration transfers across the sweep);
 //! * **codec baselines** — a conventional sensor with the same per-site
 //!   defects captures the image, then the codec compresses it.
 
@@ -54,14 +54,11 @@ fn main() {
     let (mut unaware, unaware_acc) = noisy_pipeline(&data).expect("noisy pipeline trains");
 
     // Path 2: the same weights fine-tuned against this die's defect map.
+    // The Noisy chain applies the plan, so training sees the defects.
     let (mut aware, _) = noisy_pipeline(&data).expect("noisy pipeline cached");
     aware
         .encoder_mut()
         .set_fault_plan(FaultPlan::uniform(FAULT_SEED, TRAIN_RATE));
-    aware
-        .encoder_mut()
-        .set_modality(Modality::Faulty)
-        .expect("K=2 pipeline");
     let suffix = if harness::fast_mode() { "-fast" } else { "" };
     cache::load_or_train(&mut aware, &format!("pipe-fault-awareft{suffix}"), |p| {
         let epochs = harness::leca_epochs().div_ceil(2);

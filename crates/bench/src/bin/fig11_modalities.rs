@@ -13,7 +13,7 @@ use leca_bench as harness;
 use leca_core::cache;
 use leca_core::config::LecaConfig;
 use leca_core::encoder::Modality;
-use leca_core::trainer::pipeline_accuracy;
+use leca_core::trainer::accuracy;
 use leca_data::SynthVision;
 
 /// Evaluates a pipeline under a (possibly different) modality, restoring
@@ -28,7 +28,7 @@ fn eval_under(
         .encoder_mut()
         .set_modality(modality)
         .expect("K=2 pipelines");
-    let acc = pipeline_accuracy(pipeline, data.val()).expect("evaluation runs");
+    let acc = accuracy(pipeline, data.val()).expect("evaluation runs");
     pipeline
         .encoder_mut()
         .set_modality(original)
@@ -84,7 +84,7 @@ fn run(pipeline_name: &str, data: &SynthVision) {
         },
     )
     .expect("noisy fine-tune runs");
-    let noisy_acc = pipeline_accuracy(&mut hard, data.val()).expect("noisy eval");
+    let noisy_acc = accuracy(&mut hard, data.val()).expect("noisy eval");
 
     harness::print_table(
         &format!(

@@ -32,7 +32,6 @@ use leca_core::trainer::{self, TrainConfig};
 use leca_core::LecaError;
 use leca_data::{SynthConfig, SynthVision};
 use leca_nn::backbone::Backbone;
-use leca_nn::Layer;
 
 /// Result alias for harness operations.
 pub type Result<T> = std::result::Result<T, LecaError>;
@@ -105,7 +104,7 @@ pub fn cached_backbone(tag: &str, data: &SynthVision) -> Result<(Backbone, f32)>
         );
         Ok(())
     })?;
-    let acc = trainer::backbone_accuracy(&mut bb, data.val())?;
+    let acc = trainer::accuracy(&mut bb, data.val())?;
     Ok((bb, acc))
 }
 
@@ -135,7 +134,7 @@ pub fn cached_pipeline(
         );
         Ok(())
     })?;
-    let acc = trainer::pipeline_accuracy(&mut pipeline, data.val())?;
+    let acc = trainer::accuracy(&mut pipeline, data.val())?;
     Ok((pipeline, acc))
 }
 
@@ -188,15 +187,6 @@ pub fn ratio(x: f64) -> String {
 /// Formats a percentage with one decimal.
 pub fn pct(x: f32) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-/// Ensures a frozen backbone stays frozen across cache loads (defensive).
-pub fn assert_frozen(pipeline: &mut LecaPipeline) {
-    let mut any = false;
-    pipeline
-        .backbone_mut()
-        .visit_params(&mut |p| any |= !p.frozen);
-    assert!(!any, "backbone must remain frozen");
 }
 
 #[cfg(test)]

@@ -61,24 +61,22 @@ impl ScmModel {
         (c_sample * (2.0 * self.params.vcm - v_in) + c_out * v_out_prev) / (c_out + c_sample)
     }
 
-    /// Partial derivatives of [`ScmModel::step`] wrt
-    /// `(v_out_prev, v_in, c_sample)` — used by hard/noisy training to
-    /// back-propagate through the MAC recursion.
-    pub fn step_grads(&self, v_out_prev: f32, v_in: f32, c_sample: f32) -> (f32, f32, f32) {
+    /// Partial derivatives of [`ScmModel::step`] wrt `(v_out_prev,
+    /// c_sample)` — used by hard/noisy training to back-propagate through
+    /// the MAC recursion. The encoder reads the scene first, so no caller
+    /// needs the partial wrt `v_in`.
+    pub fn step_grads(&self, v_out_prev: f32, v_in: f32, c_sample: f32) -> (f32, f32) {
+        let c_out = self.params.c_out_ff;
         if c_sample <= 0.0 {
             // Degenerate no-op step: output == v_out_prev. The derivative
             // wrt c_sample at 0⁺ still exists and drives learning away from
             // dead weights.
-            let c_out = self.params.c_out_ff;
-            let d_cs = (2.0 * self.params.vcm - v_in - v_out_prev) / c_out;
-            return (1.0, 0.0, d_cs);
+            return (1.0, (2.0 * self.params.vcm - v_in - v_out_prev) / c_out);
         }
-        let c_out = self.params.c_out_ff;
         let denom = c_out + c_sample;
         let d_prev = c_out / denom;
-        let d_vin = -c_sample / denom;
         let d_cs = c_out * (2.0 * self.params.vcm - v_in - v_out_prev) / (denom * denom);
-        (d_prev, d_vin, d_cs)
+        (d_prev, d_cs)
     }
 }
 
@@ -227,24 +225,22 @@ mod tests {
     fn grads_match_finite_difference() {
         let m = model();
         let (v0, vin, cs) = (0.58, 0.82, 60.0);
-        let (d_prev, d_vin, d_cs) = m.step_grads(v0, vin, cs);
+        let (d_prev, d_cs) = m.step_grads(v0, vin, cs);
         let eps = 1e-3;
         let num_prev = (m.step(v0 + eps, vin, cs) - m.step(v0 - eps, vin, cs)) / (2.0 * eps);
-        let num_vin = (m.step(v0, vin + eps, cs) - m.step(v0, vin - eps, cs)) / (2.0 * eps);
         // Capacitance derivative needs a larger probe step: the f32 voltage
         // difference underflows at eps = 1e-3 fF.
         let ceps = 0.5;
         let num_cs = (m.step(v0, vin, cs + ceps) - m.step(v0, vin, cs - ceps)) / (2.0 * ceps);
         assert!((d_prev - num_prev).abs() < 1e-4, "{d_prev} vs {num_prev}");
-        assert!((d_vin - num_vin).abs() < 1e-4, "{d_vin} vs {num_vin}");
         assert!((d_cs - num_cs).abs() < 1e-5, "{d_cs} vs {num_cs}");
     }
 
     #[test]
     fn grads_at_zero_cap_are_continuous() {
         let m = model();
-        let (_, _, d_cs0) = m.step_grads(0.6, 0.8, 0.0);
-        let (_, _, d_cs1) = m.step_grads(0.6, 0.8, 1.0);
+        let (_, d_cs0) = m.step_grads(0.6, 0.8, 0.0);
+        let (_, d_cs1) = m.step_grads(0.6, 0.8, 1.0);
         assert!((d_cs0 - d_cs1).abs() < 1e-3, "{d_cs0} vs {d_cs1}");
     }
 

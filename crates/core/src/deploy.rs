@@ -53,8 +53,9 @@ pub fn export_weight_codes(enc: &LecaEncoder) -> LecaResult<Vec<Vec<i32>>> {
 /// trained encoder's weight codes and ADC boundary.
 ///
 /// The encoder's [`FaultPlan`](leca_circuit::fault::FaultPlan) is carried
-/// over to the sensor, so a pipeline fine-tuned with `Modality::Faulty`
-/// deploys onto hardware exhibiting the very defects it trained against.
+/// over to the sensor, so a pipeline fine-tuned in `Modality::Noisy` with
+/// that plan installed deploys onto hardware exhibiting the very defects
+/// it trained against.
 ///
 /// # Errors
 ///

@@ -14,11 +14,15 @@
 //! * [`Modality::Noisy`] — the full device behaviour: Monte-Carlo-extracted
 //!   `N(LUT(v), σ(v))` buffer models, incomplete charge transfer and
 //!   charge injection in the SCM, per-step kTC/switch noise, pixel
-//!   shot/read noise and comparator noise.
+//!   shot/read noise and comparator noise — plus the permanent defects of
+//!   the encoder's [`FaultPlan`] whenever that plan is non-empty.
 //!
 //! Gradients are exact throughout: the Eq. (3) recursion is differentiated
 //! step by step (closed-form partials), quantizers use clipped STE
 //! (Eq. (2)), and the LUT models back-propagate through their local slope.
+//! Only the parameters (the weights and the ADC boundary) receive
+//! gradients: the encoder reads the scene, so nothing upstream consumes
+//! an input gradient and [`Layer::backward`] returns an empty tensor.
 //!
 //! For the hardware modalities the RGB kernel is expanded to the 4x4
 //! raw-Bayer MAC schedule of Fig. 5(a) (green halved and duplicated), so
@@ -48,13 +52,12 @@ pub enum Modality {
     Soft,
     /// Analytical circuit models with constraints and offsets.
     Hard,
-    /// Full device behaviour with noise and variations.
-    Noisy,
-    /// [`Modality::Noisy`] plus the permanent defects of the encoder's
-    /// [`FaultPlan`] (stuck/hot pixels, dead columns, weight-SRAM bit
-    /// flips, stuck/missing ADC codes) — fault-aware fine-tuning trains
+    /// Full device behaviour with noise and variations, plus the
+    /// permanent defects of the encoder's [`FaultPlan`] (stuck/hot
+    /// pixels, dead columns, weight-SRAM bit flips, stuck/missing ADC
+    /// codes) when it is non-empty — fault-aware fine-tuning trains
     /// through the exact defect map the deployed sensor will exhibit.
-    Faulty,
+    Noisy,
 }
 
 /// One step of the Bayer-expanded MAC schedule: which RGB weight/pixel it
@@ -92,13 +95,22 @@ struct SoftCache {
     u: Tensor,
 }
 
+/// Per (kernel, step) programming of the MAC array, derived from the
+/// weights: effective sampling capacitance, positive-routing flag and the
+/// STE pass mask of the weight that set them.
+#[derive(Debug, Clone)]
+struct MacProgram {
+    cs: Vec<f32>,
+    on_pos: Vec<bool>,
+    w_mask: Vec<bool>,
+}
+
 #[derive(Debug)]
 struct HwCache {
-    x_shape: Vec<usize>,
+    /// Batch size.
+    n: usize,
     oh: usize,
     ow: usize,
-    /// Clamped pixel voltage per (sample, block, step).
-    vpix: Vec<f32>,
     /// Post-PSF voltage per (sample, block, step).
     vin: Vec<f32>,
     /// Accumulator value before each step, per (sample, kernel, block, step).
@@ -108,11 +120,7 @@ struct HwCache {
     vn: Vec<f32>,
     /// Pre-quantization normalized value per (sample, kernel, block).
     u: Vec<f32>,
-    /// Per (kernel, step): effective capacitance, positive-routing flag and
-    /// STE pass mask for the weight.
-    cs: Vec<f32>,
-    on_pos: Vec<bool>,
-    w_mask: Vec<bool>,
+    program: MacProgram,
 }
 
 enum Cache {
@@ -221,15 +229,17 @@ impl LecaEncoder {
         Ok(())
     }
 
-    /// The active fault plan (consulted only in [`Modality::Faulty`]).
+    /// The active fault plan. [`Modality::Noisy`] applies it when it is
+    /// non-empty; the other modalities ignore it.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
     }
 
-    /// Installs the permanent-defect plan the faulty modality trains
-    /// through. Use the same seed/rates when building the deployed sensor
-    /// (`deploy::program_sensor` propagates this plan) so training and
-    /// deployment see identical defect maps.
+    /// Installs the permanent-defect plan that [`Modality::Noisy`] trains
+    /// through; [`FaultPlan::none`] (the default) restores the
+    /// fault-free chain bit for bit. `deploy::program_sensor` carries
+    /// this plan onto the sensor, so training and deployment see
+    /// identical defect maps.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
     }
@@ -359,13 +369,7 @@ impl LecaEncoder {
         let g_y = g_u.scale(1.0 / vfs);
         let gw = ops::conv2d_grad_weight(&cache.x, &g_y, self.k, self.k, self.k, 0)?;
         self.weight.accumulate(&gw);
-        Ok(ops::conv2d_grad_input(
-            &g_y,
-            &self.weight.value,
-            cache.x.shape(),
-            self.k,
-            0,
-        )?)
+        Ok(Tensor::zeros(&[0]))
     }
 
     /// PSF transfer in the current modality: with `normals` (noisy) the
@@ -385,39 +389,30 @@ impl LecaEncoder {
         }
     }
 
-    fn forward_hw(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        if x.rank() != 4 || x.shape()[1] != 3 {
-            return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
-                op: "leca_encoder",
-                expected: 4,
-                actual: x.rank(),
-            }));
+    /// Fraction of the sampled charge the SCM transfers: the device model
+    /// loses [`TRANSFER_LOSS`] of it, the analytical one none.
+    fn loss_factor(&self) -> f32 {
+        if self.modality == Modality::Noisy {
+            1.0 - TRANSFER_LOSS
+        } else {
+            1.0
         }
-        let noisy = matches!(self.modality, Modality::Noisy | Modality::Faulty);
-        let faulty = self.modality == Modality::Faulty && !self.fault_plan.is_none();
-        let (n, _, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        if h % 2 != 0 || w % 2 != 0 {
-            return Err(NnError::InvalidConfig(format!(
-                "input {h}x{w} not divisible by K = 2"
-            )));
-        }
-        let (oh, ow) = (h / 2, w / 2);
-        let blocks = oh * ow;
-        let n_ch = self.n_ch;
-        let vfs = self.v_fs();
-        let vcm = self.params.vcm;
-        let (win_lo, win_hi) = (self.params.v_dark, self.params.v_dark + self.params.v_swing);
-        let ctot = self.params.c_sample_tot_ff;
-        let loss_factor = if noisy { 1.0 - TRANSFER_LOSS } else { 1.0 };
+    }
 
-        // Per (kernel, step): quantized code → capacitance, routing, mask.
+    /// Programs the MAC array from the current weights: each (kernel,
+    /// step) weight is quantized to its capacitance code — through the
+    /// fault plan's weight-SRAM flips in a faulted Noisy chain — and
+    /// turned into a sampling capacitance and a routing.
+    fn mac_program(&self) -> MacProgram {
+        let faulty = self.modality == Modality::Noisy && !self.fault_plan.is_none();
+        let (ctot, loss_factor) = (self.params.c_sample_tot_ff, self.loss_factor());
+        let n_ch = self.n_ch;
         let mut cs = vec![0.0f32; n_ch * 16];
         let mut on_pos = vec![true; n_ch * 16];
         let mut w_mask = vec![true; n_ch * 16];
-        let schedule_w = self.schedule;
         let max_wcode = self.params.max_weight_code();
         for kern in 0..n_ch {
-            for (j, step) in schedule_w.iter().enumerate() {
+            for (j, step) in self.schedule.iter().enumerate() {
                 let wv = self.weight.value.at4(kern, step.c, step.dy, step.dx) * step.factor;
                 let mut wq = signed_magnitude_quantize(wv, 4, 1.0);
                 if faulty {
@@ -432,6 +427,39 @@ impl LecaEncoder {
                 w_mask[kern * 16 + j] = wv.abs() <= 1.0;
             }
         }
+        MacProgram { cs, on_pos, w_mask }
+    }
+
+    /// Runs the analog chain on `x` with the MAC array programmed as
+    /// `program`, caching the voltage traces backward reads in Train mode.
+    fn forward_hw(
+        &mut self,
+        x: &Tensor,
+        mode: Mode,
+        program: MacProgram,
+    ) -> leca_nn::Result<Tensor> {
+        if x.rank() != 4 || x.shape()[1] != 3 {
+            return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
+                op: "leca_encoder",
+                expected: 4,
+                actual: x.rank(),
+            }));
+        }
+        let noisy = self.modality == Modality::Noisy;
+        let faulty = noisy && !self.fault_plan.is_none();
+        let (n, _, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        if h % 2 != 0 || w % 2 != 0 {
+            return Err(NnError::InvalidConfig(format!(
+                "input {h}x{w} not divisible by K = 2"
+            )));
+        }
+        let (oh, ow) = (h / 2, w / 2);
+        let blocks = oh * ow;
+        let n_ch = self.n_ch;
+        let vfs = self.v_fs();
+        let vcm = self.params.vcm;
+        let (win_lo, win_hi) = (self.params.v_dark, self.params.v_dark + self.params.v_swing);
+        let MacProgram { cs, on_pos, .. } = &program;
 
         // Noisy normals per block, in the order the loops below take them:
         // per MAC step the pixel's shot and read noise and the PSF's, then
@@ -447,7 +475,6 @@ impl LecaEncoder {
         let mut normals = noisy.then(|| NormalStream::new(&mut rng, total_normals));
 
         let schedule = self.schedule;
-        let mut vpix = vec![0.0f32; n * blocks * 16];
         let mut vin = vec![0.0f32; n * blocks * 16];
         let mut prev = vec![0.0f32; n * n_ch * blocks * 16];
         let mut vp = vec![0.0f32; n * n_ch * blocks];
@@ -477,9 +504,7 @@ impl LecaEncoder {
                             }
                         }
                         let v = self.params.pixel_to_voltage(px).clamp(win_lo, win_hi);
-                        let idx = (ni * blocks + b) * 16 + j;
-                        vpix[idx] = v;
-                        vin[idx] = self.psf_eval(v, normals.as_mut());
+                        vin[(ni * blocks + b) * 16 + j] = self.psf_eval(v, normals.as_mut());
                     }
                     // Stage 2: per-kernel MAC chains on the differential
                     // o-buffers.
@@ -532,26 +557,22 @@ impl LecaEncoder {
 
         if mode.is_train() {
             self.cache = Some(Cache::Hw(HwCache {
-                x_shape: x.shape().to_vec(),
+                n,
                 oh,
                 ow,
-                vpix,
                 vin,
                 prev,
                 vp,
                 vn,
                 u,
-                cs,
-                on_pos,
-                w_mask,
+                program,
             }));
         }
         Ok(out)
     }
 
     fn backward_hw(&mut self, grad_out: &Tensor, cache: HwCache) -> leca_nn::Result<Tensor> {
-        let noisy = matches!(self.modality, Modality::Noisy | Modality::Faulty);
-        let (n, oh, ow) = (cache.x_shape[0], cache.oh, cache.ow);
+        let (n, oh, ow) = (cache.n, cache.oh, cache.ow);
         let blocks = oh * ow;
         let n_ch = self.n_ch;
         if grad_out.shape() != [n, n_ch, oh, ow] {
@@ -562,87 +583,85 @@ impl LecaEncoder {
             });
         }
         let vfs = self.v_fs();
-        let ctot = self.params.c_sample_tot_ff;
-        let loss_factor = if noisy { 1.0 - TRANSFER_LOSS } else { 1.0 };
-        let v_swing = self.params.v_swing;
-        let (win_lo, win_hi) = (self.params.v_dark, self.params.v_dark + self.params.v_swing);
-
-        let schedule = self.schedule;
-        let mut gx = Tensor::zeros(&cache.x_shape);
+        let (ctot, loss_factor) = (self.params.c_sample_tot_ff, self.loss_factor());
+        let program = &cache.program;
         let mut gw = Tensor::zeros(self.weight.value.shape());
         let mut g_vfs = 0.0f64;
 
         for ni in 0..n {
             for kern in 0..n_ch {
                 for b in 0..blocks {
-                    let (by, bx) = (b / ow, b % ow);
-                    let kb = (ni * n_ch + kern) * blocks + b;
-                    let go = grad_out.at4(ni, kern, by, bx);
+                    let go = grad_out.at4(ni, kern, b / ow, b % ow);
                     if go == 0.0 {
                         continue;
                     }
-                    let uu = cache.u[kb];
+                    let uu = cache.u[(ni * n_ch + kern) * blocks + b];
                     if uu.abs() > 1.0 {
                         continue; // clipped STE: saturated codes block grads
                     }
                     g_vfs += (go * (-uu / vfs)) as f64;
-                    let g_vdiff = go / vfs;
-                    // FVF slopes at the cached accumulator values.
-                    let slope_p = if noisy {
-                        self.fvf_lut.slope(cache.vp[kb])
-                    } else {
-                        self.fvf.gain
-                    };
-                    let slope_n = if noisy {
-                        self.fvf_lut.slope(cache.vn[kb])
-                    } else {
-                        self.fvf.gain
-                    };
-                    let mut gp = g_vdiff * slope_p;
-                    let mut gn = -g_vdiff * slope_n;
-                    // Reverse the MAC chain.
+                    let g_cs = self.chain_grads(&cache, ni, kern, b, go / vfs);
+                    // Weight gradient through the capacitance code.
                     for j in (0..16).rev() {
                         let ks = kern * 16 + j;
-                        let gacc = if cache.on_pos[ks] { &mut gp } else { &mut gn };
-                        if *gacc == 0.0 {
-                            continue;
-                        }
-                        let idx = (ni * blocks + b) * 16 + j;
-                        let prev_v = cache.prev[kb * 16 + j];
-                        let vin_v = cache.vin[idx];
-                        let (d_prev, d_vin, d_cs) =
-                            self.scm.step_grads(prev_v, vin_v, cache.cs[ks]);
-                        // Weight gradient through the capacitance code.
-                        if cache.w_mask[ks] {
-                            let step = schedule[j];
-                            let sign = if cache.on_pos[ks] { 1.0 } else { -1.0 };
-                            let contrib = *gacc * d_cs * ctot * loss_factor * step.factor * sign;
+                        if program.w_mask[ks] {
+                            let step = self.schedule[j];
+                            let sign = if program.on_pos[ks] { 1.0 } else { -1.0 };
                             let widx = ((kern * 3 + step.c) * self.k + step.dy) * self.k + step.dx;
-                            gw.as_mut_slice()[widx] += contrib;
+                            gw.as_mut_slice()[widx] +=
+                                g_cs[j] * ctot * loss_factor * step.factor * sign;
                         }
-                        // Input gradient through PSF and the pixel window.
-                        if cache.cs[ks] > 0.0 {
-                            let vpix_v = cache.vpix[idx];
-                            if vpix_v > win_lo && vpix_v < win_hi {
-                                let psf_slope = if noisy {
-                                    self.psf_lut.slope(vpix_v)
-                                } else {
-                                    self.psf.gain
-                                };
-                                let step = schedule[j];
-                                let (y, x) = (by * 2 + step.dy, bx * 2 + step.dx);
-                                let xidx = ((ni * 3 + step.c) * (oh * 2) + y) * (ow * 2) + x;
-                                gx.as_mut_slice()[xidx] += *gacc * d_vin * psf_slope * v_swing;
-                            }
-                        }
-                        *gacc *= d_prev;
                     }
                 }
             }
         }
         self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
         self.weight.accumulate(&gw);
-        Ok(gx)
+        Ok(Tensor::zeros(&[0]))
+    }
+
+    /// Reverses kernel `kern`'s MAC chains on block `b` of sample `ni`
+    /// from `g_vdiff = dL/dv_diff`: the FVF slopes at the cached
+    /// accumulators, then Eq. (3)'s partials step by step. Returns dL/dcs
+    /// for each of the 16 steps.
+    fn chain_grads(
+        &self,
+        cache: &HwCache,
+        ni: usize,
+        kern: usize,
+        b: usize,
+        g_vdiff: f32,
+    ) -> [f32; 16] {
+        let kb = (ni * self.n_ch + kern) * cache.oh * cache.ow + b;
+        let (slope_p, slope_n) = if self.modality == Modality::Noisy {
+            (
+                self.fvf_lut.slope(cache.vp[kb]),
+                self.fvf_lut.slope(cache.vn[kb]),
+            )
+        } else {
+            (self.fvf.gain, self.fvf.gain)
+        };
+        let mut gp = g_vdiff * slope_p;
+        let mut gn = -g_vdiff * slope_n;
+        let mut g_cs = [0.0f32; 16];
+        for j in (0..16).rev() {
+            let ks = kern * 16 + j;
+            let gacc = if cache.program.on_pos[ks] {
+                &mut gp
+            } else {
+                &mut gn
+            };
+            if *gacc == 0.0 {
+                continue;
+            }
+            let vin = cache.vin[(ni * cache.oh * cache.ow + b) * 16 + j];
+            let (d_prev, d_cs) =
+                self.scm
+                    .step_grads(cache.prev[kb * 16 + j], vin, cache.program.cs[ks]);
+            g_cs[j] = *gacc * d_cs;
+            *gacc *= d_prev;
+        }
+        g_cs
     }
 }
 
@@ -664,7 +683,8 @@ impl Layer for LecaEncoder {
         // The hardware modalities simulate the analog pipeline step by step
         // and return the output together with their voltage traces.
         if self.modality != Modality::Soft {
-            return Ok(ws.adopt(self.forward_hw(x, mode)?));
+            let program = self.mac_program();
+            return Ok(ws.adopt(self.forward_hw(x, mode, program)?));
         }
         let shape = ops::conv2d_out_shape(x, &self.weight.value, self.k, 0)?;
         let mut out = ws.take(&shape);
@@ -794,6 +814,10 @@ mod tests {
         // masking applies (v_fs init 0.3 and random weights keep |u| ~ 1;
         // enlarge the boundary to be sure).
         let gx = enc.backward(&Tensor::ones(y.shape())).unwrap();
+        assert!(
+            gx.is_empty(),
+            "the encoder has no upstream to hand dL/dx to"
+        );
         let vfs = enc.v_fs();
         // Recompute expected gradients with the tensor kernels, masking
         // saturated positions.
@@ -803,11 +827,6 @@ mod tests {
             if (c / vfs).abs() > 1.0 {
                 *g = 0.0;
             }
-        }
-        let expect_gx =
-            leca_tensor::ops::conv2d_grad_input(&g_y, enc.weight(), x.shape(), 2, 0).unwrap();
-        for (a, b) in gx.as_slice().iter().zip(expect_gx.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
         let expect_gw = leca_tensor::ops::conv2d_grad_weight(&x, &g_y, 2, 2, 2, 0).unwrap();
         for (a, b) in enc.weight.grad.as_slice().iter().zip(expect_gw.as_slice()) {
@@ -857,16 +876,6 @@ mod tests {
             agree as f32 / total as f32 >= 0.7,
             "only {agree}/{total} weight grads point the right way"
         );
-    }
-
-    #[test]
-    fn hard_input_gradients_flow() {
-        let mut enc = LecaEncoder::new(&cfg(4, 8.0), Modality::Hard, 9).unwrap();
-        let x = input(2, 8, 10);
-        let y = enc.forward(&x, Mode::Train).unwrap();
-        let gx = enc.backward(&Tensor::ones(y.shape())).unwrap();
-        assert_eq!(gx.shape(), x.shape());
-        assert!(gx.norm_sq() > 0.0, "input gradient must be non-zero");
     }
 
     #[test]
@@ -949,23 +958,10 @@ mod tests {
     }
 
     #[test]
-    fn faulty_with_empty_plan_matches_noisy_exactly() {
-        // Faults draw no randomness, so with FaultPlan::none() the faulty
-        // modality must be bit-identical to noisy at the same seed.
-        let x = input(1, 8, 20);
-        let mut noisy = LecaEncoder::new(&cfg(4, 3.0), Modality::Noisy, 21).unwrap();
-        let mut faulty = LecaEncoder::new(&cfg(4, 3.0), Modality::Faulty, 21).unwrap();
-        assert!(faulty.fault_plan().is_none());
-        let a = noisy.forward(&x, Mode::Eval).unwrap();
-        let b = faulty.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fault_plan_changes_faulty_output_and_stays_on_grid() {
+    fn fault_plan_changes_noisy_output_and_stays_on_grid() {
         let x = input(1, 8, 22);
-        let mut a = LecaEncoder::new(&cfg(4, 3.0), Modality::Faulty, 23).unwrap();
-        let mut b = LecaEncoder::new(&cfg(4, 3.0), Modality::Faulty, 23).unwrap();
+        let mut a = LecaEncoder::new(&cfg(4, 3.0), Modality::Noisy, 23).unwrap();
+        let mut b = LecaEncoder::new(&cfg(4, 3.0), Modality::Noisy, 23).unwrap();
         b.set_fault_plan(FaultPlan::uniform(5, 0.4));
         let ya = a.forward(&x, Mode::Eval).unwrap();
         let yb = b.forward(&x, Mode::Eval).unwrap();
@@ -978,16 +974,177 @@ mod tests {
     }
 
     #[test]
-    fn faulty_gradients_flow_for_fine_tuning() {
-        let mut enc = LecaEncoder::new(&cfg(4, 8.0), Modality::Faulty, 24).unwrap();
+    fn noisy_fault_plan_gradients_flow_for_fine_tuning() {
+        let mut enc = LecaEncoder::new(&cfg(4, 8.0), Modality::Noisy, 24).unwrap();
         enc.set_fault_plan(FaultPlan::uniform(6, 0.1));
         let x = input(1, 8, 25);
         enc.zero_grad();
         let y = enc.forward(&x, Mode::Train).unwrap();
         let gx = enc.backward(&Tensor::ones(y.shape())).unwrap();
-        assert_eq!(gx.shape(), x.shape());
-        assert!(gx.norm_sq() > 0.0, "input gradient must be non-zero");
+        assert!(gx.is_empty());
         assert!(enc.weight.grad.norm_sq() > 0.0, "weight gradient must flow");
+    }
+
+    /// A Train forward of `x` with the MAC array programmed as `program`,
+    /// drawing its noise from a copy of `rng`. Returns the cache.
+    fn hw_trace(enc: &mut LecaEncoder, x: &Tensor, program: MacProgram, rng: &StdRng) -> HwCache {
+        enc.rng = rng.clone();
+        enc.forward_hw(x, Mode::Train, program).unwrap();
+        match enc.cache.take() {
+            Some(Cache::Hw(c)) => c,
+            _ => unreachable!("a hardware forward caches its traces"),
+        }
+    }
+
+    /// Checks the reverse-mode partials of the pre-ADC `u` against central
+    /// differences where the chain is smooth: wrt each nonzero capacitance
+    /// (weight codes held fixed, so no quantizer is crossed) and wrt
+    /// `v_fs`. Noise is replayed, so the ± runs see the same draws: `cs`
+    /// stays nonzero, so the draw count does not change.
+    ///
+    /// Backward linearizes the FVF LUT's mean. A replayed draw also scales
+    /// the LUT's σ(v), whose slope backward leaves out, a gap of up to
+    /// 0.4%, so the check flattens σ to make the noisy chain exactly
+    /// differentiable. A capacitance partial then passes within 2e-3 of
+    /// the difference plus 2e-6 absolute (f32 rounding of a 0.5 fF
+    /// difference quotient; the largest gaps seen are 6e-4 relative and
+    /// 6e-7 absolute), and `v_fs` within 1e-3.
+    fn check_chain_partials(modality: Modality, plan: FaultPlan) {
+        let mut enc = LecaEncoder::new(&cfg(2, 8.0), modality, 41).unwrap();
+        enc.set_fault_plan(plan);
+        let (lo, hi) = (enc.fvf_lut.lo(), enc.fvf_lut.hi());
+        let step = (hi - lo) / 32.0;
+        let mean = (0..33)
+            .map(|i| enc.fvf_lut.value(lo + i as f32 * step))
+            .collect();
+        let sigma = vec![enc.fvf_lut.sigma(enc.params.vcm); 33];
+        enc.fvf_lut = Lut::new(lo, step, mean, sigma).unwrap();
+        let x = input(1, 8, 42);
+        let rng = enc.rng.clone();
+        let base = enc.mac_program();
+        let trace = hw_trace(&mut enc, &x, base.clone(), &rng);
+        let vfs = enc.v_fs();
+        let blocks = trace.oh * trace.ow;
+        let ceps = 0.5; // fF; the f32 voltage difference underflows below
+        let mut checked = 0;
+        for kern in 0..2 {
+            let g_cs: Vec<[f32; 16]> = (0..blocks)
+                .map(|b| enc.chain_grads(&trace, 0, kern, b, 1.0 / vfs))
+                .collect();
+            for j in 0..16 {
+                let ks = kern * 16 + j;
+                if base.cs[ks] <= ceps {
+                    continue;
+                }
+                let mut plus = base.clone();
+                plus.cs[ks] += ceps;
+                let mut minus = base.clone();
+                minus.cs[ks] -= ceps;
+                let up = hw_trace(&mut enc, &x, plus, &rng).u;
+                let um = hw_trace(&mut enc, &x, minus, &rng).u;
+                for (b, g) in g_cs.iter().enumerate() {
+                    let kb = kern * blocks + b;
+                    let numeric = (up[kb] - um[kb]) / (2.0 * ceps);
+                    let analytic = g[j];
+                    assert!(
+                        (analytic - numeric).abs() <= 2e-3 * numeric.abs() + 2e-6,
+                        "{modality:?} du/dcs kernel {kern} step {j} block {b}: \
+                         backward {analytic} vs central difference {numeric}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 64, "too few smooth partials probed: {checked}");
+
+        // v_fs: the backward's partial with dL/dq = 1 at every unclipped
+        // output against d(sum of those u)/dv_fs.
+        enc.zero_grad();
+        enc.rng = rng.clone();
+        let y = enc.forward(&x, Mode::Train).unwrap();
+        enc.backward(&Tensor::ones(y.shape())).unwrap();
+        let analytic = enc.v_fs.grad.as_slice()[0];
+        let veps = 1e-3;
+        let v0 = enc.v_fs.value.as_slice()[0];
+        let mut sums = [0.0f32; 2];
+        for (sum, v) in sums.iter_mut().zip([v0 + veps, v0 - veps]) {
+            enc.v_fs.value.as_mut_slice()[0] = v;
+            let u = hw_trace(&mut enc, &x, base.clone(), &rng).u;
+            *sum = u
+                .iter()
+                .zip(&trace.u)
+                .filter(|(_, u0)| u0.abs() <= 1.0)
+                .map(|(u, _)| u)
+                .sum();
+        }
+        let numeric = (sums[0] - sums[1]) / (2.0 * veps);
+        assert!(
+            (analytic - numeric).abs() <= 1e-3 * numeric.abs(),
+            "{modality:?} dL/dv_fs: backward {analytic} vs central difference {numeric}"
+        );
+    }
+
+    #[test]
+    fn hard_chain_partials_match_central_differences() {
+        check_chain_partials(Modality::Hard, FaultPlan::none());
+    }
+
+    #[test]
+    fn noisy_chain_partials_match_central_differences_with_replayed_noise() {
+        check_chain_partials(Modality::Noisy, FaultPlan::none());
+        // A fault plan flips codes and pins pixels and ADC codes, all off
+        // the smooth path from `cs` and `v_fs` to `u`.
+        check_chain_partials(Modality::Noisy, FaultPlan::uniform(6, 0.1));
+    }
+
+    #[test]
+    fn ste_clips_saturated_codes_and_masks_out_of_range_weights() {
+        let mut enc = LecaEncoder::new(&cfg(2, 8.0), Modality::Hard, 43).unwrap();
+        let x = input(1, 4, 44);
+        // |w| > 1 on a red and a blue weight: both steps reading them are
+        // masked. A green weight feeds two steps at half scale, so 1.5 is
+        // still in range there and keeps its gradient.
+        let mut w = enc.weight().clone();
+        w.set4(0, 0, 0, 0, 1.5);
+        w.set4(1, 2, 1, 1, -1.5);
+        w.set4(0, 1, 0, 1, 1.5);
+        enc.set_weight(w).unwrap();
+        enc.zero_grad();
+        let y = enc.forward(&x, Mode::Train).unwrap();
+        enc.backward(&Tensor::ones(y.shape())).unwrap();
+        let g = &enc.weight.grad;
+        assert_eq!(g.at4(0, 0, 0, 0), 0.0, "|w| > 1 must be masked");
+        assert_eq!(g.at4(1, 2, 1, 1), 0.0, "|w| > 1 must be masked");
+        assert_ne!(g.at4(0, 1, 0, 1), 0.0, "green at 1.5 scales to 0.75");
+        assert_ne!(g.at4(0, 0, 1, 0), 0.0, "in-range weights keep theirs");
+
+        // One output at a time: its gradient is zero exactly when its code
+        // saturated (|u| > 1). A tight boundary saturates some of them.
+        enc.v_fs.value.as_mut_slice()[0] = 0.02;
+        let (mut clipped, mut passed) = (0, 0);
+        for o in 0..y.len() {
+            enc.zero_grad();
+            let y = enc.forward(&x, Mode::Train).unwrap();
+            let u = match &enc.cache {
+                Some(Cache::Hw(c)) => c.u[o],
+                _ => unreachable!(),
+            };
+            let mut g = Tensor::zeros(y.shape());
+            g.as_mut_slice()[o] = 1.0;
+            enc.backward(&g).unwrap();
+            let (gw, gv) = (enc.weight.grad.norm_sq(), enc.v_fs.grad.as_slice()[0]);
+            if u.abs() > 1.0 {
+                assert_eq!((gw, gv), (0.0, 0.0), "saturated output {o} (u = {u})");
+                clipped += 1;
+            } else {
+                assert!(gw > 0.0 && gv != 0.0, "unsaturated output {o} (u = {u})");
+                passed += 1;
+            }
+        }
+        assert!(
+            clipped > 0 && passed > 0,
+            "{clipped} clipped, {passed} passed"
+        );
     }
 
     #[test]

@@ -265,7 +265,7 @@ mod tests {
     fn cnv_codec_matches_raw_accuracy() {
         let data = SynthVision::generate(&SynthConfig::tiny_test(), 11);
         let mut bb = trained_backbone(&data);
-        let raw = crate::trainer::backbone_accuracy(&mut bb, data.val()).unwrap();
+        let raw = crate::trainer::accuracy(&mut bb, data.val()).unwrap();
         let report = evaluate_codec(&Cnv::new(), &mut bb, data.val()).unwrap();
         // 8-bit quantization of [0,1] images is visually lossless.
         assert!(

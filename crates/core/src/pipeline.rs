@@ -6,7 +6,6 @@ use crate::decoder::LecaDecoder;
 use crate::encoder::{LecaEncoder, Modality};
 use crate::Result as LecaResult;
 use leca_nn::backbone::Backbone;
-use leca_nn::loss::SoftmaxCrossEntropy;
 use leca_nn::{Layer, Mode, Param};
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 
@@ -15,7 +14,6 @@ pub struct LecaPipeline {
     encoder: LecaEncoder,
     decoder: LecaDecoder,
     backbone: Backbone,
-    loss: SoftmaxCrossEntropy,
     config: LecaConfig,
 }
 
@@ -50,7 +48,6 @@ impl LecaPipeline {
             encoder,
             decoder,
             backbone,
-            loss: SoftmaxCrossEntropy::new(),
             config: cfg.clone(),
         })
     }
@@ -121,35 +118,13 @@ impl LecaPipeline {
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> LecaResult<Tensor> {
         Ok(Layer::forward(self, x, mode)?)
     }
-
-    /// One training step's forward + backward: returns the batch loss.
-    /// Gradients accumulate in the encoder/decoder (and backbone, though
-    /// its frozen parameters are skipped by optimizers).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/loss errors.
-    pub fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> LecaResult<f32> {
-        let logits = self.forward(x, Mode::Train)?;
-        let (loss, grad) = self.loss.forward(&logits, labels)?;
-        let g = self.backbone.backward(&grad)?;
-        let g = self.decoder.backward(&g)?;
-        self.encoder.backward(&g)?;
-        Ok(loss)
-    }
-
-    /// Classification accuracy over a batch (eval mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> LecaResult<f32> {
-        let logits = self.forward(x, Mode::Eval)?;
-        Ok(leca_nn::loss::accuracy(&logits, labels)?)
-    }
 }
 
 impl Layer for LecaPipeline {
+    /// Back-propagates through backbone, decoder and encoder in turn.
+    /// Parameter gradients accumulate in all three (the frozen backbone's
+    /// are skipped by optimizers); the encoder reads the scene, so the
+    /// returned input gradient is empty.
     fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
         let g = self.backbone.backward(grad_out)?;
         let g = self.decoder.backward(&g)?;
@@ -195,6 +170,7 @@ impl Layer for LecaPipeline {
 mod tests {
     use super::*;
     use leca_nn::backbone::tiny_cnn;
+    use leca_nn::loss::SoftmaxCrossEntropy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -211,6 +187,14 @@ mod tests {
         (x, vec![0, 1, 2, 3])
     }
 
+    /// One training step's forward and backward; returns the batch loss.
+    fn train_step(p: &mut LecaPipeline, x: &Tensor, labels: &[usize]) -> f32 {
+        let logits = p.forward(x, Mode::Train).unwrap();
+        let (loss, grad) = SoftmaxCrossEntropy::new().forward(&logits, labels).unwrap();
+        p.backward(&grad).unwrap();
+        loss
+    }
+
     #[test]
     fn forward_produces_logits() {
         let mut p = pipeline(Modality::Soft);
@@ -223,7 +207,7 @@ mod tests {
     fn train_step_accumulates_encoder_grads_only_on_unfrozen() {
         let mut p = pipeline(Modality::Soft);
         let (x, labels) = batch(2);
-        let loss = p.train_step(&x, &labels).unwrap();
+        let loss = train_step(&mut p, &x, &labels);
         assert!(loss > 0.0);
         // Encoder + decoder grads non-zero.
         let mut enc_dec = 0.0;
@@ -241,7 +225,7 @@ mod tests {
     fn hard_pipeline_trains_too() {
         let mut p = pipeline(Modality::Hard);
         let (x, labels) = batch(3);
-        let loss = p.train_step(&x, &labels).unwrap();
+        let loss = train_step(&mut p, &x, &labels);
         assert!(loss.is_finite() && loss > 0.0);
         let mut enc = 0.0;
         p.encoder_mut()
@@ -270,13 +254,5 @@ mod tests {
         p.backbone_mut()
             .visit_params(&mut |pp| any_frozen |= pp.frozen);
         assert!(!any_frozen);
-    }
-
-    #[test]
-    fn accuracy_in_unit_range() {
-        let mut p = pipeline(Modality::Soft);
-        let (x, labels) = batch(5);
-        let acc = p.accuracy(&x, &labels).unwrap();
-        assert!((0.0..=1.0).contains(&acc));
     }
 }

@@ -17,7 +17,7 @@ use crate::{LecaError, Result as LecaResult};
 use leca_data::augment::paper_augment;
 use leca_data::Dataset;
 use leca_nn::backbone::{resnet_full, resnet_proxy, Backbone};
-use leca_nn::loss::{accuracy, SoftmaxCrossEntropy};
+use leca_nn::loss::{self, SoftmaxCrossEntropy};
 use leca_nn::optim::{Adam, StepDecay};
 use leca_nn::{Layer, Mode};
 use leca_tensor::Tensor;
@@ -90,7 +90,7 @@ pub const LR_BACKOFF: f32 = 0.1;
 /// Rollbacks allowed before training reports [`LecaError::Diverged`].
 pub const MAX_ROLLBACKS: usize = 10;
 
-/// Divergence-rollback state shared by the two training loops: a byte
+/// Divergence-rollback state of the shared epoch loop: a byte
 /// snapshot of the last model that produced a finite epoch loss, plus the
 /// accumulated learning-rate backoff.
 struct EpochGuard {
@@ -162,25 +162,83 @@ pub fn train_backbone(
     val: &Dataset,
     cfg: &TrainConfig,
 ) -> LecaResult<TrainReport> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    fit(backbone, train, val, cfg, cfg.seed, |_, _| Ok(()), |_| {})
+}
+
+/// Jointly trains a LeCA pipeline's encoder/decoder against the frozen
+/// backbone, with optional incremental Q_bit annealing.
+///
+/// # Errors
+///
+/// Propagates layer/optimizer errors.
+pub fn train_pipeline(
+    pipeline: &mut LecaPipeline,
+    train: &Dataset,
+    val: &Dataset,
+    cfg: &TrainConfig,
+) -> LecaResult<TrainReport> {
+    let target_qbit = pipeline.encoder().qbit();
+    let anneal = cfg.incremental && target_qbit < 4.0 && cfg.epochs >= 2;
+    if anneal {
+        pipeline.encoder_mut().set_qbit(8.0)?;
+    }
+    let hw_modality = pipeline.encoder().modality() != Modality::Soft;
+    fit(
+        pipeline,
+        train,
+        val,
+        cfg,
+        cfg.seed.wrapping_add(17),
+        |p, epoch| {
+            if anneal && epoch == cfg.epochs / 2 {
+                p.encoder_mut().set_qbit(target_qbit)?;
+            }
+            Ok(())
+        },
+        |p| {
+            if hw_modality {
+                p.encoder_mut().clamp_weights();
+            }
+        },
+    )
+}
+
+/// The epoch loop both trainers share. Each epoch runs `start_epoch`,
+/// shuffles with the generator seeded by `seed`, then per batch clears the
+/// gradients, runs a Train forward, cross-entropy, backward and an Adam
+/// step, then `after_step`. A non-finite epoch loss rolls the model back
+/// to its last finite snapshot and retries the epoch with a fresh
+/// optimizer at a backed-off rate (NaN-poisoned Adam moments must not
+/// survive). Reports validation accuracy on `val` at the end.
+fn fit<L: Layer>(
+    model: &mut L,
+    train: &Dataset,
+    val: &Dataset,
+    cfg: &TrainConfig,
+    seed: u64,
+    mut start_epoch: impl FnMut(&mut L, usize) -> LecaResult<()>,
+    mut after_step: impl FnMut(&mut L),
+) -> LecaResult<TrainReport> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut opt = Adam::new(cfg.schedule.base_lr)?;
-    let lossfn = SoftmaxCrossEntropy::new();
     let mut data = train.clone();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut guard = EpochGuard::new(backbone);
+    let mut guard = EpochGuard::new(model);
     let mut epoch = 0;
     while epoch < cfg.epochs {
+        start_epoch(model, epoch)?;
         opt.set_lr(cfg.schedule.lr_at(epoch) * guard.lr_scale);
         data.shuffle(&mut rng);
         let mut total = 0.0;
         let mut batches = 0;
         for (x, labels) in data.iter_batches(cfg.batch_size) {
             let x = maybe_augment(&x, cfg.augment, &mut rng)?;
-            backbone.zero_grad();
-            let logits = backbone.forward(&x, Mode::Train)?;
-            let (loss, grad) = lossfn.forward(&logits, &labels)?;
-            backbone.backward(&grad)?;
-            opt.step(backbone);
+            model.zero_grad();
+            let logits = model.forward(&x, Mode::Train)?;
+            let (loss, grad) = SoftmaxCrossEntropy::new().forward(&logits, &labels)?;
+            model.backward(&grad)?;
+            opt.step(model);
+            after_step(model);
             total += loss;
             batches += 1;
             if !loss.is_finite() {
@@ -189,18 +247,17 @@ pub fn train_backbone(
         }
         let mean = total / batches.max(1) as f32;
         if !mean.is_finite() {
-            guard.rollback(backbone, epoch)?;
+            guard.rollback(model, epoch)?;
             opt = Adam::new(cfg.schedule.base_lr)?;
             continue; // retry the epoch at the backed-off rate
         }
         epoch_losses.push(mean);
-        guard.accept(backbone);
+        guard.accept(model);
         epoch += 1;
     }
-    let val_accuracy = backbone_accuracy(backbone, val)?;
     Ok(TrainReport {
         epoch_losses,
-        val_accuracy,
+        val_accuracy: accuracy(model, val)?,
         rollbacks: guard.rollbacks,
     })
 }
@@ -209,17 +266,18 @@ pub fn train_backbone(
 /// amortizes per batch, small enough to keep activation memory bounded.
 const EVAL_BATCH: usize = 64;
 
-/// Validation accuracy of a backbone on raw images.
+/// Classification accuracy of a backbone (on raw images) or a LeCA
+/// pipeline over a dataset, in Eval mode.
 ///
 /// # Errors
 ///
 /// Propagates layer errors.
-pub fn backbone_accuracy(backbone: &mut Backbone, ds: &Dataset) -> LecaResult<f32> {
+pub fn accuracy<L: Layer + ?Sized>(model: &mut L, ds: &Dataset) -> LecaResult<f32> {
     let mut correct = 0.0;
     let mut count = 0usize;
     for (x, labels) in ds.iter_batches(EVAL_BATCH) {
-        let logits = backbone.forward(&x, Mode::Eval)?;
-        correct += accuracy(&logits, &labels)? * labels.len() as f32;
+        let logits = model.forward(&x, Mode::Eval)?;
+        correct += loss::accuracy(&logits, &labels)? * labels.len() as f32;
         count += labels.len();
     }
     Ok(if count == 0 {
@@ -250,91 +308,6 @@ fn maybe_augment<'a>(
     }
     let refs: Vec<&Tensor> = parts.iter().collect();
     Ok(std::borrow::Cow::Owned(Tensor::concat0(&refs)?))
-}
-
-/// Jointly trains a LeCA pipeline's encoder/decoder against the frozen
-/// backbone, with optional incremental Q_bit annealing.
-///
-/// # Errors
-///
-/// Propagates layer/optimizer errors.
-pub fn train_pipeline(
-    pipeline: &mut LecaPipeline,
-    train: &Dataset,
-    val: &Dataset,
-    cfg: &TrainConfig,
-) -> LecaResult<TrainReport> {
-    let target_qbit = pipeline.encoder().qbit();
-    let anneal = cfg.incremental && target_qbit < 4.0 && cfg.epochs >= 2;
-    let warm_epochs = if anneal { cfg.epochs / 2 } else { 0 };
-    if anneal {
-        pipeline.encoder_mut().set_qbit(8.0)?;
-    }
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(17));
-    let mut opt = Adam::new(cfg.schedule.base_lr)?;
-    let mut data = train.clone();
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let hw_modality = pipeline.encoder().modality() != Modality::Soft;
-    let mut guard = EpochGuard::new(pipeline);
-    let mut epoch = 0;
-    while epoch < cfg.epochs {
-        if anneal && epoch == warm_epochs {
-            pipeline.encoder_mut().set_qbit(target_qbit)?;
-        }
-        opt.set_lr(cfg.schedule.lr_at(epoch) * guard.lr_scale);
-        data.shuffle(&mut rng);
-        let mut total = 0.0;
-        let mut batches = 0;
-        for (x, labels) in data.iter_batches(cfg.batch_size) {
-            let x = maybe_augment(&x, cfg.augment, &mut rng)?;
-            pipeline.zero_grad();
-            let loss = pipeline.train_step(&x, &labels)?;
-            opt.step(pipeline);
-            if hw_modality {
-                pipeline.encoder_mut().clamp_weights();
-            }
-            total += loss;
-            batches += 1;
-            if !loss.is_finite() {
-                break; // the epoch is already lost; stop poisoning weights
-            }
-        }
-        let mean = total / batches.max(1) as f32;
-        if !mean.is_finite() {
-            guard.rollback(pipeline, epoch)?;
-            opt = Adam::new(cfg.schedule.base_lr)?;
-            continue; // retry the epoch at the backed-off rate
-        }
-        epoch_losses.push(mean);
-        guard.accept(pipeline);
-        epoch += 1;
-    }
-    let val_accuracy = pipeline_accuracy(pipeline, val)?;
-    Ok(TrainReport {
-        epoch_losses,
-        val_accuracy,
-        rollbacks: guard.rollbacks,
-    })
-}
-
-/// Validation accuracy of a LeCA pipeline.
-///
-/// # Errors
-///
-/// Propagates layer errors.
-pub fn pipeline_accuracy(pipeline: &mut LecaPipeline, ds: &Dataset) -> LecaResult<f32> {
-    let mut correct = 0.0;
-    let mut count = 0usize;
-    for (x, labels) in ds.iter_batches(EVAL_BATCH) {
-        correct += pipeline.accuracy(&x, &labels)? * labels.len() as f32;
-        count += labels.len();
-    }
-    Ok(if count == 0 {
-        0.0
-    } else {
-        correct / count as f32
-    })
 }
 
 #[cfg(test)]
@@ -461,6 +434,18 @@ mod tests {
             train_backbone(&mut bb, data.train(), data.val(), &TrainConfig::fast_test()).unwrap();
         assert_eq!(report.rollbacks, 0);
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
+    }
+
+    #[test]
+    fn accuracy_in_unit_range_for_backbone_and_pipeline() {
+        let data = tiny_data();
+        let mut bb = tiny_cnn(data.train().num_classes(), &mut StdRng::seed_from_u64(6));
+        let acc = accuracy(&mut bb, data.val()).unwrap();
+        assert!((0.0..=1.0).contains(&acc));
+        let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
+        let mut p = LecaPipeline::new(&cfg, Modality::Soft, bb, 8).unwrap();
+        let acc = accuracy(&mut p, data.val()).unwrap();
+        assert!((0.0..=1.0).contains(&acc));
     }
 
     #[test]

@@ -25,7 +25,10 @@ impl Mode {
 /// 1. `forward(x, Mode::Train)` computes the output and caches whatever the
 ///    gradient needs.
 /// 2. `backward(grad_out)` consumes the cache, **accumulates** parameter
-///    gradients into each [`Param::grad`], and returns `dL/dx`.
+///    gradients into each [`Param::grad`], and returns `dL/dx`. A layer
+///    that reads the scene itself (the LeCA encoder) has no upstream to
+///    hand `dL/dx` to, so it skips computing it and returns a
+///    zero-element tensor.
 ///
 /// `backward` must be preceded by a `Train`-mode forward on the same layer;
 /// implementations return [`crate::NnError::NoForwardCache`] otherwise.
@@ -53,7 +56,9 @@ pub trait Layer {
         Ok(self.forward_ws(x, mode, &Workspace::new())?.detach())
     }
 
-    /// Back-propagates `grad_out`, returning the gradient wrt the input.
+    /// Back-propagates `grad_out`, returning the gradient wrt the input
+    /// (zero-element from a first layer that computes none; see the trait
+    /// docs).
     ///
     /// # Errors
     ///

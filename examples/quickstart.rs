@@ -65,8 +65,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     println!(
         "accuracy cost of compressing 8x before digitization: {:.1} pp",
-        (trainer::backbone_accuracy(pipeline.backbone_mut(), data.val())? - report.val_accuracy)
-            * 100.0
+        (trainer::accuracy(pipeline.backbone_mut(), data.val())? - report.val_accuracy) * 100.0
     );
 
     // 3. Deployment-style inference: an `InferenceSession` reuses one

@@ -8,8 +8,8 @@
 //!    losses are bit-identical under `LECA_THREADS=1` and
 //!    `LECA_THREADS=8`.
 //! 2. **Golden values** — the Noisy-modality training losses and the
-//!    fault-plan (Faulty) results below were captured on the *pre-rewrite*
-//!    naive kernels. The rewrite must keep reproducing them bit-for-bit;
+//!    fault-plan (Noisy plus a plan) results below were captured on the
+//!    *pre-rewrite* naive kernels. The rewrite must keep reproducing them bit-for-bit;
 //!    any change to reduction order (split-k, `mul_add`, a reduction
 //!    split across packed slabs) trips these constants.
 //!
@@ -24,7 +24,10 @@ use leca::core::config::LecaConfig;
 use leca::core::deploy::{program_sensor, sensor_encode};
 use leca::core::encoder::{LecaEncoder, Modality};
 use leca::core::pipeline::LecaPipeline;
+use leca::core::trainer::{train_backbone, train_pipeline, TrainConfig};
+use leca::data::{SynthConfig, SynthVision};
 use leca::nn::backbone::tiny_cnn;
+use leca::nn::loss::SoftmaxCrossEntropy;
 use leca::nn::optim::Adam;
 use leca::nn::{Layer, Mode};
 use leca::sensor::{LecaSensor, SensorGeometry};
@@ -58,6 +61,52 @@ const GOLDEN_INT8_LOGITS_CHECKSUM: u64 = 0xed4e9cb5aa79e081;
 /// how many uniforms each capture draws.
 const GOLDEN_NOISY_ENCODE: [u64; 2] = [0xa02e7a07b4bc7594, 0xb74347b3155199c8];
 const GOLDEN_SUCCESSIVE_CAPTURES: u64 = 0x6bc2b8a04352ab8c;
+
+/// Training-step goldens, recorded before the encoder stopped computing
+/// its input gradient and before the Faulty modality folded into Noisy.
+/// Per modality (Soft, Hard, Noisy, Noisy with a uniform fault plan), after
+/// one backward: the loss bits, the encoder weight and `v_fs` gradient
+/// checksums, and the decoder and backbone gradients folded into one. A
+/// small Adam step may leave every 4-bit weight code where it was, so
+/// these pin the gradients themselves.
+const GOLDEN_STEP_GRADS: [[u64; 4]; 4] = [
+    [
+        0x3fb3b2fe,
+        0x38683b3b1bb65bd8,
+        0x3d06ec4d,
+        0x67a94f50d70a8917,
+    ],
+    [
+        0x3fb3a0b1,
+        0xee61dc2bc794e05c,
+        0x3da87a42,
+        0x8ae37d8f5b9c0099,
+    ],
+    [
+        0x3fb1fee6,
+        0x458fae74f576a2ff,
+        0x3d4b4f1d,
+        0xe10da092331fe957,
+    ],
+    [
+        0x3fb3831e,
+        0x527c15e9a1c48213,
+        0x3dbe3cae,
+        0xdb2b5d5e981e531e,
+    ],
+];
+
+/// Trainer golden, recorded with the step goldens: a `fast_test`
+/// `train_backbone` run (parameter checksum, epoch-loss and accuracy
+/// bits), then a 2-epoch Hard `train_pipeline` at Q_bit 3 with
+/// incremental annealing, so the warm-up switch and the weight clamp
+/// both run.
+const GOLDEN_TRAINER: (u64, [u32; 2], u64, [u32; 3]) = (
+    0x6f9e888d2e26ebe0,
+    [0x3fb78520, 0x3e800000],
+    0xf6f10ff2ba7f6531,
+    [0x3fbadec4, 0x3fb8c5da, 0x3e800000],
+);
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -98,6 +147,23 @@ fn checksum(t: &Tensor) -> u64 {
         .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
 }
 
+/// One training step's forward and backward through the pipeline:
+/// cross-entropy on Train-mode logits, gradients accumulated in place.
+/// Returns the batch loss.
+fn train_step(p: &mut LecaPipeline, x: &Tensor, labels: &[usize]) -> f32 {
+    let logits = Layer::forward(p, x, Mode::Train).unwrap();
+    let (loss, grad) = SoftmaxCrossEntropy::new().forward(&logits, labels).unwrap();
+    Layer::backward(p, &grad).unwrap();
+    loss
+}
+
+/// Checksum of every parameter value, in `visit_params` order.
+fn params_checksum(model: &dyn Layer) -> u64 {
+    let mut h = 0u64;
+    model.visit_params_ref(&mut |q| h = h.rotate_left(7) ^ checksum(&q.value));
+    h
+}
+
 /// The golden workload: two Noisy-modality joint training steps (forward +
 /// backward + Adam update between them), all seeds pinned. Returns the two
 /// loss bit patterns.
@@ -108,27 +174,90 @@ fn noisy_train_losses() -> (u32, u32) {
     let mut rng = StdRng::seed_from_u64(42);
     let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
     let labels = vec![0usize, 1, 2, 3];
-    let l1 = p.train_step(&x, &labels).unwrap();
+    let l1 = train_step(&mut p, &x, &labels);
     let mut opt = Adam::new(1e-3).unwrap();
     opt.step(&mut p);
-    let l2 = p.train_step(&x, &labels).unwrap();
+    let l2 = train_step(&mut p, &x, &labels);
     (l1.to_bits(), l2.to_bits())
 }
 
-/// The fault-plan workload from PR 1: Faulty modality with a deterministic
+/// The fault-plan workload: the Noisy modality with a deterministic
 /// uniform plan, one eval forward and one training step. Returns (logits
-/// checksum, loss bits).
+/// checksum, loss bits). Its goldens date from a separate Faulty modality
+/// that applied the plan on top of Noisy.
 fn faulty_results() -> (u64, u32) {
     let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
     let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(1));
-    let mut p = LecaPipeline::new(&cfg, Modality::Faulty, bb, 21).unwrap();
+    let mut p = LecaPipeline::new(&cfg, Modality::Noisy, bb, 21).unwrap();
     p.encoder_mut().set_fault_plan(FaultPlan::uniform(99, 0.05));
     let mut rng = StdRng::seed_from_u64(42);
     let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
     let labels = vec![0usize, 1, 2, 3];
     let logits = Layer::forward(&mut p, &x, Mode::Eval).unwrap();
-    let loss = p.train_step(&x, &labels).unwrap();
+    let loss = train_step(&mut p, &x, &labels);
     (checksum(&logits), loss.to_bits())
+}
+
+/// One training step in the given modality, with `plan` installed on the
+/// encoder when given: the loss bits, a checksum of each encoder
+/// parameter's gradient (weight, then `v_fs`), and one checksum folding
+/// the decoder's and backbone's parameter gradients in `visit_params`
+/// order.
+fn step_grad_checksums(modality: Modality, plan: Option<FaultPlan>) -> [u64; 4] {
+    let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
+    let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(2));
+    let mut p = LecaPipeline::new(&cfg, modality, bb, 31).unwrap();
+    if let Some(plan) = plan {
+        p.encoder_mut().set_fault_plan(plan);
+    }
+    let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut StdRng::seed_from_u64(43));
+    let loss = train_step(&mut p, &x, &[0, 1, 2, 3]);
+    let mut sums = [u64::from(loss.to_bits()), 0, 0, 0];
+    let mut i = 0;
+    p.visit_params_ref(&mut |q| {
+        let slot = (i + 1).min(3);
+        sums[slot] = sums[slot].rotate_left(7) ^ checksum(&q.grad);
+        i += 1;
+    });
+    sums
+}
+
+/// The four step-gradient workloads, in `GOLDEN_STEP_GRADS` order.
+fn all_step_grad_checksums() -> [[u64; 4]; 4] {
+    [
+        step_grad_checksums(Modality::Soft, None),
+        step_grad_checksums(Modality::Hard, None),
+        step_grad_checksums(Modality::Noisy, None),
+        step_grad_checksums(Modality::Noisy, Some(FaultPlan::uniform(7, 0.1))),
+    ]
+}
+
+/// A `fast_test` backbone run on a tiny synthetic set, then a 2-epoch
+/// incremental Hard pipeline run at Q_bit 3 on top of it.
+fn trainer_results() -> (u64, [u32; 2], u64, [u32; 3]) {
+    let data = SynthVision::generate(&SynthConfig::tiny_test(), 3);
+    let mut bb = tiny_cnn(data.train().num_classes(), &mut StdRng::seed_from_u64(4));
+    let tc = TrainConfig::fast_test();
+    let bb_report = train_backbone(&mut bb, data.train(), data.val(), &tc).unwrap();
+    let bb_bits = [
+        bb_report.epoch_losses[0].to_bits(),
+        bb_report.val_accuracy.to_bits(),
+    ];
+    let bb_params = params_checksum(&bb);
+    let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
+    let mut p = LecaPipeline::new(&cfg, Modality::Hard, bb, 9).unwrap();
+    let tc = TrainConfig {
+        epochs: 2,
+        incremental: true,
+        ..TrainConfig::fast_test()
+    };
+    let report = train_pipeline(&mut p, data.train(), data.val(), &tc).unwrap();
+    let bits = [
+        report.epoch_losses[0].to_bits(),
+        report.epoch_losses[1].to_bits(),
+        report.val_accuracy.to_bits(),
+    ];
+    (bb_params, bb_bits, params_checksum(&p), bits)
 }
 
 /// The int8 workload: compile a quantized engine from a pinned Soft
@@ -275,8 +404,38 @@ fn fault_plan_results_match_pre_rewrite_goldens() {
             assert_eq!(
                 (ck, loss),
                 (GOLDEN_FAULTY_LOGITS_CHECKSUM, GOLDEN_FAULTY_LOSS),
-                "Faulty-modality results drifted from pre-rewrite goldens at \
+                "fault-plan results drifted from pre-rewrite goldens at \
                  LECA_BACKEND={backend} LECA_THREADS={threads} (got 0x{ck:016x} / 0x{loss:08x})"
+            );
+        }
+    }
+}
+
+#[test]
+fn step_gradients_match_goldens() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let got = with_backend(backend, || with_threads(threads, all_step_grad_checksums));
+            assert_eq!(
+                got, GOLDEN_STEP_GRADS,
+                "training-step gradients drifted from their goldens at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+            );
+        }
+    }
+}
+
+#[test]
+fn trainer_runs_match_goldens() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let got = with_backend(backend, || with_threads(threads, trainer_results));
+            assert_eq!(
+                got, GOLDEN_TRAINER,
+                "backbone and pipeline training drifted from their goldens at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#x?})"
             );
         }
     }

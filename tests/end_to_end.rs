@@ -51,7 +51,7 @@ fn backbone_learns_synthvision() {
     let mut tc = TrainConfig::fast_test();
     tc.epochs = 8;
     trainer::train_backbone(&mut bb, data.train(), data.val(), &tc).expect("backbone trains");
-    let acc = trainer::backbone_accuracy(&mut bb, data.val()).expect("eval runs");
+    let acc = trainer::accuracy(&mut bb, data.val()).expect("eval runs");
     // 4 classes, 160 train images: clearly above the 25% chance level.
     assert!(acc > 0.35, "backbone accuracy only {acc}");
 }
@@ -62,7 +62,7 @@ fn joint_training_improves_over_untrained_decoder() {
     let bb = trained_backbone(&data, 8);
     let cfg = LecaConfig::new(2, 4, 3.0).expect("config");
     let mut pipeline = LecaPipeline::new(&cfg, Modality::Soft, bb, 3).expect("pipeline");
-    let before = trainer::pipeline_accuracy(&mut pipeline, data.val()).expect("eval");
+    let before = trainer::accuracy(&mut pipeline, data.val()).expect("eval");
     let mut tc = TrainConfig::fast_test();
     tc.epochs = 6;
     let report =
@@ -112,7 +112,7 @@ fn hard_training_then_sensor_deployment_is_consistent() {
     );
 
     // Hardware-in-the-loop accuracy is comparable to the software eval.
-    let sw_acc = trainer::pipeline_accuracy(&mut pipeline, data.val()).expect("sw eval");
+    let sw_acc = trainer::accuracy(&mut pipeline, data.val()).expect("sw eval");
     let hw_acc = hardware_accuracy(&mut pipeline, data.val(), false, 0).expect("hw eval");
     assert!(
         (sw_acc - hw_acc).abs() <= 0.35,
@@ -153,11 +153,11 @@ fn modality_transfer_direction_matches_paper() {
     let mut tc = TrainConfig::fast_test();
     tc.epochs = 4;
     trainer::train_pipeline(&mut p, data.train(), data.val(), &tc).expect("trains");
-    let soft_acc = trainer::pipeline_accuracy(&mut p, data.val()).expect("soft eval");
+    let soft_acc = trainer::accuracy(&mut p, data.val()).expect("soft eval");
     p.encoder_mut()
         .set_modality(Modality::Hard)
         .expect("switch");
-    let hard_acc = trainer::pipeline_accuracy(&mut p, data.val()).expect("hard eval");
+    let hard_acc = trainer::accuracy(&mut p, data.val()).expect("hard eval");
     // The hard modality computes a very different function (charge-sharing
     // average with inversion), so naive transfer should not *gain*
     // accuracy beyond noise.
