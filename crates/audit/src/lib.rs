@@ -104,7 +104,7 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/tensor/src/backend/fastmath.rs",
-        "FMA GEMM microkernel + vectorized polynomial exp_sum (bounds argued per load/store, Miri-exempt via cfg)",
+        "FMA GEMM microkernel (bounds argued per load/store, Miri-exempt via cfg)",
     ),
     (
         "shims/loom/src/lib.rs",

@@ -6,10 +6,10 @@
 //! open-loop producers (requests are submitted on a fixed schedule
 //! regardless of reply latency, so queueing and shedding behave like
 //! production ingress, not like a closed benchmark loop). Each level
-//! reports latency quantiles, achieved images/sec, and the full shed /
-//! timeout / retry accounting from [`leca_serve::MetricsSnapshot`].
+//! reports latency quantiles, achieved images/sec, and the shed / timeout
+//! / panic accounting from [`leca_serve::MetricsSnapshot`].
 //!
-//! `--smoke` (or `LECA_BENCH_FAST=1`) runs every level on a shrunk sweep
+//! `--smoke` (or `LECA_FAST=1`) runs every level on a shrunk sweep
 //! and **does not** rewrite `BENCH_serving.json` — it is the CI sanity
 //! gate, not a measurement. The chaos level is seeded, so its
 //! panic/rebuild schedule replays exactly.
@@ -43,17 +43,12 @@ fn make_session() -> InferenceSession<'static> {
 }
 
 fn serve_config(deadline_us: u64) -> ServeConfig {
-    // Honors LECA_SERVE_SHARDS / LECA_SERVE_MAX_BATCH /
-    // LECA_SERVE_DEADLINE_US; the deadline falls back to the calibrated
-    // value when the env knob is unset.
-    let mut cfg = ServeConfig::from_env();
-    if std::env::var("LECA_SERVE_DEADLINE_US").is_err() {
-        cfg.deadline_us = deadline_us;
+    ServeConfig {
+        deadline_us,
+        max_tenants: TENANTS,
+        warm_shape: Some(SAMPLE_SHAPE.to_vec()),
+        ..ServeConfig::default()
     }
-    cfg.queue_cap = cfg.queue_cap.max(cfg.max_batch);
-    cfg.max_tenants = TENANTS;
-    cfg.warm_shape = Some(SAMPLE_SHAPE.to_vec());
-    cfg
 }
 
 /// Closed-loop round trips against a fresh service to estimate the
@@ -186,7 +181,7 @@ fn json_level(r: &LevelResult) -> String {
         "    {{\"name\": \"{}\", \"offered_rps\": {:.0}, \"achieved_imgs_per_sec\": {:.0}, \
          \"elapsed_s\": {:.3},\n     \"submitted\": {}, \"admitted\": {}, \"completed\": {}, \
          \"timed_out\": {}, \"worker_failed\": {},\n     \"shed_overload\": {}, \
-         \"shed_breaker\": {}, \"shed_shutdown\": {}, \"retries\": {}, \"worker_panics\": {}, \
+         \"shed_breaker\": {}, \"shed_shutdown\": {}, \"worker_panics\": {}, \
          \"session_rebuilds\": {},\n     \"mean_batch\": {:.2}, \"p50_us\": {}, \"p99_us\": {}, \
          \"mean_us\": {:.1}}}",
         r.name,
@@ -201,7 +196,6 @@ fn json_level(r: &LevelResult) -> String {
         s.shed_overload,
         s.shed_breaker,
         s.shed_shutdown,
-        s.retries,
         s.worker_panics,
         s.session_rebuilds,
         s.mean_batch(),
@@ -267,7 +261,7 @@ fn main() {
     ];
 
     println!(
-        "\n{:<15} {:>11} {:>11} {:>8} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8} {:>8}",
+        "\n{:<15} {:>11} {:>11} {:>8} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8}",
         "level",
         "offered/s",
         "imgs/s",
@@ -276,14 +270,13 @@ fn main() {
         "timeout",
         "shed",
         "brk",
-        "retry",
         "panics",
         "batch"
     );
     for r in &levels {
         let s = &r.snap;
         println!(
-            "{:<15} {:>11.0} {:>11.0} {:>8} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8} {:>8.2}",
+            "{:<15} {:>11.0} {:>11.0} {:>8} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8.2}",
             r.name,
             r.offered_rps,
             r.achieved_rps,
@@ -292,7 +285,6 @@ fn main() {
             s.timed_out,
             s.shed_overload,
             s.shed_breaker,
-            s.retries,
             s.worker_panics,
             s.mean_batch(),
         );

@@ -153,11 +153,6 @@ impl Layer for LecaDecoder {
         self.dncnn.visit_params(f);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        self.upsample.visit_params_ref(f);
-        self.dncnn.visit_params_ref(f);
-    }
-
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.upsample.visit_buffers(f);
         self.dncnn.visit_buffers(f);
@@ -214,9 +209,9 @@ mod tests {
     fn depth_follows_config() {
         let mut c = cfg();
         c.decoder_layers = 5;
-        let dec5 = LecaDecoder::new(&c, 0).unwrap();
+        let mut dec5 = LecaDecoder::new(&c, 0).unwrap();
         c.decoder_layers = 1;
-        let dec1 = LecaDecoder::new(&c, 0).unwrap();
+        let mut dec1 = LecaDecoder::new(&c, 0).unwrap();
         assert!(dec5.num_params() > dec1.num_params());
     }
 
@@ -224,9 +219,9 @@ mod tests {
     fn parameter_budget_is_fraction_of_backbone() {
         // The paper stresses the decoder is lightweight relative to the
         // backbone.
-        let dec = LecaDecoder::new(&cfg(), 0).unwrap();
+        let mut dec = LecaDecoder::new(&cfg(), 0).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let bb = leca_nn::backbone::resnet_proxy(10, &mut rng);
+        let mut bb = leca_nn::backbone::resnet_proxy(10, &mut rng);
         assert!(dec.num_params() < bb.num_params() / 3);
     }
 

@@ -704,11 +704,6 @@ impl Layer for LecaEncoder {
         f(&mut self.v_fs);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        f(&self.v_fs);
-    }
-
     fn name(&self) -> &'static str {
         "leca_encoder"
     }
@@ -953,7 +948,7 @@ mod tests {
     #[test]
     fn encoder_param_count_matches_config() {
         let c = cfg(8, 3.0);
-        let enc = LecaEncoder::new(&c, Modality::Hard, 17).unwrap();
+        let mut enc = LecaEncoder::new(&c, Modality::Hard, 17).unwrap();
         assert_eq!(enc.num_params(), c.encoder_params());
     }
 
@@ -1145,6 +1140,96 @@ mod tests {
             clipped > 0 && passed > 0,
             "{clipped} clipped, {passed} passed"
         );
+    }
+
+    /// Checks `weight.grad` against the chain's dL/dcs mapped to the
+    /// weights by hand. Per (kernel, raw site), backward multiplies dL/dcs
+    /// by dcs/dw = ctot · (1 − transfer loss, Noisy only) · Bayer factor ·
+    /// sign(w), and drops the term when the STE mask |w · factor| > 1
+    /// blocks it. Each factor is derived here from the circuit constants,
+    /// the site's colour in the RGGB tile and the weight itself, not read
+    /// from the programmed MAC array. Every weight code is nonzero, so
+    /// the routing sign is the weight's sign. A weight's expected gradient
+    /// sums up to 64 f32 terms, so it passes within 1e-5 of the sum of
+    /// their magnitudes; a masked weight's gradient must be exactly zero.
+    fn check_weight_map(modality: Modality) {
+        let mut enc = LecaEncoder::new(&cfg(2, 8.0), modality, 45).unwrap();
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut w = enc.weight().clone();
+        for v in w.as_mut_slice() {
+            let m: f32 = rng.gen_range(0.2..0.9);
+            *v = if rng.gen_bool(0.5) { m } else { -m };
+        }
+        w.set4(0, 0, 0, 0, 1.5); // red: masked
+        w.set4(1, 2, 1, 1, -1.5); // blue: masked
+        w.set4(0, 1, 0, 1, -1.5); // green: -0.75 at half scale, kept
+        enc.set_weight(w.clone()).unwrap();
+        let x = input(2, 8, 47);
+        let g_out = Tensor::rand_uniform(&[2, 2, 4, 4], -1.0, 1.0, &mut rng);
+
+        let noise = enc.rng.clone();
+        let program = enc.mac_program();
+        let trace = hw_trace(&mut enc, &x, program, &noise);
+        enc.zero_grad();
+        enc.rng = noise;
+        enc.forward(&x, Mode::Train).unwrap();
+        enc.backward(&g_out).unwrap();
+
+        let ctot = enc.params.c_sample_tot_ff;
+        let kept = match modality {
+            Modality::Noisy => 1.0 - TRANSFER_LOSS,
+            _ => 1.0,
+        };
+        let vfs = enc.v_fs();
+        let (blocks, ow) = (trace.oh * trace.ow, trace.ow);
+        let mut want = vec![0.0f64; w.len()];
+        let mut mag = vec![0.0f64; w.len()];
+        for ni in 0..2 {
+            for kern in 0..2 {
+                for b in 0..blocks {
+                    if trace.u[(ni * 2 + kern) * blocks + b].abs() > 1.0 {
+                        continue; // clipped STE
+                    }
+                    let go = g_out.at4(ni, kern, b / ow, b % ow);
+                    let g_cs = enc.chain_grads(&trace, ni, kern, b, go / vfs);
+                    for (j, &g) in g_cs.iter().enumerate() {
+                        let (row, col) = (j / 4, j % 4);
+                        let (c, factor) = match (row % 2, col % 2) {
+                            (0, 0) => (0, 1.0), // R
+                            (1, 1) => (2, 1.0), // B
+                            _ => (1, 0.5),      // G, one of two sites
+                        };
+                        let (dy, dx) = (row / 2, col / 2);
+                        let wv = w.at4(kern, c, dy, dx);
+                        if (wv * factor).abs() > 1.0 {
+                            continue; // STE mask
+                        }
+                        let term = f64::from(g) * f64::from(ctot * kept * factor * wv.signum());
+                        let i = ((kern * 3 + c) * 2 + dy) * 2 + dx;
+                        want[i] += term;
+                        mag[i] += term.abs();
+                    }
+                }
+            }
+        }
+        let got = enc.weight.grad.as_slice();
+        for (i, ((&g, &e), &m)) in got.iter().zip(&want).zip(&mag).enumerate() {
+            assert!(
+                (f64::from(g) - e).abs() <= 1e-5 * m,
+                "{modality:?} weight {i}: backward {g} vs dL/dcs mapped by hand {e}"
+            );
+        }
+        assert_eq!(
+            mag.iter().filter(|&&m| m == 0.0).count(),
+            2,
+            "two masked weights"
+        );
+    }
+
+    #[test]
+    fn weight_gradients_are_dl_dcs_through_the_capacitance_map() {
+        check_weight_map(Modality::Hard);
+        check_weight_map(Modality::Noisy);
     }
 
     #[test]

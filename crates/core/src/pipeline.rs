@@ -149,12 +149,6 @@ impl Layer for LecaPipeline {
         self.backbone.visit_params(f);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        self.encoder.visit_params_ref(f);
-        self.decoder.visit_params_ref(f);
-        self.backbone.visit_params_ref(f);
-    }
-
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.encoder.visit_buffers(f);
         self.decoder.visit_buffers(f);

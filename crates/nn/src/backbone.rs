@@ -59,10 +59,6 @@ impl Layer for Backbone {
         self.net.visit_params(f);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        self.net.visit_params_ref(f);
-    }
-
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.net.visit_buffers(f);
     }
@@ -202,8 +198,8 @@ mod tests {
     #[test]
     fn param_counts_are_plausible() {
         let mut rng = StdRng::seed_from_u64(5);
-        let proxy = resnet_proxy(10, &mut rng);
-        let full = resnet_full(10, &mut rng);
+        let mut proxy = resnet_proxy(10, &mut rng);
+        let mut full = resnet_full(10, &mut rng);
         let np = proxy.num_params();
         let nf = full.num_params();
         assert!(np > 50_000, "proxy has {np}");

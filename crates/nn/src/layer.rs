@@ -72,14 +72,6 @@ pub trait Layer {
     /// The default implementation visits nothing (stateless layers).
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
-    /// Read-only counterpart of [`Layer::visit_params`], visiting the same
-    /// parameters in the same order. Introspection (parameter counts,
-    /// norms, checkpoint dumps) goes through this so it never needs
-    /// `&mut`.
-    ///
-    /// The default implementation visits nothing (stateless layers).
-    fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
     /// Visits non-trainable persistent state (e.g. batch-norm running
     /// statistics) in a deterministic order, for checkpointing.
     ///
@@ -96,10 +88,10 @@ pub trait Layer {
         self.visit_params(&mut |p| p.frozen = frozen);
     }
 
-    /// Total number of scalar parameters, via the read-only visitor.
-    fn num_params(&self) -> usize {
+    /// Total number of scalar parameters.
+    fn num_params(&mut self) -> usize {
         let mut n = 0;
-        self.visit_params_ref(&mut |p| n += p.len());
+        self.visit_params(&mut |p| n += p.len());
         n
     }
 
@@ -144,10 +136,6 @@ mod tests {
 
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
             f(&mut self.factor);
-        }
-
-        fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-            f(&self.factor);
         }
 
         fn name(&self) -> &'static str {
@@ -196,12 +184,6 @@ mod tests {
         let mut s = make();
         s.forward(&Tensor::ones(&[2]), Mode::Eval).unwrap();
         assert!(s.backward(&Tensor::ones(&[2])).is_err());
-    }
-
-    #[test]
-    fn num_params_is_read_only() {
-        let s = make();
-        assert_eq!(s.num_params(), 1);
     }
 
     #[test]

@@ -233,11 +233,6 @@ impl Layer for BatchNorm2d {
         f(&mut self.beta);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.gamma);
-        f(&self.beta);
-    }
-
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         f(&mut self.running_mean);
         f(&mut self.running_var);

@@ -158,13 +158,6 @@ impl Layer for Conv2d {
         }
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        if let Some(b) = &self.bias {
-            f(b);
-        }
-    }
-
     fn name(&self) -> &'static str {
         "conv2d"
     }

@@ -124,13 +124,6 @@ impl Layer for ConvTranspose2d {
         }
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        if let Some(b) = &self.bias {
-            f(b);
-        }
-    }
-
     fn name(&self) -> &'static str {
         "conv_transpose2d"
     }
@@ -183,7 +176,7 @@ mod tests {
     #[test]
     fn param_count() {
         let mut rng = StdRng::seed_from_u64(4);
-        let ct = ConvTranspose2d::new(4, 3, 2, 2, 0, true, &mut rng);
+        let mut ct = ConvTranspose2d::new(4, 3, 2, 2, 0, true, &mut rng);
         assert_eq!(ct.num_params(), 4 * 3 * 4 + 3);
     }
 }

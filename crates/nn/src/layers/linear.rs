@@ -83,11 +83,6 @@ impl Layer for Linear {
         f(&mut self.bias);
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        f(&self.bias);
-    }
-
     fn name(&self) -> &'static str {
         "linear"
     }
@@ -147,7 +142,7 @@ mod tests {
     #[test]
     fn param_count() {
         let mut rng = StdRng::seed_from_u64(4);
-        let l = Linear::new(10, 7, &mut rng);
+        let mut l = Linear::new(10, 7, &mut rng);
         assert_eq!(l.num_params(), 10 * 7 + 7);
     }
 }

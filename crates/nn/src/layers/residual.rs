@@ -95,13 +95,6 @@ impl Layer for ResidualBlock {
         }
     }
 
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        self.main.visit_params_ref(f);
-        if let Some(s) = &self.shortcut {
-            s.visit_params_ref(f);
-        }
-    }
-
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.main.visit_buffers(f);
         if let Some(s) = &mut self.shortcut {

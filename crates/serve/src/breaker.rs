@@ -1,7 +1,7 @@
 //! Per-tenant circuit breakers.
 //!
 //! One misbehaving tenant (malformed payloads, a fault pattern that
-//! panics workers, pathological shapes) must not eat the retry budget of
+//! panics workers, pathological shapes) must not eat the worker time of
 //! everyone else. Each tenant gets a classic three-state breaker over a
 //! fixed sliding window of outcomes; tripped tenants are shed at
 //! admission with [`crate::ServeError::CircuitOpen`] until a cooldown

@@ -1,23 +1,10 @@
-//! Service configuration and its environment knobs.
+//! Service configuration, set in code.
 //!
-//! Three knobs are deployment-facing and readable from the environment
-//! (mirroring `LECA_THREADS` / `LECA_BACKEND`, and parsed by the same
-//! [`leca_tensor::runtime_env`] helpers):
-//!
-//! * `LECA_SERVE_SHARDS` — worker shards (each pins one warm
-//!   [`leca_core::InferenceSession`]).
-//! * `LECA_SERVE_DEADLINE_US` — default per-request deadline.
-//! * `LECA_SERVE_MAX_BATCH` — dynamic-batcher flush size.
-//! * `LECA_SERVE_PRECISION` — default numeric precision (`f32` or
-//!   `int8`) for tenants without an explicit override.
-//!
-//! Everything else (queue capacity, linger, retry/backoff, breaker
-//! thresholds) is set in code; the defaults are tuned for the repo's
-//! tiny-CNN scale.
+//! Every setting is a [`ServeConfig`] field; the defaults are tuned for
+//! the repo's tiny-CNN scale.
 
 use crate::error::{ServeError, ServeResult};
 use leca_core::Precision;
-use leca_tensor::runtime_env;
 
 /// Per-tenant circuit-breaker policy.
 ///
@@ -71,12 +58,6 @@ pub struct ServeConfig {
     /// How long a partially filled batch lingers for co-tenant requests
     /// before flushing, microseconds.
     pub linger_us: u64,
-    /// Retries after a failed attempt (so `1 + max_retries` attempts
-    /// total).
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff, microseconds (attempt `k`
-    /// sleeps `backoff_base_us << k`, capped at 100 ms).
-    pub backoff_base_us: u64,
     /// Tenant-table size; tenant ids are `0..max_tenants`.
     pub max_tenants: u32,
     /// Per-tenant circuit-breaker policy.
@@ -108,8 +89,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             deadline_us: 50_000,
             linger_us: 200,
-            max_retries: 2,
-            backoff_base_us: 100,
             max_tenants: 16,
             breaker: BreakerConfig::default(),
             warm_shape: None,
@@ -120,32 +99,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overridden by `LECA_SERVE_SHARDS`, `LECA_SERVE_DEADLINE_US`
-    /// and `LECA_SERVE_MAX_BATCH` when set to positive integers
-    /// (unparsable or zero values are ignored, matching `LECA_THREADS`),
-    /// and by `LECA_SERVE_PRECISION` when set to `f32` or `int8`
-    /// (case-insensitive; anything else is ignored).
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = read_env("LECA_SERVE_SHARDS") {
-            cfg.shards = v as usize;
-        }
-        if let Some(v) = read_env("LECA_SERVE_DEADLINE_US") {
-            cfg.deadline_us = v;
-        }
-        if let Some(v) = read_env("LECA_SERVE_MAX_BATCH") {
-            cfg.max_batch = v as usize;
-        }
-        match runtime_env::choice("LECA_SERVE_PRECISION", &["f32", "int8"]) {
-            Ok("f32") => cfg.default_precision = Precision::F32,
-            Ok("int8") => cfg.default_precision = Precision::Int8,
-            // Unset or unrecognized (e.g. "fp16"): keep the default, the
-            // same ignore-garbage contract as the integer knobs.
-            _ => {}
-        }
-        cfg
-    }
-
     /// The precision `tenant`'s batches run at: the last matching entry
     /// in [`ServeConfig::tenant_precision`], else
     /// [`ServeConfig::default_precision`].
@@ -208,20 +161,9 @@ impl ServeConfig {
     }
 }
 
-fn read_env(key: &'static str) -> Option<u64> {
-    // Typed parse via the shared helper; any error (unset, garbage, zero)
-    // collapses to "keep the default", preserving the documented
-    // ignore-garbage contract.
-    runtime_env::positive_u64(key).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `from_env` tests mutate process-global env vars: serialize them.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn defaults_validate() {
@@ -249,36 +191,6 @@ mod tests {
                 cfg.validate().unwrap_err(),
                 ServeError::BadConfig(_)
             ));
-        }
-    }
-
-    #[test]
-    fn env_overrides_apply_and_ignore_garbage() {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let keys = [
-            "LECA_SERVE_SHARDS",
-            "LECA_SERVE_DEADLINE_US",
-            "LECA_SERVE_MAX_BATCH",
-            "LECA_SERVE_PRECISION",
-        ];
-        let old: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var("LECA_SERVE_SHARDS", "5");
-        std::env::set_var("LECA_SERVE_DEADLINE_US", "1234");
-        std::env::set_var("LECA_SERVE_MAX_BATCH", "nonsense");
-        std::env::set_var("LECA_SERVE_PRECISION", "Int8");
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.shards, 5);
-        assert_eq!(cfg.deadline_us, 1234);
-        assert_eq!(cfg.max_batch, ServeConfig::default().max_batch);
-        assert_eq!(cfg.default_precision, Precision::Int8);
-        std::env::set_var("LECA_SERVE_PRECISION", "fp16");
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.default_precision, Precision::F32);
-        for (k, v) in keys.iter().zip(old) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
         }
     }
 

@@ -29,12 +29,12 @@ pub enum ServeError {
         /// Time the request spent queued, in microseconds.
         waited_us: u64,
     },
-    /// A worker failed the request's batch even after retries (injected
-    /// chaos panic, poisoned model state, kernel error).
+    /// A worker failed the request's batch (injected chaos panic, a
+    /// shape the model rejects, int8 requested from a session with no
+    /// quantized engine). The session is deterministic, so the batch is
+    /// not retried: the same call would fail the same way.
     WorkerFailed {
-        /// Attempts made (1 initial + retries).
-        attempts: u32,
-        /// Human-readable failure cause from the last attempt.
+        /// Human-readable failure cause.
         reason: String,
     },
     /// The payload failed ingress validation (empty / zero-dim /
@@ -68,9 +68,7 @@ impl fmt::Display for ServeError {
             ServeError::TimedOut { waited_us } => {
                 write!(f, "deadline expired after waiting {waited_us} us")
             }
-            ServeError::WorkerFailed { attempts, reason } => {
-                write!(f, "worker failed after {attempts} attempt(s): {reason}")
-            }
+            ServeError::WorkerFailed { reason } => write!(f, "worker failed: {reason}"),
             ServeError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::UnknownTenant { tenant, max } => {
@@ -118,7 +116,6 @@ mod tests {
             (ServeError::TimedOut { waited_us: 5 }, "deadline"),
             (
                 ServeError::WorkerFailed {
-                    attempts: 2,
                     reason: "boom".into(),
                 },
                 "boom",

@@ -9,26 +9,25 @@
 //!
 //! * **Sharded warm workers** — each shard pins one owned session to one
 //!   supervised thread; tenants map to shards by `tenant % shards`
-//!   ([`ServeConfig::shards`], env `LECA_SERVE_SHARDS`).
+//!   ([`ServeConfig::shards`]).
 //! * **Dynamic batching** — per-shard queues coalesce same-tenant,
 //!   same-shape requests into one `classify_batch` call, flushing at
-//!   [`ServeConfig::max_batch`] (env `LECA_SERVE_MAX_BATCH`) or after a
-//!   short linger.
+//!   [`ServeConfig::max_batch`] or after a short linger.
 //! * **Deadlines** — every request carries one
-//!   ([`ServeConfig::deadline_us`], env `LECA_SERVE_DEADLINE_US`);
-//!   expired requests are answered [`ServeError::TimedOut`] and never
-//!   occupy a batch slot.
+//!   ([`ServeConfig::deadline_us`]); expired requests are answered
+//!   [`ServeError::TimedOut`] and never occupy a batch slot.
 //! * **Backpressure** — queues are bounded; a full shard rejects with
 //!   [`ServeError::Overloaded`] instead of growing.
-//! * **Retry with backoff** — transient model errors are retried with
-//!   exponential backoff before the batch fails.
+//! * **Fail once** — a model error fails the batch with
+//!   [`ServeError::WorkerFailed`] on the first attempt: the session is
+//!   deterministic, so a retry would fail the same way.
 //! * **Per-tenant circuit breakers** — a tenant whose requests keep
 //!   failing is shed with [`ServeError::CircuitOpen`] while healthy
 //!   tenants keep flowing.
 //! * **Per-tenant precision** — each tenant's batches run at
 //!   [`Precision::F32`] or [`Precision::Int8`]
 //!   ([`ServeConfig::default_precision`] /
-//!   [`ServeConfig::tenant_precision`], env `LECA_SERVE_PRECISION`);
+//!   [`ServeConfig::tenant_precision`]);
 //!   int8 needs sessions whose factory called
 //!   [`leca_core::InferenceSession::enable_int8`], and batches never mix
 //!   tenants, so every `classify_batch` call runs at one precision.

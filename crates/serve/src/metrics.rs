@@ -99,8 +99,6 @@ pub struct ServeMetrics {
     pub shed_breaker: AtomicU64,
     /// Submissions rejected during drain (`ShuttingDown`).
     pub shed_shutdown: AtomicU64,
-    /// Batch attempts retried after a transient failure.
-    pub retries: AtomicU64,
     /// Worker panics caught by the supervisor.
     pub worker_panics: AtomicU64,
     /// Sessions rebuilt after a panic.
@@ -127,7 +125,7 @@ impl ServeMetrics {
             shed_overload: self.shed_overload.load(ld),
             shed_breaker: self.shed_breaker.load(ld),
             shed_shutdown: self.shed_shutdown.load(ld),
-            retries: self.retries.load(ld),
+            retries: 0,
             worker_panics: self.worker_panics.load(ld),
             session_rebuilds: self.session_rebuilds.load(ld),
             batches: self.batches.load(ld),
@@ -160,7 +158,8 @@ pub struct MetricsSnapshot {
     pub shed_breaker: u64,
     /// Submissions rejected during drain.
     pub shed_shutdown: u64,
-    /// Batch attempts retried.
+    /// Always 0: a failed batch is never retried. Kept so code that
+    /// builds a snapshot by literal still compiles.
     pub retries: u64,
     /// Worker panics caught.
     pub worker_panics: u64,

@@ -2,9 +2,9 @@
 //!
 //! A [`ReplySlot`] is a tiny one-shot channel (Mutex + Condvar): the
 //! service writes exactly one [`Reply`], the client's [`Ticket`] takes
-//! it. First write wins — late writers (a retry racing a timeout sweep)
-//! are no-ops, which is what makes "every request answered exactly once"
-//! easy to reason about.
+//! it. First write wins — late writers (a drop guard racing a timeout
+//! sweep) are no-ops, which is what makes "every request answered
+//! exactly once" easy to reason about.
 //!
 //! Slots are pooled: the pool starts full, consuming a ticket returns its
 //! slot to the bounded free list at once, and [`SlotPool::get`] hands out
@@ -151,7 +151,7 @@ impl SlotPool {
 pub struct Ticket {
     slot: Arc<ReplySlot>,
     pool: Arc<SlotPool>,
-    /// Request id (unique per service instance); stable across retries.
+    /// Request id (unique per service instance).
     pub id: u64,
 }
 
@@ -170,9 +170,9 @@ impl Ticket {
     /// Blocks until the reply arrives, recycling the slot.
     ///
     /// The service guarantees a typed reply for every admitted request —
-    /// including through worker panics, retries, deadline expiry and
-    /// shutdown — so this wait always terminates once the service is
-    /// processing (see the drop-guard in `worker.rs`).
+    /// including through worker panics, deadline expiry and shutdown — so
+    /// this wait always terminates once the service is processing (see
+    /// the drop-guard in `worker.rs`).
     pub fn wait(self) -> Reply {
         let reply = self.slot.take_blocking();
         self.finish();

@@ -136,7 +136,6 @@ fn abandon_shard(w: &Worker) {
     ) {
         for req in expired.drain(..).chain(batch.drain(..)) {
             let failure = Err(ServeError::WorkerFailed {
-                attempts: 1,
                 reason: "shard abandoned: session factory failed".to_string(),
             });
             req.slot.set(failure, || {

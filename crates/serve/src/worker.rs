@@ -1,14 +1,15 @@
-//! The shard worker: batch assembly, execution, retries, and the
+//! The shard worker: batch assembly, execution, and the
 //! answer-exactly-once guarantee.
 //!
 //! Each shard pins one warm owned [`InferenceSession`] to one worker.
 //! The worker pulls coalesced batches from its [`ShardQueue`], copies
 //! the (same-shape) payloads into a cached batch tensor, and runs
-//! `classify_batch` — retrying with exponential backoff on model errors
-//! and replying to every rider exactly once.
+//! `classify_batch_with` once, replying to every rider exactly once. A
+//! model error fails the batch without a retry: the session is
+//! deterministic, so the same call on the same batch fails the same way.
 //!
 //! The load-bearing piece is [`Pending`]: a drop guard wrapping the
-//! in-flight batch. However execution ends — success, exhausted retries,
+//! in-flight batch. However execution ends — success, a model error,
 //! or a chaos-injected panic unwinding straight through this module —
 //! every request in the batch receives a typed reply, because `Drop`
 //! answers whatever `complete`/`fail` did not. The supervisor only has
@@ -30,9 +31,6 @@ use leca_tensor::Tensor;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Longest single retry backoff sleep.
-const MAX_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Immutable per-worker wiring (shared handles and policy).
 pub(crate) struct Worker {
@@ -151,7 +149,6 @@ struct Pending<'a> {
     metrics: &'a ServeMetrics,
     breakers: &'a Breakers,
     worker: usize,
-    attempts: u32,
 }
 
 impl Pending<'_> {
@@ -178,10 +175,8 @@ impl Pending<'_> {
     /// failures against the tenant's breaker.
     fn fail(&mut self, reason: &str) {
         let now = Instant::now();
-        let attempts = self.attempts.max(1);
         for req in self.batch.drain(..) {
             let failure = Err(ServeError::WorkerFailed {
-                attempts,
                 reason: reason.to_string(),
             });
             req.slot.set(failure, || {
@@ -275,7 +270,6 @@ pub(crate) fn worker_loop(w: &Worker, st: &mut WorkerState) {
             metrics: &w.metrics,
             breakers: &w.breakers,
             worker: w.shard,
-            attempts: 0,
         };
 
         w.metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -293,38 +287,9 @@ pub(crate) fn worker_loop(w: &Worker, st: &mut WorkerState) {
             );
         }
 
-        // Int8 with no compiled engine is a configuration fault, not a
-        // transient model error: fail the batch once, without burning
-        // the retry budget on an outcome that cannot change.
-        if precision == Precision::Int8 && !session.int8_ready() {
-            pending.attempts = 1;
-            pending.fail("int8 precision configured but the session has no quantized engine (the factory must call enable_int8)");
-            continue;
-        }
-
-        let mut last_err = String::new();
-        for attempt in 0..=w.cfg.max_retries {
-            pending.attempts = attempt + 1;
-            if attempt > 0 {
-                w.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                let backoff = Duration::from_micros(
-                    w.cfg
-                        .backoff_base_us
-                        .saturating_mul(1 << (attempt - 1).min(20)),
-                )
-                .min(MAX_BACKOFF);
-                std::thread::sleep(backoff);
-            }
-            match session.classify_batch_with(input, preds, precision) {
-                Ok(()) => {
-                    pending.complete(preds);
-                    break;
-                }
-                Err(e) => last_err = e.to_string(),
-            }
-        }
-        if !pending.batch.is_empty() {
-            pending.fail(&last_err);
+        match session.classify_batch_with(input, preds, precision) {
+            Ok(()) => pending.complete(preds),
+            Err(e) => pending.fail(&e.to_string()),
         }
     }
 }
@@ -367,7 +332,6 @@ mod tests {
                 metrics: &metrics,
                 breakers: &breakers,
                 worker: 0,
-                attempts: 1,
             };
             // Dropped without complete/fail — simulates an unwind.
         }
@@ -389,7 +353,6 @@ mod tests {
             metrics: &metrics,
             breakers: &breakers,
             worker: 3,
-            attempts: 1,
         };
         pending.complete(&[5, 9]);
         drop(pending);

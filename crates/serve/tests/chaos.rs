@@ -49,8 +49,6 @@ fn base_config() -> ServeConfig {
         queue_cap: 16,
         deadline_us: 5_000_000,
         linger_us: 100,
-        max_retries: 1,
-        backoff_base_us: 50,
         max_tenants: 8,
         breaker: no_trip_breaker(),
         warm_shape: Some(SAMPLE_SHAPE.to_vec()),
@@ -302,8 +300,6 @@ fn full_storm_accounting_is_airtight() {
         queue_cap: 8,
         deadline_us: 100_000,
         linger_us: 100,
-        max_retries: 1,
-        backoff_base_us: 50,
         max_tenants: 4,
         breaker: no_trip_breaker(),
         warm_shape: Some(SAMPLE_SHAPE.to_vec()),

@@ -103,8 +103,7 @@ fn int8_without_engine_fails_typed_not_silent() {
 
     let ticket = service.submit(0, payload(7)).unwrap();
     match ticket.wait() {
-        Err(ServeError::WorkerFailed { attempts, reason }) => {
-            assert_eq!(attempts, 1, "config faults must not burn retries");
+        Err(ServeError::WorkerFailed { reason }) => {
             assert!(reason.contains("quantized engine"), "{reason}");
         }
         other => panic!("expected WorkerFailed, got {other:?}"),
@@ -116,9 +115,9 @@ fn int8_without_engine_fails_typed_not_silent() {
 }
 
 #[test]
-fn env_default_precision_round_trips_through_the_service() {
-    // from_env is covered in unit tests; here just pin that an int8
-    // default with an int8-capable factory serves end to end.
+fn int8_default_precision_serves_end_to_end() {
+    // An int8 default with an int8-capable factory serves every tenant
+    // without a per-tenant override.
     let mut cfg = base_config();
     cfg.default_precision = Precision::Int8;
     let service = Service::start(cfg, int8_session).unwrap();

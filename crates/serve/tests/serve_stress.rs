@@ -35,8 +35,6 @@ fn stress_config() -> ServeConfig {
         queue_cap: 8,
         deadline_us: 200_000,
         linger_us: 50,
-        max_retries: 1,
-        backoff_base_us: 20,
         max_tenants: 4,
         breaker: BreakerConfig {
             window: 64,

@@ -18,9 +18,8 @@
 //! `#[target_feature(enable = "avx2")]`, where the compiler vectorizes it
 //! at 8 lanes. Hand-written intrinsic bodies remain only where the compiler
 //! loses: the f32 `microkernel` (`avx2`, and its FMA twin in `fastmath`),
-//! the int8 `qmicrokernel`, `quantize_q8` and `requant_i32` (`qavx2`; their
-//! round-to-even conversion does not vectorize), and fast-math's polynomial
-//! `exp_sum`.
+//! and the int8 `qmicrokernel`, `quantize_q8` and `requant_i32` (`qavx2`;
+//! their round-to-even conversion does not vectorize).
 //!
 //! # Selection and availability
 //!
@@ -42,13 +41,12 @@
 //! # The fast-math tier
 //!
 //! [`Backend::FastMath`] ([`Backend::bit_exact`] = `false`) trades the
-//! bit-exactness contract in exactly two bodies: the FMA-contracted GEMM
-//! [`microkernel`] and a vectorized polynomial exponential in [`exp_sum`].
-//! Every other kernel runs a bit-exact body on it, and the conformance
-//! suite holds those bit for bit to scalar. It never wins auto-selection:
-//! it runs only when requested by name (`LECA_BACKEND=fastmath`). Its two
-//! own bodies are held to relative-error bounds against the scalar oracle
-//! by tolerance-based parity tests, and the determinism goldens exclude
+//! bit-exactness contract in exactly one body, the FMA-contracted GEMM
+//! [`microkernel`]. Every other kernel runs a bit-exact body on it, and the
+//! conformance suite holds those bit for bit to scalar. It never wins
+//! auto-selection: it runs only when requested by name
+//! (`LECA_BACKEND=fastmath`). Its own body is held to a relative-error
+//! bound against the scalar oracle, and the determinism goldens exclude
 //! it.
 //!
 //! # Why every bit-exact backend is bit-identical
@@ -99,8 +97,8 @@ mod avx2;
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod qavx2;
 
-// Relaxed-precision bodies (fused-multiply-add GEMM core, vectorized
-// polynomial `exp_sum`); same Miri/non-x86 story as `avx2`.
+// Relaxed-precision body (the fused-multiply-add GEMM core); same
+// Miri/non-x86 story as `avx2`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod fastmath;
 
@@ -173,9 +171,8 @@ pub enum Backend {
     /// The scalar bodies compiled for AVX2, plus the hand-written AVX2
     /// GEMM and int8 bodies (`x86_64` with runtime-detected AVX2).
     Avx2,
-    /// Opt-in relaxed-precision bodies (`x86_64` with runtime-detected
-    /// AVX2 + FMA): fused-multiply-add GEMM core and vectorized polynomial
-    /// `exp` driving the fused softmax pass; every other kernel is
+    /// Opt-in relaxed-precision tier (`x86_64` with runtime-detected
+    /// AVX2 + FMA): a fused-multiply-add GEMM core; every other kernel is
     /// bit-exact. Not bit-exact with the scalar oracle as a whole — see
     /// the module docs for the selection and testing contract.
     FastMath,
@@ -199,9 +196,9 @@ impl Backend {
 
     /// Whether this backend reproduces the [`scalar`] bodies bit for bit.
     /// Only [`Backend::FastMath`] does not (it contracts FMAs in the
-    /// microkernel and vectorizes `exp_sum`), which excludes it from
-    /// auto-selection and from the determinism suites — its two own bodies
-    /// are covered by tolerance-based parity tests instead.
+    /// microkernel), which excludes it from auto-selection and from the
+    /// determinism suites — its microkernel is covered by a tolerance
+    /// test instead.
     pub fn bit_exact(self) -> bool {
         self != Backend::FastMath
     }
@@ -431,16 +428,11 @@ backend_kernels! {
     /// Fused in-place exponential + sum — the softmax core: `dst[i] =
     /// dst[i].exp()`, returning the sum of the results.
     ///
-    /// On bit-exact backends this is **exactly** the historical sequential
-    /// softmax chain (`*v = v.exp(); z += *v;` element by element, libm
-    /// `exp`), so the determinism goldens are unchanged. The fast-math tier
-    /// vectorizes both the exponential and the sum (eight partial lane sums
-    /// folded at the end), trading bit-exactness for throughput. Its
-    /// polynomial `exp` has a few ULP of relative error on normal results,
-    /// exact `+inf`/`0.0` saturation at the overflow/underflow boundaries
-    /// (results in the denormal range may flush to zero), and NaN in → NaN
-    /// out. A NaN element poisons the returned sum on every backend.
-    [scalar, fastmath] fn exp_sum(dst: &mut [f32]) -> f32;
+    /// This is **exactly** the historical sequential softmax chain (`*v =
+    /// v.exp(); z += *v;` element by element, libm `exp`) on every
+    /// backend, so the determinism goldens are unchanged. A NaN element
+    /// poisons the returned sum.
+    [scalar, scalar] fn exp_sum(dst: &mut [f32]) -> f32;
     /// NaN-skipping maximum (`f32::max` fold semantics): NaN elements are
     /// ignored; an empty or all-NaN slice yields `f32::NEG_INFINITY`. The
     /// softmax row-max pass. A zero maximum is returned as `+0.0`, whatever

@@ -101,12 +101,10 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
         // negated max is the exact same value the scalar loop produced,
         // and `x - m` goes straight into `out` without copying `x`.
         crate::backend::add_scalar(xrow, -m, row);
-        // The exp + running-sum pass dispatches through the backend's
-        // fused `exp_sum` kernel: bit-exact backends keep the historical
-        // sequential chain verbatim (vectorizing would reassociate the
-        // sum and break the determinism goldens), while the opt-in
-        // fastmath tier substitutes its vectorized polynomial exp with
-        // lane-partial sums — the softmax hot loop this fusion exists for.
+        // The exp + running-sum pass is the backend's fused `exp_sum`
+        // kernel: the historical sequential chain verbatim on every
+        // backend (vectorizing would reassociate the sum and break the
+        // determinism goldens).
         let z = crate::backend::exp_sum(row);
         let inv = 1.0 / z;
         crate::backend::scale_inplace(row, inv);

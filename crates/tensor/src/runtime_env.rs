@@ -1,9 +1,10 @@
 //! Unified parsing for the `LECA_*` runtime environment variables.
 //!
 //! Every knob the workspace reads from the environment (`LECA_BACKEND`,
-//! `LECA_THREADS`, `LECA_FAST`, the `LECA_SERVE_*` family) used to
-//! hand-roll its own `std::env::var` + parse + filter chain, each with
-//! subtly different error behavior. This module is the single parsing
+//! `LECA_THREADS`, `LECA_CACHE_DIR`, and the bench binaries' `LECA_FAST`,
+//! `LECA_EPOCHS` and `LECA_FULL`) used to hand-roll its own
+//! `std::env::var` + parse + filter chain, each with subtly different
+//! error behavior. This module is the single parsing
 //! layer: typed errors say *which* variable was bad and what was expected,
 //! and each consumer decides its own fallback policy (the historical
 //! contract — a garbage value degrades to the default rather than
@@ -80,29 +81,6 @@ pub fn positive_u64(key: &'static str) -> Result<u64, EnvError> {
     }
 }
 
-/// `key` matched case-insensitively against `choices`, returning the
-/// canonical (listed) spelling (`LECA_SERVE_PRECISION=Int8` → `"int8"`).
-///
-/// # Errors
-///
-/// [`EnvError::NotSet`] when absent; [`EnvError::Invalid`] when the value
-/// matches none of `choices`.
-pub fn choice(
-    key: &'static str,
-    choices: &'static [&'static str],
-) -> Result<&'static str, EnvError> {
-    let v = raw(key)?;
-    choices
-        .iter()
-        .find(|c| c.eq_ignore_ascii_case(&v))
-        .copied()
-        .ok_or(EnvError::Invalid {
-            key,
-            value: v,
-            expected: "one of the documented choices",
-        })
-}
-
 /// `key` parsed as an on/off flag (`LECA_FAST=1`).
 ///
 /// `1`/`true`/`on`/`yes` are true; `0`/`false`/`off`/`no` are false
@@ -175,19 +153,6 @@ mod tests {
                     key: "LECA_RT_ENV_TEST_N"
                 })
             );
-        });
-    }
-
-    #[test]
-    fn choice_is_case_insensitive_and_canonicalizing() {
-        with_var("LECA_RT_ENV_TEST_C", Some("Int8"), || {
-            assert_eq!(choice("LECA_RT_ENV_TEST_C", &["f32", "int8"]), Ok("int8"));
-        });
-        with_var("LECA_RT_ENV_TEST_C", Some("fp16"), || {
-            assert!(matches!(
-                choice("LECA_RT_ENV_TEST_C", &["f32", "int8"]),
-                Err(EnvError::Invalid { .. })
-            ));
         });
     }
 

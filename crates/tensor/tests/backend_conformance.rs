@@ -6,9 +6,9 @@
 //! `bit_exact()` are held to bitwise equality against the [`scalar`]
 //! reference definitions on NaN-poisoned inputs whose lengths straddle
 //! the vector width. The relaxed-precision tier (fastmath) is held to the
-//! same bitwise batteries on every kernel but its two own bodies, the FMA
-//! `microkernel` and the polynomial `exp_sum`, which run under
-//! relative-error bounds plus NaN-position agreement.
+//! same bitwise batteries on every kernel but its one own body, the FMA
+//! `microkernel`, which runs under a relative-error bound plus
+//! NaN-position agreement.
 //!
 //! The suite also locks down a selection-adjacent contract: the dispatched
 //! GEMM and softmax of every bit-exact backend (env-pinned, serialized)
@@ -41,7 +41,8 @@ fn bit_exact_backends() -> impl Iterator<Item = Backend> {
 }
 
 /// The available relaxed-precision backends (fastmath when the host has
-/// AVX2+FMA), held to relative-error bounds instead of bitwise equality.
+/// AVX2+FMA), whose microkernel is held to a relative-error bound instead
+/// of bitwise equality.
 fn tolerance_backends() -> impl Iterator<Item = Backend> {
     available_backends().filter(|be| !be.bit_exact())
 }
@@ -114,15 +115,15 @@ fn box_muller_inputs(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
 #[test]
 fn elementwise_kernels_conform_on_every_backend() {
     for be in bit_exact_backends() {
-        assert_elementwise_exact(be, true);
+        assert_elementwise_exact(be);
     }
 }
 
 /// The elementwise battery behind [`elementwise_kernels_conform_on_every_backend`]:
-/// every elementwise kernel of `be`, `exp_sum` only when `with_exp_sum`,
-/// bit for bit against scalar on NaN-poisoned edge-length inputs, plus the
-/// ReLU family's NaN semantics at the lane boundary.
-fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
+/// every elementwise kernel of `be`, bit for bit against scalar on
+/// NaN-poisoned edge-length inputs, plus the ReLU family's NaN semantics at
+/// the lane boundary.
+fn assert_elementwise_exact(be: Backend) {
     let name = be.name();
     for (sel, &len) in EDGE_LENS.iter().enumerate() {
         let seed = 0x5eed_0000 + sel as u64;
@@ -189,17 +190,15 @@ fn assert_elementwise_exact(be: Backend, with_exp_sum: bool) {
         scalar::bn_affine(&a, &mut want, 0.4, 1.9, 1.1, -0.3);
         assert_bits(&ctx("bn_affine"), &got, &want);
 
-        if with_exp_sum {
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            let gz = be.exp_sum(&mut got);
-            let wz = scalar::exp_sum(&mut want);
-            assert_bits(&ctx("exp_sum"), &got, &want);
-            assert!(
-                gz.to_bits() == wz.to_bits(),
-                "{name}/exp_sum-sum/len={len}: {gz} vs {wz}"
-            );
-        }
+        got.copy_from_slice(&a);
+        want.copy_from_slice(&a);
+        let gz = be.exp_sum(&mut got);
+        let wz = scalar::exp_sum(&mut want);
+        assert_bits(&ctx("exp_sum"), &got, &want);
+        assert!(
+            gz.to_bits() == wz.to_bits(),
+            "{name}/exp_sum-sum/len={len}: {gz} vs {wz}"
+        );
 
         // Box–Muller on its domain: the generator's uniforms `k · 2^-24`,
         // `u1 = 1 − u ∈ (0, 1]` and `u2 = u ∈ [0, 1)`, extremes included.
@@ -483,80 +482,6 @@ fn assert_close(ctx: &str, got: &[f32], want: &[f32], rtol: f32, atol: f32) {
     }
 }
 
-/// The tolerance contract the fast-math tier advertises, on every
-/// relaxed-precision backend: within tight relative error of the scalar
-/// oracle with NaN positions preserved. Its one relaxed elementwise body is
-/// the vectorized exponential `exp_sum`; the other kernels checked here run
-/// bit-exact bodies on this tier (held bit for bit by
-/// [`fastmath_is_exact_outside_microkernel_and_exp_sum`]) and so meet the
-/// bound with zero error.
-///
-/// On hosts without AVX2+FMA the backend list is empty and the test
-/// passes vacuously (the fastmath tier is simply not available).
-#[test]
-fn fastmath_kernels_within_tolerance_of_scalar() {
-    const RTOL: f32 = 1e-5;
-    const ATOL: f32 = 1e-6;
-    for be in tolerance_backends() {
-        let name = be.name();
-        for (sel, &len) in EDGE_LENS.iter().enumerate() {
-            let seed = 0xfa51_0000 + sel as u64;
-            let a = gen_vec(len, seed);
-            let b = gen_vec(len, seed ^ 0xffff);
-            let mut got = vec![0.0f32; len];
-            let mut want = vec![0.0f32; len];
-
-            let ctx = |k: &str| format!("{name}/{k}/len={len}");
-
-            // Mul-add-shaped epilogues: exact on this tier, within bounds a
-            // fortiori.
-            got.copy_from_slice(&b);
-            want.copy_from_slice(&b);
-            be.axpy(&mut got, &a, 0.37);
-            scalar::axpy(&mut want, &a, 0.37);
-            assert_close(&ctx("axpy"), &got, &want, RTOL, ATOL);
-
-            be.bn_affine(&a, &mut got, 0.4, 1.9, 1.1, -0.3);
-            scalar::bn_affine(&a, &mut want, 0.4, 1.9, 1.1, -0.3);
-            assert_close(&ctx("bn_affine"), &got, &want, RTOL, ATOL);
-
-            let acc: Vec<i32> = (0..len as i32).map(|i| i * 1717 - 20_000).collect();
-            be.dequant_i32(&acc, 0.031, -0.7, &mut got);
-            scalar::dequant_i32(&acc, 0.031, -0.7, &mut want);
-            assert_close(&ctx("dequant_i32"), &got, &want, RTOL, ATOL);
-
-            // The vectorized exponential, fused into the softmax core: a
-            // NaN element poisons the sum on both sides.
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            let gz = be.exp_sum(&mut got);
-            let wz = scalar::exp_sum(&mut want);
-            assert_close(&ctx("exp_sum"), &got, &want, RTOL, ATOL);
-            if a.iter().any(|v| v.is_nan()) {
-                assert!(gz.is_nan() && wz.is_nan(), "{name}/exp_sum-sum/len={len}");
-            } else {
-                let zbound = ATOL + 1e-4 * wz.abs();
-                assert!(
-                    (gz - wz).abs() <= zbound,
-                    "{name}/exp_sum-sum/len={len}: {gz} vs {wz}"
-                );
-            }
-
-            // Exact kernels still satisfy the (weaker) tolerance contract
-            // this tier advertises.
-            be.add(&a, &b, &mut got);
-            scalar::add(&a, &b, &mut want);
-            assert_close(&ctx("add"), &got, &want, RTOL, ATOL);
-
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            be.relu_inplace(&mut got);
-            scalar::relu_inplace(&mut want);
-            assert_close(&ctx("relu_inplace"), &got, &want, RTOL, ATOL);
-        }
-    }
-}
-
 /// The fast-math f32 microkernel: within accumulation-scaled tolerance of
 /// the scalar chain on fresh accumulation, and — critically — chunked
 /// continuation must be bit-identical to one-shot *on the same backend*
@@ -609,53 +534,29 @@ fn fastmath_microkernel_tolerance_and_exact_chunking() {
     }
 }
 
-/// Fast-math relaxes only its two own bodies, the FMA `microkernel` and
-/// the polynomial `exp_sum`: every other kernel — the int8 tier included —
-/// runs a bit-exact body there and must match scalar bit for bit, on the
-/// same NaN-poisoned batteries as the bit-exact backends.
+/// Fast-math relaxes only its one own body, the FMA `microkernel`: every
+/// other kernel — `exp_sum` and the int8 tier included — runs a bit-exact
+/// body there and must match scalar bit for bit, on the same NaN-poisoned
+/// batteries as the bit-exact backends.
 #[test]
-fn fastmath_is_exact_outside_microkernel_and_exp_sum() {
+fn fastmath_is_exact_outside_microkernel() {
     for be in tolerance_backends() {
-        assert_elementwise_exact(be, false);
+        assert_elementwise_exact(be);
         assert_quant_exact(be);
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Randomized NaN-poisoned tolerance parity for the fast-math tier:
-    /// any length, any seed, any scale — the mul-add epilogues and the
-    /// vectorized exponential stay within bounds and never lose poison.
-    #[test]
-    fn prop_fastmath_within_tolerance(
-        len in 0usize..200,
-        seed in 0u64..u64::MAX,
-        s in -4.0f32..4.0,
-    ) {
-        let a = gen_vec(len, seed);
-        let b = gen_vec(len, seed ^ 0x9e37_79b9);
-        for be in tolerance_backends() {
-            let name = be.name();
-            let mut got = vec![0.0f32; len];
-            let mut want = vec![0.0f32; len];
-
-            got.copy_from_slice(&b);
-            want.copy_from_slice(&b);
-            be.axpy(&mut got, &a, s);
-            scalar::axpy(&mut want, &a, s);
-            assert_close(&format!("{name}/axpy"), &got, &want, 1e-5, 1e-6);
-
-            be.bn_affine(&a, &mut got, s, 1.9, 1.1, -0.3);
-            scalar::bn_affine(&a, &mut want, s, 1.9, 1.1, -0.3);
-            assert_close(&format!("{name}/bn_affine"), &got, &want, 1e-5, 1e-6);
-
-            got.copy_from_slice(&a);
-            want.copy_from_slice(&a);
-            be.exp_sum(&mut got);
-            scalar::exp_sum(&mut want);
-            assert_close(&format!("{name}/exp_sum"), &got, &want, 1e-5, 1e-6);
-        }
+/// The precision split: fastmath is the one relaxed tier, everything else
+/// promises bit-exactness.
+#[test]
+fn fastmath_is_the_only_relaxed_precision_backend() {
+    for be in Backend::ALL {
+        assert_eq!(
+            be.bit_exact(),
+            be != Backend::FastMath,
+            "{}: wrong precision contract",
+            be.name()
+        );
     }
 }
 

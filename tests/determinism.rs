@@ -158,9 +158,9 @@ fn train_step(p: &mut LecaPipeline, x: &Tensor, labels: &[usize]) -> f32 {
 }
 
 /// Checksum of every parameter value, in `visit_params` order.
-fn params_checksum(model: &dyn Layer) -> u64 {
+fn params_checksum(model: &mut dyn Layer) -> u64 {
     let mut h = 0u64;
-    model.visit_params_ref(&mut |q| h = h.rotate_left(7) ^ checksum(&q.value));
+    model.visit_params(&mut |q| h = h.rotate_left(7) ^ checksum(&q.value));
     h
 }
 
@@ -214,7 +214,7 @@ fn step_grad_checksums(modality: Modality, plan: Option<FaultPlan>) -> [u64; 4] 
     let loss = train_step(&mut p, &x, &[0, 1, 2, 3]);
     let mut sums = [u64::from(loss.to_bits()), 0, 0, 0];
     let mut i = 0;
-    p.visit_params_ref(&mut |q| {
+    p.visit_params(&mut |q| {
         let slot = (i + 1).min(3);
         sums[slot] = sums[slot].rotate_left(7) ^ checksum(&q.grad);
         i += 1;
@@ -243,7 +243,7 @@ fn trainer_results() -> (u64, [u32; 2], u64, [u32; 3]) {
         bb_report.epoch_losses[0].to_bits(),
         bb_report.val_accuracy.to_bits(),
     ];
-    let bb_params = params_checksum(&bb);
+    let bb_params = params_checksum(&mut bb);
     let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
     let mut p = LecaPipeline::new(&cfg, Modality::Hard, bb, 9).unwrap();
     let tc = TrainConfig {
@@ -257,7 +257,7 @@ fn trainer_results() -> (u64, [u32; 2], u64, [u32; 3]) {
         report.epoch_losses[1].to_bits(),
         report.val_accuracy.to_bits(),
     ];
-    (bb_params, bb_bits, params_checksum(&p), bits)
+    (bb_params, bb_bits, params_checksum(&mut p), bits)
 }
 
 /// The int8 workload: compile a quantized engine from a pinned Soft
