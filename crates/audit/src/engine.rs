@@ -11,16 +11,19 @@
 //! | [`rules::PANIC_FREEDOM`] | no `unwrap`/`expect`/panic-macros/indexing in the serve steady-state path; no panic exits in `_into` kernels |
 //! | [`rules::ENV_READ_CONFINEMENT`] | all `std::env` access goes through `runtime_env` (reads) or the pinning harness (writes) |
 //!
-//! Architecture: a cheap lexical prefilter ([`lexical_prefilter`]) skips
-//! files where no rule can fire; everything else is tokenized once and
-//! walked twice. Pass 1 runs over the raw token forest (nothing the
-//! parser consumes can hide a token) and covers the context-free rules:
-//! `unsafe` hygiene, nondeterminism and ISA confinement — including
-//! tokens inside attributes and `macro_rules!` bodies. Pass 2 walks the
-//! parsed item tree with a context (`Cx`) carrying `#[cfg(test)]` scope, cold
-//! (error/assert-arm) scope and `_into`-kernel scope, and covers the
-//! structural rules. Escape hatches mirror the `// SAFETY:` convention:
-//! a `// PANIC-OK: <bounds/invariant argument>` comment trailing the
+//! Architecture: every file is read and tokenized once, and the one token
+//! forest serves three readers. Pass 1 runs over the raw forest (nothing
+//! the parser consumes can hide a token) and covers the context-free
+//! rules: `unsafe` hygiene, nondeterminism and ISA confinement —
+//! including tokens inside attributes and `macro_rules!` bodies. Pass 2
+//! walks the item tree parsed from the same forest with a context (`Cx`)
+//! carrying `#[cfg(test)]` scope, cold (error/assert-arm) scope and
+//! `_into`-kernel scope, and covers the structural rules and the crate
+//! header. The comment channel is the third reader: every token spans a
+//! start and an end, so source text outside all spans is comment text,
+//! which is where the `// SAFETY:` and `// PANIC-OK:` markers live.
+//! Escape hatches mirror the `// SAFETY:` convention: a
+//! `// PANIC-OK: <bounds/invariant argument>` comment trailing the
 //! flagged line (or on the contiguous comment run above it) sanctions a
 //! panic-freedom site.
 //!
@@ -35,11 +38,10 @@
 use std::path::Path;
 
 use crate::{
-    allowlisted, has_marker_comment, is_library_code, rules, strip_source, Diagnostic, Line,
-    ISA_ALLOWED_PREFIX, NONDET_ALLOWLIST_PREFIXES, REQUIRED_HEADERS, SPAWN_ALLOWLIST,
-    UNSAFE_ALLOWLIST,
+    allowlisted, is_library_code, rules, Diagnostic, ISA_ALLOWED_PREFIX, NONDET_ALLOWLIST_PREFIXES,
+    REQUIRED_HEADERS, SPAWN_ALLOWLIST, UNSAFE_ALLOWLIST,
 };
-use syn::{Attribute, Delimiter, Group, Item, TokenTree};
+use syn::{Attribute, Delimiter, Group, Item, Span, TokenTree};
 
 // ---------------------------------------------------------------------
 // Structural-rule scopes and allowlists
@@ -165,6 +167,100 @@ fn fold_seed_is_float(args: &[TokenTree]) -> bool {
 }
 
 // ---------------------------------------------------------------------
+// Comment channel
+// ---------------------------------------------------------------------
+
+/// One source line as the escape-hatch markers see it.
+#[derive(Debug, Default)]
+struct SourceLine {
+    /// Some token covers part of the line.
+    code: bool,
+    /// The first token that starts on the line is `#` (an attribute).
+    attr: bool,
+    /// The line's text outside every token span: its comments, plus
+    /// whitespace.
+    comment: String,
+}
+
+impl SourceLine {
+    fn has_comment(&self) -> bool {
+        !self.comment.trim().is_empty()
+    }
+}
+
+/// Splits `src` into lines and reads each line's comment channel off the
+/// token spans of `forest`, the lexer's output for `src`. The lexer skips
+/// only whitespace and comments, so what no span covers is comment text.
+fn source_lines(src: &str, forest: &[TokenTree]) -> Vec<SourceLine> {
+    /// Every span in source order (a group adds its two delimiters),
+    /// with whether the token is `#`.
+    fn flatten(tts: &[TokenTree], out: &mut Vec<(Span, bool)>) {
+        for t in tts {
+            if let TokenTree::Group(g) = t {
+                out.push((g.span_open(), false));
+                flatten(g.stream(), out);
+                out.push((g.span_close(), false));
+            } else {
+                out.push((t.span(), t.punct_char() == Some('#')));
+            }
+        }
+    }
+    let mut spans = Vec::new();
+    flatten(forest, &mut spans);
+    let mut spans = spans.into_iter().peekable();
+    // End of the last span entered, as (line, column).
+    let mut covered_to = (0, 0);
+    let mut lines = Vec::new();
+    for (l, text) in src.split('\n').enumerate() {
+        let mut line = SourceLine::default();
+        let mut first_token = true;
+        for (c, ch) in text.chars().enumerate() {
+            let at = (l + 1, c + 1);
+            while let Some((span, hash)) =
+                spans.next_if(|(s, _)| (s.start.line, s.start.column) <= at)
+            {
+                if first_token {
+                    line.attr = hash;
+                    first_token = false;
+                }
+                covered_to = (span.end.line, span.end.column);
+            }
+            if at < covered_to {
+                line.code = true;
+            } else {
+                line.comment.push(ch);
+            }
+        }
+        lines.push(line);
+    }
+    lines
+}
+
+/// Shared adjacency rule for escape-hatch comments (`SAFETY:`,
+/// `PANIC-OK:`): the marker counts when it appears trailing on the flagged
+/// line (1-based) or on the contiguous run of comment-only /
+/// attribute-only lines directly above it.
+fn has_marker_comment(lines: &[SourceLine], line: usize, marker: &str) -> bool {
+    let Some(idx) = line.checked_sub(1).filter(|&i| i < lines.len()) else {
+        return false;
+    };
+    if lines[idx].comment.contains(marker) {
+        return true;
+    }
+    for l in lines[..idx].iter().rev() {
+        let comment_only = !l.code && l.has_comment();
+        if comment_only && l.comment.contains(marker) {
+            return true;
+        }
+        let attr_only = l.attr && !l.has_comment();
+        if !comment_only && !attr_only {
+            return false;
+        }
+    }
+    false
+}
+
+// ---------------------------------------------------------------------
 // Per-item scan context
 // ---------------------------------------------------------------------
 
@@ -194,8 +290,8 @@ impl Cx {
 
 struct Engine<'a> {
     rel: &'a str,
-    /// Lexical comment channel, for `SAFETY:` / `PANIC-OK:` adjacency.
-    lines: Vec<Line>,
+    /// Comment channel, for `SAFETY:` / `PANIC-OK:` adjacency.
+    lines: Vec<SourceLine>,
     diags: Vec<Diagnostic>,
     // Per-file rule applicability, resolved once.
     unsafe_allowed: bool,
@@ -207,6 +303,9 @@ struct Engine<'a> {
     panic_scope: bool,
     env_read_ok: bool,
     env_write_ok: bool,
+    /// The crate header this file must declare, if it is a crate root
+    /// listed in [`REQUIRED_HEADERS`].
+    required_header: Option<&'static str>,
     // joined-spawn bookkeeping (library, non-test region only).
     saw_spawn: bool,
     saw_join_handle: bool,
@@ -215,13 +314,13 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(rel: &'a str, src: &str) -> Self {
+    fn new(rel: &'a str) -> Self {
         let is_lib = is_library_code(rel);
         let float_sanctioned = FLOAT_SANCTIONED_PREFIXES.iter().any(|p| rel.starts_with(p))
             || allowlisted(FLOAT_SANCTIONED_FILES, rel);
         Engine {
             rel,
-            lines: strip_source(src),
+            lines: Vec::new(),
             diags: Vec::new(),
             unsafe_allowed: allowlisted(UNSAFE_ALLOWLIST, rel),
             spawn_allowlisted: allowlisted(SPAWN_ALLOWLIST, rel),
@@ -239,6 +338,10 @@ impl<'a> Engine<'a> {
             env_write_ok: !is_lib
                 || rel.starts_with("shims/")
                 || allowlisted(ENV_WRITE_ALLOWLIST, rel),
+            required_header: REQUIRED_HEADERS
+                .iter()
+                .find(|(p, _)| *p == rel)
+                .map(|&(_, h)| h),
             saw_spawn: false,
             saw_join_handle: false,
             current_kernel: None,
@@ -254,17 +357,23 @@ impl<'a> Engine<'a> {
         });
     }
 
+    /// Audits one lexed file: the comment channel, pass 1 over the raw
+    /// forest, then pass 2 and the header rule over the parsed items.
+    fn audit(&mut self, src: &str, forest: &[TokenTree]) {
+        self.lines = source_lines(src, forest);
+        self.scan_raw(forest);
+        let file = syn::parse_file(forest);
+        self.walk_items(&file.items, Cx::default());
+        self.lint_header(&file.attrs);
+    }
+
     /// `// PANIC-OK:` trailing the line or on the comment run above it.
     fn panic_ok(&self, line: usize) -> bool {
-        line >= 1
-            && line <= self.lines.len()
-            && has_marker_comment(&self.lines, line - 1, "PANIC-OK:")
+        has_marker_comment(&self.lines, line, "PANIC-OK:")
     }
 
     fn safety_comment(&self, line: usize) -> bool {
-        line >= 1
-            && line <= self.lines.len()
-            && has_marker_comment(&self.lines, line - 1, "SAFETY:")
+        has_marker_comment(&self.lines, line, "SAFETY:")
     }
 
     // -----------------------------------------------------------------
@@ -636,6 +745,33 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The lint-header rule: a listed crate root must carry its header
+    /// among the file's leading inner attributes (`#![forbid(unsafe_code)]`
+    /// et al.), checked structurally.
+    fn lint_header(&mut self, attrs: &[Attribute]) {
+        let Some(header) = self.required_header else {
+            return;
+        };
+        // "#![forbid(unsafe_code)]" → path "forbid", argument ident.
+        let inner = header.trim_start_matches("#![").trim_end_matches(']');
+        let (want_path, want_arg) = match inner.split_once('(') {
+            Some((p, a)) => (p, a.trim_end_matches(')')),
+            None => (inner, ""),
+        };
+        let has = attrs.iter().any(|a| {
+            a.inner
+                && a.path == want_path
+                && (want_arg.is_empty() || attr_tokens_contain(&a.tokens, want_arg))
+        });
+        if !has {
+            self.push(
+                1,
+                rules::LINT_HEADER,
+                format!("missing crate header `{header}`"),
+            );
+        }
+    }
+
     fn finish(mut self) -> Vec<Diagnostic> {
         if self.is_lib && self.spawn_allowlisted && self.saw_spawn && !self.saw_join_handle {
             self.push(
@@ -654,65 +790,25 @@ impl<'a> Engine<'a> {
 // Public entry points
 // ---------------------------------------------------------------------
 
-/// Audits one file. A file that fails to lex yields a single
+/// Audits one file. A file that fails to lex yields a
 /// [`rules::PARSE_ERROR`] diagnostic (the engine audited nothing, which is
 /// itself a finding — `rustc` will reject the file anyway, but the audit
-/// must not silently skip it).
+/// must not silently skip it), and a crate root among them also misses
+/// its header.
 pub fn audit_file_ast(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let forest = match syn::tokenize(src) {
-        Ok(f) => f,
+    let mut engine = Engine::new(rel);
+    match syn::tokenize(src) {
+        Ok(forest) => engine.audit(src, &forest),
         Err(e) => {
-            return vec![Diagnostic {
-                file: rel.to_string(),
-                line: e.at.line,
-                rule: rules::PARSE_ERROR,
-                message: format!("not lexable ({e}) — the AST engine audited nothing here"),
-            }]
+            engine.push(
+                e.at.line,
+                rules::PARSE_ERROR,
+                format!("not lexable ({e}) — the AST engine audited nothing here"),
+            );
+            engine.lint_header(&[]);
         }
-    };
-    let file = match syn::parse_file(src) {
-        Ok(f) => f,
-        Err(e) => {
-            return vec![Diagnostic {
-                file: rel.to_string(),
-                line: e.at.line,
-                rule: rules::PARSE_ERROR,
-                message: format!("not parseable ({e}) — the AST engine audited nothing here"),
-            }]
-        }
-    };
-    let mut engine = Engine::new(rel, src);
-    engine.scan_raw(&forest);
-    engine.walk_items(&file.items, Cx::default());
-    engine.finish()
-}
-
-/// Cheap over-approximating prefilter: may the engine find anything
-/// in this file? Files inside a scoped-rule region always qualify; for
-/// the rest, a raw substring sweep for rule triggers decides. This may
-/// only ever over-approximate — skipping is sound solely because every
-/// rule needs one of the needles (or a scoped path) to fire.
-pub fn lexical_prefilter(rel: &str, src: &str) -> bool {
-    if PANIC_FREE_FILES.contains(&rel)
-        || FLOAT_SCOPE_PREFIXES.iter().any(|p| rel.starts_with(p))
-        || allowlisted(SPAWN_ALLOWLIST, rel)
-    {
-        return true;
     }
-    const NEEDLES: &[&str] = &[
-        "unsafe",
-        "thread",
-        "SystemTime",
-        "thread_rng",
-        "from_entropy",
-        "random",
-        "arch",
-        "target_feature",
-        "is_x86_feature_detected",
-        "_into",
-        "env",
-    ];
-    NEEDLES.iter().any(|n| src.contains(n))
+    engine.finish()
 }
 
 /// Workspace scan counters.
@@ -720,10 +816,8 @@ pub fn lexical_prefilter(rel: &str, src: &str) -> bool {
 pub struct AstStats {
     /// `.rs` files considered.
     pub files: usize,
-    /// Files fully tokenized + walked.
+    /// Files tokenized and walked (the rest failed to lex).
     pub parsed: usize,
-    /// Files the prefilter proved rule-free without parsing.
-    pub skipped: usize,
 }
 
 /// Runs every rule over the workspace rooted at `root`. Returns the
@@ -732,6 +826,7 @@ pub struct AstStats {
 pub fn audit_workspace_ast(root: &Path) -> std::io::Result<(Vec<Diagnostic>, AstStats)> {
     let mut diags = Vec::new();
     let mut stats = AstStats::default();
+    let mut unseen = REQUIRED_HEADERS.to_vec();
     for path in crate::collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
@@ -740,78 +835,32 @@ pub fn audit_workspace_ast(root: &Path) -> std::io::Result<(Vec<Diagnostic>, Ast
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
         stats.files += 1;
-        if !lexical_prefilter(&rel, &src) {
-            stats.skipped += 1;
-            continue;
+        unseen.retain(|(p, _)| *p != rel);
+        let file_diags = audit_file_ast(&rel, &src);
+        if file_diags.iter().all(|d| d.rule != rules::PARSE_ERROR) {
+            stats.parsed += 1;
         }
-        stats.parsed += 1;
-        diags.extend(audit_file_ast(&rel, &src));
+        diags.extend(file_diags);
     }
-    diags.extend(check_required_headers_ast(root));
+    // A required crate root the walk never saw is flagged when its crate
+    // directory exists (so the rule ports to partial fixture trees).
+    for (rel, header) in unseen {
+        let path = root.join(rel);
+        let crate_dir = path.parent().and_then(Path::parent);
+        if crate_dir.is_some_and(|d| d.exists() && d != root) {
+            diags.push(Diagnostic {
+                file: rel.to_string(),
+                line: 0,
+                rule: rules::LINT_HEADER,
+                message: format!("required file missing (must declare `{header}`)"),
+            });
+        }
+    }
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
     diags.dedup_by(|a, b| (&a.file, a.line, a.rule) == (&b.file, b.line, b.rule));
     Ok((diags, stats))
-}
-
-/// The lint-header rule: parses each required file and checks its
-/// leading inner attributes (`#![forbid(unsafe_code)]` et al.)
-/// structurally. Missing files are flagged when their crate directory
-/// exists (so the check ports to partial fixture trees).
-pub fn check_required_headers_ast(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (rel, header) in REQUIRED_HEADERS {
-        // "#![forbid(unsafe_code)]" → path "forbid", argument ident.
-        let inner = header.trim_start_matches("#![").trim_end_matches(']');
-        let (want_path, want_arg) = match inner.split_once('(') {
-            Some((p, a)) => (p, a.trim_end_matches(')')),
-            None => (inner, ""),
-        };
-        let path = root.join(rel);
-        if !path.exists() {
-            if let Some(crate_dir) = path.parent().and_then(Path::parent) {
-                if crate_dir.exists() && crate_dir != root {
-                    diags.push(Diagnostic {
-                        file: (*rel).to_string(),
-                        line: 0,
-                        rule: rules::LINT_HEADER,
-                        message: format!("required file missing (must declare `{header}`)"),
-                    });
-                }
-            }
-            continue;
-        }
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                diags.push(Diagnostic {
-                    file: (*rel).to_string(),
-                    line: 0,
-                    rule: rules::LINT_HEADER,
-                    message: format!("unreadable: {e}"),
-                });
-                continue;
-            }
-        };
-        let has = match syn::parse_file(&src) {
-            Ok(f) => f.attrs.iter().any(|a| {
-                a.inner
-                    && a.path == want_path
-                    && (want_arg.is_empty() || attr_tokens_contain(&a.tokens, want_arg))
-            }),
-            Err(_) => false,
-        };
-        if !has {
-            diags.push(Diagnostic {
-                file: (*rel).to_string(),
-                line: 1,
-                rule: rules::LINT_HEADER,
-                message: format!("missing crate header `{header}`"),
-            });
-        }
-    }
-    diags
 }
 
 fn attr_tokens_contain(tts: &[TokenTree], name: &str) -> bool {
@@ -959,7 +1008,7 @@ mod tests {
                       let mut rng = thread_rng();\n}\n";
         let d = audit_file_ast("crates/core/src/trainer.rs", nondet);
         assert_eq!(rules_at(&d, rules::NONDETERMINISM), vec![2, 3], "{d:?}");
-        assert!(audit_file_ast("crates/bench/src/lib.rs", nondet).is_empty());
+        assert!(audit_file_ast("crates/bench/src/harness.rs", nondet).is_empty());
     }
 
     #[test]
@@ -1090,19 +1139,93 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_keeps_scoped_files_and_rule_triggers() {
-        assert!(lexical_prefilter(
-            "crates/serve/src/worker.rs",
-            "pub fn quiet() {}"
-        ));
-        assert!(lexical_prefilter("crates/nn/src/layer.rs", "fn f() {}")); // float scope
-        assert!(lexical_prefilter(
-            "crates/data/src/loader.rs",
-            "unsafe { x() }"
-        ));
-        assert!(!lexical_prefilter(
-            "crates/data/src/loader.rs",
-            "pub fn pure(a: usize) -> usize { a + 1 }"
-        ));
+    fn markers_inside_literals_do_not_count() {
+        // A marker inside a string, raw string or byte string on the
+        // flagged line is not a comment.
+        for lit in [
+            "\"// SAFETY: str\"",
+            "r#\"// SAFETY: raw\"#",
+            "b\"/* SAFETY: */\"",
+        ] {
+            let src = format!("fn f() {{\n    unsafe {{ q({lit}) }};\n}}\n");
+            let d = audit_file_ast("crates/tensor/src/parallel.rs", &src);
+            assert_eq!(rules_at(&d, rules::UNSAFE_COMMENT), vec![2], "{lit}: {d:?}");
+        }
+        // Quote characters in char literals open no string, so the real
+        // comment after them still counts.
+        let src = "fn f() {\n    unsafe { q('\"', '\\'', \"'\") }; // SAFETY: q is sound\n}\n";
+        assert!(audit_file_ast("crates/tensor/src/parallel.rs", src).is_empty());
+        // The same holds for `// PANIC-OK:` in a serve steady-state file.
+        let src = "pub fn handle(q: &Q, i: usize) -> u32 {\n\
+                       let v = q.items[i]; let s = \"// PANIC-OK: in a string\";\n\
+                       v\n\
+                   }\n";
+        let d = audit_file_ast("crates/serve/src/worker.rs", src);
+        assert_eq!(rules_at(&d, rules::PANIC_FREEDOM), vec![2], "{d:?}");
+    }
+
+    #[test]
+    fn nested_block_comments_are_comment_text() {
+        // `unsafe` inside a nested block comment is no token...
+        let src = "/* outer /* unsafe */ still comment */ const C: char = '\\'';\n\
+                   const L: &'static str = \"\";\n";
+        assert!(audit_file_ast("crates/nn/src/layer.rs", src).is_empty());
+        // ...and a marker after the inner comment closes still sits in
+        // the outer one, on a comment-only line above the site.
+        let src = "fn f() {\n\
+                       /* outer /* inner */\n\
+                          SAFETY: q is sound */\n\
+                       unsafe { q() };\n\
+                   }\n";
+        assert!(audit_file_ast("crates/tensor/src/parallel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn continued_literals_keep_marker_lines_aligned() {
+        // A `\` line continuation inside a string (or, on torn input, a
+        // char) literal spans two source lines; the `// SAFETY:` comment
+        // below it still sits directly above its `unsafe`.
+        for lit in [
+            "const S: &str = \"head \\\n  tail\";",
+            "const C: char = '\\\n';",
+        ] {
+            let src = format!("{lit}\n// SAFETY: q is sound\nfn f() {{ unsafe {{ q() }}; }}\n");
+            let d = audit_file_ast("crates/tensor/src/parallel.rs", &src);
+            assert!(d.is_empty(), "{lit}: {d:?}");
+            let src = format!("{lit}\n// no marker\nfn f() {{ unsafe {{ q() }}; }}\n");
+            let d = audit_file_ast("crates/tensor/src/parallel.rs", &src);
+            assert_eq!(rules_at(&d, rules::UNSAFE_COMMENT), vec![4], "{lit}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn safety_comment_walks_past_attributes() {
+        let src = "fn f() {\n    // SAFETY: fine\n    #[allow(unused)]\n    unsafe { x() };\n}\n";
+        assert!(audit_file_ast("crates/tensor/src/parallel.rs", src).is_empty());
+        // An attribute spread over several lines is not attribute-only on
+        // its continuation lines, so it breaks the association.
+        let src = "fn f() {\n    // SAFETY: fine\n    #[cfg(all(\n        unix,\n    ))]\n\
+                   unsafe { x() };\n}\n";
+        let d = audit_file_ast("crates/tensor/src/parallel.rs", src);
+        assert_eq!(rules_at(&d, rules::UNSAFE_COMMENT), vec![6], "{d:?}");
+    }
+
+    #[test]
+    fn safety_comment_blocked_by_code_line() {
+        let src = "fn f() {\n    // SAFETY: stale\n    let y = 1;\n    unsafe { x() };\n}\n";
+        let d = audit_file_ast("crates/tensor/src/parallel.rs", src);
+        assert_eq!(rules_at(&d, rules::UNSAFE_COMMENT), vec![4], "{d:?}");
+    }
+
+    #[test]
+    fn crate_roots_must_carry_their_header() {
+        let root = "crates/nn/src/lib.rs";
+        let d = audit_file_ast(root, "pub mod layers;\n");
+        assert_eq!(rules_at(&d, rules::LINT_HEADER), vec![1], "{d:?}");
+        assert!(audit_file_ast(root, "#![forbid(unsafe_code)]\npub mod layers;\n").is_empty());
+        // A header that does not lex cannot be seen either.
+        let d = audit_file_ast(root, "#![forbid(unsafe_code)]\nfn f( {}\n");
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert_eq!(rules_at(&d, rules::LINT_HEADER), vec![1], "{d:?}");
     }
 }

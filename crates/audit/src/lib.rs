@@ -23,10 +23,8 @@
 //! | [`rules::ENV_READ_CONFINEMENT`] | all `std::env` access goes through `runtime_env` |
 //!
 //! The rules live in [`engine`]. This root module holds what they share:
-//! the rule identifiers, the allowlists, the [`Diagnostic`] type, the
-//! workspace walk, and [`strip_source`], a comment/string-aware line
-//! scanner whose comment channel is how the engine finds the `// SAFETY:`
-//! and `// PANIC-OK:` comments next to a flagged site.
+//! the rule identifiers, the allowlists, the [`Diagnostic`] type and the
+//! workspace walk.
 //!
 //! The binary (`cargo run -p leca-audit`) walks the workspace, prints
 //! `file:line: [rule] message` diagnostics and exits non-zero on any
@@ -142,8 +140,8 @@ pub const NONDET_ALLOWLIST_PREFIXES: &[&str] = &["crates/bench/", "shims/"];
 pub const ISA_ALLOWED_PREFIX: &str = "crates/tensor/src/backend/";
 
 /// Crate-level lint headers the workspace promises. The audit fails when a
-/// listed file exists without its header (or is missing entirely while its
-/// crate directory exists).
+/// listed file lacks its header, or when the walk never sees it while its
+/// crate directory exists.
 pub const REQUIRED_HEADERS: &[(&str, &str)] = &[
     ("src/lib.rs", "#![forbid(unsafe_code)]"),
     ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]"),
@@ -184,191 +182,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-// ---------------------------------------------------------------------
-// Comment-channel scanner
-// ---------------------------------------------------------------------
-
-/// One source line after lexical stripping: `code` has comments and the
-/// contents of string/char literals blanked out; `comment` holds the
-/// comment text that appeared on the line (line, doc or block comments).
-#[derive(Debug, Default, Clone)]
-pub struct Line {
-    /// Code with literals/comments removed (quotes retained as `""`).
-    pub code: String,
-    /// Concatenated comment text on this line.
-    pub comment: String,
-}
-
-impl Line {
-    fn is_comment_only(&self) -> bool {
-        self.code.trim().is_empty() && !self.comment.trim().is_empty()
-    }
-
-    fn is_attr_only(&self) -> bool {
-        let t = self.code.trim();
-        (t.starts_with("#[") || t.starts_with("#![")) && self.comment.trim().is_empty()
-    }
-}
-
-/// Strips `src` into per-line code/comment channels with a small state
-/// machine. Handles nested block comments, string escapes, raw strings
-/// (`r#".."#`, any hash count), byte strings and char-vs-lifetime
-/// disambiguation — everything the workspace's sources actually contain.
-pub fn strip_source(src: &str) -> Vec<Line> {
-    enum St {
-        Code,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let mut st = St::Code;
-    let mut out: Vec<Line> = vec![Line::default()];
-    let chars: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            if matches!(st, St::LineComment) {
-                st = St::Code;
-            }
-            out.push(Line::default());
-            i += 1;
-            continue;
-        }
-        let cur = out.last_mut().expect("line stack never empty");
-        match st {
-            St::Code => {
-                let next = chars.get(i + 1).copied();
-                if c == '/' && next == Some('/') {
-                    st = St::LineComment;
-                    i += 2;
-                } else if c == '/' && next == Some('*') {
-                    st = St::BlockComment(1);
-                    i += 2;
-                } else if c == '"' {
-                    cur.code.push('"');
-                    st = St::Str;
-                    i += 1;
-                } else if (c == 'r' || c == 'b')
-                    && !(i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_'))
-                {
-                    // Possible raw / byte / raw-byte string: b" r" r#" br#"
-                    let mut j = i + 1;
-                    if c == 'b' && chars.get(j) == Some(&'r') {
-                        j += 1;
-                    }
-                    let mut hashes = 0u32;
-                    while chars.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    let is_raw = (c == 'r' || chars.get(i + 1) == Some(&'r')) || hashes == 0;
-                    if chars.get(j) == Some(&'"') && (is_raw || c == 'b') {
-                        cur.code.push('"');
-                        if c == 'b' && chars.get(i + 1) != Some(&'r') && hashes == 0 {
-                            st = St::Str; // plain byte string: escapes apply
-                        } else {
-                            st = St::RawStr(hashes);
-                        }
-                        i = j + 1;
-                    } else {
-                        cur.code.push(c);
-                        i += 1;
-                    }
-                } else if c == '\'' {
-                    // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
-                    let n1 = chars.get(i + 1).copied();
-                    let n2 = chars.get(i + 2).copied();
-                    let lifetime = matches!(n1, Some(x) if x.is_alphanumeric() || x == '_')
-                        && n2 != Some('\'');
-                    if lifetime {
-                        cur.code.push('\'');
-                        i += 1;
-                    } else {
-                        cur.code.push('\'');
-                        st = St::Char;
-                        i += 1;
-                    }
-                } else {
-                    cur.code.push(c);
-                    i += 1;
-                }
-            }
-            St::LineComment => {
-                cur.comment.push(c);
-                i += 1;
-            }
-            St::BlockComment(d) => {
-                let next = chars.get(i + 1).copied();
-                if c == '/' && next == Some('*') {
-                    st = St::BlockComment(d + 1);
-                    i += 2;
-                } else if c == '*' && next == Some('/') {
-                    st = if d == 1 {
-                        St::Code
-                    } else {
-                        St::BlockComment(d - 1)
-                    };
-                    i += 2;
-                } else {
-                    cur.comment.push(c);
-                    i += 1;
-                }
-            }
-            St::Str => {
-                if c == '\\' {
-                    // The escaped char may itself be a literal newline (a
-                    // string line-continuation); it still ends a source
-                    // line, so the line channel must advance or every
-                    // diagnostic after it drifts up by one.
-                    if chars.get(i + 1) == Some(&'\n') {
-                        out.push(Line::default());
-                    }
-                    i += 2;
-                } else if c == '"' {
-                    cur.code.push('"');
-                    st = St::Code;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            St::RawStr(h) => {
-                if c == '"' {
-                    let mut k = 0u32;
-                    while chars.get(i + 1 + k as usize) == Some(&'#') && k < h {
-                        k += 1;
-                    }
-                    if k == h {
-                        cur.code.push('"');
-                        st = St::Code;
-                        i += 1 + h as usize;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            St::Char => {
-                if c == '\\' {
-                    if chars.get(i + 1) == Some(&'\n') {
-                        out.push(Line::default());
-                    }
-                    i += 2;
-                } else if c == '\'' {
-                    cur.code.push('\'');
-                    st = St::Code;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// True when `rel` is library code (compiled into a crate), as opposed to
 /// tests, benches or examples — the spawn rule only binds library code
 /// (tests may spawn threads *to test* the pool).
@@ -379,29 +192,6 @@ pub(crate) fn is_library_code(rel: &str) -> bool {
 
 pub(crate) fn allowlisted(list: &[(&str, &str)], rel: &str) -> bool {
     list.iter().any(|(p, _)| *p == rel)
-}
-
-/// Shared adjacency rule for escape-hatch comments (`SAFETY:`,
-/// `PANIC-OK:`): the marker counts when it appears trailing on the flagged
-/// line or on the contiguous run of comment-only / attribute-only lines
-/// directly above it.
-pub(crate) fn has_marker_comment(lines: &[Line], idx: usize, marker: &str) -> bool {
-    if lines[idx].comment.contains(marker) {
-        return true;
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &lines[i];
-        if l.is_comment_only() {
-            if l.comment.contains(marker) {
-                return true;
-            }
-        } else if !l.is_attr_only() {
-            return false;
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -454,74 +244,6 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn codes(src: &str) -> Vec<String> {
-        strip_source(src).into_iter().map(|l| l.code).collect()
-    }
-
-    #[test]
-    fn scanner_strips_line_and_doc_comments() {
-        let lines = strip_source("let x = 1; // unsafe in a comment\n/// unsafe doc\nfn f() {}\n");
-        assert!(!lines[0].code.contains("unsafe"));
-        assert!(lines[0].comment.contains("unsafe in a comment"));
-        assert!(!lines[1].code.contains("unsafe"));
-        assert_eq!(lines[2].code, "fn f() {}");
-    }
-
-    #[test]
-    fn scanner_strips_strings_and_raw_strings() {
-        let c = codes("let s = \"unsafe { }\"; let r = r#\"vec![unsafe]\"#; go();\n");
-        assert!(!c[0].contains("unsafe"));
-        assert!(!c[0].contains("vec!"));
-        assert!(c[0].contains("go()"));
-    }
-
-    #[test]
-    fn scanner_handles_nested_block_comments_and_chars() {
-        let src =
-            "/* outer /* unsafe */ still comment */ let c = '\\''; let l: &'static str = \"\";\n";
-        let c = codes(src);
-        assert!(!c[0].contains("unsafe"));
-        assert!(c[0].contains("'static"));
-        // Braces inside char literals and raw strings are blanked, so the
-        // code channel stays brace-balanced.
-        let c = codes("{ let a = '{'; let b = r\"}}}\"; done() }");
-        assert_eq!(c[0].matches('{').count(), 1, "{c:?}");
-        assert_eq!(c[0].matches('}').count(), 1, "{c:?}");
-    }
-
-    #[test]
-    fn scanner_string_escapes_do_not_terminate_early() {
-        let c = codes(r#"let s = "a\"unsafe\""; tail();"#);
-        assert!(!c[0].contains("unsafe"));
-        assert!(c[0].contains("tail()"));
-        // A `\` line continuation inside a string (or, on torn input, a
-        // char) literal still ends a source line: the line channel must
-        // advance, or every comment below the literal drifts up by one.
-        let four = strip_source("a\nb\nc\nd\n").len();
-        assert_eq!(
-            strip_source("let s = \"head \\\n  tail\";\nlet t = 'x';\nunsafe { q() };\n").len(),
-            four
-        );
-        assert_eq!(
-            strip_source("let c = '\\\n';\n// SAFETY: x\nunsafe { q() };\n").len(),
-            four
-        );
-    }
-
-    #[test]
-    fn safety_comment_walks_past_attributes() {
-        let src = "// SAFETY: fine\n#[inline]\nunsafe { x() };\n";
-        let lines = strip_source(src);
-        assert!(has_marker_comment(&lines, 2, "SAFETY:"));
-    }
-
-    #[test]
-    fn safety_comment_blocked_by_code_line() {
-        let src = "// SAFETY: stale\nlet y = 1;\nunsafe { x() };\n";
-        let lines = strip_source(src);
-        assert!(!has_marker_comment(&lines, 2, "SAFETY:"));
-    }
 
     #[test]
     fn diagnostic_formats_file_line_rule() {

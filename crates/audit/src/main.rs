@@ -68,10 +68,9 @@ fn main() -> ExitCode {
         println!("{d}");
     }
     eprintln!(
-        "leca-audit: parsed {} of {} files ({} prefiltered out) — {}",
+        "leca-audit: parsed {} of {} files — {}",
         stats.parsed,
         stats.files,
-        stats.skipped,
         if diags.is_empty() {
             "clean".to_string()
         } else {

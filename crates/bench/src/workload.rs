@@ -138,11 +138,6 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
         std::hint::black_box(&mut bout);
     }));
 
-    let logits = Tensor::rand_uniform(&[256, 1000], -4.0, 4.0, &mut rng);
-    set.push(Workload::new("softmax_rows_256x1000", 50, move || {
-        std::hint::black_box(ops::softmax_rows(&logits).expect("softmax"));
-    }));
-
     // tiny_cnn's second conv: at ow = 4 every panel straddles output rows.
     let xt = Tensor::rand_uniform(&[8, 8, 8, 8], -1.0, 1.0, &mut rng);
     let wt = Tensor::rand_uniform(&[16, 8, 3, 3], -1.0, 1.0, &mut rng);
@@ -191,7 +186,6 @@ mod tests {
                 "conv2d_1x16x32x32_3x3",
                 "qconv2d_8x16x32x32_3x3",
                 "bn_relu_8x16x32x32",
-                "softmax_rows_256x1000",
                 "conv2d_8x8x8x8_3x3_s2",
                 "qconv2d_8x3x16x16_3x3",
             ]

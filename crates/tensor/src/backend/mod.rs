@@ -529,7 +529,7 @@ fn select_index() -> usize {
         .ok()
         .map(|v| v.to_ascii_lowercase());
     match request.as_deref() {
-        Some("scalar") | Some("off") | Some("0") => 0,
+        Some("scalar") => 0,
         Some("auto") | None => auto_index(),
         Some(name) => Backend::ALL
             .iter()
@@ -576,11 +576,9 @@ mod tests {
 
     #[test]
     fn scalar_spellings_force_scalar() {
-        for v in ["scalar", "off", "0"] {
-            with_backend_env(Some(v), || {
-                assert_eq!(active().name(), "scalar");
-            });
-        }
+        with_backend_env(Some("scalar"), || {
+            assert_eq!(active().name(), "scalar");
+        });
     }
 
     #[test]
@@ -598,9 +596,11 @@ mod tests {
         with_backend_env(Some("auto"), || {
             assert_eq!(active().name(), auto_name());
         });
-        with_backend_env(Some("no-such-backend"), || {
-            assert_eq!(active().name(), auto_name());
-        });
+        for unknown in ["no-such-backend", "off"] {
+            with_backend_env(Some(unknown), || {
+                assert_eq!(active().name(), auto_name());
+            });
+        }
     }
 
     fn fastmath_name_when_available() -> &'static str {

@@ -10,7 +10,8 @@
 //!   scanners: nested block comments, string escapes (including escaped
 //!   newlines), raw strings with any hash count, byte/raw-byte strings,
 //!   raw identifiers, char-vs-lifetime disambiguation and `\u{…}` escapes.
-//! - [`parse_file`]: token trees → a [`File`] of [`Item`]s — functions
+//! - [`parse_file`]: a token forest from [`tokenize`] → a [`File`] of
+//!   [`Item`]s — functions
 //!   (attrs, modifiers, name, signature, body), modules (recursive),
 //!   `impl`/`trait` blocks (recursive), `macro_rules!` definitions, and
 //!   verbatim token runs for everything else. Nothing is dropped: every
@@ -18,12 +19,15 @@
 //!   rules see macro bodies and const initializers too.
 //!
 //! Deliberate deviations from real syn, documented here so the audit's
-//! use stays honest: expressions are not parsed into an AST (rules walk
-//! body token trees instead), angle brackets are plain puncts (so a
-//! const-generic default written with braces inside `<…>` would misparse
-//! — the workspace has none), and comments are dropped entirely (the
-//! audit pairs token spans with its lexical comment channel when a rule
-//! needs to inspect safety-comment text).
+//! use stays honest: [`parse_file`] parses an existing forest rather than
+//! source text (so one lex serves both a raw token scan and the item
+//! walk), expressions are not parsed into an AST (rules walk body token
+//! trees instead), angle brackets are plain puncts (so a const-generic
+//! default written with braces inside `<…>` would misparse — the
+//! workspace has none), and comments are not tokens. Every token's
+//! [`Span`] has a start and an end, and the lexer skips only whitespace
+//! and comments, so the source text outside all spans is the comment
+//! text; the audit reads its safety-comment markers from there.
 
 use std::fmt;
 
@@ -789,20 +793,18 @@ pub struct File {
     pub items: Vec<Item>,
 }
 
-/// Parses `src` into a [`File`]: full-fidelity lex, then an item-level
-/// parse. Fails only on lexical errors (unbalanced delimiters,
-/// unterminated literals) — unrecognized item shapes degrade to
-/// [`Item::Verbatim`], never to an error.
-pub fn parse_file(src: &str) -> Result<File, Error> {
-    let tokens = tokenize(src)?;
+/// Parses a token forest from [`tokenize`] into a [`File`]. Never fails:
+/// only lexing can (unbalanced delimiters, unterminated literals), and
+/// unrecognized item shapes degrade to [`Item::Verbatim`].
+pub fn parse_file(tokens: &[TokenTree]) -> File {
     let mut attrs = Vec::new();
     let mut i = 0;
     // File-level inner attributes come first by grammar.
-    while let Some(a) = parse_attr(&tokens, &mut i, true) {
+    while let Some(a) = parse_attr(tokens, &mut i, true) {
         attrs.push(a);
     }
     let items = parse_items(&tokens[i..]);
-    Ok(File { attrs, items })
+    File { attrs, items }
 }
 
 fn ident_at(tts: &[TokenTree], i: usize) -> Option<&str> {
@@ -1068,6 +1070,10 @@ fn parse_items(tts: &[TokenTree]) -> Vec<Item> {
 mod tests {
     use super::*;
 
+    fn parse(src: &str) -> File {
+        parse_file(&tokenize(src).unwrap())
+    }
+
     fn idents(tts: &[TokenTree]) -> Vec<String> {
         let mut out = Vec::new();
         fn walk(tts: &[TokenTree], out: &mut Vec<String>) {
@@ -1184,15 +1190,14 @@ mod tests {
 
     #[test]
     fn parse_file_items_and_attrs() {
-        let f = parse_file(
+        let f = parse(
             "#![forbid(unsafe_code)]\n\
              use std::fmt;\n\
              pub fn top(x: usize) -> usize { x + 1 }\n\
              mod inner { pub fn nested_into(out: &mut [f32]) {} }\n\
              #[cfg(test)]\n\
              mod tests { fn t() {} }\n",
-        )
-        .unwrap();
+        );
         assert!(f.attrs.iter().any(|a| a.is("forbid")));
         let names: Vec<_> = f
             .items
@@ -1212,14 +1217,13 @@ mod tests {
 
     #[test]
     fn impl_blocks_and_raw_idents() {
-        let f = parse_file(
+        let f = parse(
             "struct S;\n\
              impl S {\n\
                  pub unsafe fn danger(&self) {}\n\
                  fn r#loop(&self) {}\n\
              }\n",
-        )
-        .unwrap();
+        );
         let Some(Item::Impl(imp)) = f.items.get(1) else {
             panic!("expected impl, got {:?}", f.items.get(1));
         };
@@ -1239,12 +1243,11 @@ mod tests {
 
     #[test]
     fn macro_rules_bodies_stay_walkable() {
-        let f = parse_file(
+        let f = parse(
             "macro_rules! gen {\n\
                  ($n:ident) => { fn $n() { let v = unsafe { x() }; } };\n\
              }\n",
-        )
-        .unwrap();
+        );
         let Some(Item::MacroDef(m)) = f.items.first() else {
             panic!("expected macro def");
         };
@@ -1253,7 +1256,7 @@ mod tests {
 
     #[test]
     fn const_item_vs_const_fn() {
-        let f = parse_file("const X: usize = 5;\npub const fn five() -> usize { 5 }\n").unwrap();
+        let f = parse("const X: usize = 5;\npub const fn five() -> usize { 5 }\n");
         assert!(matches!(f.items[0], Item::Verbatim(_)));
         let Some(Item::Fn(func)) = f.items.get(1) else {
             panic!("expected const fn parsed as fn");

@@ -11,7 +11,10 @@
 //!    fault-plan (Noisy plus a plan) results below were captured on the
 //!    *pre-rewrite* naive kernels. The rewrite must keep reproducing them bit-for-bit;
 //!    any change to reduction order (split-k, `mul_add`, a reduction
-//!    split across packed slabs) trips these constants.
+//!    split across packed slabs) trips these constants. The session
+//!    goldens pin the pooled inference path the same way: f32 logits
+//!    from the owned-tensor forward and from warm session passes, and
+//!    the int8 session's logits and predictions.
 //!
 //! The golden tests pin `LECA_BACKEND` to each bit-exact backend in
 //! turn, so an ambient `LECA_BACKEND=fastmath` never reaches the goldens.
@@ -24,6 +27,7 @@ use leca::core::config::LecaConfig;
 use leca::core::deploy::{program_sensor, sensor_encode};
 use leca::core::encoder::{LecaEncoder, Modality};
 use leca::core::pipeline::LecaPipeline;
+use leca::core::session::{InferenceSession, Precision};
 use leca::core::trainer::{train_backbone, train_pipeline, TrainConfig};
 use leca::data::{SynthConfig, SynthVision};
 use leca::nn::backbone::tiny_cnn;
@@ -107,6 +111,18 @@ const GOLDEN_TRAINER: (u64, [u32; 2], u64, [u32; 3]) = (
     0xf6f10ff2ba7f6531,
     [0x3fbadec4, 0x3fb8c5da, 0x3e800000],
 );
+
+/// Session goldens, recorded while a separate suite only compared these
+/// values with each other. Eval-mode logits of the Soft and Hard
+/// pipelines: the owned-tensor `Layer::forward` and three warm
+/// `InferenceSession::logits` passes (pooled buffers reused) all produce
+/// these bits.
+const GOLDEN_SESSION_LOGITS: [u64; 2] = [0xeaccedb655e0c785, 0x2d7c8bbe7b177c57];
+
+/// Int8 session golden, recorded with the f32 one: three warm
+/// `logits_int8` passes (engine scratch reused) and the
+/// `classify_batch_with(.., Precision::Int8)` predictions.
+const GOLDEN_SESSION_INT8: ([u64; 3], [usize; 4]) = ([0x97daca0710938dab; 3], [2, 2, 2, 2]);
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -277,6 +293,53 @@ fn int8_logits_checksum() -> u64 {
         .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
 }
 
+/// The pipeline and eval batch of the session goldens.
+fn session_pipeline(modality: Modality) -> (LecaPipeline, Tensor) {
+    let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
+    let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(0));
+    let p = LecaPipeline::new(&cfg, modality, bb, 7).unwrap();
+    let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut StdRng::seed_from_u64(42));
+    (p, x)
+}
+
+/// Checksums of the Eval-mode `Layer::forward` logits, then of three warm
+/// session `logits` passes; and whether the session's `classify_batch`
+/// picks the forward logits' argmax.
+fn session_logits(modality: Modality) -> ([u64; 4], bool) {
+    let (mut p, x) = session_pipeline(modality);
+    let forward = Layer::forward(&mut p, &x, Mode::Eval).unwrap();
+    let mut session = InferenceSession::for_pipeline(&mut p);
+    let mut cks = [checksum(&forward); 4];
+    for ck in &mut cks[1..] {
+        *ck = checksum(&session.logits(&x).unwrap());
+    }
+    let mut preds = Vec::new();
+    session.classify_batch(&x, &mut preds).unwrap();
+    (cks, preds == forward.argmax_rows().unwrap())
+}
+
+/// The int8 session leg: compile the engine from a pinned calibration
+/// batch, checksum three `logits_int8` passes and collect the int8
+/// predictions.
+fn int8_session_results() -> ([u64; 3], [usize; 4]) {
+    let (mut p, x) = session_pipeline(Modality::Soft);
+    let calib = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut StdRng::seed_from_u64(7));
+    let mut session = InferenceSession::for_pipeline(&mut p);
+    session.enable_int8(&calib).unwrap();
+    let cks = [(); 3].map(|()| {
+        session
+            .logits_int8(&x)
+            .unwrap()
+            .iter()
+            .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
+    });
+    let mut preds = Vec::new();
+    session
+        .classify_batch_with(&x, &mut preds, Precision::Int8)
+        .unwrap();
+    (cks, preds.try_into().expect("one prediction per image"))
+}
+
 /// Noisy `sensor_encode` of one 32x32 RGB image through a sensor
 /// programmed from a K = 2, 8-channel encoder (two readout passes), at two
 /// capture seeds.
@@ -436,6 +499,51 @@ fn trainer_runs_match_goldens() {
                 got, GOLDEN_TRAINER,
                 "backbone and pipeline training drifted from their goldens at \
                  LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#x?})"
+            );
+        }
+    }
+}
+
+#[test]
+fn session_logits_match_goldens() {
+    // The pooled session path and the owned-tensor forward agree bit for
+    // bit on every leg, and repeated passes through the reused buffers
+    // do not drift.
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            for (modality, golden) in [Modality::Soft, Modality::Hard]
+                .into_iter()
+                .zip(GOLDEN_SESSION_LOGITS)
+            {
+                let (cks, argmax_agrees) = with_backend(backend, || {
+                    with_threads(threads, || session_logits(modality))
+                });
+                assert_eq!(
+                    cks, [golden; 4],
+                    "{modality:?} forward and session logits drifted from the golden at \
+                     LECA_BACKEND={backend} LECA_THREADS={threads} (got {cks:#018x?})"
+                );
+                assert!(
+                    argmax_agrees,
+                    "{modality:?} classify_batch disagrees with the logits' argmax at \
+                     LECA_BACKEND={backend} LECA_THREADS={threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn int8_session_matches_golden() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let got = with_backend(backend, || with_threads(threads, int8_session_results));
+            assert_eq!(
+                got, GOLDEN_SESSION_INT8,
+                "int8 session logits or predictions drifted from the golden at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
             );
         }
     }
