@@ -5,7 +5,7 @@
 //! [`Profiler`] under the ambient backend and thread count:
 //!
 //! * `circuit` — analog SCM MAC chain and gradients, SAR ADC, PE block
-//!   encode;
+//!   encode (one lane of the lane pass);
 //! * `codecs` — 32x32 transcode through every baseline codec;
 //! * `leca_encoder` — the encoder's three modalities, plus one
 //!   forward/backward step;
@@ -32,7 +32,7 @@ use leca_baselines::Codec;
 use leca_bench::profiler::Profiler;
 use leca_bench::workload::Workload;
 use leca_circuit::adc::{AdcModel, AdcResolution};
-use leca_circuit::pe::{AnalogPe, BlockScratch};
+use leca_circuit::pe::{AnalogPe, LanePass, BLOCK_PIXELS, LANES};
 use leca_circuit::scm::ScmModel;
 use leca_circuit::CircuitParams;
 use leca_core::config::LecaConfig;
@@ -67,9 +67,12 @@ fn main() {
     let scm = ScmModel::new(params.clone());
     let adc = AdcModel::new(AdcResolution::Sar(4), 0.35).expect("adc");
     let pe = AnalogPe::typical(&params, AdcResolution::Sar(3)).expect("pe");
-    let pixels: Vec<f32> = (0..16).map(|i| i as f32 / 15.0).collect();
-    let weights = vec![vec![7i32; 16]; 4];
-    let mut block_scratch = BlockScratch::default();
+    let pe_pass = LanePass::new(&[pe], &vec![vec![7i32; BLOCK_PIXELS]; 4]).expect("pass");
+    // One block, in lane 0.
+    let mut block = [[0.0f32; LANES]; BLOCK_PIXELS];
+    for (i, px) in block.iter_mut().enumerate() {
+        px[0] = i as f32 / 15.0;
+    }
 
     let img = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut StdRng::seed_from_u64(0));
     // (name, nominal iterations, codec)
@@ -165,10 +168,7 @@ fn main() {
         (
             "circuit",
             Workload::new("pe_encode_block_4_kernels", 50_000, || {
-                black_box(
-                    pe.encode_block::<StdRng>(&pixels, 4, &weights, None, &mut block_scratch)
-                        .expect("encode")[0],
-                );
+                black_box(pe_pass.encode(&block, None)[0][0]);
             }),
         ),
     ];

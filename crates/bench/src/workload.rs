@@ -48,9 +48,9 @@ impl std::fmt::Debug for Workload<'_> {
     }
 }
 
-/// The canonical single-threaded kernel set: raw microkernel, GEMM, conv,
-/// int8 conv, eval BatchNorm + ReLU and row softmax, at the geometries the
-/// published tables use.
+/// The canonical single-threaded kernel set: raw microkernel, GEMM, f32
+/// conv (stride 1 and 2), int8 conv and eval BatchNorm + ReLU, at the
+/// geometries the published tables use.
 pub fn standard_kernels(seed: u64) -> Vec<Workload<'static>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();

@@ -8,7 +8,7 @@
 //! 8 bit on single-ended pixel values.
 
 use crate::{CircuitError, Result};
-use leca_tensor::{standard_normal, NormalStream};
+use leca_tensor::standard_normal;
 use rand::Rng;
 
 /// Comparator noise sigma (V) of a device-accurate ADC
@@ -65,7 +65,7 @@ impl AdcResolution {
 }
 
 /// Differential-input quantizer with offset and comparator noise.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcModel {
     resolution: AdcResolution,
     /// Full-scale differential input: codes saturate at `±v_fs` (V).
@@ -141,6 +141,7 @@ impl AdcModel {
     }
 
     /// Quantizes a differential voltage to a signed code.
+    #[inline]
     pub fn quantize(&self, v_diff: f32) -> i32 {
         let v = v_diff + self.offset;
         let max = self.resolution.max_code();
@@ -164,13 +165,10 @@ impl AdcModel {
         }
     }
 
-    /// Quantizes with comparator noise: one normal from `normals`.
-    pub fn quantize_noisy<R: Rng + ?Sized>(
-        &self,
-        v_diff: f32,
-        normals: &mut NormalStream<'_, R>,
-    ) -> i32 {
-        self.quantize(v_diff + self.noise_sigma * normals.draw())
+    /// Quantizes with comparator noise, `z` a standard normal.
+    #[inline]
+    pub fn quantize_noisy(&self, v_diff: f32, z: f32) -> i32 {
+        self.quantize(v_diff + self.noise_sigma * z)
     }
 
     /// Reconstruction voltage of a code (the dequantization the decoder
@@ -187,6 +185,7 @@ impl AdcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leca_tensor::NormalStream;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -279,13 +278,13 @@ mod tests {
         // Far from a decision boundary the code is stable under noise.
         let stable = adc.dequantize(3);
         let codes: Vec<i32> = (0..100)
-            .map(|_| adc.quantize_noisy(stable, &mut normals))
+            .map(|_| adc.quantize_noisy(stable, normals.draw()))
             .collect();
         assert!(codes.iter().all(|&c| c == 3));
         // At a decision boundary the noisy comparator dithers.
         let boundary = (stable + adc.dequantize(4)) / 2.0;
         let codes: Vec<i32> = (0..200)
-            .map(|_| adc.quantize_noisy(boundary, &mut normals))
+            .map(|_| adc.quantize_noisy(boundary, normals.draw()))
             .collect();
         let n3 = codes.iter().filter(|&&c| c == 3).count();
         let n4 = codes.iter().filter(|&&c| c == 4).count();

@@ -7,7 +7,7 @@
 
 use crate::params::CircuitParams;
 use crate::{CircuitError, Result};
-use leca_tensor::{standard_normal, NormalStream};
+use leca_tensor::standard_normal;
 use rand::Rng;
 
 const NOMINAL_GAIN: f32 = 0.985;
@@ -91,6 +91,7 @@ impl FvfDevice {
     /// # Errors
     ///
     /// Returns [`CircuitError::VoltageOutOfRange`] outside the rails.
+    #[inline]
     pub fn transfer(&self, v_in: f32) -> Result<f32> {
         if v_in < self.v_lo - 1e-6 || v_in > self.v_hi + 1e-6 {
             return Err(CircuitError::VoltageOutOfRange {
@@ -100,29 +101,40 @@ impl FvfDevice {
                 hi: self.v_hi,
             });
         }
-        let d = v_in - self.vcm;
-        let lin = (self.base.gain + self.gain_err) * v_in + self.base.offset + self.offset_err;
-        Ok(lin + NONLIN_COEFF * d * d * d)
+        let [gain, offset, offset_err] = self.lane_terms();
+        Ok(curve(gain, offset, offset_err, self.vcm, v_in))
     }
 
-    /// Noisy device transfer: one normal from `normals`.
-    ///
-    /// # Errors
-    ///
-    /// See [`FvfDevice::transfer`].
-    pub fn transfer_noisy<R: Rng + ?Sized>(
-        &self,
-        v_in: f32,
-        normals: &mut NormalStream<'_, R>,
-    ) -> Result<f32> {
-        let clean = self.transfer(v_in)?;
-        Ok(clean + self.noise_sigma(v_in) * normals.draw())
+    /// The common-mode voltage the compression and noise centre on.
+    pub(crate) fn vcm(&self) -> f32 {
+        self.vcm
     }
 
-    /// Input-dependent noise sigma (V).
-    pub fn noise_sigma(&self, v_in: f32) -> f32 {
-        NOISE_FLOOR + NOISE_SLOPE * ((v_in - self.vcm).abs() / 0.6).clamp(0.0, 1.0)
+    /// This instance's terms of [`curve`]: the gain with its mismatch, the
+    /// nominal offset and the offset mismatch.
+    pub(crate) fn lane_terms(&self) -> [f32; 3] {
+        [
+            self.base.gain + self.gain_err,
+            self.base.offset,
+            self.offset_err,
+        ]
     }
+}
+
+/// The device transfer on one value, from an instance's
+/// [`FvfDevice::lane_terms`]: `gain·v + offset + offset_err +
+/// NONLIN·(v − vcm)³`, in that order.
+#[inline(always)]
+pub(crate) fn curve(gain: f32, offset: f32, offset_err: f32, vcm: f32, v: f32) -> f32 {
+    let d = v - vcm;
+    let lin = gain * v + offset + offset_err;
+    lin + NONLIN_COEFF * d * d * d
+}
+
+/// Input-dependent noise sigma (V), growing away from `vcm`.
+#[inline(always)]
+pub(crate) fn sigma(vcm: f32, v: f32) -> f32 {
+    NOISE_FLOOR + NOISE_SLOPE * ((v - vcm).abs() / 0.6).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -195,11 +207,6 @@ mod tests {
             b.transfer(0.6).unwrap(),
             "instances must differ"
         );
-        assert!(a.noise_sigma(1.1) > a.noise_sigma(0.6));
-        let clean = a.transfer(0.6).unwrap();
-        let noisy = a
-            .transfer_noisy(0.6, &mut NormalStream::new(&mut rng, 1))
-            .unwrap();
-        assert!((noisy - clean).abs() < 0.01);
+        assert!(sigma(a.vcm(), 1.1) > sigma(a.vcm(), 0.6));
     }
 }

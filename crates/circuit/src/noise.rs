@@ -47,9 +47,17 @@ impl PixelNoise {
         if !self.full_well_e.is_finite() {
             return x.clamp(0.0, 1.0);
         }
+        self.perturb(x, normals.draw(), normals.draw())
+    }
+
+    /// [`PixelNoise::apply`] with its two normals given: `shot` for the
+    /// shot term, `read` for the read term. Only for a finite full well
+    /// (`normals_per_pixel() == 2`).
+    #[inline]
+    pub fn perturb(&self, x: f32, shot: f32, read: f32) -> f32 {
         let electrons = x.clamp(0.0, 1.0) * self.full_well_e;
         let shot_sigma = electrons.max(0.0).sqrt();
-        let noisy = electrons + shot_sigma * normals.draw() + self.read_noise_e * normals.draw();
+        let noisy = electrons + shot_sigma * shot + self.read_noise_e * read;
         (noisy / self.full_well_e).clamp(0.0, 1.0)
     }
 

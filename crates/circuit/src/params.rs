@@ -44,6 +44,7 @@ impl CircuitParams {
     }
 
     /// Converts a normalized pixel value in `[0, 1]` to a pixel voltage.
+    #[inline]
     pub fn pixel_to_voltage(&self, x: f32) -> f32 {
         self.v_dark + x.clamp(0.0, 1.0) * self.v_swing
     }

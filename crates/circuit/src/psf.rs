@@ -10,7 +10,7 @@
 
 use crate::params::CircuitParams;
 use crate::{CircuitError, Result};
-use leca_tensor::{standard_normal, NormalStream};
+use leca_tensor::standard_normal;
 use rand::Rng;
 
 /// Nominal (typical-corner) PSF parameters.
@@ -97,6 +97,7 @@ impl PsfDevice {
     ///
     /// Returns [`CircuitError::VoltageOutOfRange`] outside the pixel window
     /// (the real circuit would clip; training must clamp first).
+    #[inline]
     pub fn transfer(&self, v_in: f32) -> Result<f32> {
         if v_in < self.v_lo - 1e-6 || v_in > self.v_hi + 1e-6 {
             return Err(CircuitError::VoltageOutOfRange {
@@ -106,32 +107,42 @@ impl PsfDevice {
                 hi: self.v_hi,
             });
         }
-        let vmid = 0.5 * (self.v_lo + self.v_hi);
-        let lin = (self.base.gain + self.gain_err) * v_in + self.base.offset + self.offset_err;
-        let bend = NONLIN_COEFF * (v_in - vmid) * (v_in - vmid);
-        Ok(lin + bend)
+        let [gain, offset, offset_err] = self.lane_terms();
+        Ok(curve(gain, offset, offset_err, self.mid(), v_in))
     }
 
-    /// Noisy device transfer: adds input-dependent thermal noise, one
-    /// normal from `normals`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PsfDevice::transfer`].
-    pub fn transfer_noisy<R: Rng + ?Sized>(
-        &self,
-        v_in: f32,
-        normals: &mut NormalStream<'_, R>,
-    ) -> Result<f32> {
-        let clean = self.transfer(v_in)?;
-        Ok(clean + self.noise_sigma(v_in) * normals.draw())
+    /// Centre of the input window, where the compression vanishes.
+    pub(crate) fn mid(&self) -> f32 {
+        0.5 * (self.v_lo + self.v_hi)
     }
 
-    /// Input-dependent noise sigma (V), as in the paper's
-    /// `N(LUT_PSF(v), σ_PSF)` model.
-    pub fn noise_sigma(&self, v_in: f32) -> f32 {
-        NOISE_FLOOR + NOISE_SLOPE * ((v_in - self.v_lo) / (self.v_hi - self.v_lo)).clamp(0.0, 1.0)
+    /// This instance's terms of [`curve`]: the gain with its mismatch, the
+    /// nominal offset and the offset mismatch.
+    pub(crate) fn lane_terms(&self) -> [f32; 3] {
+        [
+            self.base.gain + self.gain_err,
+            self.base.offset,
+            self.offset_err,
+        ]
     }
+}
+
+/// The device transfer on one value, from an instance's
+/// [`PsfDevice::lane_terms`] and window centre `mid`:
+/// `gain·v + offset + offset_err + NONLIN·(v − mid)²`, in that order.
+#[inline(always)]
+pub(crate) fn curve(gain: f32, offset: f32, offset_err: f32, mid: f32, v: f32) -> f32 {
+    let lin = gain * v + offset + offset_err;
+    let bend = NONLIN_COEFF * (v - mid) * (v - mid);
+    lin + bend
+}
+
+/// Input-dependent noise sigma (V), as in the paper's
+/// `N(LUT_PSF(v), σ_PSF)` model, for a window starting at `lo`, `span`
+/// wide.
+#[inline(always)]
+pub(crate) fn sigma(lo: f32, span: f32, v: f32) -> f32 {
+    NOISE_FLOOR + NOISE_SLOPE * ((v - lo) / span).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -205,22 +216,8 @@ mod tests {
     #[test]
     fn noise_sigma_grows_with_signal() {
         let p = params();
-        let d = PsfDevice::typical(&p);
-        assert!(d.noise_sigma(0.9) > d.noise_sigma(0.3));
-        assert!(d.noise_sigma(0.3) > 0.0);
-    }
-
-    #[test]
-    fn noisy_transfer_centered_on_clean() {
-        let p = params();
-        let d = PsfDevice::typical(&p);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut normals = NormalStream::new(&mut rng, 2000);
-        let clean = d.transfer(0.6).unwrap();
-        let mean: f32 = (0..2000)
-            .map(|_| d.transfer_noisy(0.6, &mut normals).unwrap())
-            .sum::<f32>()
-            / 2000.0;
-        assert!((mean - clean).abs() < 1e-4);
+        let (lo, hi) = PsfDevice::typical(&p).input_window();
+        assert!(sigma(lo, hi - lo, 0.9) > sigma(lo, hi - lo, 0.3));
+        assert!(sigma(lo, hi - lo, 0.3) > 0.0);
     }
 }

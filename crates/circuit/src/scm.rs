@@ -20,8 +20,7 @@
 //! gain error and per-code capacitor mismatch.
 
 use crate::params::CircuitParams;
-use crate::{CircuitError, Result};
-use leca_tensor::{standard_normal, NormalStream};
+use leca_tensor::standard_normal;
 use rand::Rng;
 
 /// Fraction of sampled charge lost to parasitics in the device model.
@@ -53,12 +52,19 @@ impl ScmModel {
     /// One MAC cycle of Eq. (3): returns the new o-buffer voltage.
     ///
     /// `c_sample` is the connected sampling capacitance in fF (0 = no-op).
+    #[inline]
     pub fn step(&self, v_out_prev: f32, v_in: f32, c_sample: f32) -> f32 {
         if c_sample <= 0.0 {
             return v_out_prev;
         }
         let c_out = self.params.c_out_ff;
-        (c_sample * (2.0 * self.params.vcm - v_in) + c_out * v_out_prev) / (c_out + c_sample)
+        charge_share(
+            c_sample,
+            2.0 * self.params.vcm - v_in,
+            c_out,
+            v_out_prev,
+            c_out + c_sample,
+        )
     }
 
     /// Partial derivatives of [`ScmModel::step`] wrt `(v_out_prev,
@@ -137,51 +143,38 @@ impl ScmDevice {
     }
 
     /// Effective connected capacitance (fF) for a code, with mismatch.
+    #[inline]
     pub fn effective_csample(&self, magnitude: u32) -> f32 {
         let nominal = self.model.params().csample_for_code(magnitude);
         let err = self.cap_err.get(magnitude as usize).copied().unwrap_or(0.0);
         nominal * (1.0 + err)
     }
 
-    /// One noiseless device MAC cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WeightCodeOutOfRange`] for illegal codes.
-    pub fn step(&self, v_out_prev: f32, v_in: f32, magnitude: u32) -> Result<f32> {
-        if magnitude > self.model.params().max_weight_code() as u32 {
-            return Err(CircuitError::WeightCodeOutOfRange {
-                code: magnitude as i32,
-                max_magnitude: self.model.params().max_weight_code(),
-            });
-        }
-        if magnitude == 0 {
-            return Ok(v_out_prev);
-        }
-        let cs = self.effective_csample(magnitude) * (1.0 - self.transfer_loss);
-        let ideal = self.model.step(v_out_prev, v_in, cs);
-        Ok(ideal + self.charge_injection)
+    /// The capacitance a MAC step with code `magnitude` shares charge
+    /// through: the effective capacitance less the transfer loss.
+    #[inline]
+    pub(crate) fn transfer_csample(&self, magnitude: u32) -> f32 {
+        self.effective_csample(magnitude) * (1.0 - self.transfer_loss)
     }
 
-    /// One noisy device MAC cycle (adds per-step kTC/switch noise): one
-    /// normal from `normals`, none for a zero code (no transfer happens).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WeightCodeOutOfRange`] for illegal codes.
-    pub fn step_noisy<R: Rng + ?Sized>(
-        &self,
-        v_out_prev: f32,
-        v_in: f32,
-        magnitude: u32,
-        normals: &mut NormalStream<'_, R>,
-    ) -> Result<f32> {
-        let clean = self.step(v_out_prev, v_in, magnitude)?;
-        if magnitude == 0 {
-            return Ok(clean);
-        }
-        Ok(clean + STEP_NOISE * normals.draw())
+    /// The switch charge-injection offset each transfer adds (V).
+    pub(crate) fn charge_injection(&self) -> f32 {
+        self.charge_injection
     }
+}
+
+/// Eq. (3)'s charge sharing, `(c_sample·(2·V_CM − V_in) + c_out·V_prev) /
+/// (c_out + c_sample)`, with `two_vcm_minus_vin = 2·V_CM − V_in` and
+/// `denom = c_out + c_sample` passed in as computed.
+#[inline(always)]
+pub(crate) fn charge_share(
+    c_sample: f32,
+    two_vcm_minus_vin: f32,
+    c_out: f32,
+    v_out_prev: f32,
+    denom: f32,
+) -> f32 {
+    (c_sample * two_vcm_minus_vin + c_out * v_out_prev) / denom
 }
 
 #[cfg(test)]
@@ -245,27 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn device_close_to_model_but_not_equal() {
-        let p = CircuitParams::paper_65nm();
-        let d = ScmDevice::typical(&p);
-        let m = model();
-        let ideal = m.step(0.6, 0.8, p.csample_for_code(10));
-        let dev = d.step(0.6, 0.8, 10).unwrap();
-        assert!((ideal - dev).abs() < 0.01, "device within 10 mV of model");
-        assert_ne!(ideal, dev, "device must include non-idealities");
-    }
-
-    #[test]
-    fn device_zero_code_is_exact_noop() {
-        let p = CircuitParams::paper_65nm();
-        let d = ScmDevice::typical(&p);
-        assert_eq!(d.step(0.61, 0.9, 0).unwrap(), 0.61);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut normals = NormalStream::new(&mut rng, 0);
-        assert_eq!(d.step_noisy(0.61, 0.9, 0, &mut normals).unwrap(), 0.61);
-    }
-
-    #[test]
     fn mismatch_instances_differ_per_code() {
         let p = CircuitParams::paper_65nm();
         let mut rng = StdRng::seed_from_u64(1);
@@ -275,26 +247,5 @@ mod tests {
         // Mismatch is small relative to the nominal value.
         let nom = p.csample_for_code(7);
         assert!((a.effective_csample(7) - nom).abs() / nom < 0.05);
-    }
-
-    #[test]
-    fn noisy_step_centered() {
-        let p = CircuitParams::paper_65nm();
-        let d = ScmDevice::typical(&p);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut normals = NormalStream::new(&mut rng, 2000);
-        let clean = d.step(0.6, 0.8, 8).unwrap();
-        let mean: f32 = (0..2000)
-            .map(|_| d.step_noisy(0.6, 0.8, 8, &mut normals).unwrap())
-            .sum::<f32>()
-            / 2000.0;
-        assert!((mean - clean).abs() < 5e-5);
-    }
-
-    #[test]
-    fn device_code_bounds_checked() {
-        let p = CircuitParams::paper_65nm();
-        let d = ScmDevice::typical(&p);
-        assert!(d.step(0.6, 0.8, 16).is_err());
     }
 }

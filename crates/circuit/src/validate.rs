@@ -9,11 +9,10 @@
 use crate::adc::{AdcModel, AdcResolution};
 use crate::fvf::FvfModel;
 use crate::params::CircuitParams;
-use crate::pe::{AnalogPe, BlockScratch};
+use crate::pe::{AnalogPe, LanePass, BLOCK_PIXELS, LANES};
 use crate::psf::PsfModel;
 use crate::scm::ScmModel;
 use crate::Result;
-use rand::rngs::StdRng;
 
 /// One grid point of the Fig. 8 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,15 +67,12 @@ fn ideal_chain(params: &CircuitParams, pixel: f32, w_code: u32, n_macs: usize) -
 }
 
 /// Device-accurate chain through [`AnalogPe`] (typical corner — the SPICE
-/// stand-in).
-fn device_chain(params: &CircuitParams, pixel: f32, w_code: u32, n_macs: usize) -> Result<i32> {
+/// stand-in): one block of `pixel`, one lane of a [`LanePass`].
+fn device_chain(params: &CircuitParams, pixel: f32, w_code: u32) -> Result<i32> {
     let mut pe = AnalogPe::typical(params, AdcResolution::Sar(4))?;
     pe.set_adc_vfs(FIG8_VFS)?;
-    let pixels = vec![pixel; n_macs];
-    let weights = vec![vec![w_code as i32; n_macs]];
-    let mut scratch = BlockScratch::default();
-    let codes = pe.encode_block::<StdRng>(&pixels, 4, &weights, None, &mut scratch)?;
-    Ok(codes[0])
+    let pass = LanePass::new(&[pe], &[vec![w_code as i32; BLOCK_PIXELS]])?;
+    Ok(pass.encode(&[[pixel; LANES]; BLOCK_PIXELS], None)[0][0])
 }
 
 /// Runs the Fig. 8 sweep: a grid over pixel values and positive weight
@@ -93,8 +89,8 @@ pub fn fig8_sweep(params: &CircuitParams) -> Result<ValidationSweep> {
     for wi in 1..=params.max_weight_code() as u32 {
         for pi in 0..=16 {
             let pixel = pi as f32 / 16.0;
-            let ideal = ideal_chain(params, pixel, wi, 16)?;
-            let device = device_chain(params, pixel, wi, 16)?;
+            let ideal = ideal_chain(params, pixel, wi, BLOCK_PIXELS)?;
+            let device = device_chain(params, pixel, wi)?;
             // Offset-binary presentation, clipped to the paper's 0–7 plot
             // range.
             let p = ValidationPoint {

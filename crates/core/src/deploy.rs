@@ -70,7 +70,7 @@ pub fn program_sensor(enc: &LecaEncoder, h: usize, w: usize) -> LecaResult<LecaS
     sensor.program_weights(export_weight_codes(enc)?)?;
     sensor.set_adc_vfs(enc.v_fs())?;
     if !enc.fault_plan().is_none() {
-        sensor.set_fault_plan(enc.fault_plan().clone());
+        sensor.set_fault_plan(enc.fault_plan().clone())?;
     }
     Ok(sensor)
 }
@@ -225,26 +225,37 @@ mod tests {
     #[test]
     fn sensor_encode_matches_training_encoder_closely() {
         // The deployed sensor and the hard-modality training model share
-        // the same math (Eq. (3), linear buffers vs device nonlinearity),
-        // so their ofmaps must agree to within ~1 code step on most
-        // elements.
-        let mut enc = encoder();
-        let mut rng = StdRng::seed_from_u64(9);
-        let img = Tensor::rand_uniform(&[3, 8, 8], 0.1, 0.9, &mut rng);
-        let sensor = program_sensor(&enc, 8, 8).unwrap();
-        let hw = sensor_encode(&sensor, &img, false, 0).unwrap();
-        let x = img.reshape(&[1, 3, 8, 8]).unwrap();
-        let sw = enc.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(hw.len(), sw.len());
-        let step = 2.0 / 7.0; // one 3-bit code step in normalized units
-        let mut close = 0;
-        for (a, b) in hw.as_slice().iter().zip(sw.as_slice()) {
-            if (a - b).abs() <= step + 1e-4 {
-                close += 1;
+        // the same math (Eq. (3), linear buffers vs device nonlinearity).
+        // On eight random 32x32 images per bit depth, every code agrees to
+        // within one step, and the exact share stays at or above a floor
+        // just under the measured one (8164, 8083 and 7945 of 8192 codes).
+        for (qbit, floor) in [(2.0, 0.996), (3.0, 0.986), (4.0, 0.969)] {
+            let cfg = LecaConfig::new(2, 4, qbit).unwrap();
+            let mut enc = LecaEncoder::new(&cfg, Modality::Hard, 3).unwrap();
+            let sensor = program_sensor(&enc, 32, 32).unwrap();
+            let max = AdcResolution::from_qbit(qbit).unwrap().max_code() as f32;
+            let mut rng = StdRng::seed_from_u64(9);
+            let (mut exact, mut total, mut worst) = (0usize, 0usize, 0i32);
+            for _ in 0..8 {
+                let img = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+                let hw = sensor_encode(&sensor, &img, false, 0).unwrap();
+                let x = img.reshape(&[1, 3, 32, 32]).unwrap();
+                let sw = enc.forward(&x, Mode::Eval).unwrap();
+                assert_eq!(hw.len(), sw.len());
+                for (a, b) in hw.as_slice().iter().zip(sw.as_slice()) {
+                    let d = ((a - b) * max).round() as i32;
+                    worst = worst.max(d.abs());
+                    exact += usize::from(d == 0);
+                    total += 1;
+                }
             }
+            let frac = exact as f32 / total as f32;
+            assert!(
+                worst <= 1,
+                "qbit {qbit}: a code {worst} steps from the model"
+            );
+            assert!(frac >= floor, "qbit {qbit}: only {frac} of codes exact");
         }
-        let frac = close as f32 / hw.len() as f32;
-        assert!(frac > 0.85, "only {frac} of codes within one step");
     }
 
     #[test]

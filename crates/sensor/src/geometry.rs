@@ -4,11 +4,11 @@ use crate::{Result, SensorError};
 
 /// Pixel columns served by one PE (and therefore i-buffers per PE and the
 /// raw-Bayer block width) — fixed to 4 by the paper's design (Sec. 4.1).
-pub const COLUMNS_PER_PE: usize = 4;
+pub const COLUMNS_PER_PE: usize = leca_circuit::pe::BLOCK_SIDE;
 
 /// Kernels a PE can hold at once; `N_ch` beyond this triggers repetitive
 /// readout (Sec. 4.2 step ④).
-pub const KERNELS_PER_PASS: usize = 4;
+pub const KERNELS_PER_PASS: usize = leca_circuit::pe::KERNELS_PER_PASS;
 
 /// Static geometry of a LeCA sensor instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

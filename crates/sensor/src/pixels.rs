@@ -78,10 +78,19 @@ impl PixelArray {
                 actual: scene.len(),
             });
         }
-        let mut out: Vec<f32> = scene
-            .iter()
-            .map(|&x| self.noise.apply(x, normals))
-            .collect();
+        if self.noise.normals_per_pixel() == 0 {
+            return self.expose_ideal(scene);
+        }
+        // Both normals of every photosite of a row, as one slice.
+        let mut out = Vec::with_capacity(scene.len());
+        for row in scene.chunks(self.cols) {
+            let z = normals.take_lanes(1, 2 * row.len(), 1);
+            out.extend(
+                row.iter()
+                    .zip(z.chunks_exact(2))
+                    .map(|(&x, z)| self.noise.perturb(x, z[0], z[1])),
+            );
+        }
         self.apply_faults(&mut out);
         Ok(out)
     }

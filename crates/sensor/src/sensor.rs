@@ -7,13 +7,10 @@ use crate::timing::TimingModel;
 use crate::{Result, SensorError};
 use leca_circuit::adc::AdcResolution;
 use leca_circuit::fault::FaultPlan;
-use leca_circuit::pe::{AnalogPe, BlockScratch};
+use leca_circuit::pe::{AnalogPe, LaneBlock, LanePass, BLOCK_PIXELS, LANES};
 use leca_circuit::CircuitParams;
 use leca_tensor::NormalStream;
 use rand::Rng;
-
-/// Raw pixels per PE block (4x4).
-const BLOCK_PIXELS: usize = COLUMNS_PER_PE * COLUMNS_PER_PE;
 
 /// The encoded output feature map: signed ADC codes laid out
 /// `(n_ch, oh, ow)` row-major.
@@ -77,6 +74,11 @@ pub struct LecaSensor {
     /// Weights as stored in the (possibly faulty) SRAM: `weights` with the
     /// fault plan's bit flips applied. What `capture` actually uses.
     effective_weights: Option<Vec<Vec<i32>>>,
+    /// `effective_weights` programmed into the PEs, one [`LanePass`] per
+    /// readout pass and group of [`LANES`] PE columns (a single group
+    /// when every column shares the typical PE), group by group; empty
+    /// before weights are programmed.
+    programs: Vec<LanePass>,
     /// Normals one noisy PE block readout (every pass) takes under
     /// `effective_weights`; 0 before weights are programmed.
     block_normals: usize,
@@ -103,6 +105,7 @@ impl LecaSensor {
             pes: vec![AnalogPe::typical(&params, resolution)?],
             weights: None,
             effective_weights: None,
+            programs: Vec::new(),
             block_normals: 0,
             faults: FaultPlan::none(),
         })
@@ -134,6 +137,7 @@ impl LecaSensor {
             pes,
             weights: None,
             effective_weights: None,
+            programs: Vec::new(),
             block_normals: 0,
             faults: FaultPlan::none(),
         })
@@ -164,22 +168,41 @@ impl LecaSensor {
     /// bit flips (re-derived from the pristine programmed weights), and
     /// stuck/missing ADC codes. [`FaultPlan::none`] restores a pristine
     /// sensor.
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit errors from reprogramming the PEs (none for
+    /// weights [`LecaSensor::program_weights`] accepted: flipped codes stay
+    /// within the SCM precision).
+    pub fn set_fault_plan(&mut self, faults: FaultPlan) -> Result<()> {
         self.pixels = self.pixels.clone().with_faults(faults.clone());
         self.faults = faults;
         if let Some(w) = &self.weights {
-            self.set_effective_weights(self.faulted_weights(w));
+            self.effective_weights = Some(self.faulted_weights(w));
         }
+        self.program_lanes()
     }
 
-    /// Installs the weights `capture` uses and counts the normals one
-    /// noisy block readout takes under them.
-    fn set_effective_weights(&mut self, effective: Vec<Vec<i32>>) {
-        self.block_normals = effective
-            .chunks(KERNELS_PER_PASS)
-            .map(|chunk| AnalogPe::normals_per_block(BLOCK_PIXELS, chunk))
-            .sum();
-        self.effective_weights = Some(effective);
+    /// Programs the effective weights into the PE lanes and counts the
+    /// normals one noisy block readout takes under them. A no-op before
+    /// weights are programmed.
+    fn program_lanes(&mut self) -> Result<()> {
+        let Some(weights) = &self.effective_weights else {
+            return Ok(());
+        };
+        let programs = self
+            .pes
+            .chunks(LANES)
+            .flat_map(|pes| {
+                weights
+                    .chunks(KERNELS_PER_PASS)
+                    .map(move |pass| LanePass::new(pes, pass))
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let passes = weights.len().div_ceil(KERNELS_PER_PASS);
+        self.block_normals = programs[..passes].iter().map(LanePass::normals).sum();
+        self.programs = programs;
+        Ok(())
     }
 
     /// Normals one noisy [`LecaSensor::capture`] takes: the exposure's
@@ -237,9 +260,9 @@ impl LecaSensor {
                 )));
             }
         }
-        self.set_effective_weights(self.faulted_weights(&weights));
+        self.effective_weights = Some(self.faulted_weights(&weights));
         self.weights = Some(weights);
-        Ok(())
+        self.program_lanes()
     }
 
     /// Overrides the ADC full-scale voltage on every PE (the trained
@@ -252,7 +275,7 @@ impl LecaSensor {
         for pe in &mut self.pes {
             pe.set_adc_vfs(v_fs)?;
         }
-        Ok(())
+        self.program_lanes()
     }
 
     /// Dequantizes an ofmap back to differential voltages using the PE
@@ -260,14 +283,6 @@ impl LecaSensor {
     pub fn dequantize(&self, ofmap: &Ofmap) -> Vec<f32> {
         let adc = self.pes[0].adc();
         ofmap.codes.iter().map(|&c| adc.dequantize(c)).collect()
-    }
-
-    fn pe_for_column(&self, gx: usize) -> &AnalogPe {
-        if self.pes.len() == 1 {
-            &self.pes[0]
-        } else {
-            &self.pes[gx]
-        }
     }
 
     /// Captures one frame in LeCA encoding mode.
@@ -315,43 +330,52 @@ impl LecaSensor {
         let n_ch = self.geometry.n_ch;
         let mut codes = vec![0i32; n_ch * oh * ow];
 
-        let mut block = [0.0f32; BLOCK_PIXELS];
-        let mut scratch = BlockScratch::default();
+        // Each ofmap row runs in groups of LANES blocks, one PE column per
+        // lane, through every pass; block (gy, gx)'s normals start at the
+        // exposure's count plus (gy · ow + gx) · block_normals, pass by
+        // pass, so one take per group hands each lane its own run.
+        let passes = weights.len().div_ceil(KERNELS_PER_PASS);
+        let mut block: LaneBlock = [[0.0; LANES]; BLOCK_PIXELS];
         for gy in 0..oh {
-            for gx in 0..ow {
-                for by in 0..COLUMNS_PER_PE {
-                    for bx in 0..COLUMNS_PER_PE {
-                        let y = gy * COLUMNS_PER_PE + by;
-                        let x = gx * COLUMNS_PER_PE + bx;
-                        debug_assert!(y < rows && x < cols);
+            for (group, gx0) in (0..ow).step_by(LANES).enumerate() {
+                let lanes = LANES.min(ow - gx0);
+                for (i, px) in block.iter_mut().enumerate() {
+                    let y = gy * COLUMNS_PER_PE + i / COLUMNS_PER_PE;
+                    debug_assert!(y < rows);
+                    for (l, px) in px[..lanes].iter_mut().enumerate() {
+                        let x = (gx0 + l) * COLUMNS_PER_PE + i % COLUMNS_PER_PE;
                         // A dead readout column never transfers charge to
                         // the PE: its samples read the reset (dark) level.
-                        block[by * COLUMNS_PER_PE + bx] =
-                            if has_faults && self.faults.column_dead(x) {
-                                0.0
-                            } else {
-                                exposed[y * cols + x]
-                            };
+                        *px = if has_faults && self.faults.column_dead(x) {
+                            0.0
+                        } else {
+                            exposed[y * cols + x]
+                        };
                     }
                 }
-                let pe = self.pe_for_column(gx);
+                let z = normals
+                    .as_mut()
+                    .map(|n| n.take_lanes(lanes, self.block_normals, LANES));
+                let programs = if self.pes.len() == 1 {
+                    &self.programs[..passes]
+                } else {
+                    &self.programs[group * passes..(group + 1) * passes]
+                };
                 // Repetitive readout: kernels in chunks of 4 per pass.
-                for (pass, chunk) in weights.chunks(KERNELS_PER_PASS).enumerate() {
-                    let out = pe.encode_block(
-                        &block,
-                        COLUMNS_PER_PE,
-                        chunk,
-                        normals.as_mut(),
-                        &mut scratch,
-                    )?;
-                    for (i, &code) in out.iter().enumerate() {
+                let mut offset = 0;
+                for (pass, program) in programs.iter().enumerate() {
+                    let out = program.encode(&block, z.map(|z| &z[offset * LANES..]));
+                    offset += program.normals();
+                    for (i, row) in out[..program.kernels()].iter().enumerate() {
                         let k = pass * KERNELS_PER_PASS + i;
-                        let code = if has_faults {
-                            self.faults.apply_adc(gx, k, code, adc_max)
-                        } else {
-                            code
-                        };
-                        codes[(k * oh + gy) * ow + gx] = code;
+                        for (l, &code) in row[..lanes].iter().enumerate() {
+                            let gx = gx0 + l;
+                            codes[(k * oh + gy) * ow + gx] = if has_faults {
+                                self.faults.apply_adc(gx, k, code, adc_max)
+                            } else {
+                                code
+                            };
+                        }
                     }
                 }
             }
@@ -570,7 +594,7 @@ mod tests {
         let mut clean = LecaSensor::new(small_geom(4), 3.0).unwrap();
         clean.program_weights(uniform_weights(4, 6)).unwrap();
         let mut planned = clean.clone();
-        planned.set_fault_plan(FaultPlan::none());
+        planned.set_fault_plan(FaultPlan::none()).unwrap();
         let (a, _) = clean.capture::<StdRng>(&ramp_scene(), None).unwrap();
         let (b, _) = planned.capture::<StdRng>(&ramp_scene(), None).unwrap();
         assert_eq!(a, b);
@@ -580,11 +604,11 @@ mod tests {
     fn fault_plan_is_deterministic_and_order_independent() {
         let mut s = LecaSensor::new(small_geom(4), 3.0).unwrap();
         s.program_weights(uniform_weights(4, 6)).unwrap();
-        s.set_fault_plan(FaultPlan::uniform(13, 0.3));
+        s.set_fault_plan(FaultPlan::uniform(13, 0.3)).unwrap();
         let (a, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
         // Installing the plan before vs after programming must not matter.
         let mut t = LecaSensor::new(small_geom(4), 3.0).unwrap();
-        t.set_fault_plan(FaultPlan::uniform(13, 0.3));
+        t.set_fault_plan(FaultPlan::uniform(13, 0.3)).unwrap();
         t.program_weights(uniform_weights(4, 6)).unwrap();
         let (b, _) = t.capture::<StdRng>(&ramp_scene(), None).unwrap();
         assert_eq!(a, b);
@@ -595,11 +619,11 @@ mod tests {
         let mut s = LecaSensor::new(small_geom(4), 3.0).unwrap();
         s.program_weights(uniform_weights(4, 6)).unwrap();
         let (clean, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
-        s.set_fault_plan(FaultPlan::uniform(1, 0.5));
+        s.set_fault_plan(FaultPlan::uniform(1, 0.5)).unwrap();
         let (faulty, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
         assert_ne!(clean, faulty);
         // Clearing the plan restores the pristine capture exactly.
-        s.set_fault_plan(FaultPlan::none());
+        s.set_fault_plan(FaultPlan::none()).unwrap();
         let (restored, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
         assert_eq!(clean, restored);
     }
@@ -608,7 +632,7 @@ mod tests {
     fn faulted_codes_stay_within_adc_range() {
         let mut s = LecaSensor::new(small_geom(8), 3.0).unwrap();
         s.program_weights(uniform_weights(8, 15)).unwrap();
-        s.set_fault_plan(FaultPlan::uniform(99, 1.0));
+        s.set_fault_plan(FaultPlan::uniform(99, 1.0)).unwrap();
         let (ofmap, _) = s.capture::<StdRng>(&ramp_scene(), None).unwrap();
         let max = AdcResolution::from_qbit(3.0).unwrap().max_code();
         assert!(ofmap.codes().iter().all(|c| c.abs() <= max));

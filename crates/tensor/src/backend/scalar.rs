@@ -151,8 +151,9 @@ pub fn row_max(xs: &[f32]) -> f32 {
 }
 
 /// `out[i] = transcendental::box_muller(u1[i], u2[i])`: branch-free, so
-/// the AVX2 variant runs it 8 wide (4 lanes per `f64` half).
-#[inline]
+/// the AVX2 variant runs it 8 wide (4 lanes per `f64` half). Always
+/// inlined, so the AVX2 wrapper compiles this loop for AVX2.
+#[inline(always)]
 pub fn box_muller(u1: &[f32], u2: &[f32], out: &mut [f32]) {
     for ((o, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
         *o = super::transcendental::box_muller(a, b);

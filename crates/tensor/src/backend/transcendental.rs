@@ -80,6 +80,9 @@ const LOGF_A: [f64; 3] = [
 const HPI_INV: f64 = f64::from_bits(0x4164_5F30_6DC9_C883);
 /// `π/2`.
 const HPI: f64 = f64::from_bits(0x3FF9_21FB_5444_2D18);
+/// `2^52`: adding it to an integer-valued `f64` below `2^52` moves the
+/// integer into the low mantissa bits, exactly.
+const TWO52: f64 = 4_503_599_627_370_496.0;
 /// Cosine polynomial `c0..c4` and sine polynomial `s1..s3`.
 const C0: f64 = 1.0;
 const C1: f64 = f64::from_bits(0xBFDF_FFFF_FD0C_621C);
@@ -97,7 +100,7 @@ const S3: f64 = f64::from_bits(0xBF29_94EB_3774_CF24);
 /// `log1p`. glibc's `x == 1` special case (it fixes the sign of zero under
 /// downward rounding) falls out of the table under the default rounding:
 /// `c = 1`, `log c = 0`, `r = 0`, result `+0.0`.
-#[inline]
+#[inline(always)]
 pub fn ln(x: f32) -> f32 {
     let ix = x.to_bits();
     let tmp = ix.wrapping_sub(LOGF_OFF);
@@ -128,13 +131,24 @@ pub fn ln(x: f32) -> f32 {
 /// coefficients negated when `n & 2`, i.e. the result negated), odd `n`
 /// the sine one on `±x`. Negation is exact, so `s · c` and `sin(s · x)`
 /// are glibc's bits.
-#[inline]
+///
+/// glibc takes the scaled quotient's integer part with a saturating
+/// `f64 → i32` conversion, which the compiler keeps scalar. On the domain
+/// the quotient `q` lies in `[0, 2^31)`, so the body reads the integer
+/// out of the mantissa of `q + 2^52` instead (which rounds `q` to nearest)
+/// and steps it down by one where that rounded up: the same integer part,
+/// and so the same `n`, in integer and float ops that vectorize and need
+/// no round-to-int instruction on the scalar backend.
+#[inline(always)]
 pub fn cos(y: f32) -> f32 {
     let x = y as f64;
     // reduce_fast: the scaled quotient's integer part, rounded to the
     // nearest quadrant by the 2^23 bias.
-    let n = ((x * HPI_INV) as i32 + 0x80_0000) >> 24;
-    let x = x - n as f64 * HPI;
+    let q = x * HPI_INV;
+    let r = q + TWO52;
+    let t = r.to_bits() - u64::from(r - TWO52 > q);
+    let n = ((t + 0x80_0000) >> 24) & 0xff;
+    let x = x - (f64::from_bits(TWO52.to_bits() | n) - TWO52) * HPI;
     // `sign[n & 3]` = {1, -1, -1, 1}.
     let s = if (n + 1) & 2 != 0 { -1.0 } else { 1.0 };
     let x2 = x * x;
@@ -159,7 +173,11 @@ pub fn cos(y: f32) -> f32 {
 /// `u2 ∈ [0, 1)`: `√(−2 ln u1) · cos(2π u2)`, the Box–Muller transform in
 /// exactly the operation order the workspace has always used, with the
 /// owned [`ln`] and [`cos`] in place of libm's.
-#[inline]
+///
+/// Always inlined, with [`ln`] and [`cos`]: the AVX2 backend runs this
+/// body inside a `#[target_feature]` wrapper, and a call out of that
+/// wrapper would compile for the baseline ISA, one element at a time.
+#[inline(always)]
 pub fn box_muller(u1: f32, u2: f32) -> f32 {
     (-2.0 * ln(u1)).sqrt() * cos(2.0 * std::f32::consts::PI * u2)
 }

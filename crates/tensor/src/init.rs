@@ -32,9 +32,15 @@ const CHUNK: usize = 1024;
 /// AVX2 backend. It never draws past `count`, so after the last normal is
 /// taken the generator stands where the serial draws would have left it.
 ///
+/// Normals come one at a time ([`NormalStream::draw`]) or a run at a time
+/// as a slice ([`NormalStream::take_lanes`]); either way they are the
+/// stream's next normals in order.
+///
 /// # Panics
 ///
-/// [`NormalStream::draw`] panics when more than `count` normals are taken.
+/// [`NormalStream::draw`] and [`NormalStream::take_lanes`] panic when more
+/// than `count` normals are taken, and `take_lanes` while normals `draw`
+/// has already transformed are still untaken.
 pub struct NormalStream<'a, R: Rng + ?Sized> {
     rng: &'a mut R,
     /// Normals whose uniforms are still in the generator.
@@ -42,6 +48,11 @@ pub struct NormalStream<'a, R: Rng + ?Sized> {
     buf: [f32; CHUNK],
     pos: usize,
     len: usize,
+    /// [`NormalStream::take_lanes`]'s uniforms and normals, grown to the
+    /// largest run it has served.
+    lane_u1: Vec<f32>,
+    lane_u2: Vec<f32>,
+    lane_out: Vec<f32>,
 }
 
 impl<'a, R: Rng + ?Sized> NormalStream<'a, R> {
@@ -53,7 +64,54 @@ impl<'a, R: Rng + ?Sized> NormalStream<'a, R> {
             buf: [0.0; CHUNK],
             pos: 0,
             len: 0,
+            lane_u1: Vec::new(),
+            lane_u2: Vec::new(),
+            lane_out: Vec::new(),
         }
+    }
+
+    /// Takes the stream's next `lanes * per_lane` normals as `lanes` runs
+    /// of `per_lane` and returns them interleaved `width` wide: normal `j`
+    /// of run `l` is at `[j * width + l]`, and lanes `lanes..width` read
+    /// zero. The uniforms are drawn serially in stream order, each written
+    /// to its interleaved slot, and the whole slice is transformed by one
+    /// [`backend::box_muller`] call, so interleaving costs no extra pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes > width`, when fewer than `lanes * per_lane`
+    /// normals remain, or when normals [`NormalStream::draw`] transformed
+    /// are still untaken.
+    pub fn take_lanes(&mut self, lanes: usize, per_lane: usize, width: usize) -> &[f32] {
+        assert!(
+            lanes <= width,
+            "NormalStream::take_lanes: {lanes} runs in a {width}-wide row"
+        );
+        assert!(
+            self.pos == self.len,
+            "NormalStream::take_lanes: draw() left normals untaken"
+        );
+        let count = lanes * per_lane;
+        assert!(
+            count <= self.undrawn,
+            "NormalStream: every drawn normal was already taken"
+        );
+        let size = per_lane * width;
+        // Slots no draw fills transform `(1, 0)`, which gives zero.
+        self.lane_u1.clear();
+        self.lane_u1.resize(size, 1.0);
+        self.lane_u2.clear();
+        self.lane_u2.resize(size, 0.0);
+        self.lane_out.resize(size, 0.0);
+        for l in 0..lanes {
+            for j in 0..per_lane {
+                self.lane_u1[j * width + l] = 1.0 - self.rng.gen::<f32>();
+                self.lane_u2[j * width + l] = self.rng.gen();
+            }
+        }
+        self.undrawn -= count;
+        backend::box_muller(&self.lane_u1, &self.lane_u2, &mut self.lane_out);
+        &self.lane_out
     }
 
     /// The next standard normal.
@@ -153,6 +211,63 @@ mod tests {
             assert_eq!(batched, serial, "count {count}");
             assert_eq!(rng.gen::<u32>(), serial_rng.gen::<u32>(), "count {count}");
         }
+    }
+
+    #[test]
+    fn take_lanes_interleaves_the_serial_draws() {
+        // Takes after whole chunks of draws or none, run counts and
+        // lengths, and row widths with padding lanes.
+        for (drawn, lanes, per_lane, width) in [
+            (0, 1, 5, 1),
+            (0, 3, 7, 8),
+            (0, 8, 100, 8),
+            (CHUNK, 2, 9, 4),
+            (0, 0, 4, 8),
+        ] {
+            let count = drawn + lanes * per_lane;
+            let mut serial_rng = StdRng::seed_from_u64(4);
+            let serial: Vec<f32> = (0..count)
+                .map(|_| standard_normal(&mut serial_rng))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut stream = NormalStream::new(&mut rng, count + 1);
+            for want in &serial[..drawn] {
+                assert_eq!(stream.draw().to_bits(), want.to_bits());
+            }
+            let got = stream.take_lanes(lanes, per_lane, width).to_vec();
+            assert_eq!(got.len(), per_lane * width);
+            for j in 0..per_lane {
+                for l in 0..width {
+                    let want = if l < lanes {
+                        serial[drawn + l * per_lane + j]
+                    } else {
+                        0.0
+                    };
+                    let case = (drawn, lanes, per_lane, width);
+                    assert_eq!(got[j * width + l], want, "case {case:?}");
+                }
+            }
+            assert_eq!(stream.remaining(), 1);
+            let last = stream.draw();
+            assert_eq!(last.to_bits(), standard_normal(&mut serial_rng).to_bits());
+            assert_eq!(rng.gen::<u32>(), serial_rng.gen::<u32>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left normals untaken")]
+    fn take_lanes_refuses_to_skip_drawn_normals() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut stream = NormalStream::new(&mut rng, 10);
+        stream.draw();
+        stream.take_lanes(1, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already taken")]
+    fn take_lanes_refuses_to_overdraw() {
+        let mut rng = StdRng::seed_from_u64(0);
+        NormalStream::new(&mut rng, 5).take_lanes(2, 3, 2);
     }
 
     #[test]

@@ -66,6 +66,17 @@ const GOLDEN_INT8_LOGITS_CHECKSUM: u64 = 0xed4e9cb5aa79e081;
 const GOLDEN_NOISY_ENCODE: [u64; 2] = [0xa02e7a07b4bc7594, 0xb74347b3155199c8];
 const GOLDEN_SUCCESSIVE_CAPTURES: u64 = 0x6bc2b8a04352ab8c;
 
+/// Capture goldens recorded on the block-at-a-time capture chain before
+/// capture ran the blocks of an ofmap row in lockstep, one per case of
+/// [`capture_cases`]: each folds every code of each capture, then the
+/// generator's next word after it.
+const GOLDEN_CAPTURE_CASES: [u64; 4] = [
+    0xdbbd60ebe37e4844,
+    0x00bb6b91938adbf2,
+    0x15287de681a5633c,
+    0x86a6be401e2438a6,
+];
+
 /// Training-step goldens, recorded before the encoder stopped computing
 /// its input gradient and before the Faulty modality folded into Noisy.
 /// Per modality (Soft, Hard, Noisy, Noisy with a uniform fault plan), after
@@ -352,8 +363,9 @@ fn noisy_encode_checksums() -> [u64; 2] {
 }
 
 /// Three captures on one `StdRng` through a mismatched, faulty 8-bit
-/// sensor whose kernels hold zero codes: two with the typical pixel noise,
-/// one with a noiseless pixel array. Folds every code, then the stream's
+/// sensor: two with the typical pixel noise, one with a noiseless pixel
+/// array. `gen_range(-15..16) / 2` leaves about one code in ten zero, so
+/// most kernel sites transfer charge. Folds every code, then the stream's
 /// next word.
 fn successive_captures_checksum() -> u64 {
     let geometry = SensorGeometry {
@@ -367,7 +379,7 @@ fn successive_captures_checksum() -> u64 {
         .map(|_| (0..16).map(|_| rng.gen_range(-15..16) / 2).collect())
         .collect();
     sensor.program_weights(weights).unwrap();
-    sensor.set_fault_plan(FaultPlan::uniform(5, 0.05));
+    sensor.set_fault_plan(FaultPlan::uniform(5, 0.05)).unwrap();
     let scene: Vec<f32> = (0..256).map(|_| rng.gen()).collect();
     let mut h = 0u64;
     for noise in [
@@ -382,6 +394,108 @@ fn successive_captures_checksum() -> u64 {
         }
     }
     h.rotate_left(7) ^ rng.next_u64()
+}
+
+/// Folds an ofmap's codes into `h`.
+fn fold_codes(h: u64, codes: &[i32]) -> u64 {
+    codes
+        .iter()
+        .fold(h, |h, &c| h.rotate_left(7) ^ (c as u32 as u64))
+}
+
+/// A sensor of `rows x cols` raw pixels and `n_ch` kernels of random
+/// codes in `±15` (about one in 31 zero), typical-corner or with sampled
+/// PE mismatch.
+fn capture_sensor(
+    rows: usize,
+    cols: usize,
+    n_ch: usize,
+    qbit: f32,
+    mismatch: bool,
+    rng: &mut StdRng,
+) -> LecaSensor {
+    let geometry = SensorGeometry { rows, cols, n_ch };
+    let mut sensor = if mismatch {
+        LecaSensor::with_mismatch(geometry, qbit, rng).unwrap()
+    } else {
+        LecaSensor::new(geometry, qbit).unwrap()
+    };
+    let weights: Vec<Vec<i32>> = (0..n_ch)
+        .map(|_| (0..16).map(|_| rng.gen_range(-15..16)).collect())
+        .collect();
+    sensor.program_weights(weights).unwrap();
+    sensor
+}
+
+/// Captures `scene` once per entry of `noisy` (`true` draws from `rng`,
+/// `false` is a clean capture) and folds each ofmap, then `rng`'s next
+/// word.
+fn fold_captures(sensor: &LecaSensor, scene: &[f32], noisy: &[bool], rng: &mut StdRng) -> u64 {
+    let mut h = 0u64;
+    for &noisy in noisy {
+        let (ofmap, _) = if noisy {
+            sensor.capture(scene, Some(&mut *rng)).unwrap()
+        } else {
+            sensor.capture::<StdRng>(scene, None).unwrap()
+        };
+        h = fold_codes(h, ofmap.codes()).rotate_left(7) ^ rng.next_u64();
+    }
+    h
+}
+
+/// Capture shapes the two goldens above leave out:
+/// 0. ofmap width 11 (not a multiple of 8), two readout passes, 4-bit
+///    ADC, typical corner, two noisy captures;
+/// 1. ternary ADC on a mismatched sensor, ofmap width 10, noisy;
+/// 2. clean captures of a mismatched sensor, 4-bit, two passes;
+/// 3. dead columns, ADC faults and weight flips under nonzero codes,
+///    n_ch 6 (a full pass and a half one), 3-bit, noisy then clean.
+fn capture_cases() -> [u64; 4] {
+    let mut rng = StdRng::seed_from_u64(21);
+    let scene = |rows: usize, cols: usize, rng: &mut StdRng| -> Vec<f32> {
+        (0..rows * cols).map(|_| rng.gen()).collect()
+    };
+    let s = capture_sensor(8, 44, 8, 4.0, false, &mut rng);
+    let x = scene(8, 44, &mut rng);
+    let tail = fold_captures(&s, &x, &[true, true], &mut rng);
+
+    let s = capture_sensor(12, 40, 4, 1.5, true, &mut rng);
+    let x = scene(12, 40, &mut rng);
+    let ternary = fold_captures(&s, &x, &[true], &mut rng);
+
+    let s = capture_sensor(8, 36, 8, 4.0, true, &mut rng);
+    let x = scene(8, 36, &mut rng);
+    let clean = fold_captures(&s, &x, &[false, false], &mut rng);
+
+    let mut s = capture_sensor(8, 52, 6, 3.0, true, &mut rng);
+    let plan = FaultPlan::new(17)
+        .with_dead_columns(0.15)
+        .with_adc_faults(0.15)
+        .with_weight_bit_flips(0.1);
+    assert!((0..52).any(|x| plan.column_dead(x)), "no dead column");
+    assert!(
+        (0..13).any(|pe| (0..6).any(|k| plan.adc_fault(pe, k, 3).is_some())),
+        "no ADC fault"
+    );
+    s.set_fault_plan(plan).unwrap();
+    let x = scene(8, 52, &mut rng);
+    let faulty = fold_captures(&s, &x, &[true, false], &mut rng);
+    [tail, ternary, clean, faulty]
+}
+
+#[test]
+fn capture_cases_match_block_chain_goldens() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let got = with_backend(backend, || with_threads(threads, capture_cases));
+            assert_eq!(
+                got, GOLDEN_CAPTURE_CASES,
+                "capture drifted from the block-chain goldens at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+            );
+        }
+    }
 }
 
 #[test]
