@@ -22,7 +22,7 @@
 //! evaluation protocol.
 
 // This crate promises memory safety by construction: no `unsafe` at all.
-// `leca-audit` verifies this header is present; the compiler enforces it.
+// Stricter than the workspace's `unsafe_code = "deny"`: no `allow` lifts it.
 #![forbid(unsafe_code)]
 
 pub mod agt;

@@ -46,6 +46,10 @@ fn ratio_str(num: Option<f64>, den: Option<f64>) -> String {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS=1 so every kernel row is timed on one thread"
+)]
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let profiler = if smoke {

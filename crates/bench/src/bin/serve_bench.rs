@@ -82,6 +82,10 @@ struct LevelResult {
 /// Runs one offered-load level: `PRODUCERS` open-loop threads submit
 /// `total` requests on an absolute schedule (no drift), then drain every
 /// ticket they were issued.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "open-loop load generator: one client thread per producer, each joined before the level reports"
+)]
 fn run_level(
     name: &'static str,
     offered_rps: f64,

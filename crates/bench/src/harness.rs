@@ -23,12 +23,20 @@ pub struct KernelRun {
 }
 
 /// Pins `LECA_BACKEND` to `name` and refreshes the cached dispatch.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "backend pinning: pins LECA_BACKEND per measured column and restores the previous value"
+)]
 pub fn pin_backend(name: &str) {
     std::env::set_var("LECA_BACKEND", name);
     backend::refresh_backend();
 }
 
 /// Clears the pin and restores ambient selection.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "backend pinning: pins LECA_BACKEND per measured column and restores the previous value"
+)]
 pub fn unpin_backend() {
     std::env::remove_var("LECA_BACKEND");
     backend::refresh_backend();

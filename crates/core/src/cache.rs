@@ -55,6 +55,10 @@ where
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test points LECA_CACHE_DIR at a temporary directory"
+)]
 mod tests {
     use super::*;
     use leca_nn::layers::Linear;

@@ -29,7 +29,7 @@
 //! * [`cache`] — on-disk checkpoint caching for pre-trained backbones.
 
 // This crate promises memory safety by construction: no `unsafe` at all.
-// `leca-audit` verifies this header is present; the compiler enforces it.
+// Stricter than the workspace's `unsafe_code = "deny"`: no `allow` lifts it.
 #![forbid(unsafe_code)]
 
 pub mod cache;

@@ -42,7 +42,7 @@
 //! ```
 
 // This crate promises memory safety by construction: no `unsafe` at all.
-// `leca-audit` verifies this header is present; the compiler enforces it.
+// Stricter than the workspace's `unsafe_code = "deny"`: no `allow` lifts it.
 #![forbid(unsafe_code)]
 
 mod error;

@@ -24,7 +24,7 @@
 //! * [`survey`] — the Fig. 2(c) CIS survey aggregates.
 
 // This crate promises memory safety by construction: no `unsafe` at all.
-// `leca-audit` verifies this header is present; the compiler enforces it.
+// Stricter than the workspace's `unsafe_code = "deny"`: no `allow` lifts it.
 #![forbid(unsafe_code)]
 
 pub mod controller;

@@ -11,6 +11,10 @@
 //! with a fixed-size outcome ring), so recording outcomes on the warm
 //! path never allocates.
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use crate::config::BreakerConfig;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -50,17 +54,18 @@ impl TenantState {
         self.failures = 0;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`next` is only ever assigned `% ring.len()`, and the ring is non-empty (config validates `window >= 1`), so `next < ring.len()`"
+    )]
     fn push(&mut self, failure: bool) {
         if self.filled == self.ring.len() {
-            // PANIC-OK: `next` is only ever assigned `% ring.len()` below,
-            // and the ring is non-empty (config validates `window >= 1`).
             if self.ring[self.next] {
                 self.failures -= 1;
             }
         } else {
             self.filled += 1;
         }
-        // PANIC-OK: same ring invariant as above — `next < ring.len()`.
         self.ring[self.next] = failure;
         if failure {
             self.failures += 1;
@@ -100,8 +105,10 @@ impl Breakers {
 
     /// Admission check at `now` for `tenant` (caller bounds the id).
     pub fn admit(&self, tenant: u32, now: Instant) -> Admission {
-        // PANIC-OK: admission rejects `tenant >= max_tenants` before this
-        // call, and the bank holds exactly `max_tenants` entries.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "admission rejects `tenant >= max_tenants` before this call, and the bank holds exactly `max_tenants` entries"
+        )]
         let mut t = self.tenants[tenant as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -137,8 +144,10 @@ impl Breakers {
     /// tripping — timeouts and sheds are load symptoms the backpressure
     /// path already handles, so the caller must not report them here.
     pub fn record(&self, tenant: u32, failure: bool, now: Instant) {
-        // PANIC-OK: outcomes are only recorded for requests that passed
-        // admission, which bounds `tenant` below `max_tenants`.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "outcomes are only recorded for requests that passed admission, which bounds `tenant` below `max_tenants`"
+        )]
         let mut t = self.tenants[tenant as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner());

@@ -4,6 +4,10 @@
 //! outcome or a latency sample on the warm request path performs no
 //! allocation and takes no lock.
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 latency buckets; bucket `i` covers `[2^i, 2^(i+1))`
@@ -33,7 +37,10 @@ impl LatencyHisto {
     /// Records one sample.
     pub fn record(&self, us: u64) {
         let idx = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        // PANIC-OK: `idx` is clamped to `BUCKETS - 1` on the line above.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`idx` is clamped to `BUCKETS - 1` on the line above"
+        )]
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);

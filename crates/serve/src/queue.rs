@@ -16,6 +16,10 @@
 //! `holdback`) is caller-owned and reused across pops, so the warm path
 //! does not allocate.
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use crate::error::{ServeError, ServeResult};
 use crate::reply::ReplySlot;
 use leca_tensor::Tensor;
@@ -217,6 +221,10 @@ impl ShardQueue {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests spawn producer and consumer threads to race the queue"
+)]
 mod tests {
     use super::*;
 

@@ -14,6 +14,10 @@
 //! scheduled (the alloc-regression test `tests/serve_alloc.rs` pins this
 //! down end to end).
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use crate::error::Reply;
 use std::time::Duration;
 

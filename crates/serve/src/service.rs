@@ -20,6 +20,10 @@
 //! performs the same join — the serving layer never leaks a detached
 //! thread.
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use crate::breaker::{Admission, Breakers};
 use crate::chaos::ChaosPlan;
 use crate::config::ServeConfig;
@@ -126,6 +130,10 @@ impl Service {
     /// # Errors
     ///
     /// As [`Service::submit`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard` is `tenant % cfg.shards` and one queue exists per shard (config validates `shards >= 1`)"
+    )]
     pub fn submit_with_deadline(
         &self,
         tenant: u32,
@@ -165,8 +173,6 @@ impl Service {
             enqueued_at: now,
             deadline: now + Duration::from_micros(deadline_us),
         };
-        // PANIC-OK: `shard` is `tenant % cfg.shards` and one queue exists
-        // per shard (config validates `shards >= 1`).
         match self.queues[shard].try_push(req) {
             Ok(()) => {
                 self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
@@ -236,12 +242,15 @@ impl Drop for Service {
 }
 
 /// Ingress payload validation: single sample, finite values.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the emptiness check guarantees rank >= 1 before `shape[0]`"
+)]
 fn validate_payload(payload: &Tensor) -> Result<(), String> {
     let shape = payload.shape();
     if shape.is_empty() || payload.as_slice().is_empty() {
         return Err("empty payload".to_string());
     }
-    // PANIC-OK: the emptiness check above guarantees rank >= 1.
     if shape[0] != 1 {
         return Err(format!(
             "payload must be a single sample with leading batch dim 1, got {shape:?}"

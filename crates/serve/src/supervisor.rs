@@ -15,9 +15,9 @@
 //! it answering `WorkerFailed`, and exits; `Service::shutdown` joins it
 //! like any other worker.
 //!
-//! This file is the serving layer's only thread-spawn site (allowlisted
-//! in `leca-audit`); every handle is joined by `Service::shutdown` or
-//! `Service::drop` — workers are never detached.
+//! This file is the serving layer's only thread-spawn site (a reasoned
+//! `clippy::disallowed_methods` allow); every handle is joined by
+//! `Service::shutdown` or `Service::drop` — workers are never detached.
 
 use crate::breaker::Breakers;
 use crate::chaos::ChaosPlan;
@@ -39,6 +39,10 @@ pub type SessionFactory = Arc<dyn Fn() -> InferenceSession<'static> + Send + Syn
 
 /// Spawns the supervisor thread for `shard`. The returned handle MUST be
 /// joined (the service's shutdown/drop paths do).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "supervised serving shards: long-lived named threads, every handle joined on shutdown"
+)]
 pub(crate) fn spawn_supervisor(
     shard: usize,
     queue: Arc<ShardQueue>,

@@ -20,6 +20,10 @@
 //! iterations. After [`WorkerState::warm`] the steady-state loop
 //! performs no allocation (pinned by `tests/serve_alloc.rs`).
 
+// The request path answers with errors, never panics (DESIGN.md "Lints").
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::unimplemented)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
+
 use crate::breaker::Breakers;
 use crate::chaos::ChaosPlan;
 use crate::config::ServeConfig;
@@ -85,25 +89,24 @@ impl WorkerState {
     /// for every batch size up to `max_batch` at `warm_shape`, so the
     /// steady-state loop never allocates. Called at start-up and after
     /// every session rebuild.
+    #[expect(
+        clippy::panic,
+        reason = "warm-up is the pre-traffic health check, f32 and int8; the supervisor catches this unwind and rebuilds the worker"
+    )]
     pub(crate) fn warm(&mut self, cfg: &ServeConfig) {
         let Some(shape) = cfg.warm_shape.clone() else {
             return;
         };
         // `warm_shape` is the payload shape clients submit (`[1, ...]`);
         // the per-sample part is everything after the batch dim.
-        let sample = if shape.len() > 1 {
-            &shape[1..] // PANIC-OK: guarded by `shape.len() > 1`.
-        } else {
-            &shape[..] // PANIC-OK: a full-range slice is always in bounds.
-        };
+        #[expect(clippy::indexing_slicing, reason = "guarded by `shape.len() > 1`")]
+        let sample = if shape.len() > 1 { &shape[1..] } else { &shape };
         for b in 1..=cfg.max_batch {
             let input = cached_batch(&mut self.batch_cache, b, sample);
             input.fill(0.0);
             // Warm-up classifications also double as a health check: a
             // broken rebuild panics here, inside the supervisor's catch.
             if let Err(e) = self.session.classify_batch(input, &mut self.preds) {
-                // PANIC-OK: warm-up is the pre-traffic health check; the
-                // supervisor catches this unwind and rebuilds the worker.
                 panic!("session warm-up failed at batch size {b}: {e}");
             }
             // When the session carries a quantized engine, pre-grow its
@@ -113,8 +116,6 @@ impl WorkerState {
                     self.session
                         .classify_batch_with(input, &mut self.preds, Precision::Int8)
                 {
-                    // PANIC-OK: same pre-traffic health-check contract as
-                    // the f32 warm-up panic above.
                     panic!("int8 warm-up failed at batch size {b}: {e}");
                 }
             }
@@ -123,10 +124,17 @@ impl WorkerState {
 }
 
 /// The cached batch tensor of shape `[n, sample...]`, inserting on miss.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`idx` is a found position or `len - 1` right after a push"
+)]
 fn cached_batch<'c>(cache: &'c mut Vec<Tensor>, n: usize, sample: &[usize]) -> &'c mut Tensor {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`first() == Some(..)` proves rank >= 1 before `[1..]`"
+    )]
     let pos = cache
         .iter()
-        // PANIC-OK: `first() == Some(..)` proves rank >= 1 before `[1..]`.
         .position(|t| t.shape().first() == Some(&n) && &t.shape()[1..] == sample);
     let idx = match pos {
         Some(i) => i,
@@ -138,7 +146,6 @@ fn cached_batch<'c>(cache: &'c mut Vec<Tensor>, n: usize, sample: &[usize]) -> &
             cache.len() - 1
         }
     };
-    // PANIC-OK: `idx` is a found position or `len - 1` right after a push.
     &mut cache[idx]
 }
 
@@ -211,6 +218,10 @@ fn answer_expired(expired: &mut Vec<Request>, metrics: &ServeMetrics) {
 /// The worker's main loop. Returns when the queue is closed and drained;
 /// unwinds on an injected or organic panic (the supervisor catches it,
 /// the [`Pending`] guard has already answered the batch).
+#[expect(
+    clippy::panic,
+    reason = "the chaos site: deliberate fault injection exercising the batch's unwind path; only fires under a chaos-enabled config"
+)]
 pub(crate) fn worker_loop(w: &Worker, st: &mut WorkerState) {
     let linger = Duration::from_micros(w.cfg.linger_us);
     loop {
@@ -248,19 +259,25 @@ pub(crate) fn worker_loop(w: &Worker, st: &mut WorkerState) {
 
         let n = batch.len();
         // Batches never mix tenants, so one precision covers the batch.
-        // PANIC-OK: execution only runs on non-empty batches (the drain
-        // loop skips empty ones), so `batch[0]` exists.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "execution only runs on non-empty batches (the drain loop skips empty ones), so `batch[0]` exists"
+        )]
         let precision = w.cfg.precision_for(batch[0].tenant);
-        // PANIC-OK: ingress validation rejects rank-0 payloads, so `[1..]`
-        // is in bounds for every admitted request.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ingress validation rejects rank-0 payloads, so `[1..]` is in bounds for every admitted request"
+        )]
         let sample = &batch[0].payload.shape()[1..];
         let sample_len: usize = sample.iter().product();
         let input = cached_batch(batch_cache, n, sample);
         {
             let rows = input.as_mut_slice();
             for (i, req) in batch.iter().enumerate() {
-                // PANIC-OK: `input` is `[n, sample..]` with `n = len()`, so
-                // row `i < n` spans exactly `sample_len` in-bounds elements.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`input` is `[n, sample..]` with `n = len()`, so row `i < n` spans exactly `sample_len` in-bounds elements"
+                )]
                 rows[i * sample_len..(i + 1) * sample_len].copy_from_slice(req.payload.as_slice());
             }
         }
@@ -279,8 +296,6 @@ pub(crate) fn worker_loop(w: &Worker, st: &mut WorkerState) {
 
         if w.chaos.worker_panics(w.shard, seq) {
             // Unwinds through `pending`, which answers the whole batch.
-            // PANIC-OK: deliberate fault injection exercising exactly that
-            // unwind path; only fires under a chaos-enabled config.
             panic!(
                 "chaos: injected panic on worker {} (batch seq {seq})",
                 w.shard

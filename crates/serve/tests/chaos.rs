@@ -285,6 +285,10 @@ fn breaker_sheds_tenant_whose_batches_keep_panicking() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "spawns producer threads to race the service"
+)]
 fn full_storm_accounting_is_airtight() {
     // Multi-tenant, multi-producer storm under panics, latency spikes,
     // poisoned payloads, short deadlines, and an undersized queue. The

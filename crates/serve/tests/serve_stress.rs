@@ -50,6 +50,10 @@ fn stress_config() -> ServeConfig {
 
 /// Producers racing each other, the batcher, chaos panics and rebuilds.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "spawns producer threads to race the service"
+)]
 fn concurrent_producers_with_chaos_race_cleanly() {
     let chaos = ChaosPlan::new(17)
         .with_worker_panics(0.1)
@@ -88,6 +92,10 @@ fn concurrent_producers_with_chaos_race_cleanly() {
 /// Shutdown racing producers that are still submitting: no deadlock, no
 /// lost replies, everything admitted still resolves.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "spawns producer threads and a shutdown thread to race each other"
+)]
 fn shutdown_races_inflight_submissions() {
     let service = Arc::new(
         Service::start_with_chaos(stress_config(), make_session, ChaosPlan::none()).unwrap(),

@@ -20,6 +20,11 @@
 //! `debug_assert!` contract at function entry that restates the caller's
 //! release-mode assert.
 
+#![allow(
+    unsafe_code,
+    reason = "hand-written AVX2 f32 GEMM microkernel (bounds argued per load/store, Miri-exempt via cfg)"
+)]
+
 use super::{MR, NR};
 use core::arch::x86_64::*;
 

@@ -22,6 +22,11 @@
 //! `unsafe` is confined to raw-pointer load/store intrinsics with the same
 //! bound discipline as the `avx2` module.
 
+#![allow(
+    unsafe_code,
+    reason = "FMA GEMM microkernel (bounds argued per load/store, Miri-exempt via cfg)"
+)]
+
 use super::{MR, NR};
 use core::arch::x86_64::*;
 

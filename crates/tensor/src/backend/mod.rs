@@ -81,6 +81,11 @@
 //! (`crates/tensor/tests/backend_conformance.rs`) holds each available
 //! backend to the scalar oracle.
 
+#![allow(
+    unsafe_code,
+    reason = "runtime dispatch into target_feature functions (hand bodies and compiled scalar bodies) after CPUID detection"
+)]
+
 pub mod scalar;
 pub mod transcendental;
 
@@ -119,6 +124,10 @@ pub const MR: usize = 8;
 pub const NR: usize = 8;
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
+#[allow(
+    clippy::disallowed_macros,
+    reason = "CPUID detection: the backend is the one layer that names an ISA"
+)]
 fn avx2_available() -> bool {
     std::is_x86_feature_detected!("avx2")
 }
@@ -132,6 +141,10 @@ fn avx2_available() -> bool {
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
+#[allow(
+    clippy::disallowed_macros,
+    reason = "CPUID detection: the backend is the one layer that names an ISA"
+)]
 fn fastmath_available() -> bool {
     std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
 }
@@ -542,6 +555,10 @@ fn select_index() -> usize {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests pin LECA_BACKEND to drive selection"
+)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -32,6 +32,11 @@
 //! `// SAFETY:` bound arguments, backed by `debug_assert!` contracts at
 //! function entry.
 
+#![allow(
+    unsafe_code,
+    reason = "int8 AVX2 microkernel, quantize and requantize passes (bounds argued per load/store, Miri-exempt via cfg)"
+)]
+
 use super::scalar;
 use super::{MR, NR};
 use crate::quant::{QMAX, QMIN};

@@ -24,10 +24,11 @@
 //! # Ok::<(), leca_tensor::TensorError>(())
 //! ```
 
-// The only crate in the workspace allowed to contain `unsafe` (the SIMD
-// kernels, the worker pool, nothing else — `leca-audit` enforces the
-// allowlist); every unsafe operation must sit in an explicit block with
-// its own safety argument, even inside `unsafe fn`s.
+// The only library crate allowed to contain `unsafe` (the SIMD kernels,
+// the worker pool, nothing else: each of those modules opens with a
+// reasoned `allow` against the workspace lint `unsafe_code = "deny"`);
+// every unsafe operation must sit in an explicit block with its own
+// safety argument, even inside `unsafe fn`s.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod error;

@@ -5,7 +5,7 @@ use crate::{Result, Tensor, TensorError};
 
 /// In-order sum of an `f32` slice — THE canonical reduction order of the
 /// determinism contract. Every library-side float sum outside the kernel
-/// backends goes through here (the audit's `float-reduction-order` rule
+/// backends goes through here (`tests/source_rules.rs`
 /// enforces it), so reassociating an accumulation is a one-file, clearly
 /// visible decision instead of a scattered `.sum::<f32>()`.
 #[inline]

@@ -27,6 +27,11 @@
 //! sanitizer-checked process exits). The pool revives transparently on the
 //! next [`pool_run`] after a shutdown.
 
+#![allow(
+    unsafe_code,
+    reason = "worker pool: lifetime-erased job closures and disjoint row slices"
+)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -210,6 +215,10 @@ impl WorkerPool {
 
     /// Grows the pool to at least `want` resident workers. Idle workers
     /// block on the queue condvar, so an idle pool costs nothing.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the worker pool itself: the one sanctioned spawn site, every handle joined on shutdown"
+    )]
     fn ensure_workers(&self, want: usize) {
         let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         while workers.len() < want {
@@ -530,6 +539,10 @@ impl<T> SendPtr<T> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests pin LECA_THREADS and spawn threads to drive the pool"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

@@ -56,6 +56,10 @@ impl std::error::Error for EnvError {}
 /// # Errors
 ///
 /// [`EnvError::NotSet`] when the variable is absent or not Unicode.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the single env parsing layer: every LECA_* knob is read and validated here"
+)]
 pub fn raw(key: &'static str) -> Result<String, EnvError> {
     match std::env::var(key) {
         Ok(v) => Ok(v.trim().to_string()),
@@ -107,6 +111,10 @@ pub fn flag(key: &'static str) -> Result<bool, EnvError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests set LECA_* values to drive the parser"
+)]
 mod tests {
     use super::*;
     use std::sync::Mutex;

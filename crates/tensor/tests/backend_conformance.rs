@@ -566,6 +566,10 @@ fn fastmath_is_the_only_relaxed_precision_backend() {
 
 /// Runs `body` with `LECA_BACKEND` pinned to `name`, restoring the
 /// previous selection afterwards. Callers hold `ENV_LOCK`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND for one leg and restores the previous value"
+)]
 fn pin_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_BACKEND").ok();
     std::env::set_var("LECA_BACKEND", name);

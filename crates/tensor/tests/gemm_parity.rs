@@ -293,6 +293,10 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 /// drop trailing input rows or columns, whose input gradient there is
 /// `+0.0`.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND per bit-exact backend and restores the previous value"
+)]
 fn conv_is_bit_identical_to_im2col_oracle() {
     use leca_tensor::backend::{refresh_backend, Backend};
     use leca_tensor::ops::conv_transpose2d_out_shape;

@@ -125,6 +125,10 @@ fn take_from_is_a_deep_copy() {
 /// Miri this doubles as a send/sync smoke test for the `Arc<Mutex<..>>`
 /// plumbing.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "spawns caller threads that share one pool"
+)]
 fn workspace_clones_share_pool_across_threads() {
     let ws = Workspace::new();
     {

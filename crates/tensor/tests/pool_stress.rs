@@ -68,6 +68,10 @@ fn repeated_submissions_reuse_joined_pool() {
 /// per-job, so concurrent `pool_run` calls must each see all their own
 /// chunks exactly once (TSan watches the queue handoff).
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS and spawns caller threads to race the pool"
+)]
 fn concurrent_pool_run_from_many_threads() {
     std::env::set_var("LECA_THREADS", "4");
     refresh_num_threads();
@@ -109,6 +113,10 @@ fn concurrent_pool_run_from_many_threads() {
 /// the worker that owns it, verified against a serial reference. This is
 /// the `par_rows_mut` `unsafe` (SendPtr + from_raw_parts_mut) under TSan.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS so the pool has workers to race"
+)]
 fn par_rows_mut_stress_is_exact_and_race_free() {
     std::env::set_var("LECA_THREADS", "4");
     refresh_num_threads();

@@ -27,6 +27,10 @@ fn with_avx2<T>(body: impl FnOnce() -> T) -> T {
     with_backend("avx2", body)
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND for one leg and restores the previous value"
+)]
 fn with_backend<T>(value: &str, body: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let old = std::env::var("LECA_BACKEND").ok();

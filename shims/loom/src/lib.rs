@@ -43,6 +43,11 @@
 //! not finished) fails with a `leaked thread` panic: the protocols this
 //! shim checks promise *joined, never detached* threads.
 
+#![allow(
+    unsafe_code,
+    reason = "model-checking shim: one pointer round-trip in Condvar::wait (guard lifetime argued)"
+)]
+
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, OnceLock};
@@ -354,6 +359,10 @@ impl Default for Builder {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the model checker's own LOOM_* knobs, not LECA_* configuration"
+)]
 impl Builder {
     /// Defaults: preemption bound from `LOOM_MAX_PREEMPTIONS` (or 2),
     /// iteration cap from `LOOM_MAX_ITERATIONS` (or 1,000,000).
@@ -459,6 +468,10 @@ impl Builder {
 /// Exhaustively explores every interleaving of `f` (bounded preemption).
 ///
 /// Set `LOOM_LOG=1` to print the number of executions explored.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the model checker's own LOOM_* knobs, not LECA_* configuration"
+)]
 pub fn model<F: Fn()>(f: F) {
     let iterations = Builder::new().check(f);
     if std::env::var("LOOM_LOG").is_ok() {
@@ -525,6 +538,10 @@ pub mod thread {
             self
         }
 
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the model checker spawns the threads it schedules; every handle is joined at model exit"
+        )]
         pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
         where
             F: FnOnce() -> T + Send + 'static,

@@ -35,7 +35,7 @@
 //! for the binaries regenerating every table and figure of the paper.
 
 // This crate promises memory safety by construction: no `unsafe` at all.
-// `leca-audit` verifies this header is present; the compiler enforces it.
+// Stricter than the workspace's `unsafe_code = "deny"`: no `allow` lifts it.
 #![forbid(unsafe_code)]
 
 pub use leca_baselines as baselines;

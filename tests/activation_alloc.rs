@@ -18,6 +18,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
+)]
 fn train_mode_activation_forward_makes_no_steady_state_allocations() {
     std::env::set_var("LECA_THREADS", "1");
     refresh_num_threads();

@@ -6,6 +6,11 @@
 //! and holds exactly one `#[test]`, so no concurrent test pollutes the
 //! counter (each integration-test file is its own process and allocator).
 
+#![allow(
+    unsafe_code,
+    reason = "counting GlobalAlloc delegating verbatim to System, shared by the allocation-lockdown tests"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

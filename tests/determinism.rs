@@ -135,10 +135,19 @@ const GOLDEN_SESSION_LOGITS: [u64; 2] = [0xeaccedb655e0c785, 0x2d7c8bbe7b177c57]
 /// `classify_batch_with(.., Precision::Int8)` predictions.
 const GOLDEN_SESSION_INT8: ([u64; 3], [usize; 4]) = ([0x97daca0710938dab; 3], [2, 2, 2, 2]);
 
+/// Int8 predictions on [`spread_batch`], recorded at the commit before
+/// this golden was added. Unlike the session batch's, they span more than
+/// one class, so a per-image routing or ordering error shows.
+const GOLDEN_SESSION_INT8_SPREAD: [usize; 8] = [2, 3, 2, 3, 2, 3, 3, 3];
+
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `body` with `LECA_THREADS` set to `threads`, restoring the
 /// previous value (and cached count) afterwards.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS for one leg and restores the previous value"
+)]
 fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_THREADS").ok();
     std::env::set_var("LECA_THREADS", threads.to_string());
@@ -154,6 +163,10 @@ fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
 
 /// Runs `body` with `LECA_BACKEND` set to `name`, restoring the previous
 /// value (and cached dispatch) afterwards.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND for one leg and restores the previous value"
+)]
 fn with_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_BACKEND").ok();
     std::env::set_var("LECA_BACKEND", name);
@@ -313,12 +326,23 @@ fn session_pipeline(modality: Modality) -> (LecaPipeline, Tensor) {
     (p, x)
 }
 
+/// A second eval batch for the session goldens. The untrained `tiny_cnn`
+/// predicts class 2 for every image of the session batch, so those
+/// predictions cannot catch a per-image routing or ordering error; its
+/// predictions on this wider-range batch span more than one class.
+fn spread_batch() -> Tensor {
+    Tensor::rand_uniform(&[8, 3, 16, 16], -3.0, 3.0, &mut StdRng::seed_from_u64(42))
+}
+
 /// Checksums of the Eval-mode `Layer::forward` logits, then of three warm
-/// session `logits` passes; and whether the session's `classify_batch`
-/// picks the forward logits' argmax.
-fn session_logits(modality: Modality) -> ([u64; 4], bool) {
+/// session `logits` passes; whether the session's `classify_batch` picks
+/// the forward logits' argmax on the session batch and on
+/// [`spread_batch`]; and its predictions on the latter.
+fn session_logits(modality: Modality) -> ([u64; 4], bool, Vec<usize>) {
     let (mut p, x) = session_pipeline(modality);
+    let spread = spread_batch();
     let forward = Layer::forward(&mut p, &x, Mode::Eval).unwrap();
+    let spread_forward = Layer::forward(&mut p, &spread, Mode::Eval).unwrap();
     let mut session = InferenceSession::for_pipeline(&mut p);
     let mut cks = [checksum(&forward); 4];
     for ck in &mut cks[1..] {
@@ -326,13 +350,18 @@ fn session_logits(modality: Modality) -> ([u64; 4], bool) {
     }
     let mut preds = Vec::new();
     session.classify_batch(&x, &mut preds).unwrap();
-    (cks, preds == forward.argmax_rows().unwrap())
+    let mut spread_preds = Vec::new();
+    session.classify_batch(&spread, &mut spread_preds).unwrap();
+    let agrees = preds == forward.argmax_rows().unwrap()
+        && spread_preds == spread_forward.argmax_rows().unwrap();
+    (cks, agrees, spread_preds)
 }
 
 /// The int8 session leg: compile the engine from a pinned calibration
 /// batch, checksum three `logits_int8` passes and collect the int8
-/// predictions.
-fn int8_session_results() -> ([u64; 3], [usize; 4]) {
+/// predictions; then the int8 predictions on [`spread_batch`], checked
+/// against its int8 logits' argmax.
+fn int8_session_results() -> (([u64; 3], [usize; 4]), [usize; 8]) {
     let (mut p, x) = session_pipeline(Modality::Soft);
     let calib = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut StdRng::seed_from_u64(7));
     let mut session = InferenceSession::for_pipeline(&mut p);
@@ -348,7 +377,16 @@ fn int8_session_results() -> ([u64; 3], [usize; 4]) {
     session
         .classify_batch_with(&x, &mut preds, Precision::Int8)
         .unwrap();
-    (cks, preds.try_into().expect("one prediction per image"))
+    let spread = spread_batch();
+    let mut spread_preds = Vec::new();
+    session
+        .classify_batch_with(&spread, &mut spread_preds, Precision::Int8)
+        .unwrap();
+    let logits = Tensor::from_vec(session.logits_int8(&spread).unwrap().to_vec(), &[8, 4]);
+    assert_eq!(spread_preds, logits.unwrap().argmax_rows().unwrap());
+    let one_per_image = "one prediction per image";
+    let preds = preds.try_into().expect(one_per_image);
+    ((cks, preds), spread_preds.try_into().expect(one_per_image))
 }
 
 /// Noisy `sensor_encode` of one 32x32 RGB image through a sensor
@@ -630,7 +668,7 @@ fn session_logits_match_goldens() {
                 .into_iter()
                 .zip(GOLDEN_SESSION_LOGITS)
             {
-                let (cks, argmax_agrees) = with_backend(backend, || {
+                let (cks, argmax_agrees, spread_preds) = with_backend(backend, || {
                     with_threads(threads, || session_logits(modality))
                 });
                 assert_eq!(
@@ -643,6 +681,10 @@ fn session_logits_match_goldens() {
                     "{modality:?} classify_batch disagrees with the logits' argmax at \
                      LECA_BACKEND={backend} LECA_THREADS={threads}"
                 );
+                assert!(
+                    spread_preds.iter().any(|&c| c != spread_preds[0]),
+                    "{modality:?} predictions on the spread batch name one class (got {spread_preds:?})"
+                );
             }
         }
     }
@@ -653,11 +695,13 @@ fn int8_session_matches_golden() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for backend in ["scalar", "avx2"] {
         for threads in [1, 8] {
-            let got = with_backend(backend, || with_threads(threads, int8_session_results));
+            let (got, spread_preds) =
+                with_backend(backend, || with_threads(threads, int8_session_results));
             assert_eq!(
-                got, GOLDEN_SESSION_INT8,
-                "int8 session logits or predictions drifted from the golden at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+                (got, spread_preds),
+                (GOLDEN_SESSION_INT8, GOLDEN_SESSION_INT8_SPREAD),
+                "int8 session logits or predictions drifted from the goldens at \
+                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?}, {spread_preds:?})"
             );
         }
     }

@@ -24,6 +24,10 @@ use rand::SeedableRng;
 /// Runs `body` with `LECA_BACKEND` pinned to `name`, restoring the
 /// previous selection afterwards. This file holds no lock because it is
 /// its own process and runs exactly one backend-flipping test.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND for one leg and restores the previous value"
+)]
 fn with_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_BACKEND").ok();
     std::env::set_var("LECA_BACKEND", name);

@@ -48,6 +48,10 @@ fn one_round(service: &Service, payload: &Arc<Tensor>) {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
+)]
 fn serving_steady_state_makes_no_heap_allocations() {
     std::env::set_var("LECA_THREADS", "1");
     refresh_num_threads();

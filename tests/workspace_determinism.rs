@@ -29,6 +29,10 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `body` with `LECA_THREADS` set to `threads`, restoring the
 /// previous value (and cached count) afterwards.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_THREADS for one leg and restores the previous value"
+)]
 fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_THREADS").ok();
     std::env::set_var("LECA_THREADS", threads.to_string());
@@ -45,6 +49,10 @@ fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
 /// Runs `body` with `LECA_BACKEND` set to `name` (`"scalar"` /
 /// `"avx2"`), restoring the previous value (and cached dispatch)
 /// afterwards.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "pins LECA_BACKEND for one leg and restores the previous value"
+)]
 fn with_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
     let old = std::env::var("LECA_BACKEND").ok();
     std::env::set_var("LECA_BACKEND", name);
