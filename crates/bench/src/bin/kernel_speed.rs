@@ -2,9 +2,9 @@
 //! `BENCH_kernels.json` in the current directory.
 //!
 //! Built on the structured harness (`leca_bench::{workload, profiler,
-//! harness}`): every named workload is timed single-threaded under
-//! `scalar`, `avx2` and `fastmath` by pinning `LECA_BACKEND` and
-//! refreshing the cached decision between runs. The bit-exact backends
+//! harness}`): every row runs inside `parallel::with_threads(1, …)`, and
+//! every named workload is timed under `scalar`, `avx2` and `fastmath`,
+//! each column inside `backend::with_backend`. The bit-exact backends
 //! are bit-identical (see `tests/backend_conformance.rs`), so their
 //! columns are purely a latency comparison; the fastmath column trades
 //! bounded rounding differences (tolerance-tested) for throughput. Also
@@ -18,7 +18,7 @@
 //! Run from the repo root, where the record is checked in:
 //! `cargo run --release -p leca-bench --bin kernel_speed [-- --smoke]`.
 
-use leca_bench::harness::{pin_backend, unpin_backend, Harness, KernelRun};
+use leca_bench::harness::{Harness, KernelRun};
 use leca_bench::profiler::Profiler;
 use leca_bench::workload::standard_kernels;
 use leca_core::config::LecaConfig;
@@ -26,7 +26,7 @@ use leca_core::encoder::Modality;
 use leca_core::pipeline::LecaPipeline;
 use leca_core::session::{InferenceSession, Precision};
 use leca_nn::backbone::tiny_cnn;
-use leca_tensor::backend::Backend;
+use leca_tensor::backend::{with_backend, Backend};
 use leca_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,25 +46,24 @@ fn ratio_str(num: Option<f64>, den: Option<f64>) -> String {
     }
 }
 
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS=1 so every kernel row is timed on one thread"
-)]
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    parallel::with_threads(1, || run(smoke));
+}
+
+/// Times every row on one thread and, unless `smoke`, writes the record.
+fn run(smoke: bool) {
     let profiler = if smoke {
         Profiler::smoke()
     } else {
         Profiler::standard()
     };
 
-    std::env::set_var("LECA_THREADS", "1");
-    parallel::refresh_num_threads();
     let avx2_available = Backend::Avx2.available();
     let fastmath_available = Backend::FastMath.available();
 
     // ----- named kernel workloads across all backend columns -----
-    let harness = Harness::new(profiler, &Backend::ALL.map(Backend::name));
+    let harness = Harness::new(profiler, &Backend::ALL);
     let mut workloads = standard_kernels(7);
     let runs = harness.run_all(&mut workloads);
 
@@ -130,14 +129,14 @@ fn main() {
         if !be.available() {
             return None;
         }
-        pin_backend(be.name());
         let mut preds = Vec::new();
-        let stats = profiler.time(30, || {
-            session
-                .classify_batch_with(&batch, &mut preds, precision)
-                .expect("classify");
-        });
-        Some(stats)
+        Some(with_backend(be, || {
+            profiler.time(30, || {
+                session
+                    .classify_batch_with(&batch, &mut preds, precision)
+                    .expect("classify");
+            })
+        }))
     };
 
     let mut f32_ips = Vec::new();
@@ -156,13 +155,14 @@ fn main() {
     // Same session, int8 mode: calibrate on the bench batch, compile the
     // engine, and time the quantized classify path per backend. The
     // headline number is int8-avx2 vs f32-avx2 throughput.
-    pin_backend("scalar");
-    session.enable_int8(&batch).expect("int8 engine");
-    for _ in 0..2 {
-        session
-            .classify_batch_with(&batch, &mut preds, Precision::Int8)
-            .expect("int8 warm");
-    }
+    with_backend(Backend::Scalar, || {
+        session.enable_int8(&batch).expect("int8 engine");
+        for _ in 0..2 {
+            session
+                .classify_batch_with(&batch, &mut preds, Precision::Int8)
+                .expect("int8 warm");
+        }
+    });
     let mut int8_ips = Vec::new();
     for be in Backend::ALL {
         let name = be.name();
@@ -175,7 +175,6 @@ fn main() {
             println!("classify_batch_int8 8x3x16x16 [{name:<8}] not available");
         }
     }
-    unpin_backend();
 
     let ips_str = |v: Option<f64>| v.map(|x| format!("{x:.0}")).unwrap_or("null".into());
     let ips_ratio = |n: Option<f64>, d: Option<f64>| ratio_str(n, d);

@@ -11,7 +11,8 @@
 //! and cached, mirroring `LECA_THREADS` /
 //! [`crate::parallel::num_threads`]: the `LECA_BACKEND` environment
 //! variable (`scalar` | `avx2` | `fastmath` | `auto`) pins a backend for
-//! CI and debugging, and [`refresh_backend`] is the in-process test hook.
+//! CI and debugging, and [`with_backend`] runs one scope on a given
+//! backend inside a process (the parity suites' legs, the bench columns).
 //!
 //! Each kernel has **one source**, its scalar body. A vector variant with
 //! no hand-written body runs that scalar body compiled under
@@ -487,11 +488,11 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Returns the backend the process dispatches to.
 ///
-/// Honors `LECA_BACKEND=scalar` (or `off`/`0`) to force the scalar
-/// backend, `LECA_BACKEND=avx2` (any backend name, including
-/// `fastmath`) to request one, and `auto`/unset to auto-detect; a request
-/// for an unavailable backend degrades to auto-detection rather than
-/// erroring, so the same invocation works on any host. The
+/// Honors `LECA_BACKEND=scalar` to force the scalar backend,
+/// `LECA_BACKEND=avx2` (any backend name, including `fastmath`) to
+/// request one, and `auto`/unset to auto-detect; a request for an
+/// unavailable backend degrades to auto-detection rather than erroring,
+/// so the same invocation works on any host. The
 /// relaxed-precision tier runs only when requested as
 /// `LECA_BACKEND=fastmath`; auto-detection never picks it.
 ///
@@ -499,12 +500,44 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(usize::MAX);
 ///
 /// Computed **once per process** on first use and cached — later env
 /// changes are ignored (same contract as [`crate::parallel::num_threads`]).
-/// Tests that flip backends within one process must call
-/// [`refresh_backend`] after changing the variable.
+/// [`with_backend`] overrides the cached selection for one scope.
 pub fn active() -> Backend {
     match Backend::ALL.get(ACTIVE.load(Ordering::Relaxed)) {
         Some(&be) => be,
-        None => refresh_backend(),
+        None => {
+            let request = runtime_env::raw("LECA_BACKEND").ok();
+            let idx = select_index(request.as_deref());
+            // A selection stored meanwhile (a racing first touch, or a
+            // `with_backend` scope) wins over this one.
+            match ACTIVE.compare_exchange(usize::MAX, idx, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => Backend::ALL[idx],
+                Err(stored) => Backend::ALL[stored],
+            }
+        }
+    }
+}
+
+/// Runs `f` with [`active`] returning `be`, then restores the previous
+/// selection, on return and on unwind. Restoring the not-yet-selected
+/// state means the next [`active`] reads `LECA_BACKEND` again.
+///
+/// This is how the parity and determinism suites run one workload on
+/// each backend inside one process, and how `kernel_speed` times its
+/// columns. The selection is process-wide: scopes on different threads
+/// must not overlap, so suites whose concurrent tests pin backends
+/// serialize them.
+pub fn with_backend<T>(be: Backend, f: impl FnOnce() -> T) -> T {
+    // `ALL` lists the variants in declaration order.
+    let _restore = Restore(ACTIVE.swap(be as usize, Ordering::Relaxed));
+    f()
+}
+
+/// Stores the selection it holds back into [`ACTIVE`] when dropped.
+struct Restore(usize);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        ACTIVE.store(self.0, Ordering::Relaxed);
     }
 }
 
@@ -514,16 +547,6 @@ pub fn active() -> Backend {
 #[cfg(loom)]
 pub fn reset_backend_cache() {
     ACTIVE.store(usize::MAX, Ordering::Relaxed);
-}
-
-/// Re-reads `LECA_BACKEND`, replaces the cached selection and returns
-/// the new backend — the test hook for the once-per-process caching of
-/// [`active`] (the parity and determinism suites flip `scalar`/`avx2`
-/// inside one process).
-pub fn refresh_backend() -> Backend {
-    let idx = select_index();
-    ACTIVE.store(idx, Ordering::Relaxed);
-    Backend::ALL[idx]
 }
 
 /// Highest-preference available **bit-exact** backend (falls back to
@@ -537,11 +560,10 @@ fn auto_index() -> usize {
         .unwrap_or(0)
 }
 
-fn select_index() -> usize {
-    let request = runtime_env::raw("LECA_BACKEND")
-        .ok()
-        .map(|v| v.to_ascii_lowercase());
-    match request.as_deref() {
+/// The [`Backend::ALL`] index a `LECA_BACKEND` value selects (`None`:
+/// unset).
+fn select_index(request: Option<&str>) -> usize {
+    match request.map(str::to_ascii_lowercase).as_deref() {
         Some("scalar") => 0,
         Some("auto") | None => auto_index(),
         Some(name) => Backend::ALL
@@ -555,33 +577,9 @@ fn select_index() -> usize {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "tests pin LECA_BACKEND to drive selection"
-)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
-
-    /// `LECA_BACKEND` is process-global state; serialize the tests that
-    /// flip it.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_backend_env<T>(backend: Option<&str>, body: impl FnOnce() -> T) -> T {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("LECA_BACKEND").ok();
-        let set = |v: Option<&str>| match v {
-            Some(v) => std::env::set_var("LECA_BACKEND", v),
-            None => std::env::remove_var("LECA_BACKEND"),
-        };
-        set(backend);
-        refresh_backend();
-        let out = body();
-        set(old.as_deref());
-        refresh_backend();
-        out
-    }
 
     fn auto_name() -> &'static str {
         if avx2_available() {
@@ -591,71 +589,42 @@ mod tests {
         }
     }
 
+    fn selected(request: Option<&str>) -> &'static str {
+        Backend::ALL[select_index(request)].name()
+    }
+
     #[test]
     fn scalar_spellings_force_scalar() {
-        with_backend_env(Some("scalar"), || {
-            assert_eq!(active().name(), "scalar");
-        });
+        assert_eq!(selected(Some("scalar")), "scalar");
+        assert_eq!(selected(Some("SCALAR")), "scalar");
     }
 
     #[test]
     fn avx2_honored_only_when_available() {
-        with_backend_env(Some("avx2"), || {
-            assert_eq!(active().name(), auto_name());
-        });
+        assert_eq!(selected(Some("avx2")), auto_name());
     }
 
     #[test]
     fn unset_and_auto_detect() {
-        with_backend_env(None, || {
-            assert_eq!(active().name(), auto_name());
-        });
-        with_backend_env(Some("auto"), || {
-            assert_eq!(active().name(), auto_name());
-        });
-        for unknown in ["no-such-backend", "off"] {
-            with_backend_env(Some(unknown), || {
-                assert_eq!(active().name(), auto_name());
-            });
-        }
-    }
-
-    fn fastmath_name_when_available() -> &'static str {
-        if fastmath_available() {
-            "fastmath"
-        } else {
-            // Hosts without FMA degrade the request to bit-exact auto.
-            auto_name()
+        for request in [None, Some("auto"), Some("no-such-backend"), Some("off")] {
+            assert_eq!(selected(request), auto_name(), "{request:?}");
         }
     }
 
     #[test]
     fn fastmath_by_name_and_never_by_auto() {
-        // Requestable via LECA_BACKEND like any other backend.
-        with_backend_env(Some("fastmath"), || {
-            assert_eq!(active().name(), fastmath_name_when_available());
-        });
+        // Requestable via LECA_BACKEND like any other backend; hosts
+        // without FMA degrade the request to bit-exact auto.
+        let fastmath = if fastmath_available() {
+            "fastmath"
+        } else {
+            auto_name()
+        };
+        assert_eq!(selected(Some("fastmath")), fastmath);
         // Auto-selection never picks a non-bit-exact backend, no matter
         // how capable the host is.
-        with_backend_env(None, || {
-            assert!(active().bit_exact());
-        });
+        assert!(Backend::ALL[select_index(None)].bit_exact());
         assert!(Backend::ALL[auto_index()].bit_exact());
-    }
-
-    #[test]
-    fn cached_until_refreshed() {
-        with_backend_env(Some("scalar"), || {
-            assert_eq!(active().name(), "scalar");
-            // A bare env change must NOT be visible...
-            std::env::set_var("LECA_BACKEND", "avx2");
-            assert_eq!(active().name(), "scalar");
-            // ...until refreshed.
-            let refreshed = refresh_backend();
-            assert_eq!(active(), refreshed);
-            std::env::set_var("LECA_BACKEND", "scalar");
-            refresh_backend();
-        });
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! which worker happens to run a chunk. Kernels built on these helpers
 //! (see [`crate::ops::matmul`]) additionally keep a fixed per-element
 //! reduction order, so results are bit-identical across thread counts.
+//! The determinism suites check that in one process, running each leg
+//! inside [`with_threads`].
 //!
 //! # Shutdown hygiene
 //!
@@ -66,44 +68,57 @@ use std::thread::{Builder as ThreadBuilder, JoinHandle};
 /// later changes to `LECA_THREADS` are intentionally ignored so that a
 /// long-running training job cannot change parallelism (and perf
 /// characteristics) mid-flight because some library touched the
-/// environment. Tests that need to flip thread counts within one process
-/// must call [`refresh_num_threads`] after changing the variable.
+/// environment. [`with_threads`] overrides the cached count for one
+/// scope.
 pub fn num_threads() -> usize {
     let cached = CACHED.load(Ordering::Relaxed);
     if cached != 0 {
         return cached;
     }
-    let n = read_thread_env();
-    CACHED.store(n, Ordering::Relaxed);
-    n
+    let n = thread_count(crate::runtime_env::positive_u64("LECA_THREADS").ok());
+    // A count stored meanwhile (a racing first touch, or a `with_threads`
+    // scope) wins over this one.
+    match CACHED.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => n,
+        Err(stored) => stored,
+    }
 }
 
-/// Re-reads `LECA_THREADS` and replaces the cached thread count.
+/// Runs `f` with [`num_threads`] returning `n` (at least 1), then
+/// restores the previous count, on return and on unwind. Restoring the
+/// not-yet-computed state means the next [`num_threads`] reads
+/// `LECA_THREADS` again.
 ///
-/// This is the test hook for the once-per-process caching of
-/// [`num_threads`]: determinism tests set `LECA_THREADS=1`, run a
-/// workload, then set `LECA_THREADS=8` and call this to re-run the same
-/// workload threaded in the same process. Returns the new count.
-pub fn refresh_num_threads() -> usize {
-    let n = read_thread_env();
-    CACHED.store(n, Ordering::Relaxed);
-    n
+/// The count is process-wide, so it also holds on threads `f` hands work
+/// to (the serve shards, for one). Scopes on different threads must not
+/// overlap: suites whose concurrent tests pin thread counts serialize
+/// them.
+pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let _restore = Restore(CACHED.swap(n.max(1), Ordering::Relaxed));
+    f()
 }
 
+/// Stores the count it holds back into [`CACHED`] when dropped.
+struct Restore(usize);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        CACHED.store(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Cached thread count; 0 = not yet computed.
 static CACHED: AtomicUsize = AtomicUsize::new(0);
 
-fn read_thread_env() -> usize {
-    // `positive_u64` already rejects zero, garbage, and empty values; any
-    // such error falls back to auto-detection rather than aborting.
-    crate::runtime_env::positive_u64("LECA_THREADS")
-        .ok()
-        .map(|v| v as usize)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8)
-        })
+/// The thread count for a parsed `LECA_THREADS` (`None`: unset or
+/// invalid, which falls back to auto-detection rather than aborting).
+fn thread_count(requested: Option<u64>) -> usize {
+    requested.map(|v| v as usize).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -539,18 +554,13 @@ impl<T> SendPtr<T> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "tests pin LECA_THREADS and spawn threads to drive the pool"
-)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex as StdMutex;
 
-    /// Tests here mutate `LECA_THREADS`, which is process-global: serialize
-    /// the ones that do.
-    static ENV_LOCK: StdMutex<()> = StdMutex::new(());
+    /// The thread count is process-wide: serialize the tests that pin it.
+    static LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn num_threads_positive() {
@@ -558,22 +568,41 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rereads_env() {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("LECA_THREADS").ok();
-        std::env::set_var("LECA_THREADS", "3");
-        assert_eq!(refresh_num_threads(), 3);
-        assert_eq!(num_threads(), 3);
-        std::env::set_var("LECA_THREADS", "5");
-        // Cached: plain reads must NOT see the change...
-        assert_eq!(num_threads(), 3);
-        // ...until refreshed.
-        assert_eq!(refresh_num_threads(), 5);
-        match old {
-            Some(v) => std::env::set_var("LECA_THREADS", v),
-            None => std::env::remove_var("LECA_THREADS"),
+    fn thread_count_honors_a_parsed_request() {
+        assert_eq!(thread_count(Some(3)), 3);
+        assert_eq!(thread_count(Some(16)), 16);
+        assert!((1..=8).contains(&thread_count(None)));
+    }
+
+    /// Both scoped setters hold their value inside the scope and restore
+    /// the previous one after a normal return (nested scopes included)
+    /// and after a caught panic.
+    #[test]
+    fn setters_restore_the_previous_selection() {
+        use crate::backend::{active, with_backend, Backend};
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let before = (num_threads(), active());
+        with_threads(3, || {
+            assert_eq!(num_threads(), 3);
+            with_threads(5, || assert_eq!(num_threads(), 5));
+            assert_eq!(num_threads(), 3);
+        });
+        // Bit-exact backends only: other tests in this process run
+        // kernels meanwhile.
+        for be in [Backend::Scalar, Backend::Avx2] {
+            with_backend(be, || assert_eq!(active(), be));
+            assert_eq!((num_threads(), active()), before);
         }
-        refresh_num_threads();
+        let leg = std::panic::catch_unwind(|| {
+            with_threads(2, || {
+                with_backend(Backend::Scalar, || {
+                    assert_eq!((num_threads(), active()), (2, Backend::Scalar));
+                    panic!("a failing leg");
+                })
+            })
+        });
+        assert!(leg.is_err());
+        assert_eq!((num_threads(), active()), before);
     }
 
     #[test]
@@ -627,22 +656,16 @@ mod tests {
 
     #[test]
     fn pool_survives_many_small_jobs() {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("LECA_THREADS").ok();
-        std::env::set_var("LECA_THREADS", "4");
-        refresh_num_threads();
-        for round in 0..200usize {
-            let total = AtomicU64::new(0);
-            pool_run(7, |idx| {
-                total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
-            });
-            assert_eq!(total.load(Ordering::Relaxed), 28, "round {round}");
-        }
-        match old {
-            Some(v) => std::env::set_var("LECA_THREADS", v),
-            None => std::env::remove_var("LECA_THREADS"),
-        }
-        refresh_num_threads();
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        with_threads(4, || {
+            for round in 0..200usize {
+                let total = AtomicU64::new(0);
+                pool_run(7, |idx| {
+                    total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
+                });
+                assert_eq!(total.load(Ordering::Relaxed), 28, "round {round}");
+            }
+        });
     }
 
     #[test]
@@ -679,26 +702,20 @@ mod tests {
 
     #[test]
     fn global_pool_shutdown_revives() {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("LECA_THREADS").ok();
-        std::env::set_var("LECA_THREADS", "4");
-        refresh_num_threads();
-        let total = AtomicU64::new(0);
-        pool_run(8, |idx| {
-            total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        with_threads(4, || {
+            let total = AtomicU64::new(0);
+            pool_run(8, |idx| {
+                total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 36);
+            shutdown_global_pool();
+            total.store(0, Ordering::Relaxed);
+            pool_run(8, |idx| {
+                total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 36);
         });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
-        shutdown_global_pool();
-        total.store(0, Ordering::Relaxed);
-        pool_run(8, |idx| {
-            total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
-        match old {
-            Some(v) => std::env::set_var("LECA_THREADS", v),
-            None => std::env::remove_var("LECA_THREADS"),
-        }
-        refresh_num_threads();
     }
 
     #[test]

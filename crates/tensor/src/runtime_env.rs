@@ -11,9 +11,10 @@
 //! aborting — is expressed as `.ok()` at the call site, visibly).
 //!
 //! Caching is deliberately **not** here: the once-per-process semantics
-//! (and their `refresh_*` test hooks) belong to the consumers —
-//! [`crate::backend::active`], [`crate::parallel::num_threads`] — because
-//! each caches a different derived decision, not the raw string.
+//! (and their scoped overrides, `with_backend` and `with_threads`) belong
+//! to the consumers — [`crate::backend::active`],
+//! [`crate::parallel::num_threads`] — because each caches a different
+//! derived decision, not the raw string.
 
 use std::fmt;
 

@@ -11,8 +11,8 @@
 //! NaN-position agreement.
 //!
 //! The suite also locks down a selection-adjacent contract: the dispatched
-//! GEMM and softmax of every bit-exact backend (env-pinned, serialized)
-//! match the scalar backend's end to end.
+//! GEMM and softmax of every bit-exact backend (each run inside
+//! `backend::with_backend`) match the scalar backend's end to end.
 
 use leca_tensor::backend::{self, scalar, Backend, MR, NR};
 use leca_tensor::ops::{matmul, softmax_rows};
@@ -20,11 +20,6 @@ use leca_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
-
-/// Serializes tests that mutate process-global state (`LECA_BACKEND` and
-/// the cached backend selection).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Every backend that can run its own bodies on this host. Always
 /// contains scalar; contains avx2 (and fastmath) exactly when the host
@@ -564,35 +559,15 @@ fn fastmath_is_the_only_relaxed_precision_backend() {
 // Dispatched ops under every bit-exact backend
 // ---------------------------------------------------------------------
 
-/// Runs `body` with `LECA_BACKEND` pinned to `name`, restoring the
-/// previous selection afterwards. Callers hold `ENV_LOCK`.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_BACKEND for one leg and restores the previous value"
-)]
-fn pin_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
-    let old = std::env::var("LECA_BACKEND").ok();
-    std::env::set_var("LECA_BACKEND", name);
-    backend::refresh_backend();
-    let out = body();
-    match old {
-        Some(v) => std::env::set_var("LECA_BACKEND", v),
-        None => std::env::remove_var("LECA_BACKEND"),
-    }
-    backend::refresh_backend();
-    out
-}
-
 /// The outputs of every bit-exact backend must equal the scalar backend's
 /// bit for bit: the blocked GEMM (over edge shapes that straddle the 8x8
 /// tile) and softmax, end to end through the free kernel functions.
 #[test]
 fn dispatched_ops_match_scalar_on_every_backend() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut scalar_outputs: Option<Vec<(String, Tensor)>> = None;
     for be in bit_exact_backends() {
         let name = be.name();
-        let outputs = pin_backend(name, || {
+        let outputs = backend::with_backend(be, || {
             let mut outputs = Vec::new();
             let mut rng = StdRng::seed_from_u64(2024);
             let shapes = [

@@ -293,12 +293,8 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 /// drop trailing input rows or columns, whose input gradient there is
 /// `+0.0`.
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_BACKEND per bit-exact backend and restores the previous value"
-)]
 fn conv_is_bit_identical_to_im2col_oracle() {
-    use leca_tensor::backend::{refresh_backend, Backend};
+    use leca_tensor::backend::{with_backend, Backend};
     use leca_tensor::ops::conv_transpose2d_out_shape;
     use rand::SeedableRng;
     // (n, c, h, w, o, kh, kw, stride, pad)
@@ -382,37 +378,32 @@ fn conv_is_bit_identical_to_im2col_oracle() {
         })
         .collect();
 
-    let old = std::env::var("LECA_BACKEND").ok();
     for be in Backend::ALL
         .into_iter()
         .filter(|be| be.bit_exact() && be.available())
     {
-        std::env::set_var("LECA_BACKEND", be.name());
-        refresh_backend();
-        for (x, wt, b, g, tb, [stride, pad], [want, want_b, want_gx, want_gw], want_t) in &cases {
-            let (s, p) = (*stride, *pad);
-            let what = format!("{} x{:?} w{:?} s{s} p{p}", be.name(), x.shape(), wt.shape());
-            let mut out = Tensor::full(want.shape(), f32::NAN);
-            conv2d_into(x, wt, None, s, p, &mut out).unwrap();
-            assert_bits_eq(&out, want, &format!("conv2d_into {what}"));
-            let mut out = Tensor::full(want.shape(), f32::NAN);
-            conv2d_into(x, wt, Some(b), s, p, &mut out).unwrap();
-            assert_bits_eq(&out, want_b, &format!("conv2d_into+bias {what}"));
-            let gx = conv2d_grad_input(g, wt, x.shape(), s, p).unwrap();
-            assert_bits_eq(&gx, want_gx, &format!("conv2d_grad_input {what}"));
-            let (kh, kw) = (wt.shape()[2], wt.shape()[3]);
-            let gw = conv2d_grad_weight(x, g, kh, kw, s, p).unwrap();
-            assert_bits_eq(&gw, want_gw, &format!("conv2d_grad_weight {what}"));
-            if let Some(want_t) = want_t {
-                let mut out = Tensor::full(want_t.shape(), f32::NAN);
-                conv_transpose2d_into(g, wt, Some(tb), s, p, &mut out).unwrap();
-                assert_bits_eq(&out, want_t, &format!("conv_transpose2d_into+bias {what}"));
+        with_backend(be, || {
+            for (x, wt, b, g, tb, [stride, pad], [want, want_b, want_gx, want_gw], want_t) in &cases
+            {
+                let (s, p) = (*stride, *pad);
+                let what = format!("{} x{:?} w{:?} s{s} p{p}", be.name(), x.shape(), wt.shape());
+                let mut out = Tensor::full(want.shape(), f32::NAN);
+                conv2d_into(x, wt, None, s, p, &mut out).unwrap();
+                assert_bits_eq(&out, want, &format!("conv2d_into {what}"));
+                let mut out = Tensor::full(want.shape(), f32::NAN);
+                conv2d_into(x, wt, Some(b), s, p, &mut out).unwrap();
+                assert_bits_eq(&out, want_b, &format!("conv2d_into+bias {what}"));
+                let gx = conv2d_grad_input(g, wt, x.shape(), s, p).unwrap();
+                assert_bits_eq(&gx, want_gx, &format!("conv2d_grad_input {what}"));
+                let (kh, kw) = (wt.shape()[2], wt.shape()[3]);
+                let gw = conv2d_grad_weight(x, g, kh, kw, s, p).unwrap();
+                assert_bits_eq(&gw, want_gw, &format!("conv2d_grad_weight {what}"));
+                if let Some(want_t) = want_t {
+                    let mut out = Tensor::full(want_t.shape(), f32::NAN);
+                    conv_transpose2d_into(g, wt, Some(tb), s, p, &mut out).unwrap();
+                    assert_bits_eq(&out, want_t, &format!("conv_transpose2d_into+bias {what}"));
+                }
             }
-        }
+        });
     }
-    match old {
-        Some(v) => std::env::set_var("LECA_BACKEND", v),
-        None => std::env::remove_var("LECA_BACKEND"),
-    }
-    refresh_backend();
 }

@@ -1,18 +1,19 @@
 //! Loom model checks for the backend selection's one-time initialization
-//! and refresh (`crate::backend::{active, refresh_backend}`).
+//! and its scoped override (`crate::backend::{active, with_backend}`).
 //!
 //! Build with `RUSTFLAGS="--cfg loom" cargo test -p leca-tensor --test
 //! loom_backend --release`; under a normal build this file is empty.
 //!
 //! The cache is a single atomic index with *idempotent* initialization:
 //! racing first-touchers may each run selection, but selection is a pure
-//! function of the (stable) environment, so every interleaving must land
-//! on the same backend and later loads must never observe the sentinel.
-//! Loom statics persist across model iterations, so every model re-arms
-//! the not-yet-selected state via `reset_backend_cache` first.
+//! function of the (stable) environment, and the first store wins, so
+//! every interleaving must land on the same backend and later loads must
+//! never observe the sentinel. Loom statics persist across model
+//! iterations, so every model re-arms the not-yet-selected state via
+//! `reset_backend_cache` first.
 #![cfg(loom)]
 
-use leca_tensor::backend;
+use leca_tensor::backend::{self, Backend};
 
 /// Concurrent first-touch: two threads race `active()` from the
 /// uninitialized state; both must resolve the same backend.
@@ -29,16 +30,25 @@ fn racing_first_touch_is_idempotent() {
     });
 }
 
-/// `refresh_backend` racing a reader: the reader sees either the old or
-/// the new selection (the same one here — env is stable), never the
-/// sentinel and never a torn index.
+/// `with_backend` racing a first-touch reader: inside the scope the setter
+/// always sees its pin (a racing first touch never overwrites it), the
+/// reader sees the pin or the environment's choice, and once the scope
+/// ends the environment's choice is back.
 #[test]
-fn refresh_racing_reader_stays_valid() {
+fn setter_racing_reader_stays_valid() {
     loom::model(|| {
         backend::reset_backend_cache();
-        let writer = loom::thread::spawn(|| backend::refresh_backend().name());
-        let seen = backend::active().name();
-        let refreshed = writer.join().unwrap();
-        assert_eq!(seen, refreshed, "stable env: every path selects the same");
+        let ambient = backend::active();
+        backend::reset_backend_cache();
+        let writer =
+            loom::thread::spawn(|| backend::with_backend(Backend::Scalar, backend::active));
+        let seen = backend::active();
+        assert_eq!(writer.join().unwrap(), Backend::Scalar, "the pin holds");
+        assert!(seen == Backend::Scalar || seen == ambient, "saw {seen:?}");
+        assert_eq!(
+            backend::active(),
+            ambient,
+            "the scope restores the selection"
+        );
     });
 }

@@ -9,10 +9,13 @@
 //! thread may outlive the pool that spawned it.
 
 use leca_tensor::parallel::{
-    num_threads, pool_run, refresh_num_threads, shutdown_global_pool, WorkerPool,
+    num_threads, pool_run, shutdown_global_pool, with_threads, WorkerPool,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// The thread count is process-wide: serialize the tests that pin it.
+static LOCK: Mutex<()> = Mutex::new(());
 
 fn iters(native: usize, miri: usize) -> usize {
     if cfg!(miri) {
@@ -70,72 +73,69 @@ fn repeated_submissions_reuse_joined_pool() {
 #[test]
 #[allow(
     clippy::disallowed_methods,
-    reason = "pins LECA_THREADS and spawns caller threads to race the pool"
+    reason = "spawns caller threads to race the pool"
 )]
 fn concurrent_pool_run_from_many_threads() {
-    std::env::set_var("LECA_THREADS", "4");
-    refresh_num_threads();
-    assert_eq!(num_threads(), 4);
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    with_threads(4, || {
+        assert_eq!(num_threads(), 4);
 
-    let drivers = 4;
-    let per_driver = iters(25, 3);
-    let total = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..drivers)
-        .map(|_| {
-            let total = Arc::clone(&total);
-            std::thread::spawn(move || {
-                for _ in 0..per_driver {
-                    let local = AtomicUsize::new(0);
-                    pool_run(16, |w| {
-                        local.fetch_add(w, Ordering::Relaxed);
-                    });
-                    assert_eq!(local.load(Ordering::Relaxed), (0..16).sum::<usize>());
-                    total.fetch_add(1, Ordering::Relaxed);
-                }
+        let drivers = 4;
+        let per_driver = iters(25, 3);
+        let total = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..drivers)
+            .map(|_| {
+                let total = Arc::clone(&total);
+                std::thread::spawn(move || {
+                    for _ in 0..per_driver {
+                        let local = AtomicUsize::new(0);
+                        pool_run(16, |w| {
+                            local.fetch_add(w, Ordering::Relaxed);
+                        });
+                        assert_eq!(local.load(Ordering::Relaxed), (0..16).sum::<usize>());
+                        total.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(total.load(Ordering::Relaxed), drivers * per_driver);
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(total.load(Ordering::Relaxed), drivers * per_driver);
 
-    // Global-pool shutdown hygiene: joins workers, then revives on reuse.
-    shutdown_global_pool();
-    let after = AtomicUsize::new(0);
-    pool_run(8, |_| {
-        after.fetch_add(1, Ordering::Relaxed);
+        // Global-pool shutdown hygiene: joins workers, then revives on reuse.
+        shutdown_global_pool();
+        let after = AtomicUsize::new(0);
+        pool_run(8, |_| {
+            after.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(after.load(Ordering::Relaxed), 8);
     });
-    assert_eq!(after.load(Ordering::Relaxed), 8);
 }
 
 /// Disjoint mutable row slices under load: every row written by exactly
 /// the worker that owns it, verified against a serial reference. This is
 /// the `par_rows_mut` `unsafe` (SendPtr + from_raw_parts_mut) under TSan.
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS so the pool has workers to race"
-)]
 fn par_rows_mut_stress_is_exact_and_race_free() {
-    std::env::set_var("LECA_THREADS", "4");
-    refresh_num_threads();
-
-    let rows = 64;
-    let row_len = 33;
-    for round in 0..iters(10, 2) {
-        let mut out = vec![0.0f32; rows * row_len];
-        leca_tensor::parallel::par_rows_mut(&mut out, rows, row_len, 1, |range, chunk| {
-            for (i, r) in range.clone().enumerate() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    with_threads(4, || {
+        let rows = 64;
+        let row_len = 33;
+        for round in 0..iters(10, 2) {
+            let mut out = vec![0.0f32; rows * row_len];
+            leca_tensor::parallel::par_rows_mut(&mut out, rows, row_len, 1, |range, chunk| {
+                for (i, r) in range.clone().enumerate() {
+                    for c in 0..row_len {
+                        chunk[i * row_len + c] = (round + r * row_len + c) as f32;
+                    }
+                }
+            });
+            for r in 0..rows {
                 for c in 0..row_len {
-                    chunk[i * row_len + c] = (round + r * row_len + c) as f32;
+                    assert_eq!(out[r * row_len + c], (round + r * row_len + c) as f32);
                 }
             }
-        });
-        for r in 0..rows {
-            for c in 0..row_len {
-                assert_eq!(out[r * row_len + c], (round + r * row_len + c) as f32);
-            }
         }
-    }
+    });
 }

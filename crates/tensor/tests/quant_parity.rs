@@ -1,16 +1,16 @@
 //! Bit-exactness parity suite for the int8 tier.
 //!
 //! Each case computes the scalar reference via `backend::scalar::*`
-//! directly, then the dispatched wrapper under `LECA_BACKEND=avx2`, and
+//! directly, then the dispatched wrapper on the AVX2 backend, and
 //! asserts **bitwise** equality: i32 accumulators and i8 codes compare
 //! with `==`, f32 dequant outputs with `to_bits`. The int8 conv driver
 //! `qconv` is additionally checked against the unpacked, unpaired,
 //! unthreaded `reference::qmatmul_naive` oracle on a materialized im2col
 //! matrix, so a packing bug cannot hide behind a matching bug in both
-//! kernel bodies. On hosts without AVX2 the forced path degrades to
-//! scalar and every assertion holds trivially.
+//! kernel bodies. On hosts without AVX2 the AVX2 backend runs the scalar
+//! bodies and every assertion holds trivially.
 
-use leca_tensor::backend::{self as backend, scalar, MR, NR};
+use leca_tensor::backend::{self as backend, scalar, Backend, MR, NR};
 use leca_tensor::ops::reference::qmatmul_naive;
 use leca_tensor::ops::{qconv, PackedQMat, QIm2col};
 use leca_tensor::quant::{QuantParams, QMAX, QMIN};
@@ -18,31 +18,19 @@ use leca_tensor::{QTensor, Tensor, TensorError};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// `LECA_BACKEND` is process-global; serialize every test that flips it.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// The backend selection is process-wide; serialize every test that pins
+/// it.
+static LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with the AVX2 path requested (auto-degrading to scalar on
-/// hosts without it), restoring the previous dispatch state afterwards.
+/// Runs `body` on the AVX2 backend (whose bodies fall back to scalar on
+/// hosts without it), restoring the previous selection afterwards.
 fn with_avx2<T>(body: impl FnOnce() -> T) -> T {
-    with_backend("avx2", body)
+    pinned(Backend::Avx2, body)
 }
 
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_BACKEND for one leg and restores the previous value"
-)]
-fn with_backend<T>(value: &str, body: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = std::env::var("LECA_BACKEND").ok();
-    std::env::set_var("LECA_BACKEND", value);
-    backend::refresh_backend();
-    let out = body();
-    match old {
-        Some(v) => std::env::set_var("LECA_BACKEND", v),
-        None => std::env::remove_var("LECA_BACKEND"),
-    }
-    backend::refresh_backend();
-    out
+fn pinned<T>(be: Backend, body: impl FnOnce() -> T) -> T {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    backend::with_backend(be, body)
 }
 
 /// The int8 conv driver on the scalar and AVX2 backends, bitwise against
@@ -123,9 +111,9 @@ fn qconv_is_bit_identical_to_im2col_oracle() {
                 ow,
                 zp,
             };
-            for be in ["scalar", "avx2"] {
+            for be in [Backend::Scalar, Backend::Avx2] {
                 let mut out = vec![(usize::MAX, i32::MIN); n * m * ohw];
-                with_backend(be, || {
+                pinned(be, || {
                     qconv(&packed, &view, n, &mut out, |o, acc, dst| {
                         for (d, &a) in dst.iter_mut().zip(acc) {
                             *d = (o, a);
@@ -137,7 +125,8 @@ fn qconv_is_bit_identical_to_im2col_oracle() {
                     assert_eq!(
                         got,
                         (o, oracle[o * cols + img * ohw + pos]),
-                        "{be}: shape {:?} m={m} at (img {img}, o {o}, pos {pos})",
+                        "{}: shape {:?} m={m} at (img {img}, o {o}, pos {pos})",
+                        be.name(),
                         SHAPES[case]
                     );
                 }

@@ -12,20 +12,17 @@ mod counting_alloc;
 use counting_alloc::alloc_count;
 use leca::nn::layers::Relu;
 use leca::nn::{Layer, Mode};
-use leca::tensor::parallel::refresh_num_threads;
+use leca::tensor::parallel::with_threads;
 use leca::tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
-)]
 fn train_mode_activation_forward_makes_no_steady_state_allocations() {
-    std::env::set_var("LECA_THREADS", "1");
-    refresh_num_threads();
+    with_threads(1, train_mode_activation_forward);
+}
 
+fn train_mode_activation_forward() {
     let ws = Workspace::new();
     let mut rng = StdRng::seed_from_u64(3);
     let x = Tensor::rand_uniform(&[4, 64], -1.0, 1.0, &mut rng);

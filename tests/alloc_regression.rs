@@ -6,9 +6,9 @@
 //! from the workspace free list, the GEMM scratch thread-locals are
 //! already grown, and the prediction vector reuses its capacity.
 //!
-//! `LECA_THREADS` is pinned to 1 because the thread pool's chunked
-//! dispatch allocates per parallel region; the single-threaded path runs
-//! inline. This file deliberately holds exactly one `#[test]` so no
+//! The thread count is pinned to 1 with `with_threads`, because the
+//! thread pool's chunked dispatch allocates per parallel region; the
+//! single-threaded path runs inline. This file deliberately holds exactly one `#[test]` so no
 //! concurrent test pollutes the counters (each integration-test file is
 //! its own process and allocator).
 
@@ -21,20 +21,17 @@ use leca::core::pipeline::LecaPipeline;
 use leca::core::session::InferenceSession;
 use leca::nn::backbone::tiny_cnn;
 use leca::nn::Mode;
-use leca::tensor::parallel::refresh_num_threads;
+use leca::tensor::parallel::with_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
-)]
 fn classify_batch_steady_state_makes_no_heap_allocations() {
-    std::env::set_var("LECA_THREADS", "1");
-    refresh_num_threads();
+    with_threads(1, classify_batch_steady_state);
+}
 
+fn classify_batch_steady_state() {
     let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
     let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(0));
     let mut p = LecaPipeline::new(&cfg, Modality::Soft, bb, 7).unwrap();

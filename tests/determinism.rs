@@ -5,8 +5,7 @@
 //! 1. **Thread-count invariance** — the blocked GEMM runs one fixed
 //!    schedule: it accumulates every output element in a single in-order
 //!    chain over `k` and threads only split output tiles, so pipeline
-//!    losses are bit-identical under `LECA_THREADS=1` and
-//!    `LECA_THREADS=8`.
+//!    losses are bit-identical at 1 and 8 threads.
 //! 2. **Golden values** — the Noisy-modality training losses and the
 //!    fault-plan (Noisy plus a plan) results below were captured on the
 //!    *pre-rewrite* naive kernels. The rewrite must keep reproducing them bit-for-bit;
@@ -16,10 +15,10 @@
 //!    from the owned-tensor forward and from warm session passes, and
 //!    the int8 session's logits and predictions.
 //!
-//! The golden tests pin `LECA_BACKEND` to each bit-exact backend in
-//! turn, so an ambient `LECA_BACKEND=fastmath` never reaches the goldens.
-//! The tests mutate the process-global `LECA_THREADS` and `LECA_BACKEND` via
-//! the `refresh_*` hooks, so they serialize on a mutex.
+//! The golden tests run each leg inside `with_backend` on each bit-exact
+//! backend in turn, so an ambient `LECA_BACKEND=fastmath` never reaches
+//! the goldens, and inside `with_threads` at 1 and 8 threads. Both
+//! selections are process-wide, so the tests serialize on a mutex.
 
 use leca::circuit::fault::FaultPlan;
 use leca::circuit::noise::PixelNoise;
@@ -35,8 +34,8 @@ use leca::nn::loss::SoftmaxCrossEntropy;
 use leca::nn::optim::Adam;
 use leca::nn::{Layer, Mode};
 use leca::sensor::{LecaSensor, SensorGeometry};
-use leca::tensor::backend::refresh_backend;
-use leca::tensor::parallel::refresh_num_threads;
+use leca::tensor::backend::{with_backend, Backend};
+use leca::tensor::parallel::with_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -140,45 +139,12 @@ const GOLDEN_SESSION_INT8: ([u64; 3], [usize; 4]) = ([0x97daca0710938dab; 3], [2
 /// one class, so a per-image routing or ordering error shows.
 const GOLDEN_SESSION_INT8_SPREAD: [usize; 8] = [2, 3, 2, 3, 2, 3, 3, 3];
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// The backends the goldens hold on. On hosts without AVX2 the AVX2
+/// backend runs the scalar bodies.
+const BIT_EXACT: [Backend; 2] = [Backend::Scalar, Backend::Avx2];
 
-/// Runs `body` with `LECA_THREADS` set to `threads`, restoring the
-/// previous value (and cached count) afterwards.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS for one leg and restores the previous value"
-)]
-fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
-    let old = std::env::var("LECA_THREADS").ok();
-    std::env::set_var("LECA_THREADS", threads.to_string());
-    refresh_num_threads();
-    let out = body();
-    match old {
-        Some(v) => std::env::set_var("LECA_THREADS", v),
-        None => std::env::remove_var("LECA_THREADS"),
-    }
-    refresh_num_threads();
-    out
-}
-
-/// Runs `body` with `LECA_BACKEND` set to `name`, restoring the previous
-/// value (and cached dispatch) afterwards.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_BACKEND for one leg and restores the previous value"
-)]
-fn with_backend<T>(name: &str, body: impl FnOnce() -> T) -> T {
-    let old = std::env::var("LECA_BACKEND").ok();
-    std::env::set_var("LECA_BACKEND", name);
-    refresh_backend();
-    let out = body();
-    match old {
-        Some(v) => std::env::set_var("LECA_BACKEND", v),
-        None => std::env::remove_var("LECA_BACKEND"),
-    }
-    refresh_backend();
-    out
-}
+/// The backend and thread count are process-wide: the tests serialize.
+static LOCK: Mutex<()> = Mutex::new(());
 
 /// Order-sensitive bit-level checksum of a tensor's contents.
 fn checksum(t: &Tensor) -> u64 {
@@ -523,14 +489,14 @@ fn capture_cases() -> [u64; 4] {
 
 #[test]
 fn capture_cases_match_block_chain_goldens() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let got = with_backend(backend, || with_threads(threads, capture_cases));
             assert_eq!(
                 got, GOLDEN_CAPTURE_CASES,
                 "capture drifted from the block-chain goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+                 {backend:?} x {threads} threads (got {got:#018x?})"
             );
         }
     }
@@ -541,8 +507,8 @@ fn noisy_capture_matches_serial_chain_goldens() {
     // Capture draws no tensor kernel but the Box–Muller transform, so the
     // backend leg is the one that matters; threads are crossed for the
     // matrix's sake.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let got = with_backend(backend, || {
                 with_threads(threads, || {
@@ -553,7 +519,7 @@ fn noisy_capture_matches_serial_chain_goldens() {
                 got,
                 (GOLDEN_NOISY_ENCODE, GOLDEN_SUCCESSIVE_CAPTURES),
                 "noisy capture drifted from the serial-chain goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+                 {backend:?} x {threads} threads (got {got:#018x?})"
             );
         }
     }
@@ -561,12 +527,12 @@ fn noisy_capture_matches_serial_chain_goldens() {
 
 #[test]
 fn losses_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let single = with_threads(1, noisy_train_losses);
     let eight = with_threads(8, noisy_train_losses);
     assert_eq!(
         single, eight,
-        "forward+backward losses must not depend on LECA_THREADS"
+        "forward+backward losses must not depend on the thread count"
     );
     let faulty_single = with_threads(1, faulty_results);
     let faulty_eight = with_threads(8, faulty_results);
@@ -577,15 +543,15 @@ fn losses_bit_identical_across_thread_counts() {
 fn noisy_training_matches_pre_rewrite_goldens() {
     // Crossed with LECA_BACKEND: every bit-exact kernel backend must
     // reproduce the pre-rewrite scalar goldens bit for bit.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let (l1, l2) = with_backend(backend, || with_threads(threads, noisy_train_losses));
             assert_eq!(
                 (l1, l2),
                 (GOLDEN_NOISY_LOSS1, GOLDEN_NOISY_LOSS2),
                 "Noisy-modality losses drifted from pre-rewrite goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got 0x{l1:08x} / 0x{l2:08x})"
+                 {backend:?} x {threads} threads (got 0x{l1:08x} / 0x{l2:08x})"
             );
         }
     }
@@ -597,14 +563,14 @@ fn int8_logits_match_golden_across_simd_and_threads() {
     // logits are pinned to one golden across every LECA_BACKEND x
     // LECA_THREADS leg, while the f32 goldens above stay untouched
     // (asserted by their own tests in this same process).
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let ck = with_backend(backend, || with_threads(threads, int8_logits_checksum));
             assert_eq!(
                 ck, GOLDEN_INT8_LOGITS_CHECKSUM,
-                "int8 logits drifted from the golden at LECA_BACKEND={backend} \
-                 LECA_THREADS={threads} (got 0x{ck:016x})"
+                "int8 logits drifted from the golden at {backend:?} \
+                 x {threads} threads (got 0x{ck:016x})"
             );
         }
     }
@@ -612,15 +578,15 @@ fn int8_logits_match_golden_across_simd_and_threads() {
 
 #[test]
 fn fault_plan_results_match_pre_rewrite_goldens() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let (ck, loss) = with_backend(backend, || with_threads(threads, faulty_results));
             assert_eq!(
                 (ck, loss),
                 (GOLDEN_FAULTY_LOGITS_CHECKSUM, GOLDEN_FAULTY_LOSS),
                 "fault-plan results drifted from pre-rewrite goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got 0x{ck:016x} / 0x{loss:08x})"
+                 {backend:?} x {threads} threads (got 0x{ck:016x} / 0x{loss:08x})"
             );
         }
     }
@@ -628,14 +594,14 @@ fn fault_plan_results_match_pre_rewrite_goldens() {
 
 #[test]
 fn step_gradients_match_goldens() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let got = with_backend(backend, || with_threads(threads, all_step_grad_checksums));
             assert_eq!(
                 got, GOLDEN_STEP_GRADS,
                 "training-step gradients drifted from their goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?})"
+                 {backend:?} x {threads} threads (got {got:#018x?})"
             );
         }
     }
@@ -643,14 +609,14 @@ fn step_gradients_match_goldens() {
 
 #[test]
 fn trainer_runs_match_goldens() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let got = with_backend(backend, || with_threads(threads, trainer_results));
             assert_eq!(
                 got, GOLDEN_TRAINER,
                 "backbone and pipeline training drifted from their goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#x?})"
+                 {backend:?} x {threads} threads (got {got:#x?})"
             );
         }
     }
@@ -661,8 +627,8 @@ fn session_logits_match_goldens() {
     // The pooled session path and the owned-tensor forward agree bit for
     // bit on every leg, and repeated passes through the reused buffers
     // do not drift.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             for (modality, golden) in [Modality::Soft, Modality::Hard]
                 .into_iter()
@@ -674,12 +640,12 @@ fn session_logits_match_goldens() {
                 assert_eq!(
                     cks, [golden; 4],
                     "{modality:?} forward and session logits drifted from the golden at \
-                     LECA_BACKEND={backend} LECA_THREADS={threads} (got {cks:#018x?})"
+                     {backend:?} x {threads} threads (got {cks:#018x?})"
                 );
                 assert!(
                     argmax_agrees,
                     "{modality:?} classify_batch disagrees with the logits' argmax at \
-                     LECA_BACKEND={backend} LECA_THREADS={threads}"
+                     {backend:?} x {threads} threads"
                 );
                 assert!(
                     spread_preds.iter().any(|&c| c != spread_preds[0]),
@@ -688,12 +654,40 @@ fn session_logits_match_goldens() {
             }
         }
     }
+    // Fast-math is not bit-exact with scalar, so it has no golden. Its
+    // forward and warm session passes still agree bit for bit, and do not
+    // depend on the thread count.
+    if !Backend::FastMath.available() {
+        return;
+    }
+    for modality in [Modality::Soft, Modality::Hard] {
+        let legs = [1, 8].map(|threads| {
+            let (cks, argmax_agrees, _) = with_backend(Backend::FastMath, || {
+                with_threads(threads, || session_logits(modality))
+            });
+            assert_eq!(
+                cks, [cks[0]; 4],
+                "{modality:?} fast-math forward and session logits disagree at \
+                 {threads} threads (got {cks:#018x?})"
+            );
+            assert!(
+                argmax_agrees,
+                "{modality:?} fast-math classify_batch disagrees with the logits' argmax at \
+                 {threads} threads"
+            );
+            cks
+        });
+        assert_eq!(
+            legs[0], legs[1],
+            "{modality:?} fast-math logits depend on the thread count"
+        );
+    }
 }
 
 #[test]
 fn int8_session_matches_golden() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in ["scalar", "avx2"] {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in BIT_EXACT {
         for threads in [1, 8] {
             let (got, spread_preds) =
                 with_backend(backend, || with_threads(threads, int8_session_results));
@@ -701,7 +695,7 @@ fn int8_session_matches_golden() {
                 (got, spread_preds),
                 (GOLDEN_SESSION_INT8, GOLDEN_SESSION_INT8_SPREAD),
                 "int8 session logits or predictions drifted from the goldens at \
-                 LECA_BACKEND={backend} LECA_THREADS={threads} (got {got:#018x?}, {spread_preds:?})"
+                 {backend:?} x {threads} threads (got {got:#018x?}, {spread_preds:?})"
             );
         }
     }

@@ -7,8 +7,8 @@
 //! **zero heap allocations**, exactly like the f32 workspace path pinned
 //! by `tests/alloc_regression.rs`.
 //!
-//! `LECA_THREADS` is pinned to 1 (the thread pool's chunked dispatch
-//! allocates per parallel region). This file deliberately holds exactly
+//! The thread count is pinned to 1 with `with_threads` (the thread
+//! pool's chunked dispatch allocates per parallel region). This file deliberately holds exactly
 //! one `#[test]` so no concurrent test pollutes the counters (each
 //! integration-test file is its own process and allocator).
 
@@ -20,20 +20,17 @@ use leca::core::encoder::Modality;
 use leca::core::pipeline::LecaPipeline;
 use leca::core::session::{InferenceSession, Precision};
 use leca::nn::backbone::tiny_cnn;
-use leca::tensor::parallel::refresh_num_threads;
+use leca::tensor::parallel::with_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
-)]
 fn int8_steady_state_makes_no_heap_allocations() {
-    std::env::set_var("LECA_THREADS", "1");
-    refresh_num_threads();
+    with_threads(1, int8_steady_state);
+}
 
+fn int8_steady_state() {
     let lc = LecaConfig::new(2, 4, 3.0).unwrap();
     let bb = tiny_cnn(4, &mut StdRng::seed_from_u64(0));
     let pipeline = LecaPipeline::new(&lc, Modality::Soft, bb, 7).unwrap();

@@ -7,8 +7,9 @@
 //! must perform **zero heap allocations** end to end, for both
 //! single-request batches and coalesced bursts.
 //!
-//! `LECA_THREADS` is pinned to 1 (the thread pool's chunked dispatch
-//! allocates per parallel region) and the service runs one shard. The
+//! The thread count is pinned to 1 with `with_threads` (the thread
+//! pool's chunked dispatch allocates per parallel region) and the service
+//! runs one shard. The
 //! client reuses one `Arc<Tensor>` payload: cloning an `Arc` is a
 //! refcount bump, so request payloads cost nothing either. This file
 //! deliberately holds exactly one `#[test]` so no concurrent test
@@ -24,7 +25,7 @@ use leca::core::pipeline::LecaPipeline;
 use leca::core::session::InferenceSession;
 use leca::nn::backbone::tiny_cnn;
 use leca::serve::{ServeConfig, Service};
-use leca::tensor::parallel::refresh_num_threads;
+use leca::tensor::parallel::with_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,14 +49,11 @@ fn one_round(service: &Service, payload: &Arc<Tensor>) {
 }
 
 #[test]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "pins LECA_THREADS=1 before the first pool use, so the counted warm loop runs on the test thread"
-)]
 fn serving_steady_state_makes_no_heap_allocations() {
-    std::env::set_var("LECA_THREADS", "1");
-    refresh_num_threads();
+    with_threads(1, serving_steady_state);
+}
 
+fn serving_steady_state() {
     let cfg = ServeConfig {
         shards: 1,
         max_batch: 4,

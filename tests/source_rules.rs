@@ -1,14 +1,36 @@
 //! Two source conventions that no rustc or clippy lint expresses, checked
 //! on the text of the library files (DESIGN.md "Lints"). Each check reads
-//! a file up to its first `#[cfg(test)]` line and skips comment lines.
+//! a file up to its test module and skips comment lines.
 
 use std::path::Path;
 
+/// The `(line number, text)` of each non-comment line of `src` above its
+/// first `#[cfg(test)]` module. A `#[cfg(test)]` on any other item (a
+/// test hook method) does not end the library code.
 fn library_lines(src: &str) -> Vec<(usize, &str)> {
-    let lines = src.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let code = lines.take_while(|(_, l)| l.trim() != "#[cfg(test)]");
-    code.filter(|(_, l)| !l.trim_start().starts_with("//"))
+    let lines: Vec<&str> = src.lines().collect();
+    let end = (0..lines.len())
+        .find(|&k| lines[k].trim() == "#[cfg(test)]" && gates_a_mod(&lines[k + 1..]))
+        .unwrap_or(lines.len());
+    let numbered = lines[..end].iter().enumerate().map(|(i, &l)| (i + 1, l));
+    numbered
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
         .collect()
+}
+
+/// True when the item `rest` opens with, past any further attributes
+/// (one line or several), is a module.
+fn gates_a_mod(rest: &[&str]) -> bool {
+    let mut depth = 0i32;
+    for line in rest.iter().map(|l| l.trim()) {
+        if depth == 0 && !line.starts_with("#[") {
+            let item = line.strip_prefix("pub ").unwrap_or(line);
+            let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+            return item.starts_with("mod ");
+        }
+        depth += line.matches('[').count() as i32 - line.matches(']').count() as i32;
+    }
+    false
 }
 
 /// True when a `.fold(` argument list opens with a float seed: a float
@@ -121,13 +143,18 @@ fn scanners_flag_the_planted_forms() {
         // A comment naming `.sum::<f32>()` is not code.\n\
         xs.iter().sum::<usize>() + xs.iter().fold(0, f);\n\
         shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))\n\
-        #[cfg(test)]\nfn t(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }\n";
+        #[cfg(test)]\nmod tests { fn t(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() } }\n";
     assert_eq!(float_reductions(float), [2, 5, 7, 9]);
     assert!(float_seed(" 0.0f32, f") && float_seed("2f64, f") && !float_seed("0usize, f"));
 
     let detached = "pub fn go() { std::thread::Builder::new().spawn(f).unwrap(); }";
     assert!(detached_spawn(detached) && detached_spawn("std::thread::spawn(f);"));
     let joined = "fn go() -> JoinHandle<()> { thread::spawn(f) }";
-    let test_only = "fn go() {}\n#[cfg(test)]\nfn t() { thread::spawn(f); }";
+    let test_only = "fn go() {}\n#[cfg(test)]\n#[allow(\n    lint,\n    reason = \"r\"\n)]\n\
+        mod tests { fn t() { thread::spawn(f); } }";
     assert!(!detached_spawn(joined) && !detached_spawn(test_only));
+    // A test hook method above library code does not end the scan.
+    let after_hook = "impl Q {\n    #[cfg(test)]\n    pub fn len(&self) -> usize { 0 }\n}\n\
+        pub fn go() { std::thread::spawn(f); }";
+    assert!(detached_spawn(after_hook));
 }
